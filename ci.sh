@@ -20,8 +20,12 @@
 #   7. Checkpoint/resume smoke: a fixed-seed checkpointed `perfdojo-lib
 #      build` paused at a step limit (exit code 4) and resumed must produce
 #      a library and event trace byte-identical to an uninterrupted build's
-#      (modulo the cache_hit field — a resumed process starts cache-cold),
-#      and a zero-budget anneal must stay NaN-free.
+#      (modulo the cache_hit field — a resumed process starts cache-cold);
+#      plain and checkpointed builds run one job runner, so the plain
+#      `anneal:40` and `anneal:0` libraries must `cmp` equal to their
+#      checkpointed builds; and a zero-budget anneal is a no-op on every
+#      path — no record, no evaluation beyond the dojo's own — and must
+#      stay NaN-free.
 #   8. Serving-tier smoke: a fixed-seed `--exp serve` load test must be
 #      byte-identical across two runs, a CLI `perfdojo-lib serve` run on two
 #      copies of the same library must produce identical reports AND
@@ -161,11 +165,22 @@ strip_cache_hit() { sed 's/,"cache_hit":[a-z]*//g' "$1"; }
 diff <(strip_cache_hit "$PDLIB_DIR/ck-full/trace.jsonl") \
      <(strip_cache_hit "$PDLIB_DIR/ck-sliced/trace.jsonl")
 grep -q '"ev":"tuned"' "$PDLIB_DIR/ck-full/trace.jsonl"
-# zero-budget anneal is a defined no-op: must finish cleanly, NaN-free
-./target/release/perfdojo-lib build --out "$PDLIB_DIR/zero.pdl" \
-    --kernels softmax --targets x86 --strategy anneal:0 --seed 7 \
+# the plain build runs the same job runner: same bytes as the checkpointed
+./target/release/perfdojo-lib build --out "$PDLIB_DIR/plain.pdl" "${CKPT_ARGS[@]}"
+cmp "$PDLIB_DIR/full.pdl" "$PDLIB_DIR/plain.pdl"
+# zero-budget anneal is a defined no-op on every path: must finish
+# cleanly, NaN-free, and plain and checkpointed builds must agree
+ZERO_ARGS=(--kernels softmax --targets x86 --strategy anneal:0 --seed 7)
+./target/release/perfdojo-lib build --out "$PDLIB_DIR/zero.pdl" "${ZERO_ARGS[@]}" \
     > "$PDLIB_DIR/zero.txt"
-if grep -qi "nan" "$PDLIB_DIR/zero.txt" "$PDLIB_DIR/zero.pdl"; then
+./target/release/perfdojo-lib build --out "$PDLIB_DIR/zero-ck.pdl" "${ZERO_ARGS[@]}" \
+    --checkpoint-dir "$PDLIB_DIR/ck-zero" > "$PDLIB_DIR/zero-ck.txt"
+cmp "$PDLIB_DIR/zero.pdl" "$PDLIB_DIR/zero-ck.pdl"
+# no record, and no evaluation beyond the dojo's own (one per job)
+for out in zero.txt zero-ck.txt; do
+    grep -q "1 jobs, 1 evaluations; .* 0 entries total" "$PDLIB_DIR/$out"
+done
+if grep -qi "nan" "$PDLIB_DIR/zero.txt" "$PDLIB_DIR/zero.pdl" "$PDLIB_DIR/zero-ck.txt"; then
     echo "ci.sh: zero-budget anneal produced NaN" >&2
     exit 1
 fi

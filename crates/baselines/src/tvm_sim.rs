@@ -149,7 +149,8 @@ mod tests {
         let t = Target::x86();
         let tvm = tvm_tune(&p, &t, 200, 7);
         let mut d = Dojo::for_target(p, &t).unwrap();
-        let full = perfdojo_search::anneal_heuristic(&mut d, 200, 7);
+        let full =
+            perfdojo_search::simulated_annealing(&mut d, &perfdojo_search::HeuristicSpace, 200, 7);
         assert!(
             full.best_runtime <= tvm.runtime * 1.05,
             "full {} vs template {}",

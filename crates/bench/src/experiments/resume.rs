@@ -44,7 +44,7 @@ fn results_identical(a: &SearchResult, b: &SearchResult) -> bool {
 fn anneal_run(label: &str, slice: Option<u64>) -> (SearchResult, String) {
     let mut dojo = dojo_for(label);
     let mut sink = TraceSink::new();
-    let mut state = AnnealState::start(&mut dojo, &EdgesSpace, SEED);
+    let mut state = AnnealState::start_with_warm(&mut dojo, &EdgesSpace, SEED, &[]);
     loop {
         let p = anneal_resume(&mut dojo, &EdgesSpace, ANNEAL_BUDGET, &mut state, Some(&mut sink), slice);
         if p == AnnealProgress::Finished {
@@ -81,7 +81,7 @@ fn perfllm_run(label: &str, slice: Option<usize>) -> (String, String) {
     let cfg = small_cfg();
     let mut dojo = dojo_for(label);
     let mut sink = TraceSink::new();
-    let mut state = TrainState::start(&dojo, &cfg, SEED);
+    let mut state = TrainState::start_warm(&mut dojo, &cfg, SEED, &[]);
     loop {
         let p = train_episodes(&mut dojo, &cfg, &mut state, slice, Some(&mut sink));
         if p == perfdojo_rl::perfllm::TrainProgress::Finished {

@@ -11,7 +11,7 @@
 
 use crate::report::{fmt_time, fmt_x, Table};
 use perfdojo_core::{Dojo, Target};
-use perfdojo_search::{anneal_edges, anneal_edges_parallel, chain_seed, SearchResult};
+use perfdojo_search::{anneal_chains, chain_seed, simulated_annealing, EdgesSpace, SearchResult};
 use std::time::Instant;
 
 /// Headline SA budget: the acceptance bar is a >=3x wall-clock speedup at
@@ -77,12 +77,12 @@ fn measure_kernel(kernel: &perfdojo_kernels::KernelInstance, budget: u64) -> Eng
 
     let mut naive = mk().with_naive_engine();
     let t0 = Instant::now();
-    let r_naive = anneal_edges(&mut naive, budget, SEED);
+    let r_naive = simulated_annealing(&mut naive, &EdgesSpace, budget, SEED);
     let wall_naive = t0.elapsed().as_secs_f64();
 
     let mut inc = mk();
     let t1 = Instant::now();
-    let r_inc = anneal_edges(&mut inc, budget, SEED);
+    let r_inc = simulated_annealing(&mut inc, &EdgesSpace, budget, SEED);
     let wall_incremental = t1.elapsed().as_secs_f64();
 
     let stats = inc.cache_stats();
@@ -117,23 +117,26 @@ fn measure_multi_chain(kernel: &perfdojo_kernels::KernelInstance) -> MultiChainR
     let target = Target::x86();
     let budget_per_chain = HEADLINE_BUDGET / CHAINS as u64;
     let mk = || Dojo::for_target(kernel.program.clone(), &target).expect("dojo");
+    let parallel = |d: &mut Dojo| {
+        anneal_chains(d, &EdgesSpace, CHAINS, budget_per_chain, SEED, &[], &mut Vec::new(), None)
+    };
 
     let t0 = Instant::now();
     let mut seq_best = f64::INFINITY;
     for c in 0..CHAINS {
         let mut d = mk();
-        let r = anneal_edges(&mut d, budget_per_chain, chain_seed(SEED, c));
+        let r = simulated_annealing(&mut d, &EdgesSpace, budget_per_chain, chain_seed(SEED, c));
         seq_best = seq_best.min(r.best_runtime);
     }
     let wall_sequential = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let mut d = mk();
-    let par = anneal_edges_parallel(&mut d, CHAINS, budget_per_chain, SEED);
+    let par = parallel(&mut d);
     let wall_parallel = t1.elapsed().as_secs_f64();
 
     let mut d2 = mk();
-    let par2 = anneal_edges_parallel(&mut d2, CHAINS, budget_per_chain, SEED);
+    let par2 = parallel(&mut d2);
 
     MultiChainRow {
         kernel: kernel.label.clone(),

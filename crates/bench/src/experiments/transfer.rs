@@ -13,7 +13,7 @@ use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{
     Disposition, KernelSig, Library, LibraryBuilder, Strategy, TransferIndex,
 };
-use perfdojo_search::{simulated_annealing, simulated_annealing_warm, HeuristicSpace};
+use perfdojo_search::{anneal_resume, simulated_annealing, AnnealState, HeuristicSpace};
 use std::path::Path;
 
 const SEED: u64 = 29;
@@ -184,7 +184,9 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
         let cold = simulated_annealing(&mut dojo, &HeuristicSpace, EVAL_BUDGET, SEED);
         let mut dojo = Dojo::for_target(query.program.clone(), &target)
             .map_err(|e| format!("dojo for {}: {e}", query.label))?;
-        let warmed = simulated_annealing_warm(&mut dojo, &HeuristicSpace, EVAL_BUDGET, SEED, &warm);
+        let mut st = AnnealState::start_with_warm(&mut dojo, &HeuristicSpace, SEED, &warm);
+        anneal_resume(&mut dojo, &HeuristicSpace, EVAL_BUDGET, &mut st, None, None);
+        let warmed = st.into_result();
 
         // (c) Shape-exact tune at training budget: the gap reference.
         let mut dojo = Dojo::for_target(query.program.clone(), &target)

@@ -2,7 +2,9 @@
 //!
 //! [`LibraryBuilder`] fans a kernel suite × target set over the workspace
 //! thread pool (`perfdojo_util::par`), runs the configured tuning strategy
-//! per job, and merges the results keep-best into a [`Library`]. Builds are
+//! per job, and merges the results keep-best into a [`Library`]. One job
+//! runner turns a [`Strategy`] into a schedule for plain builds,
+//! checkpointed builds, serve drains and fleet jobs alike. Builds are
 //! deterministic: each job's seed is derived from the global seed and the
 //! job identity (`label|target`), and `par_map` preserves input order, so
 //! two same-seed builds produce byte-identical libraries regardless of
@@ -15,13 +17,9 @@ use crate::sig::KernelSig;
 use perfdojo_core::{Dojo, Target};
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
-use perfdojo_rl::PerfLlmConfig;
+use perfdojo_rl::{PerfLlmConfig, TrainProgress};
 use perfdojo_search::checkpoint::{parse_anneal, parse_chains, serialize_anneal, serialize_chains};
-use perfdojo_search::parallel::merge_chains;
-use perfdojo_search::{
-    anneal_parallel_resumable_warm, anneal_resume, AnnealProgress, AnnealState, HeuristicSpace,
-    SearchResult,
-};
+use perfdojo_search::{anneal_chains, anneal_resume, AnnealProgress, AnnealState, HeuristicSpace};
 use perfdojo_transform::Action;
 use perfdojo_util::trace::TraceSink;
 
@@ -37,8 +35,8 @@ pub enum Strategy {
     },
     /// K independent SA chains per job, run concurrently on the
     /// incremental engine and merged keep-best (`perfdojo-search`'s
-    /// `anneal_heuristic_parallel`) — parallelism *within* a kernel on top
-    /// of the builder's across-kernel fan-out.
+    /// `anneal_chains`) — parallelism *within* a kernel on top of the
+    /// builder's across-kernel fan-out.
     AnnealMulti {
         /// Evaluation budget per chain.
         budget: u64,
@@ -202,60 +200,18 @@ impl LibraryBuilder {
         self.seed ^ fnv1a(format!("{label}|{target}").as_bytes())
     }
 
-    /// Tune one kernel on one target.
+    /// Tune one kernel on one target: the job runner (see
+    /// [`LibraryBuilder::build_into_checkpointed`]) with no in-flight
+    /// state, no step limit and no trace, so it runs the job to completion
+    /// in one call.
     pub fn tune_kernel(&self, kernel: &KernelInstance, target: &Target) -> TuneOutcome {
-        let mut out = TuneOutcome {
-            record: None,
-            label: kernel.label.clone(),
-            target: target.name.clone(),
-            evaluations: 0,
-            error: None,
-        };
-        let mut dojo = match Dojo::for_target(kernel.program.clone(), target) {
-            Ok(d) => d,
-            Err(e) => {
-                out.error = Some(e.to_string());
-                return out;
-            }
-        };
-        let naive_cost = dojo.initial_runtime();
-        let seed = self.job_seed(&kernel.label, &target.name);
-        let warm = self.warm_steps(kernel, target);
-        let (steps, cost) = match &self.strategy {
-            Strategy::Heuristic => {
-                let runtime = perfdojo_search::heuristic_pass(&mut dojo);
-                (dojo.history.steps.clone(), runtime)
-            }
-            Strategy::Anneal { budget } => {
-                let r = perfdojo_search::simulated_annealing_warm(
-                    &mut dojo,
-                    &HeuristicSpace,
-                    *budget,
-                    seed,
-                    &warm,
-                );
-                (r.best_steps, r.best_runtime)
-            }
-            Strategy::AnnealMulti { budget, chains } => {
-                let r = perfdojo_search::anneal_parallel_warm(
-                    &mut dojo,
-                    &HeuristicSpace,
-                    *chains,
-                    *budget,
-                    seed,
-                    &warm,
-                );
-                (r.best_steps, r.best_runtime)
-            }
-            Strategy::PerfLlm { episodes } => {
-                let cfg = PerfLlmConfig { episodes: *episodes, ..PerfLlmConfig::default() };
-                let r = perfdojo_rl::optimize_warm(&mut dojo, &cfg, seed, &warm);
-                (r.best_steps, r.best_runtime)
-            }
-        };
-        out.evaluations = dojo.evaluations();
-        out.record = self.make_record(kernel, target, seed, naive_cost, steps, cost);
-        out
+        match self.run_job(kernel, target, None, &mut None, None) {
+            Ok(Sliced::Done(out)) => out,
+            // neither arises without in-flight state to parse or a step
+            // limit to pause at; reported rather than trusted
+            Ok(Sliced::Paused(_)) => failed(kernel, target, "job paused without a step limit"),
+            Err(e) => failed(kernel, target, &e),
+        }
     }
 
     /// Build the [`ScheduleRecord`] for a tuning result. Only schedules
@@ -332,11 +288,14 @@ impl LibraryBuilder {
     ///   `cache_hit` field (a resumed process starts with a cold
     ///   evaluation cache; values and decisions are unaffected).
     ///
-    /// Jobs run sequentially because per-job parallelism cannot persist
-    /// incrementally; `Strategy::AnnealMulti` still runs its finished
-    /// chains concurrently on resume-free segments. Returns the progress,
-    /// the accumulated merge report, and the outcomes of jobs completed in
-    /// this call.
+    /// Every job runs through the same runner as [`LibraryBuilder::tune_kernel`],
+    /// here with the in-flight state, step allotment and trace sink
+    /// supplied, so a checkpointed build yields the plain build's bytes and
+    /// per-job evaluations. Jobs run sequentially because per-job
+    /// parallelism cannot persist incrementally; `Strategy::AnnealMulti`
+    /// still fans out the chains a slice grants. Returns the progress, the
+    /// accumulated merge report, and the outcomes of jobs completed in this
+    /// call.
     pub fn build_into_checkpointed(
         &self,
         lib: &mut Library,
@@ -365,8 +324,13 @@ impl LibraryBuilder {
                 }) {
                     continue;
                 }
-                let sliced =
-                    self.tune_kernel_sliced(kernel, target, inflight.take(), &mut remaining, &mut sink)?;
+                let sliced = self.run_job(
+                    kernel,
+                    target,
+                    inflight.take(),
+                    &mut remaining,
+                    Some(&mut sink),
+                )?;
                 match sliced {
                     Sliced::Done(out) => {
                         let r = lib.merge(out.record.clone());
@@ -397,15 +361,18 @@ impl LibraryBuilder {
         Ok((BuildProgress::Finished, report, outcomes))
     }
 
-    /// Run one job for at most `remaining` tuning steps, resuming from a
-    /// serialized `inflight` state when given.
-    fn tune_kernel_sliced(
+    /// The one job runner: every build, drain and fleet job turns its
+    /// [`Strategy`] into a schedule here. `inflight` resumes a paused job
+    /// from its serialized search state; `remaining` bounds the tuning
+    /// steps this call may spend across jobs (`None`: run to completion);
+    /// `sink` receives the job's trajectory events.
+    fn run_job(
         &self,
         kernel: &KernelInstance,
         target: &Target,
         inflight: Option<String>,
         remaining: &mut Option<u64>,
-        sink: &mut TraceSink,
+        mut sink: Option<&mut TraceSink>,
     ) -> Result<Sliced, String> {
         // pausing *before* a job starts needs no in-flight state at all
         if matches!(remaining, Some(0)) {
@@ -413,34 +380,30 @@ impl LibraryBuilder {
         }
         let mut dojo = match Dojo::for_target(kernel.program.clone(), target) {
             Ok(d) => d,
-            Err(e) => {
-                return Ok(Sliced::Done(TuneOutcome {
-                    record: None,
-                    label: kernel.label.clone(),
-                    target: target.name.clone(),
-                    evaluations: 0,
-                    error: Some(e.to_string()),
-                }))
-            }
+            Err(e) => return Ok(Sliced::Done(failed(kernel, target, &e.to_string()))),
         };
         let naive_cost = dojo.initial_runtime();
         let base_evals = dojo.evaluations();
         let seed = self.job_seed(&kernel.label, &target.name);
         let warm = self.warm_steps(kernel, target);
         let ctx = |e: String| format!("{} on {}: {e}", kernel.label, target.name);
-        if inflight.is_none() {
+        if let (None, Some(sink)) = (&inflight, sink.as_deref_mut()) {
             sink.event("job")
                 .str("kernel", &kernel.label)
                 .str("target", &target.name)
                 .str("strategy", self.strategy.name())
                 .emit();
         }
+        // `evaluations` is the strategy's own spend, as checkpoints persist
+        // it: a resumed job does not count its re-attach evaluation
         let (steps, cost, evaluations) = match &self.strategy {
             Strategy::Heuristic => {
-                take_step(remaining);
+                take_steps(remaining, 1);
                 let runtime = perfdojo_search::heuristic_pass(&mut dojo);
                 (dojo.history.steps.clone(), runtime, dojo.evaluations())
             }
+            // a zero budget is a no-op, as `simulated_annealing` defines it
+            Strategy::Anneal { budget: 0 } => (Vec::new(), naive_cost, base_evals),
             Strategy::Anneal { budget } => {
                 let mut st = match &inflight {
                     Some(text) => {
@@ -458,40 +421,45 @@ impl LibraryBuilder {
                     {
                         break;
                     }
-                    if !take_step(remaining) {
+                    if take_steps(remaining, 1) == 0 {
                         return Ok(Sliced::Paused(Some(serialize_anneal(&st))));
                     }
-                    anneal_resume(&mut dojo, &HeuristicSpace, *budget, &mut st, Some(sink), Some(1));
+                    anneal_resume(
+                        &mut dojo,
+                        &HeuristicSpace,
+                        *budget,
+                        &mut st,
+                        sink.as_deref_mut(),
+                        Some(1),
+                    );
                 }
                 let evaluations = base_evals + st.spent;
                 let r = st.into_result();
                 (r.best_steps, r.best_runtime, evaluations)
             }
             Strategy::AnnealMulti { budget, chains } => {
-                let mut done_chains: Vec<SearchResult> = match &inflight {
+                let mut done = match &inflight {
                     Some(text) => parse_chains(text).map_err(&ctx)?,
                     None => Vec::new(),
                 };
-                let mut best = None;
-                while done_chains.len() < *chains {
-                    if !take_step(remaining) {
-                        return Ok(Sliced::Paused(Some(serialize_chains(&done_chains))));
-                    }
-                    let upto = done_chains.len() + 1;
-                    best = Some(anneal_parallel_resumable_warm(
-                        &mut dojo,
-                        &HeuristicSpace,
-                        upto,
-                        *budget,
-                        seed,
-                        &warm,
-                        &mut done_chains,
-                        Some(sink),
-                    ));
+                // one step per chain; the granted chains fan out together
+                let todo = chains.saturating_sub(done.len());
+                let upto = done.len() + take_steps(remaining, todo as u64) as usize;
+                let best = anneal_chains(
+                    &mut dojo,
+                    &HeuristicSpace,
+                    upto,
+                    *budget,
+                    seed,
+                    &warm,
+                    &mut done,
+                    sink.as_deref_mut(),
+                );
+                if done.len() < *chains {
+                    return Ok(Sliced::Paused(Some(serialize_chains(&done))));
                 }
                 let chain_evals: u64 =
-                    done_chains.iter().map(|r| r.trace.last().map_or(0, |t| t.0)).sum();
-                let best = best.unwrap_or_else(|| merge_chains(done_chains).0);
+                    done.iter().map(|r| r.trace.last().map_or(0, |t| t.0)).sum();
                 (best.best_steps, best.best_runtime, base_evals + chain_evals)
             }
             Strategy::PerfLlm { episodes } => {
@@ -500,23 +468,32 @@ impl LibraryBuilder {
                     Some(text) => perfdojo_rl::parse_train(text).map_err(&ctx)?,
                     None => perfdojo_rl::TrainState::start_warm(&mut dojo, &cfg, seed, &warm),
                 };
-                while st.episodes_done < cfg.episodes {
-                    if !take_step(remaining) {
-                        return Ok(Sliced::Paused(Some(perfdojo_rl::serialize_train(&st))));
-                    }
-                    perfdojo_rl::train_episodes(&mut dojo, &cfg, &mut st, Some(1), Some(sink));
+                // one step per episode
+                let todo = cfg.episodes.saturating_sub(st.episodes_done);
+                let granted = take_steps(remaining, todo as u64) as usize;
+                let progress = perfdojo_rl::train_episodes(
+                    &mut dojo,
+                    &cfg,
+                    &mut st,
+                    Some(granted),
+                    sink.as_deref_mut(),
+                );
+                if progress == TrainProgress::Paused {
+                    return Ok(Sliced::Paused(Some(perfdojo_rl::serialize_train(&st))));
                 }
                 let evaluations = st.spent;
                 let r = st.into_result();
                 (r.best_steps, r.best_runtime, evaluations)
             }
         };
-        sink.event("tuned")
-            .str("kernel", &kernel.label)
-            .str("target", &target.name)
-            .u64("evals", evaluations)
-            .f64("cost", cost)
-            .emit();
+        if let Some(sink) = sink {
+            sink.event("tuned")
+                .str("kernel", &kernel.label)
+                .str("target", &target.name)
+                .u64("evals", evaluations)
+                .f64("cost", cost)
+                .emit();
+        }
         Ok(Sliced::Done(TuneOutcome {
             record: self.make_record(kernel, target, seed, naive_cost, steps, cost),
             label: kernel.label.clone(),
@@ -544,15 +521,27 @@ enum Sliced {
     Paused(Option<String>),
 }
 
-/// Consume one step of the allotment; `false` when exhausted.
-fn take_step(remaining: &mut Option<u64>) -> bool {
+/// Take up to `want` steps from the allotment and return how many were
+/// granted: all of them when the allotment is unlimited.
+fn take_steps(remaining: &mut Option<u64>, want: u64) -> u64 {
     match remaining {
-        None => true,
-        Some(0) => false,
+        None => want,
         Some(n) => {
-            *n -= 1;
-            true
+            let granted = want.min(*n);
+            *n -= granted;
+            granted
         }
+    }
+}
+
+/// The outcome of a job that produced no schedule because of `error`.
+fn failed(kernel: &KernelInstance, target: &Target, error: &str) -> TuneOutcome {
+    TuneOutcome {
+        record: None,
+        label: kernel.label.clone(),
+        target: target.name.clone(),
+        evaluations: 0,
+        error: Some(error.to_string()),
     }
 }
 
@@ -687,26 +676,6 @@ mod tests {
                 let trace = std::fs::read_to_string(ckpt.trace_path()).unwrap();
                 return (lib.to_text(), perfdojo_util::trace::strip_field(&trace, "cache_hit"));
             }
-        }
-    }
-
-    #[test]
-    fn checkpointed_build_matches_plain_build() {
-        for strategy in [
-            Strategy::Anneal { budget: 12 },
-            Strategy::AnnealMulti { budget: 8, chains: 2 },
-            Strategy::Heuristic,
-        ] {
-            let kernels = tune(&["softmax"]);
-            let targets = [Target::x86()];
-            let mut plain = Library::new();
-            LibraryBuilder::new(strategy, 5).build_into(&mut plain, &kernels, &targets);
-
-            let dir = ckpt_tmpdir("plain-eq");
-            let builder = LibraryBuilder::new(strategy, 5);
-            let (ckpt_text, _) = run_checkpointed(&builder, &kernels, &targets, &dir, None);
-            assert_eq!(plain.to_text(), ckpt_text, "{strategy:?}");
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -280,16 +280,23 @@ struct Counters {
     submitted: AtomicU64,
     rejected: AtomicU64,
     served: AtomicU64,
-    exact: AtomicU64,
-    parameterized: AtomicU64,
-    nearest: AtomicU64,
-    heuristic: AtomicU64,
-    naive: AtomicU64,
+    /// Replies per tier, indexed by `HitTier as usize`.
+    tiers: [AtomicU64; HitTier::Naive as usize + 1],
     tune_jobs: AtomicU64,
     tuned: AtomicU64,
     block_exact: AtomicU64,
     block_nearest: AtomicU64,
     block_fallback: AtomicU64,
+}
+
+impl Counters {
+    fn count(&self, tier: HitTier) {
+        self.tiers[tier as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn tier(&self, tier: HitTier) -> u64 {
+        self.tiers[tier as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// A deferred tune job for one missed query.
@@ -433,11 +440,11 @@ impl Server {
             submitted: c.submitted.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
             served: c.served.load(Ordering::Relaxed),
-            exact: c.exact.load(Ordering::Relaxed),
-            parameterized: c.parameterized.load(Ordering::Relaxed),
-            nearest: c.nearest.load(Ordering::Relaxed),
-            heuristic: c.heuristic.load(Ordering::Relaxed),
-            naive: c.naive.load(Ordering::Relaxed),
+            exact: c.tier(HitTier::Exact),
+            parameterized: c.tier(HitTier::Parameterized),
+            nearest: c.tier(HitTier::Nearest),
+            heuristic: c.tier(HitTier::Heuristic),
+            naive: c.tier(HitTier::Naive),
             tune_jobs: c.tune_jobs.load(Ordering::Relaxed),
             tuned: c.tuned.load(Ordering::Relaxed),
             swaps: self.slot.generation(),
@@ -507,14 +514,7 @@ impl Server {
         let r = snap.library.lookup(&query.program, &self.target);
         let tier = HitTier::of(&r.disposition);
         self.counters.served.fetch_add(1, Ordering::Relaxed);
-        match tier {
-            HitTier::Exact => &self.counters.exact,
-            HitTier::Parameterized => &self.counters.parameterized,
-            HitTier::Nearest => &self.counters.nearest,
-            HitTier::Heuristic => &self.counters.heuristic,
-            HitTier::Naive => &self.counters.naive,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.counters.count(tier);
         let job = tier.is_miss().then(|| TuneJob {
             label: query.label.clone(),
             dims: query.dims.clone(),
@@ -545,21 +545,14 @@ impl Server {
         let snap = self.slot.read(fnv1a(key.as_bytes()));
         self.counters.served.fetch_add(1, Ordering::Relaxed);
         if let Some(r) = snap.library.lookup_cached(&sig, &query.program, &self.target) {
+            // the cached tiers only: exact, parameterized or nearest
             let tier = HitTier::of(&r.disposition);
+            self.counters.count(tier);
             match tier {
-                HitTier::Exact => {
-                    self.counters.exact.fetch_add(1, Ordering::Relaxed);
-                    self.counters.block_exact.fetch_add(1, Ordering::Relaxed);
-                }
-                HitTier::Parameterized => {
-                    self.counters.parameterized.fetch_add(1, Ordering::Relaxed);
-                    self.counters.block_nearest.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {
-                    self.counters.nearest.fetch_add(1, Ordering::Relaxed);
-                    self.counters.block_nearest.fetch_add(1, Ordering::Relaxed);
-                }
+                HitTier::Exact => &self.counters.block_exact,
+                _ => &self.counters.block_nearest,
             }
+            .fetch_add(1, Ordering::Relaxed);
             let reply = ServeReply {
                 label: query.label.clone(),
                 key: key.to_string(),
@@ -582,14 +575,7 @@ impl Server {
         for part in &block.parts {
             let r = snap.library.lookup(&part.program, &self.target);
             let t = HitTier::of(&r.disposition);
-            match t {
-                HitTier::Exact => &self.counters.exact,
-                HitTier::Parameterized => &self.counters.parameterized,
-                HitTier::Nearest => &self.counters.nearest,
-                HitTier::Heuristic => &self.counters.heuristic,
-                HitTier::Naive => &self.counters.naive,
-            }
-            .fetch_add(1, Ordering::Relaxed);
+            self.counters.count(t);
             cost += r.cost;
             naive_cost += r.naive_cost;
             latency += latency_units(&r);
@@ -671,12 +657,16 @@ impl Server {
             .with_warm_from(&self.snapshot(0).library);
 
         // build into a scratch library so the served snapshot is untouched
-        // until the merge below publishes a complete replacement
+        // until the merge below publishes a complete replacement; it ends up
+        // holding every job's record (a checkpointed drain's earlier slices
+        // reload from the checkpoint's partial library)
         let mut scratch = Library::new();
-        let mut outcomes = match ckpt {
-            None => builder.build_into(&mut scratch, &kernels, &targets).1,
+        match ckpt {
+            None => {
+                builder.build_into(&mut scratch, &kernels, &targets);
+            }
             Some(ckpt) => {
-                let (progress, _, outcomes) = builder.build_into_checkpointed(
+                let (progress, _, _) = builder.build_into_checkpointed(
                     &mut scratch,
                     &kernels,
                     &targets,
@@ -686,82 +676,37 @@ impl Server {
                 if progress == BuildProgress::Paused {
                     return Ok(TuneProgress::Paused);
                 }
-                // completed earlier slices live in the checkpoint's done
-                // list / partial library, not in this call's outcomes
-                let _ = outcomes;
-                Vec::new()
             }
-        };
+        }
 
         // re-key block jobs: their record was tuned under the composed
         // program's own signature but must land under the subgraph key
-        match ckpt {
-            None => {
-                // outcomes come back in job (grid) order for one target
-                for (o, (_, j)) in outcomes.iter_mut().zip(jobs.iter()) {
-                    if let (Some(rec), Some(sig)) = (&mut o.record, &j.sig_override) {
-                        rec.sig = sig.clone();
-                    }
-                }
-            }
-            Some(_) => {
-                for (_, j) in &jobs {
-                    if let Some(sig) = &j.sig_override {
-                        let own = KernelSig::of(&j.program, &self.target.name);
-                        if let Some(mut rec) = scratch.remove(&own) {
-                            rec.sig = sig.clone();
-                            scratch.merge([rec]);
-                        }
-                    }
+        for (_, j) in &jobs {
+            if let Some(sig) = &j.sig_override {
+                let own = KernelSig::of(&j.program, &self.target.name);
+                if let Some(mut rec) = scratch.remove(&own) {
+                    rec.sig = sig.clone();
+                    scratch.merge([rec]);
                 }
             }
         }
 
-        // checkpointed drains merge the partial library (holds *all* job
-        // records); plain drains merge this call's outcomes
-        let (tuned, unimproved) = match ckpt {
-            None => {
-                let tuned = outcomes.iter().filter(|o| o.record.is_some()).count();
-                (tuned, outcomes.len() - tuned)
-            }
-            Some(_) => {
-                // count this drain's jobs only: the partial library could
-                // still hold records from a drain that crashed between
-                // publish and checkpoint reset
-                let tuned = jobs
-                    .iter()
-                    .filter(|(_, j)| scratch.get(&j.final_sig(&self.target)).is_some())
-                    .count();
-                (tuned, jobs.len() - tuned)
-            }
-        };
-        // jobs that produced no record keep the shape re-tunable: forget
-        // their queue keys after this drain completes, so a future miss
-        // can enqueue them again (a later drain may run with budget, a
-        // fixed strategy, or a model version bump)
-        let failed_keys: Vec<String> = match ckpt {
-            None => outcomes
-                .iter()
-                .zip(jobs.iter())
-                .filter(|(o, _)| o.record.is_none())
-                .map(|(_, (k, _))| k.clone())
-                .collect(),
-            Some(_) => jobs
-                .iter()
-                .filter(|(_, j)| scratch.get(&j.final_sig(&self.target)).is_none())
-                .map(|(k, _)| k.clone())
-                .collect(),
-        };
+        // count this drain's jobs only: a checkpoint's partial library
+        // could still hold records from a drain that crashed between
+        // publish and checkpoint reset. Jobs that produced no record keep
+        // the shape re-tunable: forget their queue keys after this drain
+        // completes, so a future miss can enqueue them again (a later drain
+        // may run with budget, a fixed strategy, or a model version bump)
+        let failed_keys: Vec<String> = jobs
+            .iter()
+            .filter(|(_, j)| scratch.get(&j.final_sig(&self.target)).is_none())
+            .map(|(k, _)| k.clone())
+            .collect();
+        let unimproved = failed_keys.len();
+        let tuned = jobs.len() - unimproved;
         let snap = self.slot.read(0);
         let mut merged = snap.library.clone();
-        match ckpt {
-            None => {
-                merged.merge(outcomes.into_iter().filter_map(|o| o.record));
-            }
-            Some(_) => {
-                merged.merge(scratch.records().cloned());
-            }
-        }
+        merged.merge(scratch.records().cloned());
         self.counters.tuned.fetch_add(tuned as u64, Ordering::Relaxed);
         let generation = self.publish_locked(merged)?;
         // this drain is merged and published: clear the checkpoint's job

@@ -141,7 +141,7 @@ mod tests {
     fn train_state_round_trips_exactly() {
         let mut d = dojo();
         let cfg = cfg();
-        let mut st = crate::perfllm::TrainState::start(&d, &cfg, 5);
+        let mut st = crate::perfllm::TrainState::start_warm(&mut d, &cfg, 5, &[]);
         train_episodes(&mut d, &cfg, &mut st, Some(2), None);
         let text = serialize_train(&st);
         let back = parse_train(&text).unwrap();
@@ -156,9 +156,9 @@ mod tests {
     fn corrupt_checkpoints_error_instead_of_panicking() {
         assert!(parse_train("").is_err());
         assert!(parse_train("perfdojo-checkpoint v1 anneal\n").is_err());
-        let d = dojo();
+        let mut d = dojo();
         let cfg = cfg();
-        let st = crate::perfllm::TrainState::start(&d, &cfg, 5);
+        let st = crate::perfllm::TrainState::start_warm(&mut d, &cfg, 5, &[]);
         let good = serialize_train(&st);
         assert!(parse_train(&good[..good.len() / 2]).is_err());
         assert!(parse_train(&good.replacen("best-runtime ", "best-runtime zz", 1)).is_err());
@@ -171,14 +171,14 @@ mod tests {
 
         // uninterrupted run with events
         let mut d1 = dojo();
-        let mut full_state = crate::perfllm::TrainState::start(&d1, &cfg, seed);
+        let mut full_state = crate::perfllm::TrainState::start_warm(&mut d1, &cfg, seed, &[]);
         let mut full_sink = TraceSink::new();
         let p = train_episodes(&mut d1, &cfg, &mut full_state, None, Some(&mut full_sink));
         assert_eq!(p, TrainProgress::Finished);
 
         // interrupted after 2 episodes, checkpointed, resumed on a fresh dojo
         let mut d2 = dojo();
-        let mut st = crate::perfllm::TrainState::start(&d2, &cfg, seed);
+        let mut st = crate::perfllm::TrainState::start_warm(&mut d2, &cfg, seed, &[]);
         let mut part_sink = TraceSink::new();
         let p = train_episodes(&mut d2, &cfg, &mut st, Some(2), Some(&mut part_sink));
         assert_eq!(p, TrainProgress::Paused);

@@ -29,6 +29,5 @@ pub use checkpoint::{parse_train, serialize_train};
 pub use dqn::{DqnAgent, DqnConfig};
 pub use embed::{embed, EMBED_DIM};
 pub use perfllm::{
-    optimize, optimize_warm, train_episodes, PerfLlmConfig, PerfLlmResult, TrainProgress,
-    TrainState,
+    optimize, train_episodes, PerfLlmConfig, PerfLlmResult, TrainProgress, TrainState,
 };

@@ -89,46 +89,38 @@ pub struct TrainState {
 }
 
 impl TrainState {
-    /// Start a fresh run (spends nothing; the dojo is untouched).
-    pub fn start(dojo: &Dojo, cfg: &PerfLlmConfig, seed: u64) -> TrainState {
-        TrainState {
-            agent: DqnAgent::new(cfg.dqn.clone(), seed),
-            rng: Rng::seed_from_u64(seed ^ 0x9e37_79b9),
-            best_runtime: dojo.initial_runtime(),
-            best_steps: Vec::new(),
-            episode_best: Vec::with_capacity(cfg.episodes),
-            episodes_done: 0,
-            spent: dojo.evaluations(),
-            events: 0,
-        }
-    }
-
-    /// Start a fresh run warm-started from a transferred schedule: the warm
-    /// sequence is leniently replayed (charged to `spent`), seeds
-    /// best-so-far when it wins, and the dojo is rewound — episodes still
-    /// start from `reset`, exactly as cold training does. An empty `warm`
-    /// is byte-identical to [`TrainState::start`].
+    /// Start a fresh run. A cold start (`warm` empty) spends nothing and
+    /// leaves the dojo untouched. A non-empty `warm` (a transferred
+    /// schedule) is leniently replayed (charged to `spent`) and seeds
+    /// best-so-far when it wins; the dojo is then rewound, so episodes
+    /// still start from `reset`, exactly as cold training does.
     pub fn start_warm(
         dojo: &mut Dojo,
         cfg: &PerfLlmConfig,
         seed: u64,
         warm: &[Action],
     ) -> TrainState {
-        let warm_result = if warm.is_empty() {
-            None
-        } else {
-            let r = dojo.load_sequence(warm).ok().map(|rt| (dojo.history.steps.clone(), rt));
-            dojo.reset();
-            r
-        };
-        let mut state = TrainState::start(dojo, cfg, seed);
-        if let Some((steps, rt)) = warm_result {
-            if rt < state.best_runtime {
-                state.best_runtime = rt;
-                state.best_steps = steps;
+        let mut best_runtime = dojo.initial_runtime();
+        let mut best_steps = Vec::new();
+        if !warm.is_empty() {
+            if let Ok(rt) = dojo.load_sequence(warm) {
+                if rt < best_runtime {
+                    best_runtime = rt;
+                    best_steps = dojo.history.steps.clone();
+                }
             }
+            dojo.reset();
         }
-        state
+        TrainState {
+            agent: DqnAgent::new(cfg.dqn.clone(), seed),
+            rng: Rng::seed_from_u64(seed ^ 0x9e37_79b9),
+            best_runtime,
+            best_steps,
+            episode_best: Vec::with_capacity(cfg.episodes),
+            episodes_done: 0,
+            spent: dojo.evaluations(),
+            events: 0,
+        }
     }
 
     /// Consume the state into a [`PerfLlmResult`].
@@ -282,22 +274,9 @@ pub fn train_episodes(
     TrainProgress::Finished
 }
 
-/// Run PerfLLM on a Dojo.
+/// Run PerfLLM on a Dojo from a cold start.
 pub fn optimize(dojo: &mut Dojo, cfg: &PerfLlmConfig, seed: u64) -> PerfLlmResult {
-    let mut state = TrainState::start(dojo, cfg, seed);
-    train_episodes(dojo, cfg, &mut state, None, None);
-    state.into_result()
-}
-
-/// [`optimize`] warm-started from a transferred schedule (see
-/// [`TrainState::start_warm`]).
-pub fn optimize_warm(
-    dojo: &mut Dojo,
-    cfg: &PerfLlmConfig,
-    seed: u64,
-    warm: &[Action],
-) -> PerfLlmResult {
-    let mut state = TrainState::start_warm(dojo, cfg, seed, warm);
+    let mut state = TrainState::start_warm(dojo, cfg, seed, &[]);
     train_episodes(dojo, cfg, &mut state, None, None);
     state.into_result()
 }
@@ -349,21 +328,6 @@ mod tests {
             matches!(a.transform, perfdojo_transform::Transform::BindGpu(_))
         });
         assert!(uses_gpu || r.best_runtime >= init * 0.5, "gpu binding expected for big wins");
-    }
-
-    #[test]
-    fn empty_warm_start_is_byte_identical_to_cold() {
-        let mk = || {
-            let p = perfdojo_kernels::mul(16, 64);
-            Dojo::for_target(p, &Target::x86()).unwrap()
-        };
-        let mut d1 = mk();
-        let cold = optimize(&mut d1, &quick_cfg(), 5);
-        let mut d2 = mk();
-        let warm = optimize_warm(&mut d2, &quick_cfg(), 5, &[]);
-        assert_eq!(cold.best_runtime.to_bits(), warm.best_runtime.to_bits());
-        assert_eq!(cold.best_steps, warm.best_steps);
-        assert_eq!(cold.evaluations, warm.evaluations);
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn run(seed: u64, pause: bool) -> (String, String) {
     let cfg = cfg();
     let mut d = dojo();
     let mut sink = TraceSink::new();
-    let mut st = TrainState::start(&d, &cfg, seed);
+    let mut st = TrainState::start_warm(&mut d, &cfg, seed, &[]);
     loop {
         let p = train_episodes(&mut d, &cfg, &mut st, pause.then_some(1), Some(&mut sink));
         if p == TrainProgress::Finished {

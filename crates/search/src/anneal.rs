@@ -10,7 +10,8 @@
 //! [`anneal_resume`], so a run can emit per-step trajectory events, pause
 //! at a step limit, be checkpointed to disk (`crate::checkpoint`) and later
 //! continue bit-identically to an uninterrupted run.
-//! [`simulated_annealing`] is the thin uninterrupted wrapper.
+//! [`simulated_annealing`] is the thin uninterrupted cold-start wrapper;
+//! `perfdojo-library`'s job runner drives the state machine directly.
 
 use crate::{SearchResult, SearchSpace, TracePoint};
 use perfdojo_core::Dojo;
@@ -61,18 +62,12 @@ pub enum AnnealProgress {
 
 impl AnnealState {
     /// Start a fresh run: seed the RNG, take the space's initial candidate
-    /// and evaluate it. Charges the initial work to `spent` exactly as the
-    /// historical loop did.
-    pub fn start(dojo: &mut Dojo, space: &dyn SearchSpace, seed: u64) -> AnnealState {
-        AnnealState::start_with_warm(dojo, space, seed, &[])
-    }
-
-    /// Start a fresh run warm-started from a transferred schedule: after
-    /// evaluating the space's initial candidate, leniently replay `warm` and
-    /// adopt the applied sequence when it beats the initial cost. The extra
-    /// evaluation(s) are deterministic and charged to `spent`, so warm runs
-    /// checkpoint and resume exactly like cold ones. An empty `warm` is
-    /// byte-identical to [`AnnealState::start`].
+    /// and evaluate it, charging that work to `spent`. A non-empty `warm`
+    /// (a transferred schedule) is then leniently replayed and its applied
+    /// sequence adopted when it beats the initial cost; the extra
+    /// evaluation(s) are deterministic and charged to `spent` too, so warm
+    /// runs checkpoint and resume exactly like cold ones. Pass `&[]` for a
+    /// cold start.
     pub fn start_with_warm(
         dojo: &mut Dojo,
         space: &dyn SearchSpace,
@@ -191,7 +186,10 @@ pub fn anneal_resume(
         }
         if cost < state.best_runtime {
             state.best_runtime = cost;
-            state.best_steps = state.current.clone();
+            // the *applied* sequence: lenient `load_sequence` may have
+            // skipped steps of the edited candidate, and records built from
+            // `best_steps` must replay strictly
+            state.best_steps = dojo.history.steps.clone();
         }
         state.spent = base + (dojo.evaluations() - seg0);
         state.trace.push((state.spent, state.best_runtime));
@@ -211,7 +209,7 @@ pub fn anneal_resume(
     }
 }
 
-/// Run simulated annealing for `budget` evaluations.
+/// Run simulated annealing for `budget` evaluations from a cold start.
 ///
 /// A zero budget is a no-op by definition: the initial program is returned
 /// untouched, with no evaluations spent and no NaN temperatures computed
@@ -222,14 +220,13 @@ pub fn simulated_annealing(
     budget: u64,
     seed: u64,
 ) -> SearchResult {
-    simulated_annealing_warm(dojo, space, budget, seed, &[])
+    anneal_chain(dojo, space, budget, seed, &[])
 }
 
-/// [`simulated_annealing`] warm-started from a transferred schedule: the
-/// run begins from `warm` (when it replays and beats the space's initial
-/// candidate) instead of the empty program. Zero budget ignores `warm` —
-/// a no-op spends nothing, warm or cold.
-pub fn simulated_annealing_warm(
+/// One uninterrupted, possibly warm-started run: the state machine driven
+/// to completion, with the zero-budget no-op of [`simulated_annealing`]
+/// (a no-op spends nothing, warm or cold).
+pub(crate) fn anneal_chain(
     dojo: &mut Dojo,
     space: &dyn SearchSpace,
     budget: u64,
@@ -245,23 +242,10 @@ pub fn simulated_annealing_warm(
     state.into_result()
 }
 
-/// Convenience: SA over the edges space.
-pub fn anneal_edges(dojo: &mut Dojo, budget: u64, seed: u64) -> SearchResult {
-    simulated_annealing(dojo, &crate::EdgesSpace, budget, seed)
-}
-
-/// Convenience: SA over the heuristic space.
-pub fn anneal_heuristic(dojo: &mut Dojo, budget: u64, seed: u64) -> SearchResult {
-    simulated_annealing(dojo, &crate::HeuristicSpace, budget, seed)
-}
-
-/// Keep a type name for the sequences flowing through SA (documentation
-/// value in the bench harness).
-pub type CandidateSequence = Vec<Action>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EdgesSpace, HeuristicSpace};
     use perfdojo_core::Target;
 
     #[test]
@@ -274,9 +258,9 @@ mod tests {
         };
         let budget = 120;
         let mut d = mk();
-        let edges = anneal_edges(&mut d, budget, 5);
+        let edges = simulated_annealing(&mut d, &EdgesSpace, budget, 5);
         let mut d = mk();
-        let heur = anneal_heuristic(&mut d, budget, 5);
+        let heur = simulated_annealing(&mut d, &HeuristicSpace, budget, 5);
         assert!(
             heur.best_runtime <= edges.best_runtime,
             "heuristic {} vs edges {}",
@@ -290,7 +274,7 @@ mod tests {
         let p = perfdojo_kernels::mul(8, 64);
         let mut d = Dojo::for_target(p, &Target::x86()).unwrap();
         let init = d.initial_runtime();
-        let r = anneal_edges(&mut d, 100, 21);
+        let r = simulated_annealing(&mut d, &EdgesSpace, 100, 21);
         assert!(r.best_runtime <= init);
     }
 
@@ -299,7 +283,7 @@ mod tests {
         let mk = || {
             let p = perfdojo_kernels::reducemean(8, 32);
             let mut d = Dojo::for_target(p, &Target::x86()).unwrap();
-            anneal_edges(&mut d, 80, 17).best_runtime
+            simulated_annealing(&mut d, &EdgesSpace, 80, 17).best_runtime
         };
         assert_eq!(mk(), mk());
     }
@@ -312,7 +296,7 @@ mod tests {
         let p = perfdojo_kernels::softmax(8, 16);
         let mut d = Dojo::for_target(p.clone(), &Target::x86()).unwrap();
         let evals_before = d.evaluations();
-        for space in [&crate::EdgesSpace as &dyn SearchSpace, &crate::HeuristicSpace] {
+        for space in [&EdgesSpace as &dyn SearchSpace, &HeuristicSpace] {
             let r = simulated_annealing(&mut d, space, 0, 42);
             assert!(r.best_steps.is_empty(), "no steps may be taken at budget 0");
             assert_eq!(r.best_runtime.to_bits(), d.initial_runtime().to_bits());
@@ -324,23 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_warm_start_is_byte_identical_to_cold() {
-        let mk = || {
-            let p = perfdojo_kernels::softmax(8, 16);
-            Dojo::for_target(p, &Target::x86()).unwrap()
-        };
-        let (budget, seed) = (90, 13);
-        let mut d1 = mk();
-        let cold = simulated_annealing(&mut d1, &crate::EdgesSpace, budget, seed);
-        let mut d2 = mk();
-        let warm = simulated_annealing_warm(&mut d2, &crate::EdgesSpace, budget, seed, &[]);
-        assert_eq!(cold.best_runtime.to_bits(), warm.best_runtime.to_bits());
-        assert_eq!(cold.best_steps, warm.best_steps);
-        assert_eq!(cold.trace, warm.trace);
-        assert_eq!(d1.evaluations(), d2.evaluations());
-    }
-
-    #[test]
     fn warm_start_adopts_better_sequence_and_charges_it() {
         // Tune once to get a known-good sequence, then warm-start a fresh
         // run from it: the state must begin at (or below) the warm cost.
@@ -349,11 +316,11 @@ mod tests {
             Dojo::for_target(p, &Target::x86()).unwrap()
         };
         let mut d = mk();
-        let donor = anneal_heuristic(&mut d, 120, 5);
+        let donor = simulated_annealing(&mut d, &HeuristicSpace, 120, 5);
         assert!(!donor.best_steps.is_empty());
 
         let mut d = mk();
-        let st = AnnealState::start_with_warm(&mut d, &crate::HeuristicSpace, 5, &donor.best_steps);
+        let st = AnnealState::start_with_warm(&mut d, &HeuristicSpace, 5, &donor.best_steps);
         assert!(
             st.current_cost <= donor.best_runtime,
             "warm start {} must not be worse than the donor {}",
@@ -363,8 +330,7 @@ mod tests {
         assert!(st.spent > 0, "warm evaluation must be charged");
         // determinism: the same warm start twice is bit-identical
         let mut d2 = mk();
-        let st2 =
-            AnnealState::start_with_warm(&mut d2, &crate::HeuristicSpace, 5, &donor.best_steps);
+        let st2 = AnnealState::start_with_warm(&mut d2, &HeuristicSpace, 5, &donor.best_steps);
         assert_eq!(st.current_cost.to_bits(), st2.current_cost.to_bits());
         assert_eq!(st.current, st2.current);
         assert_eq!(st.spent, st2.spent);
@@ -379,10 +345,10 @@ mod tests {
         };
         let (budget, seed) = (90, 13);
         let mut d1 = mk();
-        let a = simulated_annealing(&mut d1, &crate::EdgesSpace, budget, seed);
+        let a = simulated_annealing(&mut d1, &EdgesSpace, budget, seed);
         let mut d2 = mk();
-        let mut st = AnnealState::start(&mut d2, &crate::EdgesSpace, seed);
-        let p = anneal_resume(&mut d2, &crate::EdgesSpace, budget, &mut st, None, None);
+        let mut st = AnnealState::start_with_warm(&mut d2, &EdgesSpace, seed, &[]);
+        let p = anneal_resume(&mut d2, &EdgesSpace, budget, &mut st, None, None);
         assert_eq!(p, AnnealProgress::Finished);
         let b = st.into_result();
         assert_eq!(a.best_runtime.to_bits(), b.best_runtime.to_bits());
@@ -403,12 +369,12 @@ mod tests {
         };
         let (budget, seed) = (80, 3);
         let mut d1 = mk();
-        let full = simulated_annealing(&mut d1, &crate::EdgesSpace, budget, seed);
+        let full = simulated_annealing(&mut d1, &EdgesSpace, budget, seed);
 
         let mut d2 = mk();
-        let mut st = AnnealState::start(&mut d2, &crate::EdgesSpace, seed);
+        let mut st = AnnealState::start_with_warm(&mut d2, &EdgesSpace, seed, &[]);
         let mut pauses = 0;
-        while anneal_resume(&mut d2, &crate::EdgesSpace, budget, &mut st, None, Some(7))
+        while anneal_resume(&mut d2, &EdgesSpace, budget, &mut st, None, Some(7))
             == AnnealProgress::Paused
         {
             pauses += 1;

@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn anneal_state_round_trips_exactly() {
         let mut d = dojo();
-        let mut st = AnnealState::start(&mut d, &EdgesSpace, 7);
+        let mut st = AnnealState::start_with_warm(&mut d, &EdgesSpace, 7, &[]);
         anneal_resume(&mut d, &EdgesSpace, 60, &mut st, None, Some(20));
         let text = serialize_anneal(&st);
         let back = parse_anneal(&text).unwrap();
@@ -329,9 +329,9 @@ mod tests {
     #[test]
     fn chains_round_trip_exactly() {
         let mut d = dojo();
-        let r1 = crate::anneal_edges(&mut d, 30, 1);
+        let r1 = crate::simulated_annealing(&mut d, &EdgesSpace, 30, 1);
         let mut d = dojo();
-        let r2 = crate::anneal_edges(&mut d, 30, 2);
+        let r2 = crate::simulated_annealing(&mut d, &EdgesSpace, 30, 2);
         let text = serialize_chains(&[r1.clone(), r2.clone()]);
         let back = parse_chains(&text).unwrap();
         assert_eq!(back.len(), 2);
@@ -348,7 +348,7 @@ mod tests {
         assert!(parse_anneal("").is_err());
         assert!(parse_anneal("perfdojo-checkpoint v1 sampling\n").is_err());
         let mut d = dojo();
-        let st = AnnealState::start(&mut d, &EdgesSpace, 7);
+        let st = AnnealState::start_with_warm(&mut d, &EdgesSpace, 7, &[]);
         let good = serialize_anneal(&st);
         // truncation
         assert!(parse_anneal(&good[..good.len() / 2]).is_err());
@@ -365,7 +365,7 @@ mod tests {
         let full = crate::simulated_annealing(&mut d1, &EdgesSpace, budget, seed);
         // pause, serialize, restore into a *fresh* dojo, continue
         let mut d2 = dojo();
-        let mut st = AnnealState::start(&mut d2, &EdgesSpace, seed);
+        let mut st = AnnealState::start_with_warm(&mut d2, &EdgesSpace, seed, &[]);
         anneal_resume(&mut d2, &EdgesSpace, budget, &mut st, None, Some(9));
         let text = serialize_anneal(&st);
         let mut restored = parse_anneal(&text).unwrap();

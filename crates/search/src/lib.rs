@@ -14,17 +14,10 @@ pub mod passes;
 pub mod sampling;
 pub mod space;
 
-pub use anneal::{
-    anneal_edges, anneal_heuristic, anneal_resume, simulated_annealing,
-    simulated_annealing_warm, AnnealProgress, AnnealState,
-};
-pub use parallel::{
-    anneal_edges_parallel, anneal_heuristic_parallel, anneal_parallel,
-    anneal_parallel_resumable, anneal_parallel_resumable_warm, anneal_parallel_warm, chain_seed,
-    random_sampling_parallel,
-};
+pub use anneal::{anneal_resume, simulated_annealing, AnnealProgress, AnnealState};
+pub use parallel::{anneal_chains, chain_seed};
 pub use passes::{greedy_pass, heuristic_pass, naive_pass};
-pub use sampling::{random_sampling, random_sampling_warm, sampling_resume, SamplingState};
+pub use sampling::{random_sampling, sampling_resume, SamplingState};
 pub use space::{revert, EdgesSpace, HeuristicSpace, SearchSpace, Undo};
 
 /// One point of a convergence curve: (evaluations so far, best runtime).

@@ -15,39 +15,16 @@
 //! threads the machine offers.
 //!
 //! Chain evaluations are charged back to the caller's dojo
-//! ([`perfdojo_core::Dojo::charge_evaluations`]) so budget accounting
-//! (e.g. `LibraryBuilder`'s per-job totals) stays truthful.
+//! ([`perfdojo_core::Dojo::charge_evaluations`]) so its budget accounting
+//! stays truthful; the caller's dojo itself is left where it was.
 
+use crate::anneal::anneal_chain;
 use crate::{SearchResult, SearchSpace};
 use perfdojo_core::Dojo;
 use perfdojo_ir::fingerprint::fnv1a;
+use perfdojo_transform::Action;
 use perfdojo_util::par::{cores, par_map};
 use perfdojo_util::trace::TraceSink;
-
-/// Run the given chains, each on its own clone of `dojo`.
-///
-/// On a machine with more than one core the chains fan out on
-/// `par_map`'s scoped pool. On a single core a pool can only add
-/// scheduling and synchronization overhead on top of the same serialized
-/// work, so the chains run in a plain loop instead — the per-chain work is
-/// byte-for-byte the same either way (clone, run, collect in chain order),
-/// so results are identical and the single-core wall-clock is never worse
-/// than running the chains sequentially by hand.
-fn map_chains(
-    dojo: &Dojo,
-    chain_ids: Vec<usize>,
-    run_chain: impl Fn(&mut Dojo, usize) -> SearchResult + Sync,
-) -> Vec<SearchResult> {
-    let run = |c: usize| {
-        let mut chain_dojo = dojo.clone();
-        run_chain(&mut chain_dojo, c)
-    };
-    if cores() == 1 {
-        chain_ids.into_iter().map(run).collect()
-    } else {
-        par_map(chain_ids, run)
-    }
-}
 
 /// Seed for one chain: mixed from the global seed and the chain index so
 /// chains are decorrelated and insensitive to how work lands on threads.
@@ -73,123 +50,50 @@ pub fn merge_chains(results: Vec<SearchResult>) -> (SearchResult, u64) {
 /// Run `chains` independent simulated-annealing chains of
 /// `budget_per_chain` evaluations each, concurrently, and keep the best.
 ///
-/// Chain `c` is seeded by [`chain_seed`]`(seed, c)` and runs on its own
-/// clone of `dojo`, so results are bit-reproducible regardless of thread
-/// count. The summed chain spend is charged to `dojo`'s evaluation budget.
-pub fn anneal_parallel(
-    dojo: &mut Dojo,
-    space: &dyn SearchSpace,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-) -> SearchResult {
-    anneal_parallel_warm(dojo, space, chains, budget_per_chain, seed, &[])
-}
-
-/// [`anneal_parallel`] with every chain warm-started from the same
-/// transferred schedule (see
-/// [`crate::simulated_annealing_warm`]). An empty `warm` is byte-identical
-/// to the cold run.
-pub fn anneal_parallel_warm(
-    dojo: &mut Dojo,
-    space: &dyn SearchSpace,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-    warm: &[perfdojo_transform::Action],
-) -> SearchResult {
-    parallel_search(dojo, chains, |chain_dojo, c| {
-        crate::simulated_annealing_warm(
-            chain_dojo,
-            space,
-            budget_per_chain,
-            chain_seed(seed, c),
-            warm,
-        )
-    })
-}
-
-/// Convenience: parallel SA over the edges space.
-pub fn anneal_edges_parallel(
-    dojo: &mut Dojo,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-) -> SearchResult {
-    anneal_parallel(dojo, &crate::EdgesSpace, chains, budget_per_chain, seed)
-}
-
-/// Convenience: parallel SA over the heuristic space.
-pub fn anneal_heuristic_parallel(
-    dojo: &mut Dojo,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-) -> SearchResult {
-    anneal_parallel(dojo, &crate::HeuristicSpace, chains, budget_per_chain, seed)
-}
-
-/// Chain-granular resumable parallel SA: `completed` holds the results of
-/// chains already finished by an earlier (interrupted) run — typically
-/// restored via `crate::checkpoint::parse_chains` — and only the remaining
-/// chains `completed.len()..chains` are executed. Each newly-finished
-/// chain is appended to `completed` (serialize it after this returns to
-/// advance the checkpoint) and, when `sink` is given, emits one `"chain"`
-/// event, so the concatenated event stream of an interrupted + resumed run
-/// is byte-identical to an uninterrupted one.
+/// Chain `c` is seeded by [`chain_seed`]`(seed, c)`, starts from `warm`
+/// (a transferred schedule, when it replays and beats the space's initial
+/// candidate; `&[]` for a cold start) and runs on its own clone of `dojo`,
+/// so results are bit-reproducible regardless of thread count. A zero
+/// per-chain budget makes every chain the no-op of
+/// [`crate::simulated_annealing`].
 ///
-/// Only the newly-run chains' spend is charged to `dojo` (the interrupted
-/// process already accounted for its own).
-pub fn anneal_parallel_resumable(
-    dojo: &mut Dojo,
-    space: &dyn SearchSpace,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-    completed: &mut Vec<SearchResult>,
-    sink: Option<&mut TraceSink>,
-) -> SearchResult {
-    anneal_parallel_resumable_warm(
-        dojo,
-        space,
-        chains,
-        budget_per_chain,
-        seed,
-        &[],
-        completed,
-        sink,
-    )
-}
-
-/// [`anneal_parallel_resumable`] with every freshly-run chain warm-started
-/// from the same transferred schedule. Chains restored from `completed`
-/// were warm-started (or not) by the process that ran them; as long as the
-/// same `warm` sequence is passed on every resume — it is part of the job's
-/// identity, like `seed` — interrupted and uninterrupted runs stay
-/// byte-identical.
+/// The run is resumable at chain granularity: `completed` holds the
+/// results of chains already finished by an earlier (interrupted) run —
+/// typically restored via `crate::checkpoint::parse_chains` — and only the
+/// remaining chains `completed.len()..chains` are executed. Each
+/// newly-finished chain is appended to `completed` (serialize it after
+/// this returns to advance the checkpoint) and, when `sink` is given,
+/// emits one `"chain"` event, so the concatenated event stream of an
+/// interrupted + resumed run is byte-identical to an uninterrupted one.
+/// Chains restored from `completed` were warm-started (or not) by the
+/// process that ran them; as long as the same `warm` sequence is passed on
+/// every resume — it is part of the job's identity, like `seed` — the two
+/// stay byte-identical. Only the newly-run chains' spend is charged to
+/// `dojo` (the interrupted process already accounted for its own).
 #[allow(clippy::too_many_arguments)]
-pub fn anneal_parallel_resumable_warm(
+pub fn anneal_chains(
     dojo: &mut Dojo,
     space: &dyn SearchSpace,
     chains: usize,
     budget_per_chain: u64,
     seed: u64,
-    warm: &[perfdojo_transform::Action],
+    warm: &[Action],
     completed: &mut Vec<SearchResult>,
     sink: Option<&mut TraceSink>,
 ) -> SearchResult {
     let chains = chains.max(1);
     completed.truncate(chains);
     let start = completed.len();
-    let fresh = map_chains(dojo, (start..chains).collect(), |chain_dojo, c| {
-        crate::simulated_annealing_warm(
-            chain_dojo,
-            space,
-            budget_per_chain,
-            chain_seed(seed, c),
-            warm,
-        )
-    });
+    let run = |c: usize| {
+        let mut chain_dojo = dojo.clone();
+        anneal_chain(&mut chain_dojo, space, budget_per_chain, chain_seed(seed, c), warm)
+    };
+    // on one core a pool only adds scheduling and synchronization to the
+    // same serialized work; either way each chain is cloned, run and
+    // collected in chain order, so the results are identical
+    let ids = (start..chains).collect::<Vec<_>>();
+    let fresh: Vec<SearchResult> =
+        if cores() == 1 { ids.into_iter().map(run).collect() } else { par_map(ids, run) };
     let fresh_evals: u64 = fresh.iter().map(|r| r.trace.last().map_or(0, |t| t.0)).sum();
     dojo.charge_evaluations(fresh_evals);
     if let Some(sink) = sink {
@@ -203,47 +107,13 @@ pub fn anneal_parallel_resumable_warm(
         }
     }
     completed.extend(fresh);
-    let (best, _) = merge_chains(completed.clone());
-    if best.best_runtime < dojo.best().1 {
-        let _ = dojo.load_sequence(&best.best_steps);
-    }
-    best
-}
-
-/// Batched global random sampling: `chains` independent sampling runs of
-/// `budget_per_chain` evaluations each, merged keep-best.
-pub fn random_sampling_parallel(
-    dojo: &mut Dojo,
-    chains: usize,
-    budget_per_chain: u64,
-    seed: u64,
-) -> SearchResult {
-    parallel_search(dojo, chains, |chain_dojo, c| {
-        crate::random_sampling(chain_dojo, budget_per_chain, chain_seed(seed, c))
-    })
-}
-
-/// Common driver: clone the dojo per chain, fan out, merge keep-best,
-/// charge the spend back.
-fn parallel_search(
-    dojo: &mut Dojo,
-    chains: usize,
-    run_chain: impl Fn(&mut Dojo, usize) -> SearchResult + Sync,
-) -> SearchResult {
-    let chains = chains.max(1);
-    let results = map_chains(dojo, (0..chains).collect(), run_chain);
-    let (best, total_evals) = merge_chains(results);
-    dojo.charge_evaluations(total_evals);
-    if best.best_runtime < dojo.best().1 {
-        // make the merged winner visible through the caller's dojo too
-        let _ = dojo.load_sequence(&best.best_steps);
-    }
-    best
+    merge_chains(completed.clone()).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EdgesSpace, HeuristicSpace};
     use perfdojo_core::Target;
 
     fn dojo(label: &str) -> Dojo {
@@ -254,18 +124,29 @@ mod tests {
         Dojo::for_target(k.program, &Target::x86()).unwrap()
     }
 
+    /// Cold, uninterrupted, untraced multi-chain SA.
+    fn chains_cold(
+        d: &mut Dojo,
+        space: &dyn SearchSpace,
+        chains: usize,
+        budget: u64,
+        seed: u64,
+    ) -> SearchResult {
+        anneal_chains(d, space, chains, budget, seed, &[], &mut Vec::new(), None)
+    }
+
     #[test]
     fn parallel_anneal_matches_best_sequential_chain() {
         let chains = 3;
         let (budget, seed) = (60, 9);
         let mut d = dojo("softmax");
-        let par = anneal_edges_parallel(&mut d, chains, budget, seed);
+        let par = chains_cold(&mut d, &EdgesSpace, chains, budget, seed);
         // the merged best must equal the min over the same chains run
         // sequentially with the same derived seeds
         let mut best = f64::INFINITY;
         for c in 0..chains {
             let mut dc = dojo("softmax");
-            let r = crate::anneal_edges(&mut dc, budget, chain_seed(seed, c));
+            let r = crate::simulated_annealing(&mut dc, &EdgesSpace, budget, chain_seed(seed, c));
             best = best.min(r.best_runtime);
         }
         assert_eq!(par.best_runtime.to_bits(), best.to_bits());
@@ -275,18 +156,18 @@ mod tests {
     fn parallel_anneal_is_seed_deterministic() {
         let run = || {
             let mut d = dojo("rmsnorm");
-            let r = anneal_heuristic_parallel(&mut d, 4, 40, 123);
+            let r = chains_cold(&mut d, &HeuristicSpace, 4, 40, 123);
             (r.best_runtime.to_bits(), r.best_steps, d.evaluations())
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn parallel_sampling_never_worsens_and_charges_budget() {
+    fn chain_spend_is_charged_to_the_caller() {
         let mut d = dojo("softmax");
         let init = d.initial_runtime();
         let evals_before = d.evaluations();
-        let r = random_sampling_parallel(&mut d, 3, 40, 7);
+        let r = chains_cold(&mut d, &EdgesSpace, 3, 40, 7);
         assert!(r.best_runtime <= init);
         assert!(
             d.evaluations() >= evals_before + 3 * 40,
@@ -295,17 +176,20 @@ mod tests {
     }
 
     #[test]
-    fn winner_sequence_is_loaded_into_parent_dojo() {
-        let mut d = dojo("softmax");
-        let r = anneal_heuristic_parallel(&mut d, 2, 50, 31);
-        assert!((d.best().1 - r.best_runtime).abs() <= r.best_runtime * 1e-12);
+    fn zero_chains_clamps_to_one() {
+        let mut d = dojo("rmsnorm");
+        let r = chains_cold(&mut d, &EdgesSpace, 0, 30, 5);
+        assert!(r.best_runtime <= d.initial_runtime());
     }
 
     #[test]
-    fn zero_chains_clamps_to_one() {
-        let mut d = dojo("rmsnorm");
-        let r = anneal_edges_parallel(&mut d, 0, 30, 5);
-        assert!(r.best_runtime <= d.initial_runtime());
+    fn zero_budget_chains_are_no_ops() {
+        let mut d = dojo("softmax");
+        let evals_before = d.evaluations();
+        let r = chains_cold(&mut d, &HeuristicSpace, 3, 0, 5);
+        assert!(r.best_steps.is_empty());
+        assert_eq!(r.best_runtime.to_bits(), d.initial_runtime().to_bits());
+        assert_eq!(d.evaluations(), evals_before, "zero-budget chains must spend nothing");
     }
 
     #[test]
@@ -316,12 +200,13 @@ mod tests {
         // uninterrupted run with events
         let mut d1 = dojo("softmax");
         let mut full_sink = TraceSink::new();
-        let full = anneal_parallel_resumable(
+        let full = anneal_chains(
             &mut d1,
-            &crate::EdgesSpace,
+            &EdgesSpace,
             chains,
             budget,
             seed,
+            &[],
             &mut Vec::new(),
             Some(&mut full_sink),
         );
@@ -330,12 +215,13 @@ mod tests {
         let mut d2 = dojo("softmax");
         let mut part_sink = TraceSink::new();
         let mut done = Vec::new();
-        anneal_parallel_resumable(
+        anneal_chains(
             &mut d2,
-            &crate::EdgesSpace,
+            &EdgesSpace,
             1, // only the first chain "fits" before the interruption
             budget,
             seed,
+            &[],
             &mut done,
             Some(&mut part_sink),
         );
@@ -344,12 +230,13 @@ mod tests {
         let mut d3 = dojo("softmax");
         let mut restored = parse_chains(&ckpt).unwrap();
         let mut resume_sink = TraceSink::with_start(part_sink.next_step());
-        let resumed = anneal_parallel_resumable(
+        let resumed = anneal_chains(
             &mut d3,
-            &crate::EdgesSpace,
+            &EdgesSpace,
             chains,
             budget,
             seed,
+            &[],
             &mut restored,
             Some(&mut resume_sink),
         );
@@ -359,24 +246,5 @@ mod tests {
         assert_eq!(full.trace, resumed.trace);
         let concatenated = format!("{}{}", part_sink.to_text(), resume_sink.to_text());
         assert_eq!(concatenated, full_sink.to_text());
-    }
-
-    #[test]
-    fn resumable_with_empty_completed_equals_plain_parallel() {
-        let mut d1 = dojo("rmsnorm");
-        let plain = anneal_edges_parallel(&mut d1, 3, 30, 11);
-        let mut d2 = dojo("rmsnorm");
-        let resumable = anneal_parallel_resumable(
-            &mut d2,
-            &crate::EdgesSpace,
-            3,
-            30,
-            11,
-            &mut Vec::new(),
-            None,
-        );
-        assert_eq!(plain.best_runtime.to_bits(), resumable.best_runtime.to_bits());
-        assert_eq!(plain.best_steps, resumable.best_steps);
-        assert_eq!(d1.evaluations(), d2.evaluations());
     }
 }

@@ -70,30 +70,6 @@ impl SamplingState {
         }
     }
 
-    /// Start a fresh run warm-started from a transferred schedule: seed the
-    /// pool as [`SamplingState::start`], then leniently replay `warm` and
-    /// add the applied sequence to the pool (seeding best-so-far when it
-    /// wins). The warm evaluation is deterministic and charged to `spent`.
-    /// An empty `warm` is byte-identical to a cold start.
-    pub fn start_warm(dojo: &mut Dojo, seed: u64, warm: &[Action]) -> SamplingState {
-        let mut state = SamplingState::start(dojo, seed);
-        if warm.is_empty() {
-            return state;
-        }
-        let evals0 = dojo.evaluations();
-        if let Ok(rt) = dojo.load_sequence(warm) {
-            let steps = dojo.history.steps.clone();
-            if rt < state.best_runtime {
-                state.best_runtime = rt;
-                state.best_steps = steps.clone();
-            }
-            state.pool.push(Candidate { steps, runtime: rt, cost: rt });
-        }
-        state.spent += dojo.evaluations() - evals0;
-        state.trace = vec![(state.spent, state.best_runtime)];
-        state
-    }
-
     /// Consume the state into a [`SearchResult`].
     pub fn into_result(self) -> SearchResult {
         SearchResult {
@@ -180,22 +156,6 @@ pub fn random_sampling(dojo: &mut Dojo, budget: u64, seed: u64) -> SearchResult 
     state.into_result()
 }
 
-/// [`random_sampling`] warm-started from a transferred schedule (seeded
-/// into the pool before the loop). Zero budget ignores `warm`.
-pub fn random_sampling_warm(
-    dojo: &mut Dojo,
-    budget: u64,
-    seed: u64,
-    warm: &[Action],
-) -> SearchResult {
-    if budget == 0 {
-        return random_sampling(dojo, 0, seed);
-    }
-    let mut state = SamplingState::start_warm(dojo, seed, warm);
-    sampling_resume(dojo, budget, &mut state, None, None);
-    state.into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,39 +200,6 @@ mod tests {
         assert!(r.best_steps.is_empty());
         assert_eq!(r.best_runtime.to_bits(), d.initial_runtime().to_bits());
         assert_eq!(d.evaluations(), before);
-    }
-
-    #[test]
-    fn empty_warm_start_is_byte_identical_to_cold() {
-        let mk = || {
-            let p = perfdojo_kernels::rmsnorm(4, 16);
-            Dojo::for_target(p, &Target::x86()).unwrap()
-        };
-        let mut d1 = mk();
-        let cold = random_sampling(&mut d1, 60, 9);
-        let mut d2 = mk();
-        let warm = random_sampling_warm(&mut d2, 60, 9, &[]);
-        assert_eq!(cold.best_runtime.to_bits(), warm.best_runtime.to_bits());
-        assert_eq!(cold.best_steps, warm.best_steps);
-        assert_eq!(cold.trace, warm.trace);
-        assert_eq!(d1.evaluations(), d2.evaluations());
-    }
-
-    #[test]
-    fn warm_start_seeds_pool_and_best() {
-        let mk = || {
-            let p = perfdojo_kernels::softmax(16, 32);
-            Dojo::for_target(p, &Target::x86()).unwrap()
-        };
-        let mut d = mk();
-        let donor = crate::anneal_heuristic(&mut d, 120, 5);
-        assert!(!donor.best_steps.is_empty());
-
-        let mut d = mk();
-        let st = SamplingState::start_warm(&mut d, 7, &donor.best_steps);
-        assert_eq!(st.pool.len(), 2, "warm candidate must join the pool");
-        assert!(st.best_runtime <= donor.best_runtime);
-        assert!(st.spent > 0, "warm evaluation must be charged");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn dojo(kernel: usize) -> Dojo {
 fn run(kernel: usize, seed: u64, pause_at: Option<u64>) -> (String, String) {
     let mut d = dojo(kernel);
     let mut sink = TraceSink::new();
-    let mut st = AnnealState::start(&mut d, &EdgesSpace, seed);
+    let mut st = AnnealState::start_with_warm(&mut d, &EdgesSpace, seed, &[]);
     if let Some(k) = pause_at {
         let p = anneal_resume(&mut d, &EdgesSpace, BUDGET, &mut st, Some(&mut sink), Some(k));
         if p == AnnealProgress::Paused {

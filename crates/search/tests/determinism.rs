@@ -4,7 +4,9 @@
 //! make the paper figures and the tuned-library artifacts re-derivable.
 
 use perfdojo_core::{Dojo, Target};
-use perfdojo_search::{anneal_edges, anneal_heuristic, random_sampling, SearchResult};
+use perfdojo_search::{
+    random_sampling, simulated_annealing, EdgesSpace, HeuristicSpace, SearchResult,
+};
 
 fn dojo() -> Dojo {
     Dojo::for_target(perfdojo_kernels::softmax(16, 32), &Target::x86()).unwrap()
@@ -23,13 +25,13 @@ fn assert_identical(label: &str, a: &SearchResult, b: &SearchResult) {
 
 #[test]
 fn annealing_trajectory_is_seed_deterministic() {
-    let a = anneal_heuristic(&mut dojo(), 120, 7);
-    let b = anneal_heuristic(&mut dojo(), 120, 7);
-    assert_identical("anneal_heuristic", &a, &b);
+    let a = simulated_annealing(&mut dojo(), &HeuristicSpace, 120, 7);
+    let b = simulated_annealing(&mut dojo(), &HeuristicSpace, 120, 7);
+    assert_identical("anneal heuristic space", &a, &b);
 
-    let a = anneal_edges(&mut dojo(), 120, 7);
-    let b = anneal_edges(&mut dojo(), 120, 7);
-    assert_identical("anneal_edges", &a, &b);
+    let a = simulated_annealing(&mut dojo(), &EdgesSpace, 120, 7);
+    let b = simulated_annealing(&mut dojo(), &EdgesSpace, 120, 7);
+    assert_identical("anneal edges space", &a, &b);
 }
 
 #[test]
@@ -43,7 +45,7 @@ fn random_sampling_trajectory_is_seed_deterministic() {
 fn different_seeds_explore_differently() {
     // the seed must actually steer the search: two seeds may converge to
     // the same optimum, but their step-by-step traces should not coincide
-    let a = anneal_heuristic(&mut dojo(), 120, 7);
-    let b = anneal_heuristic(&mut dojo(), 120, 8);
+    let a = simulated_annealing(&mut dojo(), &HeuristicSpace, 120, 7);
+    let b = simulated_annealing(&mut dojo(), &HeuristicSpace, 120, 8);
     assert_ne!(a.trace, b.trace, "seed has no effect on the annealing trajectory");
 }

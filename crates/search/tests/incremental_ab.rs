@@ -7,7 +7,9 @@
 //! counts against the budget.
 
 use perfdojo_core::{Dojo, Target};
-use perfdojo_search::{anneal_edges, anneal_heuristic, random_sampling, SearchResult};
+use perfdojo_search::{
+    random_sampling, simulated_annealing, EdgesSpace, HeuristicSpace, SearchResult,
+};
 
 fn dojos_for(label: &str, program: perfdojo_ir::Program) -> (Dojo, Dojo) {
     let t = Target::x86();
@@ -50,8 +52,8 @@ fn cached_engine_is_bit_identical_to_naive_across_tune_suite() {
         assert_identical(
             &label,
             "anneal_edges",
-            &anneal_edges(&mut n, budget, seed),
-            &anneal_edges(&mut i, budget, seed),
+            &simulated_annealing(&mut n, &EdgesSpace, budget, seed),
+            &simulated_annealing(&mut i, &EdgesSpace, budget, seed),
         );
         assert_eq!(n.evaluations(), i.evaluations(), "{label}: budget accounting diverged");
 
@@ -59,8 +61,8 @@ fn cached_engine_is_bit_identical_to_naive_across_tune_suite() {
         assert_identical(
             &label,
             "anneal_heuristic",
-            &anneal_heuristic(&mut n, budget, seed),
-            &anneal_heuristic(&mut i, budget, seed),
+            &simulated_annealing(&mut n, &HeuristicSpace, budget, seed),
+            &simulated_annealing(&mut i, &HeuristicSpace, budget, seed),
         );
         assert_eq!(n.evaluations(), i.evaluations(), "{label}: budget accounting diverged");
 
@@ -85,7 +87,7 @@ fn annealing_produces_cache_hits() {
         .find(|k| k.label == "softmax")
         .unwrap();
     let mut d = Dojo::for_target(k.program, &Target::x86()).unwrap();
-    anneal_edges(&mut d, 150, 7);
+    simulated_annealing(&mut d, &EdgesSpace, 150, 7);
     let stats = d.cache_stats();
     assert!(stats.hits > 0, "no cache hits in 150 SA evaluations: {stats:?}");
     assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0, "{stats:?}");
@@ -102,13 +104,13 @@ fn tiny_cache_is_bit_identical_too() {
     let t = Target::x86();
     let mut tiny = Dojo::for_target(k.program.clone(), &t).unwrap().with_cache_capacity(3);
     let mut naive = Dojo::for_target(k.program, &t).unwrap().with_naive_engine();
-    let a = anneal_heuristic(&mut tiny, 80, 3);
-    let b = anneal_heuristic(&mut naive, 80, 3);
+    let a = simulated_annealing(&mut tiny, &HeuristicSpace, 80, 3);
+    let b = simulated_annealing(&mut naive, &HeuristicSpace, 80, 3);
     assert_identical("matmul", "anneal_heuristic/tiny-cache", &a, &b);
     assert!(tiny.cache_stats().entries <= 3);
 }
 
-/// The gap this closes: `anneal_heuristic_parallel` feeding
+/// The gap this closes: multi-chain SA (`anneal:<budget>:<chains>`) feeding
 /// `Library::lookup` end-to-end. Tuning three tune-suite kernels through
 /// the multi-chain strategy must produce a library whose dispatch returns
 /// each tuned schedule as an exact hit whose cost replays bit-identically
@@ -166,7 +168,7 @@ fn multi_chain_tunes_round_trip_through_library_lookup() {
 /// independent of how the thread pool schedules them).
 #[test]
 fn multi_chain_merge_is_seed_stable() {
-    use perfdojo_search::{anneal_heuristic_parallel, chain_seed};
+    use perfdojo_search::{anneal_chains, chain_seed};
     let kernel = || {
         perfdojo_kernels::tune_suite()
             .into_iter()
@@ -177,7 +179,16 @@ fn multi_chain_merge_is_seed_stable() {
     let (chains, budget, seed) = (4, 40, 0xBEEF);
     let run = || {
         let mut d = Dojo::for_target(kernel(), &Target::x86()).unwrap();
-        let r = anneal_heuristic_parallel(&mut d, chains, budget, seed);
+        let r = anneal_chains(
+            &mut d,
+            &HeuristicSpace,
+            chains,
+            budget,
+            seed,
+            &[],
+            &mut Vec::new(),
+            None,
+        );
         (r.best_runtime.to_bits(), r.best_steps)
     };
     let first = run();
@@ -187,7 +198,7 @@ fn multi_chain_merge_is_seed_stable() {
     let mut best = f64::INFINITY;
     for c in 0..chains {
         let mut d = Dojo::for_target(kernel(), &Target::x86()).unwrap();
-        let r = anneal_heuristic(&mut d, budget, chain_seed(seed, c));
+        let r = simulated_annealing(&mut d, &HeuristicSpace, budget, chain_seed(seed, c));
         best = best.min(r.best_runtime);
     }
     assert_eq!(first.0, best.to_bits(), "merge must equal the best sequential chain");

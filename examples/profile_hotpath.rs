@@ -2,6 +2,7 @@
 //! (dev-only scratch profiler; not part of any experiment).
 
 use perfdojo_core::{Dojo, Target};
+use perfdojo_search::{simulated_annealing, EdgesSpace};
 use perfdojo_transform::available_actions;
 use std::time::Instant;
 
@@ -16,7 +17,7 @@ fn main() {
     // run a real SA prefix so the measured program is representative of
     // the states the search actually visits deep into a run
     let t = Instant::now();
-    let r = perfdojo_search::anneal_edges(&mut d, 1000, 0x5EA7C4);
+    let r = simulated_annealing(&mut d, &EdgesSpace, 1000, 0x5EA7C4);
     println!(
         "SA 1000 evals: {:?} total; final seq len {}, best seq len {}",
         t.elapsed(),

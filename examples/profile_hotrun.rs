@@ -1,5 +1,6 @@
 //! Scratch: end-to-end composition of one incremental headline run.
 use perfdojo_core::{Dojo, Target};
+use perfdojo_search::{simulated_annealing, EdgesSpace};
 use std::time::Instant;
 
 fn main() {
@@ -7,7 +8,7 @@ fn main() {
     let mut d = Dojo::for_target(k.program.clone(), &Target::x86()).unwrap();
     let a0 = perfdojo_transform::apply_count();
     let t = Instant::now();
-    let r = perfdojo_search::anneal_edges(&mut d, 2000, 0x5EA7C4);
+    let r = simulated_annealing(&mut d, &EdgesSpace, 2000, 0x5EA7C4);
     let wall = t.elapsed();
     let s = d.cache_stats();
     println!(

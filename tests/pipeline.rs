@@ -144,6 +144,35 @@ fn tuned_library_serves_round_trip_through_the_daemon() {
 }
 
 #[test]
+fn annealed_records_replay_strictly_and_hit_exactly() {
+    // A record's steps must be the sequence SA actually applied, not the
+    // edited candidate that lenient replay partly skipped: otherwise strict
+    // replay fails and the record never serves its own shape exactly.
+    use perfdojo::library::Disposition;
+    let target = Target::x86();
+    for spec in ["anneal:40", "anneal:30:2"] {
+        let mut lib = Library::new();
+        let kernels = perfdojo::kernels::tune_suite();
+        LibraryBuilder::new(LibraryStrategy::parse(spec).unwrap(), 7).build_into(
+            &mut lib,
+            &kernels,
+            std::slice::from_ref(&target),
+        );
+        assert!(lib.len() >= kernels.len() / 2, "{spec}: too few records to check");
+        for k in &kernels {
+            let Some(rec) = lib.records().find(|r| r.label == k.label) else { continue };
+            assert!(
+                perfdojo::transform::replay(&k.program, &rec.steps).is_ok(),
+                "{spec} {}: recorded steps do not replay strictly",
+                k.label
+            );
+            let served = lib.lookup(&k.program, &target);
+            assert_eq!(served.disposition, Disposition::ExactHit, "{spec} {}", k.label);
+        }
+    }
+}
+
+#[test]
 fn c_code_emits_for_all_optimized_kernels() {
     let t = Target::x86();
     for k in perfdojo::kernels::small_suite() {
