@@ -58,24 +58,26 @@
 #      on >= 3 of them, and the three dispatch bugfix regressions (nearest
 #      tie-breaking, NaN-cost guard, zero-step record accounting) must hold
 #      under --release.
+#  13. Clippy: `cargo clippy` over every workspace target must exit 0
+#      (its deny-by-default lints are errors; warnings are allowed).
 #
 # Usage: ./ci.sh
 
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== 1/12 perfdojo-util: warning-free build (-D warnings) =="
+echo "== 1/13 perfdojo-util: warning-free build (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build -q -p perfdojo-util --offline
 RUSTFLAGS="-D warnings" cargo test -q -p perfdojo-util --offline
 
-echo "== 2/12 tier-1 verify: release build + tests =="
+echo "== 2/13 tier-1 verify: release build + tests =="
 cargo build --release --workspace --offline
 cargo test -q --offline
 
-echo "== 3/12 full workspace tests (offline) =="
+echo "== 3/13 full workspace tests (offline) =="
 cargo test -q --workspace --offline
 
-echo "== 4/12 schedule-library pipeline: build, dispatch, stats =="
+echo "== 4/13 schedule-library pipeline: build, dispatch, stats =="
 PDLIB_DIR=$(mktemp -d)
 trap 'rm -rf "$PDLIB_DIR"' EXIT
 PDLIB="$PDLIB_DIR/ci.pdl"
@@ -93,7 +95,7 @@ grep -q "disposition: fallback-replay" "$PDLIB_DIR/q2.txt"
 ./target/release/perfdojo-lib stats --lib "$PDLIB" | tee "$PDLIB_DIR/stats.txt"
 grep -q "entries:         2" "$PDLIB_DIR/stats.txt"
 
-echo "== 5/12 differential fuzz smoke: fixed seed, deterministic, clean =="
+echo "== 5/13 differential fuzz smoke: fixed seed, deterministic, clean =="
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz1.txt"
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz2.txt"
 # the report must be byte-identical across runs — no timestamps, no
@@ -108,7 +110,7 @@ if ./target/release/fuzz --seed 0xC0FFEE --iters 60 --sabotage truncate-split \
 fi
 grep -q "FINDING" "$PDLIB_DIR/fuzz3.txt"
 
-echo "== 6/12 search-engine smoke: A/B determinism + searchperf report =="
+echo "== 6/13 search-engine smoke: A/B determinism + searchperf report =="
 # the incremental engine must be bit-identical to the naive one on every
 # tune-suite kernel and strategy
 cargo test -q -p perfdojo-search --offline --test incremental_ab
@@ -133,7 +135,7 @@ if grep -q '"cache_hits": 0,' "$PDLIB_DIR/sp1.json"; then
     exit 1
 fi
 
-echo "== 7/12 checkpoint/resume smoke: pause at step limit, resume, compare =="
+echo "== 7/13 checkpoint/resume smoke: pause at step limit, resume, compare =="
 CKPT_ARGS=(--kernels softmax,matmul --targets x86 --strategy anneal:40 --seed 7)
 # reference: one uninterrupted checkpointed build
 ./target/release/perfdojo-lib build --out "$PDLIB_DIR/full.pdl" \
@@ -187,7 +189,7 @@ fi
 # and the unit pin for the cooling-schedule division guard
 cargo test -q -p perfdojo-search --offline zero_budget
 
-echo "== 8/12 serving-tier smoke: deterministic load gen, hot swap, pause =="
+echo "== 8/13 serving-tier smoke: deterministic load gen, hot swap, pause =="
 # fixed-seed load-test experiment: two runs must emit byte-identical
 # reports (no wall-clock fields inside — plain cmp, no stripping)
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp serve > serve1.txt)
@@ -253,7 +255,7 @@ cmp "$PDLIB_DIR/srv-full.pdl" "$PDLIB_DIR/srv-sliced.pdl"
 # release scheduler, not just the debug one
 cargo test -q --release -p perfdojo-library --offline --test serve_stress
 
-echo "== 9/12 graph-tier smoke: block dispatch, determinism, random oracle =="
+echo "== 9/13 graph-tier smoke: block dispatch, determinism, random oracle =="
 # fixed-seed graph experiment: byte-identical across two runs, and the
 # headline claim holds — block dispatch never loses to per-node dispatch
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp graph > graph1.txt)
@@ -288,7 +290,7 @@ grep -q "per-node fallback" "$PDLIB_DIR/gq2.txt"
     | tee "$PDLIB_DIR/gc.txt"
 grep -q "12 random graphs passed the differential oracle" "$PDLIB_DIR/gc.txt"
 
-echo "== 10/12 fleet smoke: worker-count invariance, injected kill, reproducible report =="
+echo "== 10/13 fleet smoke: worker-count invariance, injected kill, reproducible report =="
 FLEET_ARGS=(--kernels softmax,matmul,relu,reducemean --strategy anneal:12 --seed 5)
 # same job grid at 2 and at 4 workers must merge byte-identical libraries
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm2" "${FLEET_ARGS[@]}"
@@ -332,7 +334,7 @@ grep -q '"kill_resume_identical": true' "$PDLIB_DIR/fleet1.json"
 awk -F': ' '/"speedup_1_to_4"/ { gsub(/,/, "", $2); exit !($2 >= 1.7) }' \
     "$PDLIB_DIR/fleet1.json"
 
-echo "== 11/12 arena/cache-keying smoke: release A/B + cache-quality regression =="
+echo "== 11/13 arena/cache-keying smoke: release A/B + cache-quality regression =="
 # the incremental engine must stay bit-identical to the naive one under the
 # release optimizer too — arena traversals and fp128 cache keying only run
 # at full speed there, and an optimizer-dependent divergence would slip
@@ -366,7 +368,7 @@ paste <(grep '"cache_hit_rate"' BENCH_searchperf.json) \
         }
     }'
 
-echo "== 12/12 transfer smoke: reproducible report, warm-start wins, bugfix pins =="
+echo "== 12/13 transfer smoke: reproducible report, warm-start wins, bugfix pins =="
 # fixed-seed transfer experiment: two runs must emit byte-identical
 # reports (no wall-clock fields inside — plain cmp, no stripping)
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp transfer > tr1.txt)
@@ -392,5 +394,8 @@ cargo test -q --release -p perfdojo-library --offline \
     poisoned_machine_model_serves_naive
 cargo test -q --release -p perfdojo-library --offline \
     zero_step_nearest_record_is_counted_in_stats
+
+echo "== 13/13 clippy: every workspace target, deny-by-default lints =="
+cargo clippy --workspace --all-targets --offline
 
 echo "ci.sh: all gates passed"

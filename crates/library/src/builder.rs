@@ -165,23 +165,14 @@ impl LibraryBuilder {
         LibraryBuilder { strategy, seed, warm: None }
     }
 
-    /// Warm-start search-based jobs from the given transfer index.
-    pub fn with_warm_index(
-        mut self,
-        index: std::sync::Arc<crate::transfer::TransferIndex>,
-    ) -> LibraryBuilder {
-        self.warm = Some(index);
-        self
-    }
-
     /// Warm-start search-based jobs from parameterized schedules fit over
     /// `lib`'s records (a no-op when nothing fits).
-    pub fn with_warm_from(self, lib: &Library) -> LibraryBuilder {
+    pub fn with_warm_from(mut self, lib: &Library) -> LibraryBuilder {
         let index = crate::transfer::TransferIndex::build(lib);
-        if index.is_empty() {
-            return self;
+        if !index.is_empty() {
+            self.warm = Some(std::sync::Arc::new(index));
         }
-        self.with_warm_index(std::sync::Arc::new(index))
+        self
     }
 
     /// The warm-start sequence for one job: the transfer index's

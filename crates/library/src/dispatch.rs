@@ -183,7 +183,7 @@ impl Library {
         let naive_cost = target.machine.evaluate(query).map(|e| e.seconds).unwrap_or(f64::INFINITY);
 
         // Tiers 1–3: cached records (exact, parameterized, nearest-shape).
-        if let Some(result) = self.lookup_cached(&sig, query, target) {
+        if let Some(result) = self.cached_tiers(&sig, query, target, naive_cost) {
             return result;
         }
 
@@ -235,7 +235,18 @@ impl Library {
         target: &Target,
     ) -> Option<DispatchResult> {
         let naive_cost = target.machine.evaluate(query).map(|e| e.seconds).unwrap_or(f64::INFINITY);
+        self.cached_tiers(sig, query, target, naive_cost)
+    }
 
+    /// [`Library::lookup_cached`] with the naive program already priced,
+    /// so a full [`Library::lookup`] prices it once.
+    fn cached_tiers(
+        &self,
+        sig: &KernelSig,
+        query: &Program,
+        target: &Target,
+        naive_cost: f64,
+    ) -> Option<DispatchResult> {
         // Tier 1: exact hit, strict replay.
         if let Some(rec) = self.get(sig) {
             if let Ok(program) = replay(query, &rec.steps) {

@@ -12,7 +12,8 @@
 //!
 //! # Directory protocol
 //!
-//! A fleet directory holds five subdirectories plus a manifest:
+//! A fleet directory holds five subdirectories plus a manifest (and an
+//! optional frozen donor library):
 //!
 //! - `jobs.list` — the full job universe, written once by
 //!   [`FleetDir::init`]; recovery compares live state against it.
@@ -32,6 +33,8 @@
 //!   job resumes bit-identically (same RNG words, same budget spend).
 //! - `logs/worker-<id>.jsonl` — per-worker operational trace events
 //!   (claims, completions, reclaims); never compared, never merged.
+//! - `warm.pdl` — optional: the donor library every job warm-starts from,
+//!   frozen once by [`FleetDir::set_warm_from`].
 //!
 //! # Liveness without clocks
 //!
@@ -501,36 +504,26 @@ impl FleetDir {
         self.root.join("jobs.list")
     }
 
-    /// The frozen transfer-index file warm-starting every job (absent =
-    /// every job tunes cold).
+    /// The frozen donor library warm-starting every job, in the library
+    /// format (absent = every job tunes cold).
     pub fn warm_path(&self) -> PathBuf {
-        self.root.join("warm.pdt")
+        self.root.join("warm.pdl")
     }
 
-    /// Freeze a transfer index fit over `lib`'s records, warm-starting
-    /// every job the fleet runs. Write-once by design: a job's outcome must
-    /// be a pure function of its identity and seed (parts are compared
-    /// byte-for-byte across workers), so the index is frozen at fleet init
-    /// and never updated while workers run. Returns `false` without
-    /// writing when an index is already frozen or nothing fits.
+    /// Freeze `lib` as the donor library every job the fleet runs
+    /// warm-starts from. Each job rebuilds the transfer index from it (the
+    /// index is a pure function of library contents), so only the library
+    /// is stored. Write-once by design: a job's outcome must be a pure
+    /// function of its identity and seed (parts are compared byte-for-byte
+    /// across workers), so the donor is frozen at fleet init and never
+    /// updated while workers run. Returns `false` without writing when a
+    /// donor is already frozen or no family in `lib` fits.
     pub fn set_warm_from(&self, lib: &Library) -> io::Result<bool> {
-        if self.warm_path().exists() {
+        if self.warm_path().exists() || crate::transfer::TransferIndex::build(lib).is_empty() {
             return Ok(false);
         }
-        let index = crate::transfer::TransferIndex::build(lib);
-        if index.is_empty() {
-            return Ok(false);
-        }
-        atomic_write(&self.warm_path(), &index.render())?;
+        lib.save(&self.warm_path())?;
         Ok(true)
-    }
-
-    /// The frozen warm index, when one was set at init (unreadable or
-    /// corrupt files mean cold tuning, not failure: the worker protocol
-    /// tolerates torn files everywhere else too).
-    pub fn warm_index(&self) -> Option<crate::transfer::TransferIndex> {
-        let text = std::fs::read_to_string(self.warm_path()).ok()?;
-        crate::transfer::TransferIndex::parse(&text).ok()
     }
 
     /// Seed the queue with `jobs` and write the manifest. Idempotent: a
@@ -967,10 +960,15 @@ fn run_job(
     let target = target_by_name(&job.target).ok_or_else(|| format!("unknown target {:?}", job.target))?;
     let kernel = job.kernel()?;
     let mut builder = LibraryBuilder::new(job.strategy, job.seed);
-    if let Some(index) = fleet.warm_index() {
-        // the index is frozen at init, so every worker (and every retry
-        // after a crash) warm-starts the job identically
-        builder = builder.with_warm_index(std::sync::Arc::new(index));
+    // the donor is frozen at init, so every worker (and every retry after a
+    // crash) warm-starts the job identically. A donor that does not load
+    // cleanly (unreadable, bad header, any corrupt entry or stray line)
+    // means cold tuning, not failure: the worker protocol tolerates torn
+    // files everywhere else too.
+    if let Ok((donor, stats)) = Library::load(&fleet.warm_path()) {
+        if stats == format::LoadStats::default() {
+            builder = builder.with_warm_from(&donor);
+        }
     }
     let ckpt = BuildCheckpoint::open(&fleet.ckpt_path(id))
         .map_err(|e| format!("checkpoint {id}: {e}"))?;
@@ -1235,6 +1233,55 @@ mod tests {
             "warm fleet must reproduce the plain warm build byte-for-byte"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frozen_donor_warms_jobs_only_when_it_loads_cleanly() {
+        // two small softmax shapes: their heuristic records fit a family,
+        // and PerfLLM (which starts from the naive program) takes the warm
+        // start, so warm and cold builds differ
+        let kernels: Vec<KernelInstance> = [[16, 32], [8, 64]]
+            .into_iter()
+            .map(|[rows, cols]| {
+                let program = perfdojo_kernels::softmax(rows, cols);
+                KernelInstance {
+                    label: "softmax".to_string(),
+                    shape: format!("{rows}x{cols}"),
+                    description: "softmax".to_string(),
+                    program: program.clone(),
+                    verify_program: program,
+                }
+            })
+            .collect();
+        let strategy = Strategy::PerfLlm { episodes: 2 };
+        let mut donor = Library::new();
+        LibraryBuilder::new(Strategy::Heuristic, 7).build_into(
+            &mut donor,
+            &kernels,
+            &[Target::x86()],
+        );
+        let build = |builder: LibraryBuilder| {
+            let mut lib = Library::new();
+            builder.build_into(&mut lib, &kernels, &[Target::x86()]);
+            lib.to_text()
+        };
+        let cold = build(LibraryBuilder::new(strategy, 5));
+        let warm = build(LibraryBuilder::new(strategy, 5).with_warm_from(&donor));
+        assert_ne!(cold, warm, "warm and cold builds must differ for this test to tell them apart");
+
+        // `Library::load` tolerates a stray line; a frozen donor may not
+        let grid = FleetJob::grid(&kernels, &["x86".to_string()], strategy, 5).unwrap();
+        for (tag, tail, want) in [("clean", "", &warm), ("stray", "stray\n", &cold)] {
+            let dir = tmpdir(&format!("warm-{tag}"));
+            let fleet = FleetDir::open(&dir).unwrap();
+            assert!(fleet.set_warm_from(&donor).unwrap());
+            let text = std::fs::read_to_string(fleet.warm_path()).unwrap();
+            std::fs::write(fleet.warm_path(), format!("{text}{tail}")).unwrap();
+            fleet.init(&grid).unwrap();
+            run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+            assert_eq!(&fleet.merge().library.to_text(), want, "{tag} donor");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -26,8 +26,6 @@
 use crate::sig::KernelSig;
 use perfdojo_transform::{parse_action, Action};
 use std::fmt;
-use std::io::Write;
-use std::path::Path;
 
 /// On-disk format version; the header line is `perfdojo-library v1`.
 pub const FORMAT_VERSION: u32 = 1;
@@ -103,7 +101,7 @@ impl ScheduleRecord {
 /// tolerated and reported in [`LoadStats`] instead).
 #[derive(Debug)]
 pub enum FormatError {
-    /// I/O failure reading or writing the file.
+    /// I/O failure reading the file.
     Io(std::io::Error),
     /// Missing or incompatible `perfdojo-library v<N>` header.
     BadHeader(String),
@@ -248,18 +246,6 @@ fn parse_block(lines: &[String]) -> Option<ScheduleRecord> {
     })
 }
 
-/// Atomically write `text` to `path` (write `<path>.tmp`, fsync, rename).
-pub fn atomic_write(path: &Path, text: &str) -> Result<(), FormatError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,17 +319,5 @@ mod tests {
         assert!(matches!(parse(""), Err(FormatError::BadHeader(_))));
         assert!(matches!(parse("perfdojo-library v999\n"), Err(FormatError::BadHeader(_))));
         assert!(matches!(parse("not a library\n"), Err(FormatError::BadHeader(_))));
-    }
-
-    #[test]
-    fn atomic_write_then_read() {
-        let dir = std::env::temp_dir().join(format!("pdl-fmt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lib.pdl");
-        let text = render([&record(8, 1.0e-6)].into_iter());
-        atomic_write(&path, &text).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -183,8 +183,8 @@ impl Library {
     }
 
     /// Atomically save to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), FormatError> {
-        format::atomic_write(path, &self.to_text())
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        perfdojo_util::trace::atomic_write(path, &self.to_text())
     }
 
     /// Load from `path`, tolerating corrupt entry blocks (reported in

@@ -31,17 +31,13 @@
 use crate::format::ScheduleRecord;
 use crate::library::{current_model_version, Library};
 use crate::sig::KernelSig;
-use perfdojo_transform::{parse_action, Action, Transform};
+use perfdojo_transform::{Action, Transform};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Largest acceptable per-parameter fit residual, in log space:
 /// `max_r |ln(predicted_r / observed_r)|` over the fit support. ln 2 —
 /// a fit that misses any support value by more than 2x is no fit.
-pub const RESIDUAL_LIMIT: f64 = 0.693_147_180_559_945_3;
-
-/// Header line of the on-disk encoding.
-const FORMAT_HEADER: &str = "perfdojo-transfer v1";
+pub const RESIDUAL_LIMIT: f64 = std::f64::consts::LN_2;
 
 /// The integer parameter a transform carries, if it is one of the
 /// shape-tunable kinds (split tiles, vector width, pad alignment).
@@ -131,11 +127,6 @@ pub struct ParamSchedule {
 }
 
 impl ParamSchedule {
-    /// Key of the family this schedule covers.
-    pub fn family_key(&self) -> String {
-        format!("{:016x}|{}|{}|{}", self.structure, self.arity, self.dtype, self.target)
-    }
-
     /// True when `sig` belongs to this schedule's family.
     pub fn covers(&self, sig: &KernelSig) -> bool {
         self.structure == sig.structure
@@ -299,8 +290,10 @@ pub fn fit_for(lib: &Library, sig: &KernelSig) -> Option<ParamSchedule> {
     fit_family(&fam)
 }
 
-/// Every family's fitted schedule, keyed by family key — the frozen form
-/// builders and fleets warm-start from.
+/// Every family's fitted schedule, keyed by family key — what builders
+/// warm-start from. A pure function of the library's contents, so it is
+/// never persisted: a fleet freezes its donor library and every job
+/// rebuilds the same index from it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TransferIndex {
     schedules: BTreeMap<String, ParamSchedule>,
@@ -326,14 +319,6 @@ impl TransferIndex {
         TransferIndex { schedules }
     }
 
-    /// Assemble an index from already-fitted schedules, keyed by their
-    /// family keys (later duplicates win, like repeated fits).
-    pub fn from_schedules(schedules: impl IntoIterator<Item = ParamSchedule>) -> TransferIndex {
-        TransferIndex {
-            schedules: schedules.into_iter().map(|ps| (ps.family_key(), ps)).collect(),
-        }
-    }
-
     /// Number of fitted families.
     pub fn len(&self) -> usize {
         self.schedules.len()
@@ -353,163 +338,6 @@ impl TransferIndex {
     pub fn materialize_for(&self, sig: &KernelSig) -> Option<Vec<Action>> {
         self.for_sig(sig).map(|ps| ps.materialize(&sig.shape))
     }
-
-    /// Fitted schedules in family-key order.
-    pub fn schedules(&self) -> impl Iterator<Item = &ParamSchedule> {
-        self.schedules.values()
-    }
-
-    /// Render to the on-disk text form (inverse of [`TransferIndex::parse`]).
-    ///
-    /// Floats are stored as exact bit patterns (with a human-readable
-    /// comment), so render → parse → render is byte-identical.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(FORMAT_HEADER);
-        out.push('\n');
-        for ps in self.schedules.values() {
-            let _ = writeln!(
-                out,
-                "schedule {:016x} {} {} {}",
-                ps.structure, ps.arity, ps.dtype, ps.target
-            );
-            let _ = writeln!(out, "donor {}", ps.donor);
-            let _ = writeln!(out, "support {}", ps.support);
-            let _ = writeln!(out, "residual {:016x}  # {:.3e}", ps.residual.to_bits(), ps.residual);
-            for s in &ps.steps {
-                match &s.param {
-                    None => {
-                        let _ = writeln!(out, "step plain | {}", s.action);
-                    }
-                    Some(ParamFn::Fixed(v)) => {
-                        let _ = writeln!(out, "step fixed {v} | {}", s.action);
-                    }
-                    Some(ParamFn::Linear { dim, scale }) => {
-                        let _ = writeln!(
-                            out,
-                            "step linear {dim} {:016x} | {}  # scale {:.3e}",
-                            scale.to_bits(),
-                            s.action,
-                            scale
-                        );
-                    }
-                }
-            }
-            out.push_str("end\n");
-        }
-        out
-    }
-
-    /// Parse the on-disk text form (inverse of [`TransferIndex::render`]).
-    pub fn parse(text: &str) -> Result<TransferIndex, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(FORMAT_HEADER) {
-            return Err(format!("missing header {FORMAT_HEADER:?}"));
-        }
-        let mut schedules = BTreeMap::new();
-        let mut cur: Option<ParamSchedule> = None;
-        for (n, raw) in lines.enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| format!("line {}: {msg}: {line:?}", n + 2);
-            if let Some(rest) = line.strip_prefix("schedule ") {
-                if cur.is_some() {
-                    return Err(err("schedule before previous end"));
-                }
-                let mut p = rest.split_whitespace();
-                let structure = p
-                    .next()
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| err("bad structure"))?;
-                let arity = p
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .ok_or_else(|| err("bad arity"))?;
-                let dtype = p.next().ok_or_else(|| err("missing dtype"))?.to_string();
-                let target = p.next().ok_or_else(|| err("missing target"))?.to_string();
-                if p.next().is_some() {
-                    return Err(err("trailing fields"));
-                }
-                cur = Some(ParamSchedule {
-                    structure,
-                    arity,
-                    dtype,
-                    target,
-                    donor: String::new(),
-                    support: 0,
-                    residual: 0.0,
-                    steps: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("donor ") {
-                cur.as_mut().ok_or_else(|| err("donor outside schedule"))?.donor =
-                    rest.trim().to_string();
-            } else if let Some(rest) = line.strip_prefix("support ") {
-                cur.as_mut().ok_or_else(|| err("support outside schedule"))?.support =
-                    rest.trim().parse::<usize>().map_err(|_| err("bad support"))?;
-            } else if let Some(rest) = line.strip_prefix("residual ") {
-                let word = rest.split_whitespace().next().ok_or_else(|| err("bad residual"))?;
-                let bits = u64::from_str_radix(word, 16).map_err(|_| err("bad residual"))?;
-                let v = f64::from_bits(bits);
-                if !v.is_finite() {
-                    return Err(err("non-finite residual"));
-                }
-                cur.as_mut().ok_or_else(|| err("residual outside schedule"))?.residual = v;
-            } else if let Some(rest) = line.strip_prefix("step ") {
-                let ps = cur.as_mut().ok_or_else(|| err("step outside schedule"))?;
-                let (model, action_text) =
-                    rest.split_once(" | ").ok_or_else(|| err("missing action separator"))?;
-                // strip the optional trailing human comment
-                let action_text = match action_text.split_once("  #") {
-                    Some((a, _)) => a,
-                    None => action_text,
-                };
-                let action =
-                    parse_action(action_text.trim()).ok_or_else(|| err("unparseable action"))?;
-                let mut m = model.split_whitespace();
-                let param = match m.next() {
-                    Some("plain") => None,
-                    Some("fixed") => {
-                        let v = m
-                            .next()
-                            .and_then(|s| s.parse::<usize>().ok())
-                            .ok_or_else(|| err("bad fixed value"))?;
-                        Some(ParamFn::Fixed(v))
-                    }
-                    Some("linear") => {
-                        let dim = m
-                            .next()
-                            .and_then(|s| s.parse::<usize>().ok())
-                            .ok_or_else(|| err("bad linear dim"))?;
-                        let bits = m
-                            .next()
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| err("bad linear scale"))?;
-                        let scale = f64::from_bits(bits);
-                        if !scale.is_finite() {
-                            return Err(err("non-finite scale"));
-                        }
-                        Some(ParamFn::Linear { dim, scale })
-                    }
-                    _ => return Err(err("unknown step model")),
-                };
-                if m.next().is_some() {
-                    return Err(err("trailing step fields"));
-                }
-                ps.steps.push(ParamStep { action, param });
-            } else if line == "end" {
-                let ps = cur.take().ok_or_else(|| err("end outside schedule"))?;
-                schedules.insert(ps.family_key(), ps);
-            } else {
-                return Err(err("unrecognized line"));
-            }
-        }
-        if cur.is_some() {
-            return Err("unterminated schedule block".to_string());
-        }
-        Ok(TransferIndex { schedules })
-    }
 }
 
 #[cfg(test)]
@@ -518,6 +346,7 @@ mod tests {
     use crate::builder::{LibraryBuilder, Strategy};
     use crate::format::Provenance;
     use perfdojo_core::Target;
+    use perfdojo_transform::parse_action;
 
     fn record(cols: usize, cost: f64, steps: Vec<Action>) -> ScheduleRecord {
         ScheduleRecord {
@@ -631,35 +460,5 @@ mod tests {
         // fit_for over the raw library agrees with the prebuilt index
         let ps = fit_for(&lib, &sig).expect("fit_for fits the same family");
         assert_eq!(ps, *idx.for_sig(&sig).unwrap());
-    }
-
-    #[test]
-    fn render_parse_roundtrip_is_byte_identical() {
-        let a = record(16, 0.5, vec![act("split_scope(4) @ @0"), act("unroll @ @0.1")]);
-        let b = record(64, 0.4, vec![act("split_scope(16) @ @0"), act("unroll @ @0.1")]);
-        let ps = fit_family(&[&a, &b]).unwrap();
-        let mut idx = TransferIndex::default();
-        idx.schedules.insert(ps.family_key(), ps);
-        let text = idx.render();
-        let back = TransferIndex::parse(&text).expect("rendered text parses");
-        assert_eq!(back, idx);
-        assert_eq!(back.render(), text, "render is a fixpoint");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_text() {
-        assert!(TransferIndex::parse("nope").is_err(), "bad header");
-        let good = "perfdojo-transfer v1\n";
-        assert!(TransferIndex::parse(good).unwrap().is_empty());
-        for bad in [
-            "schedule zz 2 f32 x86\nend\n",
-            "donor somewhere\n",
-            "schedule 00aa 2 f32 x86\nstep fixed x | split_scope(4) @ @0\nend\n",
-            "schedule 00aa 2 f32 x86\nstep fixed 4 | gibberish\nend\n",
-            "schedule 00aa 2 f32 x86\n",
-        ] {
-            let text = format!("{good}{bad}");
-            assert!(TransferIndex::parse(&text).is_err(), "{bad:?} must not parse");
-        }
     }
 }

@@ -1,9 +1,8 @@
-//! Property tests for the transfer layer's on-disk encoding: randomized
-//! indexes must round-trip render → parse → render byte-identically, and
-//! parse → render → parse value-identically (floats compared as bits via
-//! `PartialEq` on the exact `f64` the bit pattern decodes to).
+//! Property tests for the transfer layer: materializing a randomized
+//! parameterized schedule at a random shape is deterministic, keeps the
+//! schedule's length, and never yields a parameter below 1.
 
-use perfdojo_library::transfer::{ParamFn, ParamSchedule, ParamStep, TransferIndex};
+use perfdojo_library::transfer::{ParamFn, ParamSchedule, ParamStep};
 use perfdojo_transform::parse_action;
 use perfdojo_util::proptest_lite::prelude::*;
 use perfdojo_util::{prop_assert, proptest};
@@ -31,9 +30,8 @@ fn pooled_param(kind: u64, value: usize, dim: usize, scale_mill: u64) -> Option<
     }
 }
 
-/// One generated schedule; `idx` keeps family keys distinct within an
-/// index so no generated schedule shadows another.
-fn schedule(idx: usize, seed: u64, steps_spec: &[(u64, u64, u64)]) -> ParamSchedule {
+/// One generated schedule.
+fn schedule(seed: u64, steps_spec: &[(u64, u64, u64)]) -> ParamSchedule {
     let arity = 1 + (seed % 7) as usize;
     let steps = steps_spec
         .iter()
@@ -48,7 +46,7 @@ fn schedule(idx: usize, seed: u64, steps_spec: &[(u64, u64, u64)]) -> ParamSched
         })
         .collect();
     ParamSchedule {
-        structure: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ idx as u64,
+        structure: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         arity,
         dtype: if seed % 2 == 0 { "f32".into() } else { "graph".into() },
         target: match seed % 3 {
@@ -67,28 +65,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
 
     #[test]
-    fn render_parse_render_is_byte_identical(
-        seeds in vec(0u64..u64::MAX, 1..4),
-        steps_spec in vec((0u64..6, 0u64..3, 0u64..100_000), 1..8),
-    ) {
-        let index = TransferIndex::from_schedules(
-            seeds.iter().enumerate().map(|(i, &s)| schedule(i, s, &steps_spec)),
-        );
-        let text = index.render();
-        let parsed = TransferIndex::parse(&text);
-        prop_assert!(parsed.is_ok(), "rendered index must parse: {:?}", parsed.err());
-        let back = parsed.unwrap();
-        prop_assert!(back == index, "parse must invert render");
-        prop_assert!(back.render() == text, "render must be canonical");
-    }
-
-    #[test]
     fn materialization_is_deterministic_and_positive(
         seed in 0u64..u64::MAX,
         steps_spec in vec((0u64..6, 0u64..3, 0u64..100_000), 1..8),
         dims in vec(1usize..4096, 1..8),
     ) {
-        let ps = schedule(0, seed, &steps_spec);
+        let ps = schedule(seed, &steps_spec);
         let shape: Vec<usize> = dims.iter().cycle().take(ps.arity).copied().collect();
         let a = ps.materialize(&shape);
         let b = ps.materialize(&shape);

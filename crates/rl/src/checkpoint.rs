@@ -9,14 +9,14 @@
 //! [`crate::perfllm::train_episodes`] reproduces the uninterrupted run
 //! bit-for-bit: same weights, same trajectory events, same result.
 //!
-//! Write checkpoints with `perfdojo_util::trace::atomic_write` so a crash
-//! mid-save leaves the previous intact file.
+//! The text is parsed through the shared `perfdojo_util::trace::Lines`
+//! cursor. Write checkpoints with `perfdojo_util::trace::atomic_write` so a
+//! crash mid-save leaves the previous intact file.
 
-use crate::nn::next_line;
 use crate::perfllm::TrainState;
 use crate::DqnAgent;
-use perfdojo_util::rng::Rng;
-use perfdojo_util::trace::{f64_from_hex, f64_to_hex};
+use perfdojo_transform::serial::{parse_steps, push_steps};
+use perfdojo_util::trace::{f64_to_hex, push_rng, Lines};
 
 /// Format header of a PerfLLM checkpoint.
 const HEADER: &str = "perfdojo-checkpoint v1 perfllm";
@@ -27,20 +27,9 @@ pub fn serialize_train(state: &TrainState) -> String {
     out.push_str(&format!("episodes-done {}\n", state.episodes_done));
     out.push_str(&format!("spent {}\n", state.spent));
     out.push_str(&format!("events {}\n", state.events));
-    let (s, spare) = state.rng.state();
-    out.push_str(&format!(
-        "rng {:016x} {:016x} {:016x} {:016x} {}\n",
-        s[0],
-        s[1],
-        s[2],
-        s[3],
-        spare.map_or_else(|| "-".to_string(), f64_to_hex)
-    ));
+    push_rng(&mut out, &state.rng);
     out.push_str(&format!("best-runtime {}\n", f64_to_hex(state.best_runtime)));
-    out.push_str(&format!("best {}\n", state.best_steps.len()));
-    for a in &state.best_steps {
-        out.push_str(&format!("step {a}\n"));
-    }
+    push_steps(&mut out, "best", &state.best_steps);
     out.push_str(&format!("curve {}\n", state.episode_best.len()));
     for b in &state.episode_best {
         out.push_str(&format!("eb {}\n", f64_to_hex(*b)));
@@ -52,65 +41,17 @@ pub fn serialize_train(state: &TrainState) -> String {
 
 /// Restore a training state from [`serialize_train`] text.
 pub fn parse_train(text: &str) -> Result<TrainState, String> {
-    let mut lines = text.lines();
-    let head = next_line(&mut lines, "header")?;
-    if head != HEADER {
-        return Err(format!("not a perfllm checkpoint: {head:?}"));
-    }
-    let count = |line: &str, key: &str| -> Result<u64, String> {
-        line.strip_prefix(key)
-            .and_then(|r| r.strip_prefix(' '))
-            .and_then(|r| r.trim().parse().ok())
-            .ok_or_else(|| format!("expected `{key} <n>`, got {line:?}"))
-    };
-    let episodes_done = count(next_line(&mut lines, "`episodes-done`")?, "episodes-done")? as usize;
-    let spent = count(next_line(&mut lines, "`spent`")?, "spent")?;
-    let events = count(next_line(&mut lines, "`events`")?, "events")?;
-    let rline = next_line(&mut lines, "`rng`")?;
-    let rrest = rline.strip_prefix("rng ").ok_or_else(|| format!("expected rng, got {rline:?}"))?;
-    let parts: Vec<&str> = rrest.split_whitespace().collect();
-    if parts.len() != 5 {
-        return Err("rng needs 4 state words + spare".to_string());
-    }
-    let mut s = [0u64; 4];
-    for (i, p) in parts[..4].iter().enumerate() {
-        s[i] = u64::from_str_radix(p, 16).map_err(|_| "bad rng word".to_string())?;
-    }
-    let spare = match parts[4] {
-        "-" => None,
-        h => Some(f64_from_hex(h).ok_or_else(|| "bad rng spare".to_string())?),
-    };
-    let rng = Rng::from_state(s, spare);
-    let bline = next_line(&mut lines, "`best-runtime`")?;
-    let best_runtime = bline
-        .strip_prefix("best-runtime ")
-        .and_then(f64_from_hex)
-        .ok_or_else(|| format!("expected `best-runtime <bits>`, got {bline:?}"))?;
-    let n = count(next_line(&mut lines, "`best`")?, "best")?;
-    let mut best_steps = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let line = next_line(&mut lines, "`step`")?;
-        let rest = line.strip_prefix("step ").ok_or_else(|| format!("expected step, got {line:?}"))?;
-        best_steps.push(
-            perfdojo_transform::serial::parse_action(rest)
-                .ok_or_else(|| format!("unparseable action {rest:?}"))?,
-        );
-    }
-    let n = count(next_line(&mut lines, "`curve`")?, "curve")?;
-    let mut episode_best = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let line = next_line(&mut lines, "`eb`")?;
-        episode_best.push(
-            line.strip_prefix("eb ")
-                .and_then(f64_from_hex)
-                .ok_or_else(|| format!("expected `eb <bits>`, got {line:?}"))?,
-        );
-    }
-    let agent = DqnAgent::parse_text(&mut lines)?;
-    let end = next_line(&mut lines, "`end`")?;
-    if end != "end" {
-        return Err(format!("expected end, got {end:?}"));
-    }
+    let mut l = Lines::new(text);
+    l.exact(HEADER)?;
+    let episodes_done = l.count("episodes-done")?;
+    let spent = l.count("spent")?;
+    let events = l.count("events")?;
+    let rng = l.rng()?;
+    let best_runtime = l.hexf("best-runtime")?;
+    let best_steps = parse_steps(&mut l, "best")?;
+    let episode_best = l.list("curve", |l| l.hexf("eb"))?;
+    let agent = DqnAgent::parse_text(&mut l)?;
+    l.exact("end")?;
     Ok(TrainState { agent, rng, best_runtime, best_steps, episode_best, episodes_done, spent, events })
 }
 

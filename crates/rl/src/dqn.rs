@@ -8,10 +8,10 @@
 //! state-value head — advantages are centred over the candidate action set
 //! at selection/bootstrapping time.
 
-use crate::nn::{next_line, parse_f32s, push_f32s, Mlp};
+use crate::nn::Mlp;
 use crate::replay::{ReplayBuffer, Transition};
 use perfdojo_util::rng::Rng;
-use perfdojo_util::trace::{f32_from_hex, f32_to_hex, f64_from_hex, f64_to_hex};
+use perfdojo_util::trace::{f32_from_hex, f32_to_hex, push_f32s, push_rng, Lines};
 
 /// DQN hyperparameters and ablation switches.
 #[derive(Clone, Debug)]
@@ -252,15 +252,7 @@ impl DqnAgent {
         }
         out.push('\n');
         out.push_str(&format!("steps {} {}\n", self.steps, self.train_steps));
-        let (s, spare) = self.rng.state();
-        out.push_str(&format!(
-            "rng {:016x} {:016x} {:016x} {:016x} {}\n",
-            s[0],
-            s[1],
-            s[2],
-            s[3],
-            spare.map_or_else(|| "-".to_string(), f64_to_hex)
-        ));
+        push_rng(out, &self.rng);
         self.online.write_text(out);
         self.target.write_text(out);
         self.value_online.write_text(out);
@@ -283,12 +275,10 @@ impl DqnAgent {
 
     /// Restore an agent from [`DqnAgent::write_text`] lines, consuming
     /// exactly the lines it wrote.
-    pub fn parse_text<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<DqnAgent, String> {
-        let head = next_line(lines, "`dqn`")?;
-        let rest = head.strip_prefix("dqn ").ok_or_else(|| format!("expected dqn, got {head:?}"))?;
-        let f: Vec<&str> = rest.split_whitespace().collect();
+    pub fn parse_text(l: &mut Lines<'_>) -> Result<DqnAgent, String> {
+        let f: Vec<&str> = l.keyed("dqn")?.split_whitespace().collect();
         if f.len() != 12 {
-            return Err(format!("dqn header needs 12 fields, got {}", f.len()));
+            return Err(l.err(&format!("dqn header needs 12 fields, got {}", f.len())));
         }
         let int = |s: &str| s.parse::<usize>().map_err(|_| format!("bad dqn integer {s:?}"));
         let int32 = |s: &str| s.parse::<u32>().map_err(|_| format!("bad dqn integer {s:?}"));
@@ -298,11 +288,8 @@ impl DqnAgent {
             "1" => Ok(true),
             _ => Err(format!("bad dqn flag {s:?}")),
         };
-        let hline = next_line(lines, "`hidden`")?;
-        let hrest = hline
-            .strip_prefix("hidden")
-            .ok_or_else(|| format!("expected hidden, got {hline:?}"))?;
-        let hidden: Vec<usize> = hrest
+        let hidden: Vec<usize> = l
+            .keyed("hidden")?
             .split_whitespace()
             .map(|s| s.parse().map_err(|_| format!("bad hidden width {s:?}")))
             .collect::<Result<_, String>>()?;
@@ -321,58 +308,28 @@ impl DqnAgent {
             eps_end: flt(f[10])?,
             eps_decay_steps: int32(f[11])?,
         };
-        let sline = next_line(lines, "`steps`")?;
-        let srest =
-            sline.strip_prefix("steps ").ok_or_else(|| format!("expected steps, got {sline:?}"))?;
-        let (st, tt) = srest.split_once(' ').ok_or("steps needs two counters")?;
-        let steps: u32 = st.parse().map_err(|_| "bad steps".to_string())?;
-        let train_steps: u32 = tt.trim().parse().map_err(|_| "bad train steps".to_string())?;
-        let rline = next_line(lines, "`rng`")?;
-        let rrest = rline.strip_prefix("rng ").ok_or_else(|| format!("expected rng, got {rline:?}"))?;
-        let parts: Vec<&str> = rrest.split_whitespace().collect();
-        if parts.len() != 5 {
-            return Err("rng needs 4 state words + spare".to_string());
-        }
-        let mut s = [0u64; 4];
-        for (i, p) in parts[..4].iter().enumerate() {
-            s[i] = u64::from_str_radix(p, 16).map_err(|_| "bad rng word".to_string())?;
-        }
-        let spare = match parts[4] {
-            "-" => None,
-            h => Some(f64_from_hex(h).ok_or_else(|| "bad rng spare".to_string())?),
-        };
-        let rng = Rng::from_state(s, spare);
-        let online = Mlp::parse_text(lines)?;
-        let target = Mlp::parse_text(lines)?;
-        let value_online = Mlp::parse_text(lines)?;
-        let value_target = Mlp::parse_text(lines)?;
-        let pline = next_line(lines, "`replay`")?;
-        let prest =
-            pline.strip_prefix("replay ").ok_or_else(|| format!("expected replay, got {pline:?}"))?;
-        let p: Vec<&str> = prest.split_whitespace().collect();
-        if p.len() != 3 {
-            return Err("replay needs capacity + write + len".to_string());
-        }
-        let (capacity, write, len) = (int(p[0])?, int(p[1])?, int(p[2])?);
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            let tline = next_line(lines, "`trans`")?;
-            let trest = tline
-                .strip_prefix("trans ")
-                .ok_or_else(|| format!("expected trans, got {tline:?}"))?;
-            let (rw, nn) = trest.split_once(' ').ok_or("trans needs reward + next count")?;
-            let reward = flt(rw)?;
-            let n_next: usize = nn.trim().parse().map_err(|_| "bad next count".to_string())?;
-            let state = parse_f32s(next_line(lines, "`s`")?, "s", cfg.state_dim)?;
-            let action = parse_f32s(next_line(lines, "`a`")?, "a", cfg.state_dim)?;
-            let mut next_actions = Vec::with_capacity(n_next);
-            for _ in 0..n_next {
-                next_actions.push(parse_f32s(next_line(lines, "`n`")?, "n", cfg.state_dim)?);
-            }
-            data.push(Transition { state, action, reward, next_actions });
-        }
+        let [steps, train_steps] = l.ints("steps")?;
+        let rng = l.rng()?;
+        let online = Mlp::parse_text(l)?;
+        let target = Mlp::parse_text(l)?;
+        let value_online = Mlp::parse_text(l)?;
+        let value_target = Mlp::parse_text(l)?;
+        let [capacity, write, len] = l.ints("replay")?;
+        let data = l.repeat(len, |l| {
+            let rest = l.keyed("trans")?;
+            let (reward, n_next) =
+                rest.split_once(' ').ok_or_else(|| l.err("trans needs reward + next count"))?;
+            let reward = f32_from_hex(reward).ok_or_else(|| l.err("bad trans reward"))?;
+            let n_next = n_next.trim().parse().map_err(|_| l.err("bad trans next count"))?;
+            Ok(Transition {
+                state: l.f32s("s", cfg.state_dim)?,
+                action: l.f32s("a", cfg.state_dim)?,
+                reward,
+                next_actions: l.repeat(n_next, |l| l.f32s("n", cfg.state_dim))?,
+            })
+        })?;
         Ok(DqnAgent {
-            replay: ReplayBuffer::restore(capacity, write, data),
+            replay: ReplayBuffer::restore(capacity, write, data).map_err(|e| l.err(&e))?,
             online,
             target,
             value_online,
@@ -483,7 +440,7 @@ mod tests {
         play(&mut agent, 40);
         let mut text = String::new();
         agent.write_text(&mut text);
-        let mut restored = DqnAgent::parse_text(&mut text.lines()).unwrap();
+        let mut restored = DqnAgent::parse_text(&mut Lines::new(&text)).unwrap();
         // re-serialization is byte-identical
         let mut text2 = String::new();
         restored.write_text(&mut text2);

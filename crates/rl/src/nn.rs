@@ -4,39 +4,7 @@
 //! linear output.
 
 use perfdojo_util::rng::Rng;
-use perfdojo_util::trace::{f32_from_hex, f32_to_hex};
-
-/// Append `key <hex> <hex> ...` with every `f32` as its exact bit pattern.
-pub(crate) fn push_f32s(out: &mut String, key: &str, v: &[f32]) {
-    out.push_str(key);
-    for x in v {
-        out.push(' ');
-        out.push_str(&f32_to_hex(*x));
-    }
-    out.push('\n');
-}
-
-/// Parse a [`push_f32s`] line, checking the key and the expected length.
-pub(crate) fn parse_f32s(line: &str, key: &str, n: usize) -> Result<Vec<f32>, String> {
-    let rest = line
-        .strip_prefix(key)
-        .and_then(|r| if n == 0 { Some(r) } else { r.strip_prefix(' ') })
-        .ok_or_else(|| format!("expected `{key} ...`, got {line:?}"))?;
-    let v: Option<Vec<f32>> = rest.split_whitespace().map(f32_from_hex).collect();
-    let v = v.ok_or_else(|| format!("bad f32 bits in `{key}` line"))?;
-    if v.len() != n {
-        return Err(format!("`{key}` expects {n} values, got {}", v.len()));
-    }
-    Ok(v)
-}
-
-/// Pull the next line or fail with context.
-pub(crate) fn next_line<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<&'a str, String> {
-    lines.next().ok_or_else(|| format!("unexpected end of checkpoint, expected {what}"))
-}
+use perfdojo_util::trace::{push_f32s, Lines};
 
 /// One dense layer with Adam state.
 #[derive(Clone, Debug)]
@@ -229,40 +197,25 @@ impl Mlp {
 
     /// Restore a network from [`Mlp::write_text`] lines, consuming exactly
     /// the lines it wrote (so agent-level parsers can compose).
-    pub fn parse_text<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Mlp, String> {
-        let head = next_line(lines, "`mlp`")?;
-        let rest = head.strip_prefix("mlp ").ok_or_else(|| format!("expected mlp, got {head:?}"))?;
-        let (t, n) = rest.split_once(' ').ok_or("mlp header needs adam_t + layer count")?;
-        let adam_t: u64 = t.parse().map_err(|_| "bad mlp adam_t".to_string())?;
-        let nlayers: usize = n.trim().parse().map_err(|_| "bad mlp layer count".to_string())?;
-        let mut layers = Vec::with_capacity(nlayers);
-        for _ in 0..nlayers {
-            let head = next_line(lines, "`layer`")?;
-            let rest =
-                head.strip_prefix("layer ").ok_or_else(|| format!("expected layer, got {head:?}"))?;
-            let (i, o) = rest.split_once(' ').ok_or("layer header needs nin + nout")?;
-            let nin: usize = i.parse().map_err(|_| "bad layer nin".to_string())?;
-            let nout: usize = o.trim().parse().map_err(|_| "bad layer nout".to_string())?;
-            let w = parse_f32s(next_line(lines, "`w`")?, "w", nin * nout)?;
-            let b = parse_f32s(next_line(lines, "`b`")?, "b", nout)?;
-            let mw = parse_f32s(next_line(lines, "`mw`")?, "mw", nin * nout)?;
-            let vw = parse_f32s(next_line(lines, "`vw`")?, "vw", nin * nout)?;
-            let mb = parse_f32s(next_line(lines, "`mb`")?, "mb", nout)?;
-            let vb = parse_f32s(next_line(lines, "`vb`")?, "vb", nout)?;
-            layers.push(Linear {
-                w,
-                b,
-                gw: vec![0.0; nin * nout],
+    pub fn parse_text(l: &mut Lines<'_>) -> Result<Mlp, String> {
+        let [adam_t, nlayers]: [usize; 2] = l.ints("mlp")?;
+        let layers = l.repeat(nlayers, |l| {
+            let [nin, nout] = l.ints("layer")?;
+            let nw = l.product(nin, nout)?;
+            Ok(Linear {
+                w: l.f32s("w", nw)?,
+                b: l.f32s("b", nout)?,
+                gw: vec![0.0; nw],
                 gb: vec![0.0; nout],
-                mw,
-                vw,
-                mb,
-                vb,
+                mw: l.f32s("mw", nw)?,
+                vw: l.f32s("vw", nw)?,
+                mb: l.f32s("mb", nout)?,
+                vb: l.f32s("vb", nout)?,
                 nin,
                 nout,
-            });
-        }
-        Ok(Mlp { layers, adam_t })
+            })
+        })?;
+        Ok(Mlp { layers, adam_t: adam_t as u64 })
     }
 }
 
@@ -337,7 +290,7 @@ mod tests {
         }
         let mut text = String::new();
         net.write_text(&mut text);
-        let mut restored = Mlp::parse_text(&mut text.lines()).unwrap();
+        let mut restored = Mlp::parse_text(&mut Lines::new(&text)).unwrap();
         // re-serialization is byte-identical (Adam moments included)
         let mut text2 = String::new();
         restored.write_text(&mut text2);
@@ -363,9 +316,9 @@ mod tests {
         let net = Mlp::new(&[2, 4, 1], 1);
         let mut text = String::new();
         net.write_text(&mut text);
-        assert!(Mlp::parse_text(&mut text[..text.len() / 2].lines()).is_err());
+        assert!(Mlp::parse_text(&mut Lines::new(&text[..text.len() / 2])).is_err());
         let bad = text.replacen("w ", "w zz", 1);
-        assert!(Mlp::parse_text(&mut bad.lines()).is_err());
+        assert!(Mlp::parse_text(&mut Lines::new(&bad)).is_err());
     }
 
     #[test]

@@ -79,9 +79,19 @@ impl ReplayBuffer {
 
     /// Rebuild a buffer from checkpointed parts, inverse of reading
     /// [`ReplayBuffer::capacity`] / [`ReplayBuffer::write_index`] /
-    /// [`ReplayBuffer::transitions`].
-    pub fn restore(capacity: usize, write: usize, data: Vec<Transition>) -> Self {
-        ReplayBuffer { data, capacity, write }
+    /// [`ReplayBuffer::transitions`]. Fails on parts no buffer can reach
+    /// by pushing — a zero capacity, more transitions than the capacity,
+    /// or a write cursor outside it (or moved before the buffer filled) —
+    /// since the next [`ReplayBuffer::push`] would index out of bounds.
+    pub fn restore(capacity: usize, write: usize, data: Vec<Transition>) -> Result<Self, String> {
+        let full = data.len() == capacity;
+        if capacity == 0 || data.len() > capacity || write >= capacity || (write > 0 && !full) {
+            return Err(format!(
+                "replay write cursor {write} and length {} do not fit capacity {capacity}",
+                data.len()
+            ));
+        }
+        Ok(ReplayBuffer { data, capacity, write })
     }
 }
 
@@ -104,6 +114,21 @@ mod tests {
         let rewards: Vec<f32> = b.data.iter().map(|x| x.reward).collect();
         assert!(rewards.contains(&2.0) || rewards.contains(&3.0));
         assert!(!rewards.contains(&0.0) || !rewards.contains(&1.0));
+    }
+
+    #[test]
+    fn restore_accepts_only_reachable_parts() {
+        let mut b = ReplayBuffer::new(3);
+        for i in 0..5 {
+            b.push(t(i as f32));
+        }
+        let back = ReplayBuffer::restore(b.capacity(), b.write_index(), b.data.clone()).unwrap();
+        assert_eq!((back.capacity(), back.write_index(), back.len()), (3, 2, 3));
+        assert!(ReplayBuffer::restore(2, 0, vec![t(0.0)]).is_ok(), "filling, cursor at 0");
+        assert!(ReplayBuffer::restore(0, 0, vec![]).is_err(), "zero capacity");
+        assert!(ReplayBuffer::restore(1, 0, vec![t(0.0), t(1.0)]).is_err(), "over capacity");
+        assert!(ReplayBuffer::restore(2, 2, vec![t(0.0), t(1.0)]).is_err(), "cursor past the end");
+        assert!(ReplayBuffer::restore(3, 1, vec![t(0.0)]).is_err(), "cursor moved before full");
     }
 
     #[test]

@@ -1,44 +1,24 @@
 //! Crash-safe checkpoint serialization for the classical searches.
 //!
 //! A checkpoint is a versioned, line-oriented text snapshot of a search
-//! state ([`crate::AnnealState`], [`crate::SamplingState`], or the
-//! completed chains of a parallel run) from which the search continues
-//! **bit-identically**: RNG state is stored as raw xoshiro words, costs
-//! and runtimes as exact `f64` bit patterns, and action sequences in the
-//! `transform::serial` text form. What is *not* stored — the dojo's cost
-//! cache — affects only the `cache_hit` telemetry field, never a value or
-//! decision (cache hits return exactly what the machine model computes).
+//! state ([`crate::AnnealState`], or the completed chains of a multi-chain
+//! run) from which the search continues **bit-identically**: RNG state is
+//! stored as raw xoshiro words, costs and runtimes as exact `f64` bit
+//! patterns, and action sequences in the `transform::serial` text form.
+//! What is *not* stored — the dojo's cost cache — affects only the
+//! `cache_hit` telemetry field, never a value or decision (cache hits
+//! return exactly what the machine model computes).
 //!
-//! Files are written via `perfdojo_util::trace::atomic_write`, so a crash
-//! mid-save leaves the previous intact checkpoint.
+//! Texts are parsed through the shared [`Lines`] cursor, and files are
+//! written via `perfdojo_util::trace::atomic_write`, so a crash mid-save
+//! leaves the previous intact checkpoint.
 
-use crate::sampling::Candidate;
-use crate::{AnnealState, SamplingState, SearchResult, TracePoint};
-use perfdojo_transform::Action;
-use perfdojo_util::rng::Rng;
-use perfdojo_util::trace::{f64_from_hex, f64_to_hex};
+use crate::{AnnealState, SearchResult, TracePoint};
+use perfdojo_transform::serial::{parse_steps, push_steps};
+use perfdojo_util::trace::{f64_from_hex, f64_to_hex, push_rng, Lines};
 
 /// Format header of every search checkpoint.
 const HEADER: &str = "perfdojo-checkpoint v1";
-
-fn push_rng(out: &mut String, rng: &Rng) {
-    let (s, spare) = rng.state();
-    out.push_str(&format!(
-        "rng {:016x} {:016x} {:016x} {:016x} {}\n",
-        s[0],
-        s[1],
-        s[2],
-        s[3],
-        spare.map_or_else(|| "-".to_string(), f64_to_hex)
-    ));
-}
-
-fn push_steps(out: &mut String, key: &str, steps: &[Action]) {
-    out.push_str(&format!("{key} {}\n", steps.len()));
-    for s in steps {
-        out.push_str(&format!("step {s}\n"));
-    }
-}
 
 fn push_trace(out: &mut String, trace: &[TracePoint]) {
     out.push_str(&format!("trace {}\n", trace.len()));
@@ -47,115 +27,15 @@ fn push_trace(out: &mut String, trace: &[TracePoint]) {
     }
 }
 
-/// Line-cursor over checkpoint text with error context.
-struct Lines<'a> {
-    it: std::str::Lines<'a>,
-    n: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Lines<'a> {
-        Lines { it: text.lines(), n: 0 }
-    }
-
-    fn next(&mut self) -> Result<&'a str, String> {
-        self.n += 1;
-        self.it.next().ok_or_else(|| format!("line {}: unexpected end of checkpoint", self.n))
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("line {}: {msg}", self.n)
-    }
-
-    /// Consume `key <u64>`.
-    fn count(&mut self, key: &str) -> Result<u64, String> {
-        let line = self.next()?;
-        let rest = line
-            .strip_prefix(key)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| self.err(&format!("expected `{key} <n>`, got {line:?}")))?;
-        rest.trim().parse().map_err(|_| self.err(&format!("bad count in {line:?}")))
-    }
-
-    /// Consume `key <f64-hex>`.
-    fn hexf(&mut self, key: &str) -> Result<f64, String> {
-        let line = self.next()?;
-        let rest = line
-            .strip_prefix(key)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| self.err(&format!("expected `{key} <bits>`, got {line:?}")))?;
-        f64_from_hex(rest.trim()).ok_or_else(|| self.err(&format!("bad f64 bits in {line:?}")))
-    }
-
-    fn rng(&mut self) -> Result<Rng, String> {
-        let line = self.next()?;
-        let rest =
-            line.strip_prefix("rng ").ok_or_else(|| self.err(&format!("expected rng, got {line:?}")))?;
-        let parts: Vec<&str> = rest.split_whitespace().collect();
-        if parts.len() != 5 {
-            return Err(self.err("rng needs 4 state words + spare"));
-        }
-        let mut s = [0u64; 4];
-        for (i, p) in parts[..4].iter().enumerate() {
-            s[i] = u64::from_str_radix(p, 16).map_err(|_| self.err("bad rng word"))?;
-        }
-        let spare = match parts[4] {
-            "-" => None,
-            h => Some(f64_from_hex(h).ok_or_else(|| self.err("bad rng spare"))?),
-        };
-        Ok(Rng::from_state(s, spare))
-    }
-
-    fn steps(&mut self, key: &str) -> Result<Vec<Action>, String> {
-        let n = self.count(key)?;
-        let mut steps = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let line = self.next()?;
-            let rest = line
-                .strip_prefix("step ")
-                .ok_or_else(|| self.err(&format!("expected step, got {line:?}")))?;
-            steps.push(
-                perfdojo_transform::serial::parse_action(rest)
-                    .ok_or_else(|| self.err(&format!("unparseable action {rest:?}")))?,
-            );
-        }
-        Ok(steps)
-    }
-
-    fn trace(&mut self) -> Result<Vec<TracePoint>, String> {
-        let n = self.count("trace")?;
-        let mut trace = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let line = self.next()?;
-            let rest = line
-                .strip_prefix("pt ")
-                .ok_or_else(|| self.err(&format!("expected pt, got {line:?}")))?;
-            let (e, c) = rest
-                .split_once(' ')
-                .ok_or_else(|| self.err("pt needs evals + bits"))?;
-            trace.push((
-                e.parse().map_err(|_| self.err("bad pt evals"))?,
-                f64_from_hex(c).ok_or_else(|| self.err("bad pt bits"))?,
-            ));
-        }
-        Ok(trace)
-    }
-
-    fn header(&mut self, kind: &str) -> Result<(), String> {
-        let line = self.next()?;
-        if line != format!("{HEADER} {kind}") {
-            return Err(self.err(&format!("not a `{kind}` checkpoint: {line:?}")));
-        }
-        Ok(())
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        let line = self.next()?;
-        if line != "end" {
-            return Err(self.err(&format!("expected end, got {line:?}")));
-        }
-        Ok(())
-    }
+fn parse_trace(l: &mut Lines<'_>) -> Result<Vec<TracePoint>, String> {
+    l.list("trace", |l| {
+        let rest = l.keyed("pt")?;
+        let (e, c) = rest.split_once(' ').ok_or_else(|| l.err("pt needs evals + bits"))?;
+        Ok((
+            e.parse().map_err(|_| l.err("bad pt evals"))?,
+            f64_from_hex(c).ok_or_else(|| l.err("bad pt bits"))?,
+        ))
+    })
 }
 
 /// Serialize an annealing state.
@@ -178,7 +58,7 @@ pub fn serialize_anneal(state: &AnnealState) -> String {
 /// Restore an annealing state from [`serialize_anneal`] text.
 pub fn parse_anneal(text: &str) -> Result<AnnealState, String> {
     let mut l = Lines::new(text);
-    l.header("anneal")?;
+    l.exact(&format!("{HEADER} anneal"))?;
     let rng = l.rng()?;
     let spent = l.count("spent")?;
     let events = l.count("events")?;
@@ -186,10 +66,10 @@ pub fn parse_anneal(text: &str) -> Result<AnnealState, String> {
     let best_runtime = l.hexf("best-runtime")?;
     let t0 = l.hexf("t0")?;
     let t_end = l.hexf("tend")?;
-    let current = l.steps("current")?;
-    let best_steps = l.steps("best")?;
-    let trace = l.trace()?;
-    l.end()?;
+    let current = parse_steps(&mut l, "current")?;
+    let best_steps = parse_steps(&mut l, "best")?;
+    let trace = parse_trace(&mut l)?;
+    l.exact("end")?;
     Ok(AnnealState {
         rng,
         current,
@@ -204,51 +84,7 @@ pub fn parse_anneal(text: &str) -> Result<AnnealState, String> {
     })
 }
 
-/// Serialize a sampling state.
-pub fn serialize_sampling(state: &SamplingState) -> String {
-    let mut out = format!("{HEADER} sampling\n");
-    push_rng(&mut out, &state.rng);
-    out.push_str(&format!("spent {}\n", state.spent));
-    out.push_str(&format!("events {}\n", state.events));
-    out.push_str(&format!("best-runtime {}\n", f64_to_hex(state.best_runtime)));
-    push_steps(&mut out, "best", &state.best_steps);
-    push_trace(&mut out, &state.trace);
-    out.push_str(&format!("pool {}\n", state.pool.len()));
-    for c in &state.pool {
-        out.push_str(&format!("cand {} {}\n", f64_to_hex(c.runtime), f64_to_hex(c.cost)));
-        push_steps(&mut out, "csteps", &c.steps);
-    }
-    out.push_str("end\n");
-    out
-}
-
-/// Restore a sampling state from [`serialize_sampling`] text.
-pub fn parse_sampling(text: &str) -> Result<SamplingState, String> {
-    let mut l = Lines::new(text);
-    l.header("sampling")?;
-    let rng = l.rng()?;
-    let spent = l.count("spent")?;
-    let events = l.count("events")?;
-    let best_runtime = l.hexf("best-runtime")?;
-    let best_steps = l.steps("best")?;
-    let trace = l.trace()?;
-    let n = l.count("pool")?;
-    let mut pool = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let line = l.next()?;
-        let rest =
-            line.strip_prefix("cand ").ok_or_else(|| l.err(&format!("expected cand, got {line:?}")))?;
-        let (r, c) = rest.split_once(' ').ok_or_else(|| l.err("cand needs two bit patterns"))?;
-        let runtime = f64_from_hex(r).ok_or_else(|| l.err("bad cand runtime"))?;
-        let cost = f64_from_hex(c).ok_or_else(|| l.err("bad cand cost"))?;
-        let steps = l.steps("csteps")?;
-        pool.push(Candidate { steps, runtime, cost });
-    }
-    l.end()?;
-    Ok(SamplingState { rng, pool, best_steps, best_runtime, spent, trace, events })
-}
-
-/// Serialize the completed chains of a parallel search (chain-granular
+/// Serialize the completed chains of a multi-chain search (chain-granular
 /// checkpointing: whole chains are the unit of resume).
 pub fn serialize_chains(done: &[SearchResult]) -> String {
     let mut out = format!("{HEADER} chains\n");
@@ -262,26 +98,24 @@ pub fn serialize_chains(done: &[SearchResult]) -> String {
     out
 }
 
-/// Restore completed parallel-search chains from [`serialize_chains`] text.
+/// Restore completed multi-chain results from [`serialize_chains`] text.
 pub fn parse_chains(text: &str) -> Result<Vec<SearchResult>, String> {
     let mut l = Lines::new(text);
-    l.header("chains")?;
-    let n = l.count("done")?;
-    let mut done = Vec::with_capacity(n as usize);
-    for _ in 0..n {
+    l.exact(&format!("{HEADER} chains"))?;
+    let done = l.list("done", |l| {
         let best_runtime = l.hexf("result")?;
-        let best_steps = l.steps("best")?;
-        let trace = l.trace()?;
-        done.push(SearchResult { best_steps, best_runtime, trace });
-    }
-    l.end()?;
+        let best_steps = parse_steps(l, "best")?;
+        let trace = parse_trace(l)?;
+        Ok(SearchResult { best_steps, best_runtime, trace })
+    })?;
+    l.exact("end")?;
     Ok(done)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{anneal_resume, sampling_resume, AnnealProgress, EdgesSpace};
+    use crate::{anneal_resume, AnnealProgress, EdgesSpace};
     use perfdojo_core::{Dojo, Target};
 
     fn dojo() -> Dojo {
@@ -307,23 +141,6 @@ mod tests {
         assert_eq!(back.trace, st.trace);
         // and re-serialization is byte-identical
         assert_eq!(serialize_anneal(&back), text);
-    }
-
-    #[test]
-    fn sampling_state_round_trips_exactly() {
-        let mut d = dojo();
-        let mut st = SamplingState::start(&d, 3);
-        sampling_resume(&mut d, 40, &mut st, None, Some(15));
-        let text = serialize_sampling(&st);
-        let back = parse_sampling(&text).unwrap();
-        assert_eq!(back.rng.state(), st.rng.state());
-        assert_eq!(back.pool.len(), st.pool.len());
-        for (a, b) in back.pool.iter().zip(&st.pool) {
-            assert_eq!(a.steps, b.steps);
-            assert_eq!(a.runtime.to_bits(), b.runtime.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        }
-        assert_eq!(serialize_sampling(&back), text);
     }
 
     #[test]

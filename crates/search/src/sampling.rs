@@ -5,10 +5,11 @@
 //! runtime of its parent in the search graph", which avoids spending budget
 //! on children of weakly performing candidates.
 //!
-//! Like annealing, the loop is factored into a serializable
+//! Like annealing, the loop is factored into a resumable
 //! [`SamplingState`] (RNG words, the candidate pool, best-so-far, spend)
 //! driven by [`sampling_resume`], so runs can emit trajectory events,
-//! pause, checkpoint and resume bit-identically.
+//! pause and resume bit-identically. It has no checkpoint text: no
+//! library build strategy runs random sampling.
 
 use crate::{SearchResult, TracePoint};
 use perfdojo_core::Dojo;

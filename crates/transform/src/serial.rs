@@ -8,10 +8,15 @@
 //! and this module provides the inverse: [`parse_action`],
 //! [`parse_transform`] and [`parse_loc`]. Round-tripping is pinned by tests
 //! over every transformation each target library ships.
+//!
+//! Checkpoints store action sequences as a `<key> <n>` line followed by
+//! `n` `step <action>` lines, written by [`push_steps`] and read back
+//! through the shared checkpoint cursor by [`parse_steps`].
 
 use crate::layout::BufDimLoc;
 use crate::{Action, Loc, Transform};
 use perfdojo_ir::{Location, Path, ScopeKind};
+use perfdojo_util::trace::Lines;
 
 /// Parse the `Display` form of a [`Transform`]. Returns `None` on unknown
 /// names or malformed parameters.
@@ -85,6 +90,23 @@ pub fn parse_action(s: &str) -> Option<Action> {
     Some(Action { transform: parse_transform(t)?, loc: parse_loc(l)? })
 }
 
+/// Append `<key> <n>` and one `step <action>` line per action.
+pub fn push_steps(out: &mut String, key: &str, steps: &[Action]) {
+    out.push_str(&format!("{key} {}\n", steps.len()));
+    for s in steps {
+        out.push_str(&format!("step {s}\n"));
+    }
+}
+
+/// Parse a [`push_steps`] list. The count never pre-allocates: a count
+/// larger than the text fails at the first missing `step` line.
+pub fn parse_steps(l: &mut Lines<'_>, key: &str) -> Result<Vec<Action>, String> {
+    l.list(key, |l| {
+        let rest = l.keyed("step")?;
+        parse_action(rest).ok_or_else(|| l.err(&format!("unparseable action {rest:?}")))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +168,28 @@ mod tests {
             let text = a.to_string();
             assert_eq!(parse_action(&text).as_ref(), Some(&a), "{text}");
         }
+    }
+
+    #[test]
+    fn step_lists_round_trip_and_reject_hostile_counts() {
+        let steps = vec![
+            Action {
+                transform: Transform::SplitScope { tile: 8 },
+                loc: Loc::Node(Path::from([0])),
+            },
+            Action { transform: Transform::Unroll, loc: Loc::Node(Path::from([0, 0])) },
+        ];
+        let mut text = String::new();
+        push_steps(&mut text, "best", &steps);
+        push_steps(&mut text, "none", &[]);
+        assert_eq!(text, "best 2\nstep split_scope(8) @ @0\nstep unroll @ @0.0\nnone 0\n");
+        let mut l = Lines::new(&text);
+        assert_eq!(parse_steps(&mut l, "best").unwrap(), steps);
+        assert_eq!(parse_steps(&mut l, "none").unwrap(), vec![]);
+        let hostile = text.replacen("best 2", "best 18446744073709551615", 1);
+        assert!(parse_steps(&mut Lines::new(&hostile), "best").is_err());
+        let garbled = text.replacen("unroll @", "unroll", 1);
+        assert!(parse_steps(&mut Lines::new(&garbled), "best").is_err());
     }
 
     #[test]

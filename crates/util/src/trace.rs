@@ -9,13 +9,19 @@
 //! produce byte-identical traces that CI can `cmp`.
 //!
 //! The module also hosts the small persistence vocabulary the checkpoint
-//! formats share: [`atomic_write`] (write `<path>.tmp`, fsync, rename) and
+//! formats share: [`atomic_write`] (write `<path>.tmp`, fsync, rename),
 //! the bit-exact float codecs ([`f64_to_hex`] / [`f64_from_hex`] and the
 //! `f32` twins) that keep serialized costs and weights exactly
-//! round-trippable.
+//! round-trippable, the `rng` and `f32`-vector line writers
+//! ([`push_rng`], [`push_f32s`]), and [`Lines`], the one cursor every
+//! checkpoint text is parsed through. A count read from disk never sizes
+//! an allocation: [`Lines::repeat`] pushes items one by one, so a count
+//! larger than the text fails at the first missing line.
 
+use crate::rng::Rng;
 use std::io::Write as _;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Render an `f64` as its 16-hex-digit bit pattern (bit-exact, locale-free).
 pub fn f64_to_hex(x: f64) -> String {
@@ -50,6 +56,167 @@ pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
+}
+
+/// Append the `rng <w0> <w1> <w2> <w3> <spare>` line: the four xoshiro
+/// state words in hex and the cached Box–Muller spare as its bit pattern
+/// (`-` when there is none), read back by [`Lines::rng`].
+pub fn push_rng(out: &mut String, rng: &Rng) {
+    let (s, spare) = rng.state();
+    out.push_str(&format!(
+        "rng {:016x} {:016x} {:016x} {:016x} {}\n",
+        s[0],
+        s[1],
+        s[2],
+        s[3],
+        spare.map_or_else(|| "-".to_string(), f64_to_hex)
+    ));
+}
+
+/// Append `key <hex> <hex> ...` with every `f32` as its exact bit pattern,
+/// read back by [`Lines::f32s`].
+pub fn push_f32s(out: &mut String, key: &str, v: &[f32]) {
+    out.push_str(key);
+    for x in v {
+        out.push(' ');
+        out.push_str(&f32_to_hex(*x));
+    }
+    out.push('\n');
+}
+
+/// A cursor over checkpoint text, one `<key> <fields>` line at a time.
+/// Every error names the line it hit.
+pub struct Lines<'a> {
+    it: std::str::Lines<'a>,
+    n: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// A cursor before the first line of `text`.
+    pub fn new(text: &'a str) -> Lines<'a> {
+        Lines { it: text.lines(), n: 0 }
+    }
+
+    /// Consume the next line.
+    fn line(&mut self) -> Result<&'a str, String> {
+        self.n += 1;
+        self.it.next().ok_or_else(|| format!("line {}: unexpected end of checkpoint", self.n))
+    }
+
+    /// An error message naming the last consumed line.
+    pub fn err(&self, msg: &str) -> String {
+        format!("line {}: {msg}", self.n)
+    }
+
+    /// Consume a line that must read exactly `want` (a header, `end`).
+    pub fn exact(&mut self, want: &str) -> Result<(), String> {
+        let line = self.line()?;
+        if line != want {
+            return Err(self.err(&format!("expected {want:?}, got {line:?}")));
+        }
+        Ok(())
+    }
+
+    /// Consume `key <rest>` (or a bare `key`) and return `rest`.
+    pub fn keyed(&mut self, key: &str) -> Result<&'a str, String> {
+        let line = self.line()?;
+        line.strip_prefix(key)
+            .and_then(|r| if r.is_empty() { Some(r) } else { r.strip_prefix(' ') })
+            .ok_or_else(|| self.err(&format!("expected `{key} ...`, got {line:?}")))
+    }
+
+    /// Consume `key <n>`.
+    pub fn count<T: FromStr + Copy + Default>(&mut self, key: &str) -> Result<T, String> {
+        let [n] = self.ints(key)?;
+        Ok(n)
+    }
+
+    /// Consume `key <n1> ... <nN>`: exactly `N` decimal integers.
+    pub fn ints<T: FromStr + Copy + Default, const N: usize>(
+        &mut self,
+        key: &str,
+    ) -> Result<[T; N], String> {
+        let rest = self.keyed(key)?;
+        let mut words = rest.split_whitespace();
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = words
+                .next()
+                .and_then(|w| w.parse().ok())
+                .ok_or_else(|| self.err(&format!("`{key}` needs {N} integers, got {rest:?}")))?;
+        }
+        if words.next().is_some() {
+            return Err(self.err(&format!("`{key}` needs {N} integers, got {rest:?}")));
+        }
+        Ok(out)
+    }
+
+    /// Consume `key <f64-hex>`.
+    pub fn hexf(&mut self, key: &str) -> Result<f64, String> {
+        let rest = self.keyed(key)?;
+        f64_from_hex(rest.trim())
+            .ok_or_else(|| self.err(&format!("bad f64 bits in `{key} {rest}`")))
+    }
+
+    /// Consume a [`push_f32s`] line holding exactly `n` values.
+    pub fn f32s(&mut self, key: &str, n: usize) -> Result<Vec<f32>, String> {
+        let rest = self.keyed(key)?;
+        let v: Option<Vec<f32>> = rest.split_whitespace().map(f32_from_hex).collect();
+        let v = v.ok_or_else(|| self.err(&format!("bad f32 bits in `{key}` line")))?;
+        if v.len() != n {
+            return Err(self.err(&format!("`{key}` expects {n} values, got {}", v.len())));
+        }
+        Ok(v)
+    }
+
+    /// Consume a [`push_rng`] line.
+    pub fn rng(&mut self) -> Result<Rng, String> {
+        let rest = self.keyed("rng")?;
+        let parts: Vec<&str> = rest.split_whitespace().collect();
+        if parts.len() != 5 {
+            return Err(self.err("rng needs 4 state words + spare"));
+        }
+        let mut s = [0u64; 4];
+        for (i, p) in parts[..4].iter().enumerate() {
+            s[i] = u64::from_str_radix(p, 16).map_err(|_| self.err("bad rng word"))?;
+        }
+        let spare = match parts[4] {
+            "-" => None,
+            h => Some(f64_from_hex(h).ok_or_else(|| self.err("bad rng spare"))?),
+        };
+        Ok(Rng::from_state(s, spare))
+    }
+
+    /// `a * b` for a dimension product read from disk, or an error when it
+    /// overflows.
+    pub fn product(&self, a: usize, b: usize) -> Result<usize, String> {
+        a.checked_mul(b).ok_or_else(|| self.err(&format!("dimension product {a} x {b} overflows")))
+    }
+
+    /// Parse `n` items, each consuming at least one line. Items are pushed
+    /// one by one, never pre-allocated: a count read from disk that is
+    /// larger than the text fails at the first missing line.
+    pub fn repeat<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Consume a `key <n>` line, then [`Lines::repeat`] `n` items.
+    pub fn list<T>(
+        &mut self,
+        key: &str,
+        item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.count(key)?;
+        self.repeat(n, item)
+    }
 }
 
 /// A line-oriented JSONL event sink with a monotonic step counter.
@@ -316,6 +483,45 @@ mod tests {
     }
 
     #[test]
+    fn cursor_reads_back_what_the_writers_wrote() {
+        let mut rng = Rng::seed_from_u64(3);
+        rng.normal(0.0, 1.0); // leaves a Box–Muller spare
+        let mut text = String::from("head v1\n");
+        push_rng(&mut text, &rng);
+        push_f32s(&mut text, "w", &[0.5, -1.25]);
+        push_f32s(&mut text, "b", &[]);
+        text.push_str("dims 3 4\nitems 2\nx 0000000000000000\nx 3ff0000000000000\nend\n");
+        let mut l = Lines::new(&text);
+        l.exact("head v1").unwrap();
+        assert_eq!(l.rng().unwrap().state(), rng.state());
+        assert_eq!(l.f32s("w", 2).unwrap(), vec![0.5, -1.25]);
+        assert_eq!(l.f32s("b", 0).unwrap(), Vec::<f32>::new());
+        let [a, b]: [usize; 2] = l.ints("dims").unwrap();
+        assert_eq!(l.product(a, b).unwrap(), 12);
+        assert_eq!(l.list("items", |l| l.hexf("x")).unwrap(), vec![0.0, 1.0]);
+        l.exact("end").unwrap();
+        assert!(l.line().is_err(), "past the last line");
+    }
+
+    #[test]
+    fn cursor_errors_name_the_line_and_never_trust_counts() {
+        // a count larger than the text fails at the first missing item
+        let mut l = Lines::new("items 18446744073709551615\nx 0000000000000000\n");
+        let err = l.list("items", |l| l.hexf("x")).unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+        // an overflowing dimension product is an error, not a panic
+        let l = Lines::new("");
+        assert!(l.product(usize::MAX, 2).is_err());
+        // a key is a whole word, and field counts are exact
+        assert!(Lines::new("best 2\n").keyed("b").is_err());
+        assert!(Lines::new("dims 3\n").ints::<usize, 2>("dims").is_err());
+        assert!(Lines::new("dims 3 4 5\n").ints::<usize, 2>("dims").is_err());
+        assert!(Lines::new("w 3f800000\n").f32s("w", 2).is_err());
+        assert!(Lines::new("rng 1 2 3 4\n").rng().is_err());
+        assert!(Lines::new("rng 1 2 3 zz -\n").rng().is_err());
+    }
+
+    #[test]
     fn atomic_write_and_save_round_trip() {
         let dir = std::env::temp_dir().join(format!("pd-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -325,6 +531,7 @@ mod tests {
         s.save(&path).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(back, s.to_text());
+        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
         let resumed = TraceSink::from_text(&back);
         assert_eq!(resumed.next_step(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
