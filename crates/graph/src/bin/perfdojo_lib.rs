@@ -105,9 +105,11 @@ usage:
                       --fault-seed injects a seeded random fault plan)
   perfdojo-lib fleet work   --dir <fleet-dir> --worker <id> [--step-limit N]
                      [--kill-after N]
-                     (one worker process: claim jobs, heartbeat, tune under
-                      the per-job checkpoint, emit hash-checked parts —
-                      launch any number of these against the same dir)
+                     (one worker process: claim jobs under an OS file lock,
+                      tune under the per-job checkpoint, emit hash-checked
+                      parts; a dead worker's claim, even after kill -9, is
+                      reclaimed by the next idle worker — launch any number
+                      of these against the same dir)
   perfdojo-lib fleet status --dir <fleet-dir>
   perfdojo-lib fleet merge  --dir <fleet-dir> --out <file>
                      (deterministic keep-best join of every valid part;

@@ -18,12 +18,11 @@
 //! - `jobs.list` — the full job universe, written once by
 //!   [`FleetDir::init`]; recovery compares live state against it.
 //! - `queue/<id>.job` — jobs nobody owns. A worker **claims** a job by
-//!   renaming it into `claims/` — `rename(2)` is atomic and its source
-//!   vanishes, so exactly one of any number of racing workers wins.
-//! - `claims/<id>.claim` — jobs being worked on. The file carries a
-//!   [`perfdojo_util::claim::Claim`] header (worker id + heartbeat
-//!   counter) above the job body; the owner bumps the beat atomically
-//!   after every checkpoint slice.
+//!   locking the file ([`perfdojo_util::claim::try_lock`]) and renaming
+//!   it into `claims/` — `rename(2)` is atomic and its source vanishes,
+//!   so exactly one of any number of racing workers wins.
+//! - `claims/<id>.claim` — jobs being worked on: the job file, moved
+//!   verbatim, still locked by its owner.
 //! - `parts/<id>.part` — one completed job's partial library, wrapped in
 //!   a hash-checked [`render_part`] envelope so a torn (non-atomic)
 //!   write is detected and the job re-runs instead of silently losing or
@@ -36,17 +35,23 @@
 //! - `warm.pdl` — optional: the donor library every job warm-starts from,
 //!   frozen once by [`FleetDir::set_warm_from`].
 //!
-//! # Liveness without clocks
+//! # Liveness from the OS
 //!
-//! A claim is *stale* when its file content (beat included) stays
-//! byte-identical across [`WorkerConfig::reclaim_after`] consecutive
-//! scans by one observer. Reclamation renames the claim file back into
-//! `queue/`, so concurrent reclaimers resolve to exactly one winner — no
-//! double-tune, no orphan. Even when a job *does* run twice (a worker
-//! that lost its claim keeps going — it cannot tell), the part file it
-//! writes is byte-identical, because every job's outcome is a pure
-//! function of the job identity and seed. Duplicated work can waste
-//! time; it can never change the merged library.
+//! A claim is *live* exactly while its owner holds the OS lock it took
+//! on the job file before moving it ([`FleetDir::try_claim`]); the owner
+//! keeps the file open until the part is written and the claim removed.
+//! The lock dies with the owner's process, so the next idle scan moves a
+//! dead worker's claim back into `queue/` ([`FleetDir::try_reclaim`]) —
+//! exactly once, however many workers race for it — while a live claim
+//! is never reclaimed, however slow its owner. A worker that is alive
+//! but hung keeps its claim until it is killed, and the fleet directory
+//! needs working `flock` locks (see [`perfdojo_util::claim`]).
+//!
+//! Even when a job *does* run twice (a dropped or duplicated claim file,
+//! see [`FaultKind`]), the part file it writes is byte-identical, because
+//! every job's outcome is a pure function of the job identity and seed.
+//! Duplicated work can waste time; it can never change the merged
+//! library.
 //!
 //! # Deterministic merge
 //!
@@ -73,11 +78,20 @@ use crate::format::{self, ScheduleRecord};
 use crate::library::Library;
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
-use perfdojo_util::claim::{try_move, Claim};
+use perfdojo_util::claim::{try_lock, try_move};
 use perfdojo_util::trace::{atomic_write, TraceSink};
 use std::collections::BTreeMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+/// How long a worker with nothing to claim waits between idle scans.
+const SCAN_WAIT: Duration = Duration::from_millis(25);
+
+/// Consecutive idle scans that must see a manifest job nowhere (no part,
+/// no queue file, no claim) before it is requeued as lost.
+const LOST_SCANS: u64 = 8;
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -136,9 +150,7 @@ impl FleetJob {
         )
     }
 
-    /// Parse a job file. Tolerates a `perfdojo-claim` header line above
-    /// the body (a reclaimed claim file is moved back into the queue
-    /// verbatim) and ignores unknown lines.
+    /// Parse a job file, ignoring unknown lines.
     pub fn parse(text: &str) -> Result<FleetJob, String> {
         let mut label = None;
         let mut dims = None;
@@ -147,9 +159,6 @@ impl FleetJob {
         let mut seed = None;
         let mut seen_header = false;
         for line in text.lines() {
-            if line.starts_with("perfdojo-claim ") {
-                continue;
-            }
             if line == "perfdojo-fleet-job v1" {
                 seen_header = true;
                 continue;
@@ -334,7 +343,8 @@ impl FaultSite {
 /// What happens when a fault triggers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker dies on the spot: no cleanup, claim left frozen.
+    /// The worker dies on the spot: no cleanup, its claim left behind
+    /// with the lock released.
     Kill,
     /// The worker's claim file is deleted out from under it; the worker
     /// keeps running (it cannot tell).
@@ -583,50 +593,33 @@ impl FleetDir {
         out
     }
 
-    /// Atomically claim the queued job `id` for `worker`: move it into
-    /// `claims/` (exactly one racing claimant wins) and stamp the claim
-    /// header. Returns the parsed job on success.
-    pub fn try_claim(&self, id: &str, worker: &str) -> Result<Option<FleetJob>, String> {
-        let claim_path = self.claim_path(id);
-        match try_move(&self.queue_path(id), &claim_path) {
-            Ok(true) => {}
-            Ok(false) => return Ok(None),
-            Err(e) => return Err(format!("claim {id}: {e}")),
-        }
-        let body = match std::fs::read_to_string(&claim_path) {
-            Ok(b) => b,
-            // a racing reclaimer judged the (not-yet-stamped) claim stale
-            // and snatched it back before we could read it: a lost race,
-            // not an error
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("claim {id}: {e}")),
+    /// Claim the queued job `id`: lock its queue file without blocking,
+    /// then move it into `claims/` (the lock follows the file, and exactly
+    /// one racing claimant wins). Returns the job and the locked file; the
+    /// claim is live for exactly as long as that file stays open. `None`
+    /// when the job is gone or another claimant holds it.
+    pub fn try_claim(&self, id: &str) -> Result<Option<(FleetJob, File)>, String> {
+        let io_err = |e: io::Error| format!("claim {id}: {e}");
+        let Some(mut lock) = try_lock(&self.queue_path(id)).map_err(io_err)? else {
+            return Ok(None);
         };
+        let mut body = String::new();
+        lock.read_to_string(&mut body).map_err(io_err)?;
         let job = FleetJob::parse(&body)?;
-        // normalize the body (a reclaimed file still carries the old
-        // claim header) and stamp ownership
-        atomic_write(&claim_path, &Claim::new(worker, &job.render()).render())
-            .map_err(|e| format!("claim {id}: {e}"))?;
-        Ok(Some(job))
-    }
-
-    /// Bump the heartbeat on `worker`'s claim of `id`. A missing or
-    /// foreign claim is left alone (the job was reclaimed or duplicated —
-    /// the worker keeps going; its output is idempotent either way).
-    pub fn heartbeat(&self, id: &str, worker: &str) -> io::Result<()> {
-        let path = self.claim_path(id);
-        let Ok(text) = std::fs::read_to_string(&path) else { return Ok(()) };
-        let Some(mut claim) = Claim::parse(&text) else { return Ok(()) };
-        if claim.worker != worker {
-            return Ok(());
+        if !try_move(&self.queue_path(id), &self.claim_path(id)).map_err(io_err)? {
+            return Ok(None);
         }
-        claim.beat += 1;
-        atomic_write(&path, &claim.render())
+        Ok(Some((job, lock)))
     }
 
-    /// Move a stale claim back into the queue. Returns `true` for the
-    /// (exactly one) caller whose rename performed the transfer.
+    /// Move a dead claim back into the queue. A claim is dead once nobody
+    /// holds its lock, so a live claim is never moved. Returns `true` for
+    /// the (exactly one) caller whose rename performed the transfer.
     pub fn try_reclaim(&self, id: &str) -> io::Result<bool> {
-        try_move(&self.claim_path(id), &self.queue_path(id))
+        match try_lock(&self.claim_path(id))? {
+            Some(_lock) => try_move(&self.claim_path(id), &self.queue_path(id)),
+            None => Ok(false),
+        }
     }
 
     /// Read and integrity-check the part file for `id`.
@@ -710,40 +703,29 @@ pub struct MergeOutcome {
 /// Per-worker configuration.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
-    /// Worker id (claim-file ownership tag).
+    /// Worker id (names its log file and its fault-plan entries).
     pub worker: String,
-    /// Tuning steps per checkpoint slice — the heartbeat cadence and the
-    /// kill granularity (a killed worker loses at most one slice of
-    /// unpersisted search progress... which the resume then re-runs
-    /// bit-identically).
+    /// Tuning steps per checkpoint slice — the kill granularity (a killed
+    /// worker loses at most one slice of unpersisted search progress...
+    /// which the resume then re-runs bit-identically).
     pub slice_steps: u64,
     /// Total tuning steps before a *clean pause*: the claim is released
     /// back to the queue and the worker exits [`WorkerExit::Paused`].
     pub step_limit: Option<u64>,
     /// Total tuning steps before a *simulated crash*: the worker exits
-    /// [`WorkerExit::Killed`] leaving its claim frozen, exactly like a
-    /// `kill -9`.
+    /// [`WorkerExit::Killed`] leaving its claim behind, unlocked, exactly
+    /// like a `kill -9`.
     pub kill_after: Option<u64>,
-    /// Consecutive unchanged-content scans after which a claim is stale.
-    pub reclaim_after: u64,
-    /// Milliseconds to sleep between idle scans.
-    pub scan_wait_ms: u64,
 }
 
 impl WorkerConfig {
-    /// A worker named `worker` with defaults: 8-step slices, no limits,
-    /// claims stale after 8 frozen scans 25ms apart (a ~200ms deadline —
-    /// comfortably longer than a tuning slice, so live workers are not
-    /// reclaimed out from under themselves; even when they are, the
-    /// protocol converges, it just wastes a re-run).
+    /// A worker named `worker` with defaults: 8-step slices, no limits.
     pub fn new(worker: &str) -> WorkerConfig {
         WorkerConfig {
             worker: worker.to_string(),
             slice_steps: 8,
             step_limit: None,
             kill_after: None,
-            reclaim_after: 8,
-            scan_wait_ms: 25,
         }
     }
 }
@@ -766,7 +748,7 @@ pub struct WorkerReport {
     pub exit: WorkerExit,
     /// Ids of jobs this worker completed (part written).
     pub jobs_done: Vec<String>,
-    /// Stale claims this worker moved back to the queue.
+    /// Dead claims this worker moved back to the queue.
     pub reclaimed: usize,
     /// Manifest jobs this worker resurrected from nowhere (dropped
     /// claims).
@@ -801,9 +783,7 @@ pub fn run_worker(
         steps: 0,
     };
     let mut sink = TraceSink::new();
-    // claim-id -> (last content, consecutive unchanged scans); and
     // manifest-id -> consecutive scans seen nowhere
-    let mut frozen: BTreeMap<String, (String, u64)> = BTreeMap::new();
     let mut absent: BTreeMap<String, u64> = BTreeMap::new();
     let manifest = fleet.manifest();
     if manifest.is_empty() {
@@ -812,7 +792,7 @@ pub fn run_worker(
 
     let exit = 'outer: loop {
         // -- claim phase: first queued job wins
-        let mut claimed: Option<(String, FleetJob)> = None;
+        let mut claimed: Option<(String, (FleetJob, File))> = None;
         for id in fleet.queued_ids() {
             if cursor.check(plan, &cfg.worker, FaultSite::PreClaim) == Some(FaultKind::Kill) {
                 break 'outer WorkerExit::Killed;
@@ -823,15 +803,15 @@ pub fn run_worker(
                 let _ = std::fs::remove_file(fleet.queue_path(&id));
                 continue;
             }
-            if let Some(job) = fleet.try_claim(&id, &cfg.worker)? {
-                claimed = Some((id, job));
+            if let Some(claim) = fleet.try_claim(&id)? {
+                claimed = Some((id, claim));
                 break;
             }
         }
 
-        if let Some((id, job)) = claimed {
+        if let Some((id, claim)) = claimed {
             sink.event("claim").str("job", &id).str("worker", &cfg.worker).emit();
-            match run_job(fleet, cfg, plan, &mut cursor, &id, &job, &mut report)? {
+            match run_job(fleet, cfg, plan, &mut cursor, &id, claim, &mut report)? {
                 JobRun::Completed => {
                     sink.event("done").str("job", &id).emit();
                     report.jobs_done.push(id);
@@ -848,11 +828,11 @@ pub fn run_worker(
         }
 
         // -- idle phase: nothing claimable. Recover, then wait or finish.
-        let outstanding = scan_recover(fleet, cfg, &mut frozen, &mut absent, &mut report, &mut sink)?;
+        let outstanding = scan_recover(fleet, &mut absent, &mut report, &mut sink)?;
         if outstanding == 0 {
             break WorkerExit::Drained;
         }
-        std::thread::sleep(std::time::Duration::from_millis(cfg.scan_wait_ms));
+        std::thread::sleep(SCAN_WAIT);
     };
 
     report.exit = exit;
@@ -864,12 +844,10 @@ pub fn run_worker(
 }
 
 /// One pass over claims + parts + manifest: finish straggler claims whose
-/// part exists, discard torn parts, reclaim frozen claims, resurrect lost
+/// part exists, discard torn parts, reclaim dead claims, resurrect lost
 /// jobs. Returns how many manifest jobs still lack a valid part.
 fn scan_recover(
     fleet: &FleetDir,
-    cfg: &WorkerConfig,
-    frozen: &mut BTreeMap<String, (String, u64)>,
     absent: &mut BTreeMap<String, u64>,
     report: &mut WorkerReport,
     sink: &mut TraceSink,
@@ -894,33 +872,19 @@ fn scan_recover(
             }
         }
     }
-    // claims: done-but-unreleased ones are cleaned up; frozen ones are
-    // reclaimed after the deadline
-    let live_claims = fleet.claimed_ids();
-    frozen.retain(|id, _| live_claims.contains(id));
-    for id in live_claims {
+    // claims: done-but-unreleased ones are cleaned up; dead ones (nobody
+    // holds the lock) go back to the queue
+    for id in fleet.claimed_ids() {
         if fleet.part(&id).is_some() {
             fleet.remove_claim(&id).map_err(|e| io_err(&id, e))?;
-            continue;
-        }
-        let Ok(content) = std::fs::read_to_string(fleet.claim_path(&id)) else { continue };
-        let entry = frozen.entry(id.clone()).or_insert_with(|| (content.clone(), 0));
-        if entry.0 == content {
-            entry.1 += 1;
-        } else {
-            *entry = (content, 1);
-        }
-        if entry.1 >= cfg.reclaim_after {
-            frozen.remove(&id);
-            if fleet.try_reclaim(&id).map_err(|e| io_err(&id, e))? {
-                report.reclaimed += 1;
-                sink.event("reclaim").str("job", &id).emit();
-            }
+        } else if fleet.try_reclaim(&id).map_err(|e| io_err(&id, e))? {
+            report.reclaimed += 1;
+            sink.event("reclaim").str("job", &id).emit();
         }
     }
     // lost jobs: in the manifest but visible nowhere (a dropped claim);
-    // resurrect after the same deadline. The rename protocol itself has
-    // no all-absent window, so absence really means loss.
+    // resurrect once LOST_SCANS scans in a row agree. The rename protocol
+    // itself has no all-absent window, so absence really means loss.
     let mut outstanding = 0;
     for job in fleet.manifest() {
         let id = job.id();
@@ -935,7 +899,7 @@ fn scan_recover(
         }
         let n = absent.entry(id.clone()).or_insert(0);
         *n += 1;
-        if *n >= cfg.reclaim_after {
+        if *n >= LOST_SCANS {
             absent.remove(&id);
             atomic_write(&fleet.queue_path(&id), &job.render()).map_err(|e| io_err(&id, e))?;
             report.requeued_lost += 1;
@@ -945,16 +909,17 @@ fn scan_recover(
     Ok(outstanding)
 }
 
-/// Run one claimed job to completion in checkpoint slices, heartbeating
-/// between slices and consulting the fault plan at every vulnerable
-/// point.
+/// Run one claimed job to completion in checkpoint slices, consulting the
+/// fault plan at every vulnerable point. `_lock` keeps the claim live: it
+/// is held until the part is written and the claim removed, and every
+/// early return drops it, leaving the claim for the next idle scan.
 fn run_job(
     fleet: &FleetDir,
     cfg: &WorkerConfig,
     plan: &FaultPlan,
     cursor: &mut FaultCursor,
     id: &str,
-    job: &FleetJob,
+    (job, _lock): (FleetJob, File),
     report: &mut WorkerReport,
 ) -> Result<JobRun, String> {
     let target = target_by_name(&job.target).ok_or_else(|| format!("unknown target {:?}", job.target))?;
@@ -991,7 +956,6 @@ fn run_job(
                 return Ok(JobRun::Killed);
             }
         }
-        fleet.heartbeat(id, &cfg.worker).map_err(io_err)?;
         match cursor.check(plan, &cfg.worker, FaultSite::MidJob) {
             Some(FaultKind::Kill) => return Ok(JobRun::Killed),
             Some(FaultKind::DropClaim) => {
@@ -1008,8 +972,10 @@ fn run_job(
         if let Some(limit) = cfg.step_limit {
             if report.steps >= limit {
                 // clean pause: hand the job back so a sibling (or the
-                // resumed process) continues from the checkpoint
-                fleet.try_reclaim(id).map_err(io_err)?;
+                // resumed process) continues from the checkpoint; the lock
+                // is held until the move is done, so no idle worker
+                // counts the job as reclaimed
+                try_move(&fleet.claim_path(id), &fleet.queue_path(id)).map_err(io_err)?;
                 return Ok(JobRun::Paused);
             }
         }
@@ -1106,12 +1072,13 @@ mod tests {
     }
 
     #[test]
-    fn job_file_round_trips_even_with_claim_header() {
+    fn job_file_round_trips_and_skips_unknown_lines() {
         let job = jobs(&["layernorm 1"], Strategy::Anneal { budget: 17 }, 9).remove(0);
         assert_eq!(FleetJob::parse(&job.render()).unwrap(), job);
-        // a reclaimed claim file carries a claim header above the body
-        let reclaimed = Claim::new("w3", &job.render()).render();
-        assert_eq!(FleetJob::parse(&reclaimed).unwrap(), job);
+        // a line the parser does not know (such as the owner header older
+        // fleets stamped above a claimed body) is skipped
+        let stamped = format!("owner w3 beat 0\n{}", job.render());
+        assert_eq!(FleetJob::parse(&stamped).unwrap(), job);
         // the id is filesystem-safe despite the space in the label
         assert!(job.id().chars().all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)));
         assert!(FleetJob::parse("label x\n").is_err(), "headerless text must not parse");
@@ -1150,20 +1117,22 @@ mod tests {
         let js = jobs(&["softmax"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
         let id = js[0].id();
-        assert!(fleet.try_claim(&id, "w0").unwrap().is_some());
-        assert!(fleet.try_claim(&id, "w1").unwrap().is_none(), "double claim");
-        // heartbeats bump the beat for the owner only
-        fleet.heartbeat(&id, "w1").unwrap();
-        fleet.heartbeat(&id, "w0").unwrap();
-        let claim =
-            Claim::parse(&std::fs::read_to_string(fleet.claim_path(&id)).unwrap()).unwrap();
-        assert_eq!((claim.worker.as_str(), claim.beat), ("w0", 1));
-        // reclaim puts it back; the second reclaimer loses
+        let (job, held) = fleet.try_claim(&id).unwrap().expect("queued job claimable");
+        assert_eq!(job, js[0]);
+        assert!(fleet.try_claim(&id).unwrap().is_none(), "double claim");
+        // the claim is the job file moved verbatim, and while its holder
+        // lives it refuses every reclaim
+        assert_eq!(std::fs::read_to_string(fleet.claim_path(&id)).unwrap(), js[0].render());
+        assert!(!fleet.try_reclaim(&id).unwrap(), "live claim reclaimed");
+        assert_eq!(fleet.claimed_ids(), vec![id.clone()]);
+        // once the holder drops it, reclaim puts it back; the second
+        // reclaimer loses
+        drop(held);
         assert!(fleet.try_reclaim(&id).unwrap());
         assert!(!fleet.try_reclaim(&id).unwrap());
         assert_eq!(fleet.queued_ids(), vec![id.clone()]);
-        // and the re-queued file (with its stale claim header) re-claims
-        let job = fleet.try_claim(&id, "w1").unwrap().expect("reclaimed job claimable");
+        // and the re-queued file re-claims
+        let (job, _held) = fleet.try_claim(&id).unwrap().expect("reclaimed job claimable");
         assert_eq!(job, js[0]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1313,7 +1282,7 @@ mod tests {
             FleetStatus { total: 2, queued: 2, ..FleetStatus::default() }
         );
         let id = js[0].id();
-        fleet.try_claim(&id, "w0").unwrap().unwrap();
+        fleet.try_claim(&id).unwrap().unwrap();
         assert_eq!(fleet.status().claimed, 1);
         // init is idempotent on a live fleet: nothing re-queued
         assert_eq!(fleet.init(&js).unwrap(), 0);

@@ -27,8 +27,9 @@
 //!   tune-miss / fleet searches.
 //! - [`fleet`] — the distributed, preemptible tuning fleet: a
 //!   filesystem-coordinated work queue claimed via atomic renames, with
-//!   heartbeat claims, stale-claim reclamation, deterministic lattice-join
-//!   merging, and a seeded fault-injection plan for replayable crash tests.
+//!   claim liveness from OS file locks, dead-claim reclamation,
+//!   deterministic lattice-join merging, and a seeded fault-injection plan
+//!   for replayable crash tests.
 //! - [`admission`] — the serving tier's bounded query queue and
 //!   deduplicating tune-miss queue.
 //! - [`serve::Server`] — the concurrent schedule-serving daemon core:

@@ -2,14 +2,16 @@
 //! through the seeded `FaultPlan` harness, must leave a fleet that
 //! resumes to a merged library byte-identical to the uninterrupted run —
 //! the PR-5 `cmp` methodology lifted to the multi-worker protocol. Plus
-//! the stale-claim reclamation guarantee: a dead worker's job is
-//! reclaimed exactly once under concurrent reclaimers.
+//! the liveness guarantees of the claim lock: a dead worker's job is
+//! reclaimed exactly once under concurrent reclaimers, and a live owner's
+//! job is never reclaimed, however long it takes.
 
 use perfdojo_library::{
     run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, Strategy,
     WorkerConfig, WorkerExit,
 };
 use std::path::PathBuf;
+use std::time::Duration;
 
 const STRATEGY: Strategy = Strategy::Anneal { budget: 12 };
 const SEED: u64 = 5;
@@ -99,8 +101,8 @@ fn seeded_fault_plans_converge_byte_identical() {
     }
 }
 
-/// A worker killed mid-job leaves a frozen claim; racing reclaimers must
-/// transfer it back to the queue exactly once — the rename-level
+/// A worker killed mid-job leaves its claim unlocked; racing reclaimers
+/// must transfer it back to the queue exactly once — the rename-level
 /// guarantee, checked with 8 concurrent reclaimers.
 #[test]
 fn concurrent_reclaimers_reclaim_exactly_once() {
@@ -109,7 +111,8 @@ fn concurrent_reclaimers_reclaim_exactly_once() {
     let js = jobs();
     fleet.init(&js).unwrap();
     let id = js[0].id();
-    fleet.try_claim(&id, "dead-worker").unwrap().unwrap();
+    // the claimant dies at once: its lock drops with the returned file
+    fleet.try_claim(&id).unwrap().unwrap();
 
     let wins: Vec<bool> = std::thread::scope(|s| {
         let handles: Vec<_> =
@@ -118,15 +121,15 @@ fn concurrent_reclaimers_reclaim_exactly_once() {
     });
     assert_eq!(wins.iter().filter(|w| **w).count(), 1, "reclaim wins: {wins:?}");
     // no orphan: the job is back in the queue, claimable, and intact
-    let job = fleet.try_claim(&id, "w1").unwrap().expect("reclaimed job must be claimable");
+    let (job, _held) = fleet.try_claim(&id).unwrap().expect("reclaimed job must be claimable");
     assert_eq!(job, js[0]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The full-protocol version: a worker claims a job and dies without a
-/// heartbeat; a surviving multi-worker fleet must detect the frozen
-/// claim, reclaim it exactly once across all scanners, re-run the job
-/// once, and drain to the baseline bytes.
+/// The full-protocol version: a worker claims a job and dies; a surviving
+/// multi-worker fleet must find the unlocked claim, reclaim it exactly
+/// once across all scanners, re-run the job once, and drain to the
+/// baseline bytes.
 #[test]
 fn dead_workers_job_is_reclaimed_once_and_retuned() {
     let baseline = drain_under("dead-baseline", 2, &FaultPlan::none());
@@ -134,10 +137,10 @@ fn dead_workers_job_is_reclaimed_once_and_retuned() {
     let fleet = FleetDir::open(&dir).unwrap();
     let js = jobs();
     fleet.init(&js).unwrap();
-    // the dead worker claimed a job and was kill -9'd before its first
-    // heartbeat
+    // the dead worker claimed a job and was kill -9'd: its lock drops with
+    // the returned file
     let id = js[0].id();
-    fleet.try_claim(&id, "dead-worker").unwrap().unwrap();
+    fleet.try_claim(&id).unwrap().unwrap();
 
     let report = run_fleet(&fleet, 3, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
     assert!(report.drained);
@@ -149,9 +152,49 @@ fn dead_workers_job_is_reclaimed_once_and_retuned() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Liveness is the claim's lock, not a deadline: the test thread claims
+/// one of the four jobs and sits on it while a 2-worker fleet drains the
+/// other three and then scans idle for over 500 ms (more than 20 scans,
+/// twice any slice-sized deadline). The held job must stay claimed and
+/// unstarted. Once the test drops it, the fleet must reclaim it exactly
+/// once and drain to the baseline bytes.
+#[test]
+fn slow_live_owner_is_never_reclaimed() {
+    let baseline = drain_under("slow-baseline", 2, &FaultPlan::none());
+    let dir = scratch("slow-owner");
+    let fleet = FleetDir::open(&dir).unwrap();
+    let js = jobs();
+    fleet.init(&js).unwrap();
+    let id = js[0].id();
+    let held = fleet.try_claim(&id).unwrap().unwrap();
+
+    let report = std::thread::scope(|s| {
+        let run = s.spawn(|| run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()));
+        while fleet.status().done < js.len() - 1 {
+            assert!(!run.is_finished(), "fleet stopped before draining the other jobs");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // only the held job is left: the workers can do nothing but scan
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(fleet.claimed_ids(), vec![id.clone()], "held claim moved");
+        assert!(fleet.queued_ids().is_empty(), "held job requeued");
+        assert!(!fleet.ckpt_path(&id).exists(), "a worker started the held job");
+        assert!(fleet.part(&id).is_none());
+        drop(held);
+        run.join().unwrap().unwrap()
+    });
+    assert!(report.drained);
+    let reclaims: usize = report.workers.iter().map(|w| w.reclaimed).sum();
+    assert_eq!(reclaims, 1, "released claim reclaimed {reclaims} times, want exactly 1");
+    let merged = fleet.merge();
+    assert!(merged.unfinished.is_empty());
+    assert_eq!(merged.library.to_text(), baseline, "reclaimed re-tune changed the bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Clean pause vs simulated crash: `step_limit` releases the claim
-/// (Paused), `kill_after` freezes it (Killed) — and both resume to the
-/// baseline bytes through a fresh worker.
+/// (Paused), `kill_after` leaves it behind unlocked (Killed) — and both
+/// resume to the baseline bytes through a fresh worker.
 #[test]
 fn pause_and_kill_resume_paths_are_byte_identical() {
     let baseline = drain_under("pk-baseline", 2, &FaultPlan::none());
@@ -173,7 +216,7 @@ fn pause_and_kill_resume_paths_are_byte_identical() {
             assert_eq!(status.claimed, 0, "pause must release the claim");
         } else {
             assert_eq!(report.exit, WorkerExit::Killed);
-            assert_eq!(status.claimed, 1, "kill must freeze the claim");
+            assert_eq!(status.claimed, 1, "kill must leave the claim behind");
         }
         let resumed = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
         assert_eq!(resumed.exit, WorkerExit::Drained);

@@ -7,7 +7,6 @@
 use perfdojo_core::Target;
 use perfdojo_library::fleet::{beats, join, join_libraries, parse_part, render_part, FleetJob};
 use perfdojo_library::{Library, LibraryBuilder, ScheduleRecord, Strategy};
-use perfdojo_util::claim::Claim;
 use perfdojo_util::proptest_lite::prelude::*;
 use perfdojo_util::rng::Rng;
 use std::sync::OnceLock;
@@ -134,9 +133,11 @@ proptest! {
         }
     }
 
-    /// Job files round-trip through render/parse, through the claim-header
-    /// wrap a reclaimed file carries, and through a double wrap (claimed,
-    /// reclaimed, re-claimed) — the full lifecycle a job file can live.
+    /// Job files round-trip through render/parse, and through one and two
+    /// lines the parser does not know above the body (the owner headers
+    /// older fleets stamped on claimed, reclaimed and re-claimed files).
+    /// A claim is the job file moved verbatim, so that is the full
+    /// lifecycle a job file can live.
     #[test]
     fn job_files_survive_the_claim_lifecycle(
         k in 0usize..16,
@@ -156,9 +157,9 @@ proptest! {
         };
         let job = FleetJob { label: inst.label.clone(), dims, target: "x86".into(), strategy, seed };
         prop_assert_eq!(&FleetJob::parse(&job.render()).unwrap(), &job);
-        let wrapped = Claim::new(&format!("w{}", seed % 8), &job.render()).render();
+        let wrapped = format!("owner w{} beat 0\n{}", seed % 8, job.render());
         prop_assert_eq!(&FleetJob::parse(&wrapped).unwrap(), &job);
-        let rewrapped = Claim::new("w9", &wrapped).render();
+        let rewrapped = format!("owner w9 beat 0\n{wrapped}");
         prop_assert_eq!(&FleetJob::parse(&rewrapped).unwrap(), &job);
         // the job reconstructs its kernel
         prop_assert!(job.kernel().is_ok());

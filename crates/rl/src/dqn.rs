@@ -83,15 +83,10 @@ pub struct DqnAgent {
 impl DqnAgent {
     /// Create an agent.
     pub fn new(cfg: DqnConfig, seed: u64) -> Self {
-        let mut dims = vec![cfg.state_dim * 2];
-        dims.extend(&cfg.hidden);
-        dims.push(1);
+        let (dims, vdims) = net_dims(&cfg);
         let online = Mlp::new(&dims, seed);
         let mut target = Mlp::new(&dims, seed.wrapping_add(1));
         target.copy_params_from(&online);
-        let mut vdims = vec![cfg.state_dim];
-        vdims.extend(&cfg.hidden);
-        vdims.push(1);
         let value_online = Mlp::new(&vdims, seed.wrapping_add(2));
         let mut value_target = Mlp::new(&vdims, seed.wrapping_add(3));
         value_target.copy_params_from(&value_online);
@@ -308,12 +303,24 @@ impl DqnAgent {
             eps_end: flt(f[10])?,
             eps_decay_steps: int32(f[11])?,
         };
+        if cfg.target_sync == 0 {
+            return Err(l.err("dqn target_sync must be at least 1"));
+        }
         let [steps, train_steps] = l.ints("steps")?;
         let rng = l.rng()?;
         let online = Mlp::parse_text(l)?;
         let target = Mlp::parse_text(l)?;
         let value_online = Mlp::parse_text(l)?;
         let value_target = Mlp::parse_text(l)?;
+        // the networks must have exactly the shapes `new` builds: layers
+        // that do not chain, or do not fit the state width, index out of
+        // bounds on the next training step
+        let (dims, vdims) = net_dims(&cfg);
+        if ![&online, &target].iter().all(|net| net.has_dims(&dims))
+            || ![&value_online, &value_target].iter().all(|net| net.has_dims(&vdims))
+        {
+            return Err(l.err(&format!("dqn networks need widths {dims:?} and {vdims:?}")));
+        }
         let [capacity, write, len] = l.ints("replay")?;
         let data = l.repeat(len, |l| {
             let rest = l.keyed("trans")?;
@@ -340,6 +347,15 @@ impl DqnAgent {
             cfg,
         })
     }
+}
+
+/// Layer widths of the Q trunk (input: state and action embeddings) and
+/// of the state-value head. The doubling saturates, so a hostile width
+/// read from disk fails the shape check instead of overflowing.
+fn net_dims(cfg: &DqnConfig) -> (Vec<usize>, Vec<usize>) {
+    let widths =
+        |input: usize| [input].into_iter().chain(cfg.hidden.iter().copied()).chain([1]).collect();
+    (widths(cfg.state_dim.saturating_mul(2)), widths(cfg.state_dim))
 }
 
 fn argmax(v: &[f32]) -> usize {

@@ -111,6 +111,13 @@ impl Mlp {
         self.layers[0].nin
     }
 
+    /// True when the layers chain through exactly the widths `dims` — the
+    /// shape [`Mlp::new`] builds from them.
+    pub fn has_dims(&self, dims: &[usize]) -> bool {
+        self.layers.len() + 1 == dims.len()
+            && self.layers.iter().zip(dims.windows(2)).all(|(l, w)| (l.nin, l.nout) == (w[0], w[1]))
+    }
+
     /// Forward pass.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut cur = x.to_vec();

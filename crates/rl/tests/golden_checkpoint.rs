@@ -83,3 +83,31 @@ fn zero_capacity_replay_is_an_error() {
     let text = format!("{}replay 0 0 0\nend\n", &PERFLLM[..at]);
     assert!(parse_train(&text).is_err());
 }
+
+// A restored agent must be able to take its next training step: a zero
+// target-sync period divides by zero, and a network whose layers do not
+// chain indexes out of bounds in the backward pass.
+
+#[test]
+fn zero_target_sync_is_an_error() {
+    let header = "dqn 2 3f733333 1 1 1 4 2 3a83126f 64 3f800000 3dcccccd 10\n";
+    let text = hostile(header, &header.replace(" 64 ", " 0 "));
+    assert!(parse_train(&text).is_err());
+}
+
+#[test]
+fn unchained_network_layers_are_an_error() {
+    // widen the online net's output layer from 3 inputs to 5, vectors and
+    // all, so every count and length still agrees and only the shape check
+    // can catch it
+    let at = PERFLLM.find("layer 3 1\n").expect("golden output layer");
+    let mut lines: Vec<String> = PERFLLM[at..].lines().map(str::to_string).collect();
+    lines[0] = "layer 5 1".to_string();
+    for line in &mut lines[1..7] {
+        if ["w ", "mw ", "vw "].iter().any(|key| line.starts_with(key)) {
+            line.push_str(" 00000000 00000000");
+        }
+    }
+    let text = format!("{}{}\n", &PERFLLM[..at], lines.join("\n"));
+    assert!(parse_train(&text).is_err());
+}

@@ -8,7 +8,7 @@
 //! "inspired by the expert hand-tuning process".
 
 use perfdojo_core::Dojo;
-use perfdojo_transform::{Action, Loc, Transform};
+use perfdojo_transform::{Action, Transform};
 use perfdojo_util::rng::{IndexedRandom, Rng};
 
 /// How to restore a candidate sequence after an in-place [`SearchSpace::propose`].
@@ -253,26 +253,6 @@ fn suggest(dojo: &Dojo) -> Vec<Action> {
         )
     };
     dojo.actions().into_iter().filter(|a| preferred(&a.transform)).collect()
-}
-
-/// Convenience predicate used by tests/benches: does the sequence contain a
-/// transformation kind?
-pub fn sequence_contains(seq: &[Action], pred: impl Fn(&Transform) -> bool) -> bool {
-    seq.iter().any(|a| pred(&a.transform))
-}
-
-/// Render a sequence compactly for logs and figure output.
-pub fn format_sequence(seq: &[Action]) -> String {
-    seq.iter().map(|a| format!("{a}")).collect::<Vec<_>>().join("; ")
-}
-
-/// Re-export used internally by mutation (kept public for the RL crate's
-/// action labelling).
-pub fn action_signature(a: &Action) -> String {
-    match &a.loc {
-        Loc::Node(p) => format!("{}@{p}", a.transform),
-        other => format!("{}@{other}", a.transform),
-    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,28 @@
 //! Filesystem claim files: the coordination primitive of the build fleet.
 //!
 //! A *claim* is how concurrent worker processes divide a directory of job
-//! files without a coordinator: ownership of a job is transferred by
-//! [`try_move`] — an atomic `rename(2)` whose source disappears the
-//! instant it succeeds, so exactly one of any number of racing claimants
-//! wins and every loser observes a clean "not found". The same primitive
-//! runs in reverse for stale-claim reclamation (move the claim file back
-//! into the queue), which is why a dead worker's job is re-queued exactly
-//! once no matter how many reclaimers race for it.
+//! files without a coordinator. Two std-only primitives make it:
 //!
-//! The claim file itself carries a [`Claim`] header — the owning worker id
-//! and a heartbeat counter the owner bumps via
-//! [`crate::trace::atomic_write`] — above the original job body. Liveness
-//! is judged without clocks: an observer that sees the same file content
-//! across enough consecutive scans declares the owner dead. The format:
+//! * [`try_move`] transfers ownership of a file: an atomic `rename(2)`
+//!   whose source disappears the instant it succeeds, so exactly one of
+//!   any number of racing movers wins and every loser observes a clean
+//!   "not found";
+//! * [`try_lock`] opens a file and takes an exclusive OS lock on it
+//!   without blocking. The lock belongs to the open file, follows it
+//!   across renames, and is released when the file is dropped — on
+//!   return, on panic, on exit or `kill -9` of the holding process. So
+//!   the kernel, not a clock, answers "is the owner still alive?".
 //!
-//! ```text
-//! perfdojo-claim v1 worker=<id> beat=<n>
-//! <job body, verbatim>
-//! ```
+//! A claimant locks a job file and then moves it; a reclaimer moves a
+//! claim back only while it holds the claim's lock, which it can take
+//! only once the owner is gone. Nothing is ever written into the file:
+//! a claim is the job file, moved verbatim.
+//!
+//! The locks are advisory (`flock(2)` on Unix), so claims only work on a
+//! filesystem whose locks reach every worker: a local disk, NFSv4, or
+//! NFSv3 with `lockd`.
 
+use std::fs::{File, TryLockError};
 use std::io;
 use std::path::Path;
 
@@ -38,45 +41,22 @@ pub fn try_move(src: &Path, dst: &Path) -> io::Result<bool> {
     }
 }
 
-/// A parsed claim file: owner, heartbeat counter, and the claimed body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Claim {
-    /// Id of the worker holding the claim.
-    pub worker: String,
-    /// Heartbeat counter; the owner bumps it while working.
-    pub beat: u64,
-    /// The claimed job body, verbatim (everything below the header line).
-    pub body: String,
-}
-
-impl Claim {
-    /// A fresh claim by `worker` over `body`, at beat 0.
-    pub fn new(worker: &str, body: &str) -> Claim {
-        Claim { worker: worker.to_string(), beat: 0, body: body.to_string() }
-    }
-
-    /// Render to the on-disk claim-file text.
-    pub fn render(&self) -> String {
-        format!("perfdojo-claim v1 worker={} beat={}\n{}", self.worker, self.beat, self.body)
-    }
-
-    /// Parse claim-file text; `None` when the header is missing or
-    /// malformed (the file is mid-transfer or not a claim at all).
-    pub fn parse(text: &str) -> Option<Claim> {
-        let (header, body) = match text.split_once('\n') {
-            Some((h, b)) => (h, b),
-            None => (text, ""),
-        };
-        let rest = header.strip_prefix("perfdojo-claim v1 worker=")?;
-        let (worker, beat) = rest.split_once(" beat=")?;
-        if worker.is_empty() {
-            return None;
-        }
-        Some(Claim {
-            worker: worker.to_string(),
-            beat: beat.parse().ok()?,
-            body: body.to_string(),
-        })
+/// Open `path` and take an exclusive lock on it without blocking.
+///
+/// Returns the open file holding the lock (dropping it releases the
+/// lock), `Ok(None)` when `path` does not exist or another open file
+/// already holds the lock — in this process or any other — and an error
+/// for anything else, including a filesystem that refuses locks.
+pub fn try_lock(path: &Path) -> io::Result<Option<File>> {
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    match file.try_lock() {
+        Ok(()) => Ok(Some(file)),
+        Err(TryLockError::WouldBlock) => Ok(None),
+        Err(TryLockError::Error(e)) => Err(e),
     }
 }
 
@@ -93,19 +73,27 @@ mod tests {
     }
 
     #[test]
-    fn claim_round_trips_and_rejects_malformed() {
-        let c = Claim { worker: "w3".into(), beat: 17, body: "label softmax\nseed 5\n".into() };
-        assert_eq!(Claim::parse(&c.render()), Some(c.clone()));
-        // beat bump round-trips too
-        let bumped = Claim { beat: 18, ..c };
-        assert_eq!(Claim::parse(&bumped.render()).unwrap().beat, 18);
-        // headerless, empty-worker, and garbage text all fail to parse
-        assert_eq!(Claim::parse("label softmax\n"), None);
-        assert_eq!(Claim::parse("perfdojo-claim v1 worker= beat=0\nx"), None);
-        assert_eq!(Claim::parse("perfdojo-claim v1 worker=w beat=x\n"), None);
-        assert_eq!(Claim::parse(""), None);
-        // a header with no body at all is a valid (empty-body) claim
-        assert_eq!(Claim::parse("perfdojo-claim v1 worker=w beat=3").unwrap().body, "");
+    fn lock_is_exclusive_follows_renames_and_dies_with_its_file() {
+        let d = tmpdir("lock");
+        let job = d.join("job");
+        let claim = d.join("claim");
+        assert!(try_lock(&job).unwrap().is_none(), "a missing file cannot be locked");
+        std::fs::write(&job, "body").unwrap();
+        let held = try_lock(&job).unwrap().expect("free file locks");
+        // a second open file conflicts, even in the same process
+        assert!(try_lock(&job).unwrap().is_none(), "double lock");
+        // the lock follows the file across a move, and the body is intact
+        assert!(try_move(&job, &claim).unwrap());
+        assert!(try_lock(&claim).unwrap().is_none(), "lock lost in the move");
+        assert_eq!(std::fs::read_to_string(&claim).unwrap(), "body");
+        // another thread cannot take it either
+        let from_thread =
+            std::thread::scope(|s| s.spawn(|| try_lock(&claim).unwrap().is_some()).join().unwrap());
+        assert!(!from_thread, "lock taken from another thread");
+        // dropping the holder frees it for the next taker
+        drop(held);
+        assert!(try_lock(&claim).unwrap().is_some(), "lock outlived its file");
+        std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]

@@ -88,14 +88,6 @@ impl<T> ShardedSlot<T> {
         }
         self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
-
-    /// Publish the result of `f(current)` built from the snapshot in
-    /// shard 0 — the read-modify-publish idiom for a single logical
-    /// writer. The closure runs off-lock.
-    pub fn publish_with(&self, f: impl FnOnce(&T) -> T) -> u64 {
-        let current = self.read(0);
-        self.publish(Arc::new(f(&current)))
-    }
 }
 
 #[cfg(test)]
@@ -129,17 +121,6 @@ mod tests {
         for hint in 0..9 {
             assert_eq!(*slot.read(hint), 2, "shard {} kept a stale snapshot", hint % 3);
         }
-    }
-
-    #[test]
-    fn publish_with_builds_from_current() {
-        let slot = ShardedSlot::new(vec![1], 2);
-        slot.publish_with(|v| {
-            let mut w = v.clone();
-            w.push(2);
-            w
-        });
-        assert_eq!(*slot.read(1), vec![1, 2]);
     }
 
     #[test]
