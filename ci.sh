@@ -3,16 +3,22 @@
 #
 #   1. perfdojo-util must compile warning-free (it is the dependency-free
 #      substrate everything else trusts).
-#   2. Tier-1 verify (ROADMAP.md): release build + full test suite.
-#   3. The whole workspace must test green fully offline — the repository
-#      has zero registry dependencies by policy (see DESIGN.md).
+#   2. Tier-1 verify (ROADMAP.md): release build + full test suite, fully
+#      offline (zero registry dependencies by policy, see DESIGN.md). The
+#      root manifest's `default-members` make the plain `cargo test` run
+#      every workspace crate, so no separate `--workspace` run is needed.
+#   3. Heavy tests: the `#[ignore]`d tests too slow for a debug suite (the
+#      full Fig. 1b run) must pass in release.
 #   4. The schedule-library pipeline must work end to end: build a
 #      mini-library with perfdojo-lib, dispatch an exact-shape query and a
 #      never-tuned-shape query against it, and report non-empty stats.
 #   5. Differential fuzz smoke: a fixed-seed run over random programs ×
 #      random transformation walks must find zero counterexamples, finish
 #      quickly, and produce a byte-identical report when repeated — the
-#      fuzzer itself must be deterministic or its findings are worthless.
+#      fuzzer itself must be deterministic or its findings are worthless;
+#      and the resolve-once interpreter must agree bit for bit with the
+#      tree-walking oracle (`tests/interp_oracle.rs`) under the release
+#      optimizer.
 #   6. Search-engine smoke: the A/B determinism suite must hold (incremental
 #      engine bit-identical to naive), and a fixed-seed `--exp searchperf`
 #      run must show an effective cost cache and emit a report whose
@@ -78,8 +84,9 @@ echo "== 2/13 tier-1 verify: release build + tests =="
 cargo build --release --workspace --offline
 cargo test -q --offline
 
-echo "== 3/13 full workspace tests (offline) =="
-cargo test -q --workspace --offline
+echo "== 3/13 heavy tests: the ignored ones, in release =="
+cargo test -q --release -p perfdojo-bench --offline --lib -- --ignored \
+    gh200_speedups_exceed_one_geomean
 
 echo "== 4/13 schedule-library pipeline: build, dispatch, stats =="
 PDLIB_DIR=$(mktemp -d)
@@ -113,6 +120,9 @@ if ./target/release/fuzz --seed 0xC0FFEE --iters 60 --sabotage truncate-split \
     exit 1
 fi
 grep -q "FINDING" "$PDLIB_DIR/fuzz3.txt"
+# the interpreter every differential trusts: resolve-once execution must
+# match the tree-walking oracle bit for bit, at full optimization
+cargo test -q --release --offline --test interp_oracle
 
 echo "== 6/13 search-engine smoke: A/B determinism + searchperf report =="
 # the incremental engine must be bit-identical to the naive one on every

@@ -139,6 +139,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[ignore = "the full Fig. 1b run, over a minute in debug; ci.sh gate 3 runs it in release"]
     fn gh200_speedups_exceed_one_geomean() {
         // qualitative Fig. 1b claim: on the immature platform PerfDojo's
         // kernels beat the library baseline clearly in geomean

@@ -262,7 +262,7 @@ pub fn lower_arena(a: &Arena) -> Result<LoweredKernel, LowerError> {
     for r in a.roots() {
         body.push(lower_anode(a, r)?);
     }
-    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).sum();
+    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
     Ok(LoweredKernel { name: a.name.clone(), buffers, body, useful_flops })
 }
 
@@ -401,18 +401,19 @@ pub(crate) fn lower_tree(p: &Program) -> Result<LoweredKernel, LowerError> {
     for n in &p.roots {
         body.push(lower_node(p, n, 0)?);
     }
-    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).sum();
+    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
     Ok(LoweredKernel { name: p.name.clone(), buffers, body, useful_flops })
 }
 
 /// Dynamic count of arithmetic *instructions* (FMA fused) — the paper's
 /// "number of required arithmetic operations" for peak calculations, §4.1.
+/// Saturates at `u64::MAX`.
 fn fused_flops(n: &Lowered, mult: u64) -> u64 {
     match n {
-        Lowered::Stmt(s) => mult * s.flops.len() as u64,
+        Lowered::Stmt(s) => mult.saturating_mul(s.flops.len() as u64),
         Lowered::Loop(l) => {
-            let m = mult * l.trip as u64;
-            l.body.iter().map(|c| fused_flops(c, m)).sum()
+            let m = mult.saturating_mul(l.trip as u64);
+            l.body.iter().map(|c| fused_flops(c, m)).fold(0, u64::saturating_add)
         }
     }
 }

@@ -8,6 +8,14 @@
 //! which is exactly how the paper "empirically validate[s] the
 //! implementation of these applicability rules by numerically comparing the
 //! output of each transformed program against its original version" (§2.2).
+//!
+//! A program is resolved once before it runs: every access is bound to its
+//! buffer's slab, strides and padded bounds, and every scope to its trip
+//! count, so the loop nest does no name lookup and no allocation per
+//! element. Resolution reads only the program's own `BufferDecl`s, never the
+//! code generator's lowering, so the two stay independent oracles. Every
+//! executed access still checks each index against its dimension's padded
+//! extent, and every error is raised when the offending node executes.
 
 pub mod tensor;
 pub mod verify;
@@ -15,7 +23,8 @@ pub mod verify;
 pub use tensor::Tensor;
 pub use verify::{random_inputs, verify_equivalent, VerifyReport};
 
-use perfdojo_ir::{Access, Expr, IndexExpr, Node, Program, ScopeSize};
+use perfdojo_ir as ir;
+use perfdojo_ir::{Affine, BinaryOp, UnaryOp};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -26,7 +35,8 @@ pub enum ExecError {
     UnknownArray(String),
     /// A computed index left the physical extent of the buffer.
     OutOfBounds { array: String, indices: Vec<i64> },
-    /// A program input tensor is missing or misshaped.
+    /// A program input tensor is missing or misshaped, or a buffer is too
+    /// large to allocate (`array` then names the buffer).
     BadInput { array: String, reason: String },
     /// A dynamic scope size (excluded feature) was encountered.
     DynamicScope,
@@ -47,173 +57,311 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Physical memory image of a program: one flat `f64` slab per buffer.
-pub struct Memory {
-    slabs: HashMap<String, Vec<f64>>,
-}
-
-impl Memory {
-    /// Allocate all buffers, poisoned with NaN so reads of unwritten
-    /// elements (including padding) are observable.
-    pub fn allocate(p: &Program) -> Self {
-        let mut slabs = HashMap::new();
-        for b in &p.buffers {
-            slabs.insert(b.name.clone(), vec![f64::NAN; b.physical_len()]);
-        }
-        Memory { slabs }
-    }
-
-    /// Copy a logical tensor into the (strided, possibly padded) buffer
-    /// holding `array`.
-    pub fn load_input(&mut self, p: &Program, array: &str, t: &Tensor) -> Result<(), ExecError> {
-        let buf = p
-            .buffer_of(array)
-            .ok_or_else(|| ExecError::UnknownArray(array.to_string()))?;
-        if t.shape != buf.shape() {
-            return Err(ExecError::BadInput {
-                array: array.to_string(),
-                reason: format!("shape {:?} != declared {:?}", t.shape, buf.shape()),
-            });
-        }
-        let slab = self.slabs.get_mut(&buf.name).unwrap();
-        let strides = buf.strides();
-        let shape = buf.shape();
-        for (li, &v) in t.data.iter().enumerate() {
-            let mut rem = li;
-            let mut off = 0usize;
-            for d in (0..shape.len()).rev() {
-                let ix = rem % shape[d];
-                rem /= shape[d];
-                off += ix * strides[d];
-            }
-            slab[off] = v;
-        }
-        Ok(())
-    }
-
-    /// Gather the logical tensor of `array` out of its buffer.
-    pub fn read_output(&self, p: &Program, array: &str) -> Result<Tensor, ExecError> {
-        let buf = p
-            .buffer_of(array)
-            .ok_or_else(|| ExecError::UnknownArray(array.to_string()))?;
-        let slab = &self.slabs[&buf.name];
-        let strides = buf.strides();
-        let shape = buf.shape();
-        let len: usize = shape.iter().product::<usize>().max(1);
-        let mut data = vec![0.0; len];
-        for (li, slot) in data.iter_mut().enumerate() {
-            let mut rem = li;
-            let mut off = 0usize;
-            for d in (0..shape.len()).rev() {
-                let ix = rem % shape[d];
-                rem /= shape[d];
-                off += ix * strides[d];
-            }
-            *slot = slab[off];
-        }
-        Ok(Tensor { shape, data })
-    }
-
-    fn read(&self, p: &Program, acc: &Access, iters: &[i64]) -> Result<f64, ExecError> {
-        let off = self.offset(p, acc, iters)?;
-        Ok(self.slabs[&p.buffer_of(&acc.array).unwrap().name][off])
-    }
-
-    fn write(&mut self, p: &Program, acc: &Access, iters: &[i64], v: f64) -> Result<(), ExecError> {
-        let off = self.offset(p, acc, iters)?;
-        let name = p.buffer_of(&acc.array).unwrap().name.clone();
-        self.slabs.get_mut(&name).unwrap()[off] = v;
-        Ok(())
-    }
-
-    fn offset(&self, p: &Program, acc: &Access, iters: &[i64]) -> Result<usize, ExecError> {
-        let buf = p
-            .buffer_of(&acc.array)
-            .ok_or_else(|| ExecError::UnknownArray(acc.array.clone()))?;
-        let mut idx = Vec::with_capacity(acc.indices.len());
-        for ix in &acc.indices {
-            let v = match ix {
-                IndexExpr::Affine(a) => a.eval(iters),
-                IndexExpr::Indirect(inner) => self.read(p, inner, iters)? as i64,
-            };
-            idx.push(v);
-        }
-        buf.flat_index(&idx)
-            .ok_or_else(|| ExecError::OutOfBounds { array: acc.array.clone(), indices: idx })
-    }
-}
-
 /// Execute `p` on the given inputs, returning its output tensors keyed by
 /// array name.
 pub fn execute(
-    p: &Program,
+    p: &ir::Program,
     inputs: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Tensor>, ExecError> {
-    let mut mem = Memory::allocate(p);
-    for name in &p.inputs {
-        let t = inputs.get(name).ok_or_else(|| ExecError::BadInput {
-            array: name.clone(),
-            reason: "missing".into(),
-        })?;
-        mem.load_input(p, name, t)?;
-    }
-    let mut iters: Vec<i64> = Vec::new();
-    for n in &p.roots {
-        exec_node(p, n, &mut mem, &mut iters)?;
-    }
-    let mut out = HashMap::new();
-    for name in &p.outputs {
-        out.insert(name.clone(), mem.read_output(p, name)?);
-    }
-    Ok(out)
+    Resolved::new(p).run(inputs)
 }
 
-fn exec_node(
-    p: &Program,
-    node: &Node,
-    mem: &mut Memory,
-    iters: &mut Vec<i64>,
-) -> Result<(), ExecError> {
-    match node {
-        Node::Op(op) => {
-            let v = eval(p, &op.expr, mem, iters)?;
-            mem.write(p, &op.out, iters, v)
+/// A program bound to its memory layout, ready to run any number of times.
+pub(crate) struct Resolved {
+    /// One slab per buffer declaration, in declaration order.
+    slabs: Vec<Slab>,
+    inputs: Vec<Port>,
+    outputs: Vec<Port>,
+    roots: Vec<Node>,
+}
+
+/// The physical layout of one buffer.
+struct Slab {
+    buffer: String,
+    /// Physical element count; `None` when it does not fit in memory.
+    len: Option<usize>,
+    shape: Vec<usize>,
+    strides: Vec<usize>,
+}
+
+/// An interface array and the slab holding it (`None`: undeclared).
+struct Port {
+    array: String,
+    slab: Option<usize>,
+}
+
+enum Node {
+    Op { out: Access, expr: Expr },
+    Loop { trip: usize, body: Vec<Node> },
+    /// A scope without a constant trip count: raises `DynamicScope` when run.
+    Dynamic,
+}
+
+/// Same tree shape and evaluation order as [`ir::Expr`].
+enum Expr {
+    Load(Access),
+    Const(f64),
+    Index(Affine),
+    Unary(UnaryOp, Box<Expr>),
+    Binary(BinaryOp, Box<Expr>, Box<Expr>),
+}
+
+struct Access {
+    /// The accessed array's name, for error payloads.
+    array: String,
+    /// `None` when no buffer declares the array.
+    slab: Option<usize>,
+    dims: Vec<Dim>,
+}
+
+/// One index of an access, with its dimension's stride and padded extent.
+/// An access whose arity differs from its buffer's has no valid index, so
+/// every one of its dimensions gets bound 0.
+struct Dim {
+    index: Index,
+    stride: usize,
+    bound: usize,
+}
+
+enum Index {
+    Affine(Affine),
+    Indirect(Box<Access>),
+}
+
+/// Largest slab the allocator can hold, in `f64` elements.
+const MAX_SLAB: usize = isize::MAX as usize / std::mem::size_of::<f64>();
+
+impl Resolved {
+    pub(crate) fn new(p: &ir::Program) -> Self {
+        let slabs: Vec<Slab> = p.buffers.iter().map(Slab::new).collect();
+        let port = |array: &String| Port { array: array.clone(), slab: slab_of(p, array) };
+        let cx = Cx { p, slabs: &slabs };
+        let roots = p.roots.iter().map(|n| cx.node(n)).collect();
+        Resolved {
+            inputs: p.inputs.iter().map(port).collect(),
+            outputs: p.outputs.iter().map(port).collect(),
+            roots,
+            slabs,
         }
-        Node::Scope(s) => {
-            let trip = match &s.size {
-                ScopeSize::Const(n) => *n,
-                _ => return Err(ExecError::DynamicScope),
-            };
+    }
+
+    /// Run on fresh NaN-poisoned memory.
+    pub(crate) fn run(
+        &self,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<HashMap<String, Tensor>, ExecError> {
+        let mut mem = Vec::with_capacity(self.slabs.len());
+        for s in &self.slabs {
+            let len = s.len.ok_or_else(|| ExecError::BadInput {
+                array: s.buffer.clone(),
+                reason: "physical length overflows the address space".into(),
+            })?;
+            mem.push(vec![f64::NAN; len]);
+        }
+        for port in &self.inputs {
+            let t = inputs.get(&port.array).ok_or_else(|| ExecError::BadInput {
+                array: port.array.clone(),
+                reason: "missing".into(),
+            })?;
+            self.load_input(&mut mem, port, t)?;
+        }
+        let mut iters: Vec<i64> = Vec::new();
+        run_nodes(&self.roots, &mut mem, &mut iters)?;
+        let mut out = HashMap::new();
+        for port in &self.outputs {
+            out.insert(port.array.clone(), self.read_output(&mem, port)?);
+        }
+        Ok(out)
+    }
+
+    /// Copy a logical tensor into the (strided, possibly padded) slab.
+    fn load_input(&self, mem: &mut [Vec<f64>], port: &Port, t: &Tensor) -> Result<(), ExecError> {
+        let i = port.slab.ok_or_else(|| ExecError::UnknownArray(port.array.clone()))?;
+        let slab = &self.slabs[i];
+        if t.shape != slab.shape {
+            return Err(ExecError::BadInput {
+                array: port.array.clone(),
+                reason: format!("shape {:?} != declared {:?}", t.shape, slab.shape),
+            });
+        }
+        for (li, &v) in t.data.iter().enumerate() {
+            mem[i][slab.physical(li)] = v;
+        }
+        Ok(())
+    }
+
+    /// Gather the logical tensor of an output array out of its slab.
+    fn read_output(&self, mem: &[Vec<f64>], port: &Port) -> Result<Tensor, ExecError> {
+        let i = port.slab.ok_or_else(|| ExecError::UnknownArray(port.array.clone()))?;
+        let slab = &self.slabs[i];
+        let len: usize = slab.shape.iter().product::<usize>().max(1);
+        let data = (0..len).map(|li| mem[i][slab.physical(li)]).collect();
+        Ok(Tensor { shape: slab.shape.clone(), data })
+    }
+}
+
+/// Index of the first buffer declaring `array`, as [`ir::Program::buffer_of`].
+fn slab_of(p: &ir::Program, array: &str) -> Option<usize> {
+    p.buffers.iter().position(|b| b.holds(array))
+}
+
+impl Slab {
+    fn new(b: &ir::BufferDecl) -> Self {
+        // `physical_len` saturates, so an overflowing length fails this too
+        let len = Some(b.physical_len()).filter(|&n| n <= MAX_SLAB);
+        Slab { buffer: b.name.clone(), len, shape: b.shape(), strides: b.strides() }
+    }
+
+    /// Physical offset of the row-major logical element `li`.
+    fn physical(&self, li: usize) -> usize {
+        let mut rem = li;
+        let mut off = 0usize;
+        for d in (0..self.shape.len()).rev() {
+            let ix = rem % self.shape[d];
+            rem /= self.shape[d];
+            off += ix * self.strides[d];
+        }
+        off
+    }
+}
+
+/// Resolution context: the program and its buffers' slab layouts.
+struct Cx<'a> {
+    p: &'a ir::Program,
+    slabs: &'a [Slab],
+}
+
+impl Cx<'_> {
+    fn node(&self, n: &ir::Node) -> Node {
+        match n {
+            ir::Node::Op(op) => Node::Op { out: self.access(&op.out), expr: self.expr(&op.expr) },
+            ir::Node::Scope(s) => match s.size {
+                ir::ScopeSize::Const(trip) => Node::Loop {
+                    trip,
+                    body: s.children.iter().map(|c| self.node(c)).collect(),
+                },
+                _ => Node::Dynamic,
+            },
+        }
+    }
+
+    fn expr(&self, e: &ir::Expr) -> Expr {
+        match e {
+            ir::Expr::Load(a) => Expr::Load(self.access(a)),
+            ir::Expr::Const(c) => Expr::Const(*c),
+            ir::Expr::Index(a) => Expr::Index(a.clone()),
+            ir::Expr::Unary(op, x) => Expr::Unary(*op, Box::new(self.expr(x))),
+            ir::Expr::Binary(op, x, y) => {
+                Expr::Binary(*op, Box::new(self.expr(x)), Box::new(self.expr(y)))
+            }
+        }
+    }
+
+    fn access(&self, a: &ir::Access) -> Access {
+        let slab = slab_of(self.p, &a.array);
+        // (strides, padded extents) when the arity matches the buffer's
+        let layout = slab
+            .map(|i| (&self.slabs[i].strides, &self.p.buffers[i].dims))
+            .filter(|(_, dims)| dims.len() == a.indices.len());
+        let dims = a
+            .indices
+            .iter()
+            .enumerate()
+            .map(|(d, ix)| Dim {
+                index: match ix {
+                    ir::IndexExpr::Affine(aff) => Index::Affine(aff.clone()),
+                    ir::IndexExpr::Indirect(inner) => Index::Indirect(Box::new(self.access(inner))),
+                },
+                stride: layout.map_or(0, |(strides, _)| strides[d]),
+                bound: layout.map_or(0, |(_, dims)| dims[d].pad_to),
+            })
+            .collect();
+        Access { array: a.array.clone(), slab, dims }
+    }
+}
+
+impl Expr {
+    fn eval(&self, mem: &[Vec<f64>], iters: &[i64]) -> Result<f64, ExecError> {
+        Ok(match self {
+            Expr::Load(a) => a.read(mem, iters)?,
+            Expr::Const(c) => *c,
+            Expr::Index(a) => a.eval(iters) as f64,
+            Expr::Unary(op, x) => op.eval(x.eval(mem, iters)?),
+            Expr::Binary(op, x, y) => op.eval(x.eval(mem, iters)?, y.eval(mem, iters)?),
+        })
+    }
+}
+
+impl Access {
+    fn read(&self, mem: &[Vec<f64>], iters: &[i64]) -> Result<f64, ExecError> {
+        let (slab, off) = self.locate(mem, iters)?;
+        Ok(mem[slab][off])
+    }
+
+    /// The slab and physical offset this access touches. Every index is
+    /// evaluated before any bound fails, so an out-of-bounds error carries
+    /// the whole index vector.
+    fn locate(&self, mem: &[Vec<f64>], iters: &[i64]) -> Result<(usize, usize), ExecError> {
+        let slab = self.slab.ok_or_else(|| ExecError::UnknownArray(self.array.clone()))?;
+        let mut off = 0usize;
+        let mut inside = true;
+        for d in &self.dims {
+            let v = d.index.eval(mem, iters)?;
+            if v < 0 || v as usize >= d.bound {
+                inside = false;
+            } else {
+                off += d.stride * v as usize;
+            }
+        }
+        if !inside {
+            // the same (side-effect free) evaluations again, now kept
+            let indices =
+                self.dims.iter().map(|d| d.index.eval(mem, iters)).collect::<Result<_, _>>()?;
+            return Err(ExecError::OutOfBounds { array: self.array.clone(), indices });
+        }
+        Ok((slab, off))
+    }
+}
+
+impl Index {
+    fn eval(&self, mem: &[Vec<f64>], iters: &[i64]) -> Result<i64, ExecError> {
+        match self {
+            Index::Affine(a) => Ok(a.eval(iters)),
+            Index::Indirect(inner) => Ok(inner.read(mem, iters)? as i64),
+        }
+    }
+}
+
+fn run_nodes(nodes: &[Node], mem: &mut [Vec<f64>], iters: &mut Vec<i64>) -> Result<(), ExecError> {
+    for n in nodes {
+        match n {
+            Node::Op { out, expr } => {
+                let v = expr.eval(mem, iters)?;
+                let (slab, off) = out.locate(mem, iters)?;
+                mem[slab][off] = v;
+            }
             // All scope kinds execute sequentially: kinds (:v/:p/:g/...)
             // change *performance*, never semantics.
-            iters.push(0);
-            for i in 0..trip {
-                *iters.last_mut().unwrap() = i as i64;
-                for c in s.children.iter() {
-                    exec_node(p, c, mem, iters)?;
+            Node::Loop { trip, body } => {
+                let depth = iters.len();
+                iters.push(0);
+                for i in 0..*trip {
+                    iters[depth] = i as i64;
+                    run_nodes(body, mem, iters)?;
                 }
+                iters.pop();
             }
-            iters.pop();
-            Ok(())
+            Node::Dynamic => return Err(ExecError::DynamicScope),
         }
     }
-}
-
-fn eval(p: &Program, e: &Expr, mem: &Memory, iters: &[i64]) -> Result<f64, ExecError> {
-    Ok(match e {
-        Expr::Load(a) => mem.read(p, a, iters)?,
-        Expr::Const(c) => *c,
-        Expr::Index(a) => a.eval(iters) as f64,
-        Expr::Unary(op, x) => op.eval(eval(p, x, mem, iters)?),
-        Expr::Binary(op, x, y) => op.eval(eval(p, x, mem, iters)?, eval(p, y, mem, iters)?),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use perfdojo_ir::builder::*;
-    use perfdojo_ir::{BinaryOp, BufferDecl, DType, Location, ProgramBuilder, UnaryOp};
+    use perfdojo_ir::{BufferDecl, DType, Location, Program, ProgramBuilder};
 
     fn run1(p: &Program, inputs: &[(&str, Tensor)]) -> HashMap<String, Tensor> {
         let map: HashMap<String, Tensor> =
@@ -362,7 +510,23 @@ d f32 [2] stack
         let x = Tensor::fill(&[2], 1.0);
         let mut m = HashMap::new();
         m.insert("x".to_string(), x);
-        assert!(matches!(execute(&p, &m), Err(ExecError::OutOfBounds { .. })));
+        let err = ExecError::OutOfBounds { array: "x".into(), indices: vec![2] };
+        assert_eq!(execute(&p, &m), Err(err));
+    }
+
+    #[test]
+    fn overflowing_buffer_is_an_error_not_a_short_slab() {
+        // 2^32 * 2^32 elements wrap a 64-bit length to 0
+        let mut b = ProgramBuilder::new("huge");
+        b.input("x", &[2]).output("z", &[2]);
+        b.temp("t", &[1 << 32, 1 << 32], Location::Heap);
+        b.scope(2, |b| {
+            b.op(out("z", &[0]), ld("x", &[0]));
+        });
+        let p = b.build();
+        let mut m = HashMap::new();
+        m.insert("x".to_string(), Tensor::fill(&[2], 1.0));
+        assert!(matches!(execute(&p, &m), Err(ExecError::BadInput { array, .. }) if array == "t"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the transformation property tests are built on [`verify_equivalent`].
 
 use crate::tensor::Tensor;
-use crate::{execute, ExecError};
+use crate::{execute, ExecError, Resolved};
 use perfdojo_ir::Program;
 use perfdojo_util::rng::Rng;
 use std::collections::HashMap;
@@ -50,7 +50,8 @@ pub fn random_inputs(p: &Program, seed: u64) -> HashMap<String, Tensor> {
 /// Numerically compare two programs on `trials` random inputs.
 ///
 /// The reference `original` defines the interface; `transformed` must accept
-/// the same inputs and produce the same outputs within `rtol`/`atol`.
+/// the same inputs and produce the same outputs within `rtol`/`atol`. Each
+/// program is resolved once and run on fresh memory in every trial.
 pub fn verify_equivalent(
     original: &Program,
     transformed: &Program,
@@ -70,13 +71,14 @@ pub fn verify_equivalent(
             return VerifyReport::InterfaceMismatch(format!("input '{name_o}' shape {so:?} vs {st:?}"));
         }
     }
+    let (resolved_o, resolved_t) = (Resolved::new(original), Resolved::new(transformed));
     for t in 0..trials.max(1) {
         let inputs = random_inputs(original, seed.wrapping_add(t as u64));
-        let ref_out = match execute(original, &inputs) {
+        let ref_out = match resolved_o.run(&inputs) {
             Ok(o) => o,
             Err(e) => return VerifyReport::ExecFailed(format!("original: {e}")),
         };
-        let new_out = match execute(transformed, &inputs) {
+        let new_out = match resolved_t.run(&inputs) {
             Ok(o) => o,
             Err(e) => return VerifyReport::ExecFailed(format!("transformed: {e}")),
         };

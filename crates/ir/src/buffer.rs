@@ -177,19 +177,21 @@ impl BufferDecl {
         }
     }
 
-    /// Number of physical elements (respecting `:N` reuse and padding).
+    /// Number of physical elements (respecting `:N` reuse and padding),
+    /// saturating at `usize::MAX`.
     pub fn physical_len(&self) -> usize {
-        self.dims.iter().map(|d| d.physical()).product::<usize>().max(1)
+        self.dims.iter().fold(1, |n: usize, d| n.saturating_mul(d.physical())).max(1)
     }
 
-    /// Number of logical elements of one array in this buffer.
+    /// Number of logical elements of one array in this buffer, saturating
+    /// at `usize::MAX`.
     pub fn logical_len(&self) -> usize {
-        self.dims.iter().map(|d| d.size).product::<usize>().max(1)
+        self.dims.iter().fold(1, |n: usize, d| n.saturating_mul(d.size)).max(1)
     }
 
-    /// Physical size in bytes.
+    /// Physical size in bytes, saturating at `usize::MAX`.
     pub fn bytes(&self) -> usize {
-        self.physical_len() * self.dtype.bytes()
+        self.physical_len().saturating_mul(self.dtype.bytes())
     }
 
     /// Row-major strides over physical dimensions; non-materialized dims get
@@ -201,7 +203,7 @@ impl BufferDecl {
         for i in (0..n).rev() {
             if self.dims[i].materialized {
                 strides[i] = acc;
-                acc *= self.dims[i].pad_to;
+                acc = acc.saturating_mul(self.dims[i].pad_to);
             } else {
                 strides[i] = 0;
             }

@@ -81,14 +81,16 @@ impl Program {
     /// Total number of dynamic scalar operation executions
     /// (`sum over leaves of product of enclosing trip counts`), a proxy for
     /// algorithmic work used by the peak-performance calculations (§4.1).
+    /// Saturates at `u64::MAX` instead of wrapping, so a huge program never
+    /// counts as a small one.
     pub fn dynamic_op_instances(&self) -> u64 {
         self.ops()
             .iter()
             .map(|(_, op, chain)| {
-                let iters: u64 = chain.iter().map(|s| s.trip() as u64).product();
-                iters * (op.expr.op_count().max(1) as u64)
+                let iters = chain.iter().fold(1u64, |n, s| n.saturating_mul(s.trip() as u64));
+                iters.saturating_mul(op.expr.op_count().max(1) as u64)
             })
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Names of arrays that are written somewhere in the program.
@@ -159,6 +161,19 @@ mod tests {
         assert_eq!(p.scope_paths().len(), 2);
         assert_eq!(p.written_arrays(), vec!["z".to_string()]);
         assert!(p.temporaries().is_empty());
+    }
+
+    #[test]
+    fn op_count_saturates_instead_of_wrapping() {
+        let mut p = prog();
+        let op = Node::Op(OpNode::new(
+            Access::vars("z", &[0, 1]),
+            Expr::Load(Access::vars("x", &[0, 1])),
+        ));
+        // 2^32 * 2^32 iterations wrap a u64 product to 0
+        let inner = Node::Scope(Scope::new(1 << 32, vec![op]));
+        p.roots = vec![Node::Scope(Scope::new(1 << 32, vec![inner]))];
+        assert_eq!(p.dynamic_op_instances(), u64::MAX);
     }
 
     #[test]

@@ -487,6 +487,24 @@ mod tests {
         assert!(r.cost <= r.naive_cost);
     }
 
+    #[test]
+    fn overflowing_query_shape_returns_unverified() {
+        // 2^32 x 2^32: the op count saturates past the verify limit instead
+        // of wrapping to 0, so the query is never interpreted
+        let target = Target::x86();
+        let mut lib = Library::new();
+        let relu: Vec<_> =
+            perfdojo_kernels::tune_suite().into_iter().filter(|k| k.label == "relu").collect();
+        LibraryBuilder::new(Strategy::Heuristic, 3).build_into(
+            &mut lib,
+            &relu,
+            std::slice::from_ref(&target),
+        );
+        let query = perfdojo_kernels::by_label_with_shape("relu", &[1 << 32, 1 << 32]).unwrap();
+        let r = lib.lookup(&query, &target);
+        assert_eq!(r.verified, None);
+    }
+
     /// Library tuned over a two-shape family, queried at a third shape.
     fn family_library() -> (Library, Target) {
         let target = Target::x86();

@@ -16,7 +16,9 @@
 //! optional frozen donor library):
 //!
 //! - `jobs.list` — the full job universe, written once by
-//!   [`FleetDir::init`]; recovery compares live state against it.
+//!   [`FleetDir::init`]. Workers run jobs from it — queue and claim
+//!   files are markers whose bytes are never read — and recovery
+//!   compares live state against it.
 //! - `queue/<id>.job` — jobs nobody owns. A worker **claims** a job by
 //!   locking the file ([`perfdojo_util::claim::try_lock`]) and renaming
 //!   it into `claims/` — `rename(2)` is atomic and its source vanishes,
@@ -80,9 +82,9 @@ use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_util::claim::{try_lock, try_move};
 use perfdojo_util::trace::{atomic_write, TraceSink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -595,21 +597,15 @@ impl FleetDir {
 
     /// Claim the queued job `id`: lock its queue file without blocking,
     /// then move it into `claims/` (the lock follows the file, and exactly
-    /// one racing claimant wins). Returns the job and the locked file; the
-    /// claim is live for exactly as long as that file stays open. `None`
-    /// when the job is gone or another claimant holds it.
-    pub fn try_claim(&self, id: &str) -> Result<Option<(FleetJob, File)>, String> {
-        let io_err = |e: io::Error| format!("claim {id}: {e}");
-        let Some(mut lock) = try_lock(&self.queue_path(id)).map_err(io_err)? else {
+    /// one racing claimant wins). Returns the locked file; the claim is
+    /// live for exactly as long as it stays open. `None` when the job is
+    /// gone or another claimant holds it. The file's bytes are never read:
+    /// the job to run is the manifest's.
+    pub fn try_claim(&self, id: &str) -> io::Result<Option<File>> {
+        let Some(lock) = try_lock(&self.queue_path(id))? else {
             return Ok(None);
         };
-        let mut body = String::new();
-        lock.read_to_string(&mut body).map_err(io_err)?;
-        let job = FleetJob::parse(&body)?;
-        if !try_move(&self.queue_path(id), &self.claim_path(id)).map_err(io_err)? {
-            return Ok(None);
-        }
-        Ok(Some((job, lock)))
+        Ok(try_move(&self.queue_path(id), &self.claim_path(id))?.then_some(lock))
     }
 
     /// Move a dead claim back into the queue. A claim is dead once nobody
@@ -785,15 +781,20 @@ pub fn run_worker(
     let mut sink = TraceSink::new();
     // manifest-id -> consecutive scans seen nowhere
     let mut absent: BTreeMap<String, u64> = BTreeMap::new();
-    let manifest = fleet.manifest();
+    // the job source of truth: `init` and lost-job requeues both write
+    // exactly these renders into the queue
+    let manifest: BTreeMap<String, FleetJob> =
+        fleet.manifest().into_iter().map(|job| (job.id(), job)).collect();
     if manifest.is_empty() {
         return Err(format!("fleet {} has no manifest — run init first", fleet.root().display()));
     }
 
     let exit = 'outer: loop {
-        // -- claim phase: first queued job wins
+        // -- claim phase: first queued manifest job wins; a queue file
+        // that names no manifest job is never claimed
         let mut claimed: Option<(String, (FleetJob, File))> = None;
         for id in fleet.queued_ids() {
+            let Some(job) = manifest.get(&id) else { continue };
             if cursor.check(plan, &cfg.worker, FaultSite::PreClaim) == Some(FaultKind::Kill) {
                 break 'outer WorkerExit::Killed;
             }
@@ -803,8 +804,8 @@ pub fn run_worker(
                 let _ = std::fs::remove_file(fleet.queue_path(&id));
                 continue;
             }
-            if let Some(claim) = fleet.try_claim(&id)? {
-                claimed = Some((id, claim));
+            if let Some(lock) = fleet.try_claim(&id).map_err(|e| format!("claim {id}: {e}"))? {
+                claimed = Some((id, (job.clone(), lock)));
                 break;
             }
         }
@@ -828,7 +829,7 @@ pub fn run_worker(
         }
 
         // -- idle phase: nothing claimable. Recover, then wait or finish.
-        let outstanding = scan_recover(fleet, &mut absent, &mut report, &mut sink)?;
+        let outstanding = scan_recover(fleet, &manifest, &mut absent, &mut report, &mut sink)?;
         if outstanding == 0 {
             break WorkerExit::Drained;
         }
@@ -845,37 +846,39 @@ pub fn run_worker(
 
 /// One pass over claims + parts + manifest: finish straggler claims whose
 /// part exists, discard torn parts, reclaim dead claims, resurrect lost
-/// jobs. Returns how many manifest jobs still lack a valid part.
+/// jobs. Reads each part file once. Returns how many manifest jobs still
+/// lack a valid part.
 fn scan_recover(
     fleet: &FleetDir,
+    manifest: &BTreeMap<String, FleetJob>,
     absent: &mut BTreeMap<String, u64>,
     report: &mut WorkerReport,
     sink: &mut TraceSink,
 ) -> Result<usize, String> {
     let io_err = |id: &str, e: io::Error| format!("fleet recover {id}: {e}");
-    // torn parts: discard so the job re-runs (its checkpoint still holds
-    // the finished state; the re-run just re-renders identical bytes)
-    for job in fleet.manifest() {
-        let id = job.id();
-        let path = fleet.part_path(&id);
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if parse_part(&id, &text).is_none() {
-                match std::fs::remove_file(&path) {
-                    Err(e) if e.kind() != io::ErrorKind::NotFound => {
-                        return Err(io_err(&id, e));
-                    }
-                    _ => {
-                        report.discarded_torn += 1;
-                        sink.event("torn_part").str("job", &id).emit();
-                    }
-                }
+    // valid parts are done; torn ones are discarded so the job re-runs
+    // (its checkpoint still holds the finished state; the re-run just
+    // re-renders identical bytes)
+    let mut done = BTreeSet::new();
+    for id in manifest.keys() {
+        let path = fleet.part_path(id);
+        let Ok(text) = std::fs::read_to_string(&path) else { continue };
+        if parse_part(id, &text).is_some() {
+            done.insert(id.as_str());
+            continue;
+        }
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(io_err(id, e)),
+            _ => {
+                report.discarded_torn += 1;
+                sink.event("torn_part").str("job", id).emit();
             }
         }
     }
     // claims: done-but-unreleased ones are cleaned up; dead ones (nobody
     // holds the lock) go back to the queue
     for id in fleet.claimed_ids() {
-        if fleet.part(&id).is_some() {
+        if done.contains(id.as_str()) {
             fleet.remove_claim(&id).map_err(|e| io_err(&id, e))?;
         } else if fleet.try_reclaim(&id).map_err(|e| io_err(&id, e))? {
             report.reclaimed += 1;
@@ -886,24 +889,23 @@ fn scan_recover(
     // resurrect once LOST_SCANS scans in a row agree. The rename protocol
     // itself has no all-absent window, so absence really means loss.
     let mut outstanding = 0;
-    for job in fleet.manifest() {
-        let id = job.id();
-        if fleet.part(&id).is_some() {
-            absent.remove(&id);
+    for (id, job) in manifest {
+        if done.contains(id.as_str()) {
+            absent.remove(id);
             continue;
         }
         outstanding += 1;
-        if fleet.queue_path(&id).exists() || fleet.claim_path(&id).exists() {
-            absent.remove(&id);
+        if fleet.queue_path(id).exists() || fleet.claim_path(id).exists() {
+            absent.remove(id);
             continue;
         }
         let n = absent.entry(id.clone()).or_insert(0);
         *n += 1;
         if *n >= LOST_SCANS {
-            absent.remove(&id);
-            atomic_write(&fleet.queue_path(&id), &job.render()).map_err(|e| io_err(&id, e))?;
+            absent.remove(id);
+            atomic_write(&fleet.queue_path(id), &job.render()).map_err(|e| io_err(id, e))?;
             report.requeued_lost += 1;
-            sink.event("requeue_lost").str("job", &id).emit();
+            sink.event("requeue_lost").str("job", id).emit();
         }
     }
     Ok(outstanding)
@@ -1117,8 +1119,7 @@ mod tests {
         let js = jobs(&["softmax"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
         let id = js[0].id();
-        let (job, held) = fleet.try_claim(&id).unwrap().expect("queued job claimable");
-        assert_eq!(job, js[0]);
+        let held = fleet.try_claim(&id).unwrap().expect("queued job claimable");
         assert!(fleet.try_claim(&id).unwrap().is_none(), "double claim");
         // the claim is the job file moved verbatim, and while its holder
         // lives it refuses every reclaim
@@ -1131,9 +1132,9 @@ mod tests {
         assert!(fleet.try_reclaim(&id).unwrap());
         assert!(!fleet.try_reclaim(&id).unwrap());
         assert_eq!(fleet.queued_ids(), vec![id.clone()]);
-        // and the re-queued file re-claims
-        let (job, _held) = fleet.try_claim(&id).unwrap().expect("reclaimed job claimable");
-        assert_eq!(job, js[0]);
+        // and the re-queued file re-claims, intact
+        let _held = fleet.try_claim(&id).unwrap().expect("reclaimed job claimable");
+        assert_eq!(std::fs::read_to_string(fleet.claim_path(&id)).unwrap(), js[0].render());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

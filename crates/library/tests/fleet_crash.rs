@@ -121,8 +121,9 @@ fn concurrent_reclaimers_reclaim_exactly_once() {
     });
     assert_eq!(wins.iter().filter(|w| **w).count(), 1, "reclaim wins: {wins:?}");
     // no orphan: the job is back in the queue, claimable, and intact
-    let (job, _held) = fleet.try_claim(&id).unwrap().expect("reclaimed job must be claimable");
-    assert_eq!(job, js[0]);
+    let _held = fleet.try_claim(&id).unwrap().expect("reclaimed job must be claimable");
+    let claim = dir.join("claims").join(format!("{id}.claim"));
+    assert_eq!(std::fs::read_to_string(claim).unwrap(), js[0].render());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -149,6 +150,29 @@ fn dead_workers_job_is_reclaimed_once_and_retuned() {
     let merged = fleet.merge();
     assert!(merged.unfinished.is_empty());
     assert_eq!(merged.library.to_text(), baseline, "reclaimed re-tune changed the bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Queue bytes never decide what runs: a stray queue file that names no
+/// manifest job is never claimed, and a manifest job whose queue file was
+/// overwritten with garbage still runs from the manifest. The fleet must
+/// drain and merge to the baseline bytes.
+#[test]
+fn unparseable_queue_files_do_not_wedge_the_fleet() {
+    let baseline = drain_under("garbage-baseline", 2, &FaultPlan::none());
+    let dir = scratch("garbage-queue");
+    let fleet = FleetDir::open(&dir).unwrap();
+    let js = jobs();
+    fleet.init(&js).unwrap();
+    std::fs::write(dir.join("queue").join("aaa.job"), "garbage\n").unwrap();
+    std::fs::write(dir.join("queue").join(format!("{}.job", js[1].id())), "garbage\n").unwrap();
+
+    let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+    assert!(report.drained);
+    let merged = fleet.merge();
+    assert!(merged.unfinished.is_empty(), "unfinished {:?}", merged.unfinished);
+    assert_eq!(merged.library.to_text(), baseline, "garbage queue bytes changed the merge");
+    assert_eq!(fleet.queued_ids(), vec!["aaa".to_string()], "the stray file is left alone");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
