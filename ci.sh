@@ -56,11 +56,14 @@
 #      uninterrupted fleet.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
-#      cache keys at full speed), a fresh double `--exp searchperf` run must
-#      agree on every non-timing field, and the fresh run must not regress
-#      the committed BENCH_searchperf.json on cache quality: every kernel
-#      keeps `identical_results: true` and no kernel's cache_hit_rate drops
-#      below the committed value.
+#      cache keys at full speed), and so must the find ≡ apply conformance
+#      tests (the arena finders offer exactly the locations `apply` accepts:
+#      `finders` on the kernel suite, `tests/applicability.rs` on seeded
+#      fuzz walks); a fresh double `--exp searchperf` run must agree on
+#      every non-timing field, and the fresh run must not regress the
+#      committed BENCH_searchperf.json on cache quality: every kernel keeps
+#      `identical_results: true` and no kernel's cache_hit_rate drops below
+#      the committed value.
 #  12. Transfer smoke: a fixed-seed `--exp transfer` run must emit a
 #      byte-identical `BENCH_transfer.json` across two runs, transfer-warmed
 #      anneal must beat tuned-from-scratch at equal budget on >= 3 held-out
@@ -391,6 +394,10 @@ echo "== 11/13 arena/cache-keying smoke: release A/B + cache-quality regression 
 # at full speed there, and an optimizer-dependent divergence would slip
 # straight past the debug-mode run in gate 6
 cargo test -q --release -p perfdojo-search --offline --test incremental_ab
+# the arena finders are the only enumeration of the action space: at full
+# optimization they must still offer exactly the locations apply accepts
+cargo test -q --release -p perfdojo-transform --offline --lib finders
+cargo test -q --release --offline --test applicability
 # fresh fixed-seed double run: every non-timing field must agree between
 # the two runs (same strip as gate 6, independent artifacts)
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp searchperf > sp11a.txt)

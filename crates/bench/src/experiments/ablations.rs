@@ -70,7 +70,7 @@ pub fn exp_ablate_reward() -> String {
     let t0 = d.initial_runtime();
     // find the most-degrading single move (peek over the action set)
     let mut worst: Option<(perfdojo_transform::Action, f64)> = None;
-    for a in d.actions().into_iter().take(40) {
+    for a in d.actions().iter().take(40).cloned().collect::<Vec<_>>() {
         if let Ok((_, rt)) = d.peek(&a) {
             if worst.as_ref().is_none_or(|(_, w)| rt > *w) {
                 worst = Some((a, rt));

@@ -13,7 +13,7 @@ pub fn exp_table1() -> String {
     let target = Target::x86();
     let mut dojo = Dojo::for_target(p.clone(), &target).unwrap().with_verification(1);
     // manual transformations: the action API is usable directly
-    let a = dojo.actions().into_iter().next().expect("manual transformations available");
+    let a = dojo.actions().first().cloned().expect("manual transformations available");
     // semantic preservation: verification-enabled step succeeds
     dojo.step(a).expect("semantics-preserving step");
     // atomic: each Transform variant does one change (checked by type system

@@ -87,13 +87,6 @@ pub struct Stmt {
     pub reads_own_output: bool,
 }
 
-impl Stmt {
-    /// Total arithmetic instructions.
-    pub fn flop_count(&self) -> usize {
-        self.flops.len()
-    }
-}
-
 /// Loop instantiation kinds in the virtual ISA (mirrors
 /// [`perfdojo_ir::ScopeKind`] plus resolved vector width).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -88,7 +88,7 @@ const VERIFY_WORK_LIMIT: u64 = 2_000_000;
 /// carries kilobytes of keys, not megabytes of program text.
 pub const DEFAULT_COST_CACHE_CAPACITY: usize = 2048;
 
-/// Capacity of the applicable-actions memo ([`Dojo::actions_cached`]).
+/// Capacity of the applicable-actions memo ([`Dojo::actions`]).
 /// Entries are whole action vectors — hundreds of `(Transform, Loc)` pairs
 /// on deep states — so each entry is a few KiB; at this capacity the memo
 /// tops out around the same working set as the cost cache (a few MiB),
@@ -282,7 +282,7 @@ pub struct Dojo {
     /// every rejected SA move queries the same state again — and a memo hit
     /// skips the full finder sweep.
     actions_memo: Option<LruCache<Fp128, Vec<Action>>>,
-    /// Scratch slot backing [`Dojo::actions_cached`] when the memo is off.
+    /// Scratch slot backing [`Dojo::actions`] when the memo is off.
     actions_scratch: Vec<Action>,
     /// `prior_runtimes[i]` is the runtime of the state *before* history
     /// step `i` — `None` when that state was reached via `load_sequence`
@@ -523,19 +523,15 @@ impl Dojo {
     }
 
     /// All applicable moves at the current state (paper: "numbering in the
-    /// hundreds").
-    pub fn actions(&self) -> Vec<Action> {
-        available_actions(self.current(), &self.library)
-    }
-
-    /// All applicable moves at the current state, memoized by exact program
-    /// fingerprint under the incremental engine. Returns exactly what
-    /// [`Dojo::actions`] returns for this state — the memo stores the full
-    /// `available_actions` result — but a revisited state (every rejected
-    /// SA move re-queries its unchanged state) skips the finder sweep.
-    /// The naive engine has no memo and recomputes, keeping it an honest
+    /// hundreds"): the full [`available_actions`] result, in its order.
+    ///
+    /// The incremental engine memoizes the list by exact program
+    /// fingerprint, so a revisited state (every rejected SA move re-queries
+    /// its unchanged state) skips the finder sweep, and a miss scans the
+    /// arena a cost miss already built for the same state. The naive engine
+    /// has no memo and recomputes on every call, keeping it an honest
     /// baseline.
-    pub fn actions_cached(&mut self) -> &[Action] {
+    pub fn actions(&mut self) -> &[Action] {
         if self.actions_memo.is_none() {
             self.actions_scratch = available_actions(self.history.current(), &self.library);
             return &self.actions_scratch;
@@ -781,7 +777,7 @@ mod tests {
     #[test]
     fn failed_load_sequence_rolls_back_to_pre_call_sequence() {
         let mut d = softmax_dojo();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a).unwrap();
         let steps_before = d.history.steps.clone();
         let program_before = d.current().clone();
@@ -810,7 +806,7 @@ mod tests {
         let mut d = softmax_dojo();
         let actions = d.actions();
         assert!(actions.len() >= 30);
-        let a = actions.into_iter().next().unwrap();
+        let a = actions[0].clone();
         let r = d.step(a).unwrap();
         assert!(r.runtime > 0.0);
         assert_eq!(d.history.len(), 1);
@@ -821,7 +817,7 @@ mod tests {
     fn undo_restores_previous_state() {
         let mut d = softmax_dojo();
         let initial = d.current().clone();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a).unwrap();
         assert_ne!(d.current(), &initial);
         d.undo().unwrap();
@@ -832,7 +828,8 @@ mod tests {
     #[test]
     fn verification_mode_accepts_valid_moves() {
         let mut d = softmax_dojo().with_verification(2);
-        for a in d.actions().into_iter().take(8) {
+        let first: Vec<Action> = d.actions().iter().take(8).cloned().collect();
+        for a in first {
             d.step(a).unwrap();
             d.undo();
         }
@@ -841,7 +838,7 @@ mod tests {
     #[test]
     fn load_sequence_skips_stale_steps() {
         let mut d = softmax_dojo();
-        let a0 = d.actions().into_iter().next().unwrap();
+        let a0 = d.actions()[0].clone();
         d.step(a0.clone()).unwrap();
         // sequence with a duplicate (second application may be stale)
         let steps = vec![a0.clone(), a0.clone(), a0];
@@ -852,7 +849,7 @@ mod tests {
     #[test]
     fn cache_hits_on_revisit_and_still_counts_budget() {
         let mut d = softmax_dojo();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a.clone()).unwrap();
         let seq = d.history.steps.clone();
         let evals = d.evaluations();
@@ -872,7 +869,7 @@ mod tests {
     fn naive_engine_has_no_cache() {
         let mut d = softmax_dojo().with_naive_engine();
         assert_eq!(d.engine(), Engine::Naive);
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a).unwrap();
         let s = d.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries, s.capacity), (0, 0, 0, 0));
@@ -882,7 +879,7 @@ mod tests {
     fn undo_after_step_restores_recorded_runtime_without_evaluating() {
         let mut d = softmax_dojo();
         let rt0 = d.runtime();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a).unwrap();
         let evals = d.evaluations();
         d.undo().unwrap();
@@ -898,7 +895,7 @@ mod tests {
         let mut d = softmax_dojo();
         let mut seq = Vec::new();
         for _ in 0..2 {
-            let a = d.actions().into_iter().next().unwrap();
+            let a = d.actions()[0].clone();
             d.step(a.clone()).unwrap();
             seq.push(a);
         }
@@ -915,8 +912,7 @@ mod tests {
         let mut small = softmax_dojo().with_cache_capacity(2);
         let mut naive = softmax_dojo().with_naive_engine();
         for round in 0..3 {
-            let acts = small.actions();
-            let a = acts.into_iter().nth(round).unwrap();
+            let a = small.actions()[round].clone();
             let r1 = small.step(a.clone()).unwrap();
             let r2 = naive.step(a).unwrap();
             assert_eq!(r1.runtime.to_bits(), r2.runtime.to_bits());
@@ -930,7 +926,7 @@ mod tests {
     #[test]
     fn reset_keeps_cache_warm() {
         let mut d = softmax_dojo();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a.clone()).unwrap();
         d.reset();
         assert_eq!(d.history.len(), 0);
@@ -948,7 +944,7 @@ mod tests {
         let mut d = softmax_dojo().with_truncated_cache_keys();
         let mut naive = softmax_dojo().with_naive_engine();
         for i in 0..3 {
-            let a = d.actions().into_iter().nth(i).unwrap();
+            let a = d.actions()[i].clone();
             let r1 = d.step(a.clone()).unwrap();
             let r2 = naive.step(a).unwrap();
             assert_eq!(r1.runtime.to_bits(), r2.runtime.to_bits());
@@ -961,7 +957,7 @@ mod tests {
     #[test]
     fn audited_cache_reports_no_collisions_under_real_keys() {
         let mut d = softmax_dojo().with_cache_audit();
-        let a = d.actions().into_iter().next().unwrap();
+        let a = d.actions()[0].clone();
         d.step(a.clone()).unwrap();
         d.undo().unwrap();
         d.step(a).unwrap(); // revisit: a hit whose audit must pass

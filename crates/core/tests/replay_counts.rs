@@ -30,7 +30,7 @@ fn softmax_dojo() -> Dojo {
 fn warm_sequence(d: &mut Dojo, n: usize) -> Vec<perfdojo_transform::Action> {
     let mut seq = Vec::new();
     for i in 0..n {
-        let a = d.actions().into_iter().nth(i).expect("enough actions");
+        let a = d.actions().get(i).cloned().expect("enough actions");
         d.step(a.clone()).expect("applicable");
         seq.push(a);
     }
@@ -53,7 +53,7 @@ fn extending_by_one_applies_exactly_the_suffix() {
     let _g = COUNTER_LOCK.lock().unwrap();
     let mut d = softmax_dojo();
     let seq = warm_sequence(&mut d, 3);
-    let next = d.actions().into_iter().next().unwrap();
+    let next = d.actions()[0].clone();
     let mut extended = seq.clone();
     extended.push(next);
     let before = apply_count();

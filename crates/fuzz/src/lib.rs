@@ -35,13 +35,12 @@ pub use walk::{check_case, library_by_name, walk, CheckConfig, Finding, Sabotage
 
 #[cfg(test)]
 mod arena_roundtrip {
-    //! Property tests for the arena IR: `Program ⇄ Arena` must round-trip
-    //! bit-identically on arbitrary generated programs, including through a
-    //! snapshot → mutate → restore cycle of the undo journal.
+    //! Property test for the arena IR: `Program ⇄ Arena` must round-trip
+    //! bit-identically on arbitrary generated programs.
 
     use crate::gen::{gen_program, GenConfig};
-    use perfdojo_ir::arena::{AExpr, Arena};
-    use perfdojo_ir::{exact_text, ScopeKind, ScopeSize};
+    use perfdojo_ir::arena::Arena;
+    use perfdojo_ir::exact_text;
     use perfdojo_util::proptest_lite::prelude::*;
     use perfdojo_util::rng::Rng;
 
@@ -60,71 +59,5 @@ mod arena_roundtrip {
             let back = a.to_program();
             prop_assert_eq!(exact_text(&back), exact_text(&p));
         }
-
-        #[test]
-        fn snapshot_mutate_restore_is_bit_identical(seed in 0u64..1_000_000) {
-            let p = program_for(seed);
-            let mut a = Arena::build(&p);
-            let snap = a.snapshot();
-
-            // mutate every mutable surface the journal covers: scope
-            // metadata, constant bits, and affine offsets
-            let scopes: Vec<_> = a
-                .node_ids()
-                .filter(|&id| a.scope(id).is_some())
-                .collect();
-            for (i, id) in scopes.iter().enumerate() {
-                a.set_scope_meta(*id, ScopeSize::Const(997 + i), ScopeKind::Parallel, true, true);
-            }
-            let consts: Vec<_> = (0..a.op_list().len())
-                .flat_map(|i| {
-                    let op = &a.op_list()[i];
-                    collect_consts(&a, op.expr)
-                })
-                .collect();
-            for (i, e) in consts.iter().enumerate() {
-                a.set_const(*e, -1.5 - i as f64);
-            }
-            let mut affs = Vec::new();
-            for id in a.node_ids() {
-                for row in a.region(id) {
-                    let acc = row.acc;
-                    for dim in 0..a.indices(acc).len() {
-                        if let Some(af) = a.affine_index(acc, dim) {
-                            affs.push(af);
-                        }
-                    }
-                }
-            }
-            affs.sort_by_key(|af| af.0);
-            affs.dedup();
-            for (i, af) in affs.iter().enumerate() {
-                a.set_aff_offset(*af, 7919 + i as i64);
-            }
-
-            let mutated = exact_text(&a.to_program());
-            a.restore(snap);
-            let restored = a.to_program();
-            prop_assert_eq!(exact_text(&restored), exact_text(&p));
-            // sanity: unless the program had nothing to mutate, the
-            // mutation pass really changed the rendered text
-            if !scopes.is_empty() {
-                prop_assert_ne!(mutated, exact_text(&p));
-            }
-        }
     }
-
-    fn collect_consts(a: &Arena, e: perfdojo_ir::arena::ExprId) -> Vec<perfdojo_ir::arena::ExprId> {
-        match *a.expr(e) {
-            AExpr::Const(_) => vec![e],
-            AExpr::Unary(_, x) => collect_consts(a, x),
-            AExpr::Binary(_, x, y) => {
-                let mut v = collect_consts(a, x);
-                v.extend(collect_consts(a, y));
-                v
-            }
-            AExpr::Load(_) | AExpr::Index(_) => Vec::new(),
-        }
-    }
-
 }

@@ -47,12 +47,6 @@ impl Tensor {
         self.data[self.flat(idx)]
     }
 
-    /// Mutable element at multidimensional index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f64 {
-        let f = self.flat(idx);
-        &mut self.data[f]
-    }
-
     fn flat(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.shape.len());
         let mut off = 0;

@@ -20,12 +20,10 @@
 //! * flattened **expressions**, **accesses**, **affine functions** and their
 //!   terms, with array names interned to [`NameId`]s.
 //!
-//! The arena is a *snapshot*: structural edits still happen on the tree
+//! The arena is a read-only *snapshot*: every edit happens on the tree
 //! (cheap via copy-on-write children), and consumers rebuild the arena per
-//! program state. In-place mutation is supported only for node metadata and
-//! scalar payloads, journaled so [`Arena::snapshot`]/[`Arena::restore`] can
-//! roll back in O(changed entries) — [`Arena::to_program`] after a restore is
-//! bit-identical to the originally captured program.
+//! program state. [`Arena::to_program`] rebuilds the captured program
+//! bit-identically.
 
 use crate::buffer::BufferDecl;
 use crate::expr::{Access, BinaryOp, Expr, IndexExpr, UnaryOp};
@@ -199,18 +197,6 @@ pub enum AExpr {
     Binary(BinaryOp, ExprId, ExprId),
 }
 
-/// Journaled inverse edits for [`Arena::restore`].
-#[derive(Clone)]
-enum Undo {
-    ScopeMeta { node: u32, size: ScopeSize, kind: ScopeKind, frep: bool, ssr: bool },
-    ConstBits { expr: u32, bits: u64 },
-    AffOffset { aff: u32, offset: i64 },
-}
-
-/// A point-in-time marker returned by [`Arena::snapshot`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ArenaSnapshot(usize);
-
 /// Flat, id-addressed view of one [`Program`]. See the module docs.
 #[derive(Clone)]
 pub struct Arena {
@@ -244,8 +230,6 @@ pub struct Arena {
     affs: Vec<AAffine>,
     terms: Vec<(u32, i64)>,
     exprs: Vec<AExpr>,
-
-    journal: Vec<Undo>,
 }
 
 impl Arena {
@@ -275,7 +259,6 @@ impl Arena {
             affs: Vec::new(),
             terms: Vec::new(),
             exprs: Vec::new(),
-            journal: Vec::new(),
         };
         // Buffer names first so `group_of` resolution can refer to them.
         let buffer_names: Vec<String> = a.buffers.iter().map(|b| b.name.clone()).collect();
@@ -731,83 +714,11 @@ impl Arena {
     }
 
     // -----------------------------------------------------------------
-    // snapshot / mutate / restore
-    // -----------------------------------------------------------------
-
-    /// Mark the current state; [`Arena::restore`] rolls back to it.
-    pub fn snapshot(&self) -> ArenaSnapshot {
-        ArenaSnapshot(self.journal.len())
-    }
-
-    /// Overwrite a scope's metadata, journaling the previous values.
-    pub fn set_scope_meta(
-        &mut self,
-        id: NodeId,
-        size: ScopeSize,
-        kind: ScopeKind,
-        frep: bool,
-        ssr: bool,
-    ) {
-        let APayload::Scope(s) = &mut self.nodes[id.idx()].payload else {
-            panic!("set_scope_meta on an op node");
-        };
-        self.journal.push(Undo::ScopeMeta {
-            node: id.0,
-            size: std::mem::replace(&mut s.size, size),
-            kind: std::mem::replace(&mut s.kind, kind),
-            frep: std::mem::replace(&mut s.frep, frep),
-            ssr: std::mem::replace(&mut s.ssr, ssr),
-        });
-    }
-
-    /// Overwrite a constant expression's value, journaling the old bits.
-    pub fn set_const(&mut self, id: ExprId, v: f64) {
-        let AExpr::Const(c) = &mut self.exprs[id.idx()] else {
-            panic!("set_const on a non-constant expression");
-        };
-        self.journal.push(Undo::ConstBits { expr: id.0, bits: c.to_bits() });
-        *c = v;
-    }
-
-    /// Overwrite an affine function's constant offset, journaling the old
-    /// value.
-    pub fn set_aff_offset(&mut self, id: AffId, offset: i64) {
-        let old = std::mem::replace(&mut self.affs[id.idx()].offset, offset);
-        self.journal.push(Undo::AffOffset { aff: id.0, offset: old });
-    }
-
-    /// Roll back every mutation made after `snap`, newest first.
-    pub fn restore(&mut self, snap: ArenaSnapshot) {
-        while self.journal.len() > snap.0 {
-            match self.journal.pop().expect("journal non-empty") {
-                Undo::ScopeMeta { node, size, kind, frep, ssr } => {
-                    let APayload::Scope(s) = &mut self.nodes[node as usize].payload else {
-                        unreachable!("journaled scope became an op");
-                    };
-                    s.size = size;
-                    s.kind = kind;
-                    s.frep = frep;
-                    s.ssr = ssr;
-                }
-                Undo::ConstBits { expr, bits } => {
-                    let AExpr::Const(c) = &mut self.exprs[expr as usize] else {
-                        unreachable!("journaled const became another expr");
-                    };
-                    *c = f64::from_bits(bits);
-                }
-                Undo::AffOffset { aff, offset } => {
-                    self.affs[aff as usize].offset = offset;
-                }
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
     // round trip
     // -----------------------------------------------------------------
 
     /// Rebuild the tree [`Program`] this arena represents (bit-identical to
-    /// the program captured by [`Arena::build`], modulo journaled edits).
+    /// the program captured by [`Arena::build`]).
     pub fn to_program(&self) -> Program {
         Program {
             name: self.name.clone(),
@@ -880,11 +791,6 @@ impl ANode {
     /// Index among the parent's children.
     pub fn child_index(&self) -> usize {
         self.child_index as usize
-    }
-
-    /// True for a root node.
-    pub fn is_root(&self) -> bool {
-        self.parent == NIL
     }
 }
 
@@ -1021,28 +927,5 @@ z f32 [8] heap
         assert!(a.acc_pattern_eq(x_read, x_read));
         let m_write = a.region(op.node)[0].acc;
         assert!(!a.acc_pattern_eq(x_read, m_write));
-    }
-
-    #[test]
-    fn snapshot_mutate_restore_is_identity() {
-        let p = softmaxish();
-        let mut a = Arena::build(&p);
-        let snap = a.snapshot();
-        // find a scope, a const, an affine and mutate all three
-        let scope_id = a
-            .node_ids()
-            .find(|&id| a.scope(id).is_some())
-            .expect("has a scope");
-        a.set_scope_meta(scope_id, ScopeSize::Const(999), ScopeKind::Unroll, true, true);
-        let const_id = (0..a.exprs.len() as u32)
-            .map(ExprId)
-            .find(|&e| matches!(a.expr(e), AExpr::Const(_)))
-            .expect("has a const");
-        a.set_const(const_id, 42.0);
-        a.set_aff_offset(AffId(0), 7);
-        assert_ne!(a.to_program(), p, "mutations visible");
-        a.restore(snap);
-        assert_eq!(a.to_program(), p, "restore rolls everything back");
-        assert_eq!(crate::exact_text(&a.to_program()), crate::exact_text(&p));
     }
 }

@@ -183,12 +183,6 @@ impl BufferDecl {
         self.dims.iter().fold(1, |n: usize, d| n.saturating_mul(d.physical())).max(1)
     }
 
-    /// Number of logical elements of one array in this buffer, saturating
-    /// at `usize::MAX`.
-    pub fn logical_len(&self) -> usize {
-        self.dims.iter().fold(1, |n: usize, d| n.saturating_mul(d.size)).max(1)
-    }
-
     /// Physical size in bytes, saturating at `usize::MAX`.
     pub fn bytes(&self) -> usize {
         self.physical_len().saturating_mul(self.dtype.bytes())

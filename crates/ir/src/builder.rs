@@ -60,11 +60,6 @@ pub fn div(a: Expr, b: Expr) -> Expr {
     bin(BinaryOp::Div, a, b)
 }
 
-/// `max(a, b)`.
-pub fn fmax(a: Expr, b: Expr) -> Expr {
-    bin(BinaryOp::Max, a, b)
-}
-
 /// An output access with plain iterator indices.
 pub fn out(array: &str, depths: &[usize]) -> Access {
     Access::vars(array, depths)

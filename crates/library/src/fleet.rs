@@ -84,9 +84,9 @@ use perfdojo_util::claim::{try_lock, try_move};
 use perfdojo_util::trace::{atomic_write, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 /// How long a worker with nothing to claim waits between idle scans.
 const SCAN_WAIT: Duration = Duration::from_millis(25);
@@ -761,6 +761,52 @@ enum JobRun {
     Killed,
 }
 
+/// What a worker finds at a job's part path.
+enum PartState {
+    /// No part file, or one that cannot be read as text.
+    Missing,
+    /// A part that passes its integrity check.
+    Valid,
+    /// A part that fails it: a torn write.
+    Torn,
+}
+
+/// The parts a worker has found valid, by job id, with the length and
+/// modification time each file had when it was read. A valid part is
+/// written once, by atomic rename, so while both stay the same the file
+/// holds the bytes already checked and is not read again; a part that is
+/// deleted or replaced changes one of them and is read afresh.
+#[derive(Default)]
+struct ValidParts(BTreeMap<String, (u64, SystemTime)>);
+
+impl ValidParts {
+    fn check(&mut self, fleet: &FleetDir, id: &str) -> PartState {
+        let path = fleet.part_path(id);
+        let stamp = |meta: std::fs::Metadata| Some((meta.len(), meta.modified().ok()?));
+        if let Some(known) = self.0.get(id) {
+            if std::fs::metadata(&path).ok().and_then(stamp).as_ref() == Some(known) {
+                return PartState::Valid;
+            }
+        }
+        self.0.remove(id);
+        // stamp and bytes come from one open file, so the remembered
+        // stamp always belongs to the bytes that were checked
+        let Ok(mut file) = File::open(&path) else { return PartState::Missing };
+        let read_stamp = file.metadata().ok().and_then(stamp);
+        let mut text = String::new();
+        if file.read_to_string(&mut text).is_err() {
+            return PartState::Missing;
+        }
+        if parse_part(id, &text).is_none() {
+            return PartState::Torn;
+        }
+        if let Some(st) = read_stamp {
+            self.0.insert(id.to_string(), st);
+        }
+        PartState::Valid
+    }
+}
+
 /// Run one worker against the fleet until the manifest is drained, the
 /// step limit pauses it, or a fault kills it. See the module docs for the
 /// protocol.
@@ -781,6 +827,7 @@ pub fn run_worker(
     let mut sink = TraceSink::new();
     // manifest-id -> consecutive scans seen nowhere
     let mut absent: BTreeMap<String, u64> = BTreeMap::new();
+    let mut parts = ValidParts::default();
     // the job source of truth: `init` and lost-job requeues both write
     // exactly these renders into the queue
     let manifest: BTreeMap<String, FleetJob> =
@@ -800,7 +847,7 @@ pub fn run_worker(
             }
             // a duplicated or falsely-reclaimed job can sit in the queue
             // after its part landed: retire it instead of re-running
-            if fleet.part(&id).is_some() {
+            if matches!(parts.check(fleet, &id), PartState::Valid) {
                 let _ = std::fs::remove_file(fleet.queue_path(&id));
                 continue;
             }
@@ -829,7 +876,8 @@ pub fn run_worker(
         }
 
         // -- idle phase: nothing claimable. Recover, then wait or finish.
-        let outstanding = scan_recover(fleet, &manifest, &mut absent, &mut report, &mut sink)?;
+        let outstanding =
+            scan_recover(fleet, &manifest, &mut parts, &mut absent, &mut report, &mut sink)?;
         if outstanding == 0 {
             break WorkerExit::Drained;
         }
@@ -846,11 +894,12 @@ pub fn run_worker(
 
 /// One pass over claims + parts + manifest: finish straggler claims whose
 /// part exists, discard torn parts, reclaim dead claims, resurrect lost
-/// jobs. Reads each part file once. Returns how many manifest jobs still
-/// lack a valid part.
+/// jobs. Reads only the part files `parts` has not already validated.
+/// Returns how many manifest jobs still lack a valid part.
 fn scan_recover(
     fleet: &FleetDir,
     manifest: &BTreeMap<String, FleetJob>,
+    parts: &mut ValidParts,
     absent: &mut BTreeMap<String, u64>,
     report: &mut WorkerReport,
     sink: &mut TraceSink,
@@ -861,13 +910,15 @@ fn scan_recover(
     // re-renders identical bytes)
     let mut done = BTreeSet::new();
     for id in manifest.keys() {
-        let path = fleet.part_path(id);
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        if parse_part(id, &text).is_some() {
-            done.insert(id.as_str());
-            continue;
+        match parts.check(fleet, id) {
+            PartState::Missing => continue,
+            PartState::Valid => {
+                done.insert(id.as_str());
+                continue;
+            }
+            PartState::Torn => {}
         }
-        match std::fs::remove_file(&path) {
+        match std::fs::remove_file(fleet.part_path(id)) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(io_err(id, e)),
             _ => {
                 report.discarded_torn += 1;

@@ -106,11 +106,6 @@ impl Mlp {
         Mlp { layers, adam_t: 0 }
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].nin
-    }
-
     /// True when the layers chain through exactly the widths `dims` — the
     /// shape [`Mlp::new`] builds from them.
     pub fn has_dims(&self, dims: &[usize]) -> bool {

@@ -174,7 +174,7 @@ pub fn train_episodes(
         let mut state_emb = embed(dojo.current());
         for step_i in 0..cfg.max_steps {
             // enumerate + sample candidates
-            let mut actions = dojo.actions();
+            let mut actions = dojo.actions().to_vec();
             actions.shuffle(&mut state.rng);
             actions.truncate(cfg.action_sample);
             if actions.is_empty() {
@@ -225,7 +225,7 @@ pub fn train_episodes(
             // bounded sample of next-state candidates for the bootstrapped
             // target (including stop)
             let mut next_actions = vec![next_emb.clone()];
-            let mut nexts = dojo.actions();
+            let mut nexts = dojo.actions().to_vec();
             nexts.shuffle(&mut state.rng);
             for a in nexts.into_iter().take(8) {
                 if let Ok(nn) = a.apply(dojo.current()) {

@@ -98,7 +98,7 @@ pub fn manual_softmax_trajectory(dojo: &mut Dojo) -> Vec<TrajectoryPoint> {
     for (name, pred) in specs {
         // apply every matching action (each application is one atomic move)
         for _ in 0..128 {
-            let Some(action) = dojo.actions().into_iter().find(|a| pred(dojo, a)) else {
+            let Some(action) = dojo.actions().to_vec().into_iter().find(|a| pred(dojo, a)) else {
                 break;
             };
             if dojo.step(action).is_err() {

@@ -21,7 +21,7 @@ use perfdojo_transform::{Action, Loc, Transform};
 fn apply_matching(dojo: &mut Dojo, pred: &dyn Fn(&Dojo, &Action) -> bool) -> usize {
     let mut applied = 0;
     for _ in 0..256 {
-        let Some(action) = dojo.actions().into_iter().find(|a| pred(dojo, a)) else {
+        let Some(action) = dojo.actions().to_vec().into_iter().find(|a| pred(dojo, a)) else {
             break;
         };
         if dojo.step(action).is_err() {

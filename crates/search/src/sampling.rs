@@ -123,7 +123,7 @@ pub fn sampling_resume(
         if dojo.load_sequence(&parent_steps).is_err() {
             continue;
         }
-        let Some(a) = dojo.actions_cached().choose(&mut state.rng).cloned() else { continue };
+        let Some(a) = dojo.actions().choose(&mut state.rng).cloned() else { continue };
         let hits_before = dojo.cache_stats().hits;
         let Ok(step) = dojo.step(a.clone()) else { continue };
         let cache_hit = dojo.cache_stats().hits > hits_before;

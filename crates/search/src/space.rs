@@ -94,7 +94,7 @@ impl SearchSpace for EdgesSpace {
         if dojo.load_sequence(&next).is_err() {
             return next;
         }
-        let a = dojo.actions_cached().choose(rng).cloned();
+        let a = dojo.actions().choose(rng).cloned();
         if let Some(a) = a {
             next.push(a);
         }
@@ -110,7 +110,7 @@ impl SearchSpace for EdgesSpace {
         if dojo.load_sequence(seq).is_err() {
             return Undo::None;
         }
-        let a = dojo.actions_cached().choose(rng).cloned();
+        let a = dojo.actions().choose(rng).cloned();
         match a {
             Some(a) => {
                 seq.push(a);
@@ -235,7 +235,7 @@ fn reparameterize(a: &Action, dojo: &Dojo, rng: &mut Rng) -> Option<Action> {
 /// Heuristic step suggestions for the current state: the moves an expert
 /// would consider next (annotation toggles, tilings of hot loops, layout
 /// tweaks).
-fn suggest(dojo: &Dojo) -> Vec<Action> {
+fn suggest(dojo: &mut Dojo) -> Vec<Action> {
     let preferred = |t: &Transform| {
         matches!(
             t,
@@ -252,7 +252,7 @@ fn suggest(dojo: &Dojo) -> Vec<Action> {
                 | Transform::SetLocation(_)
         )
     };
-    dojo.actions().into_iter().filter(|a| preferred(&a.transform)).collect()
+    dojo.actions().iter().filter(|a| preferred(&a.transform)).cloned().collect()
 }
 
 #[cfg(test)]

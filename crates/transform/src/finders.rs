@@ -1,24 +1,27 @@
-//! Arena-based applicability scans.
+//! Arena-based applicability scans: the one enumeration of the action
+//! space.
 //!
-//! Mirror images of the `find_*` functions in [`crate::scopes`] and
-//! [`crate::layout`] plus the dependence predicates in [`crate::deps`],
-//! rewritten against the flat [`Arena`] view of a program. The whole point
-//! of the port is the inner loop of search: `available_actions` runs every
-//! finder on every visited program state, and the tree versions re-collect
-//! access lists and chase pointers on each query.
+//! Each `find_*` scans the flat [`Arena`] view of a program for the
+//! locations where the matching `apply_*` in [`crate::scopes`] or
+//! [`crate::layout`] succeeds; the dependence predicates below port
+//! [`crate::deps`], which `apply` checks on the tree. The arena serves the
+//! inner loop of search: `available_actions` runs every finder on every
+//! visited program state, and tree walks would re-collect access lists and
+//! chase pointers on each query.
 //!
-//! **Contract: bit-identical results.** Each function here must return
-//! exactly the locations its tree twin returns, in exactly the same order
-//! (pre-order over nodes, declaration order over buffers). The conformance
-//! test at the bottom pins this across the kernel suite, all transform
-//! libraries, and transformed program states; the incremental A/B suite in
-//! `crates/search` depends on it end to end.
+//! **Contract: find ≡ apply.** Each function returns exactly the locations
+//! `apply` accepts, in candidate order (pre-order over nodes, split index
+//! ascending, declaration order over buffers, dimension ascending). The
+//! conformance test at the bottom tries `apply` on every candidate location
+//! across the kernel suite, all transform libraries, transformed states,
+//! indirect accesses and data-dependent scopes; `tests/applicability.rs`
+//! does the same on seeded fuzz programs.
 
 use crate::layout::{
     BufDimLoc, REGISTER_LIMIT_ELEMS, SHARED_LIMIT_BYTES, STACK_LIMIT_BYTES,
 };
 use crate::scopes::{MAX_SSR_STREAMS, MAX_UNROLL};
-use perfdojo_ir::arena::{AccId, AIndex, Arena, NameId, NodeId};
+use perfdojo_ir::arena::{AScope, AccId, AIndex, Arena, NameId, NodeId};
 use perfdojo_ir::{Location, Path, ScopeKind};
 use std::collections::HashMap;
 
@@ -157,7 +160,7 @@ pub fn siblings_commute(a: &Arena, x: NodeId, y: NodeId) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// scope finders (ports of crate::scopes::find_*)
+// scope finders (the locations crate::scopes::apply_* accepts)
 // ---------------------------------------------------------------------------
 
 /// Pre-order scope node ids — the arena twin of `Program::scope_paths`.
@@ -165,7 +168,7 @@ fn scope_ids(a: &Arena) -> impl Iterator<Item = NodeId> + '_ {
     a.node_ids().filter(|&id| a.scope(id).is_some())
 }
 
-/// `scopes::find_split`.
+/// Locations `scopes::apply_split` accepts.
 pub fn find_split(a: &Arena, tile: usize) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -179,7 +182,7 @@ pub fn find_split(a: &Arena, tile: usize) -> Vec<Path> {
         .collect()
 }
 
-/// `scopes::find_join`.
+/// Locations `scopes::apply_join` accepts.
 pub fn find_join(a: &Arena) -> Vec<Path> {
     scope_ids(a).filter(|&id| join_applicable(a, id)).map(|id| a.path(id)).collect()
 }
@@ -201,9 +204,9 @@ fn join_applicable(a: &Arena, id: NodeId) -> bool {
     regions_fusable(a, id, next, d)
 }
 
-/// `scopes::find_fission`. The pairwise fusability matrix is computed once
-/// per scope and reused across split points (the tree twin recomputes it
-/// per `at`; the verdicts are identical).
+/// Locations `scopes::apply_fission` accepts. The pairwise fusability
+/// matrix is computed once per scope and reused across split points (the
+/// tree check recomputes it per `at`; the verdicts are identical).
 pub fn find_fission(a: &Arena) -> Vec<(Path, usize)> {
     let mut out = Vec::new();
     for id in scope_ids(a) {
@@ -211,6 +214,9 @@ pub fn find_fission(a: &Arena) -> Vec<(Path, usize)> {
         let n = s.n_children as usize;
         if s.kind != ScopeKind::Seq || s.frep || s.ssr || n < 2 {
             continue;
+        }
+        if s.size.as_const().is_none() {
+            continue; // fission copies the trip count into both halves
         }
         let d = a.node(id).depth as usize;
         let kids = a.children(id);
@@ -231,7 +237,7 @@ pub fn find_fission(a: &Arena) -> Vec<(Path, usize)> {
     out
 }
 
-/// `scopes::find_interchange`.
+/// Locations `scopes::apply_interchange` accepts.
 pub fn find_interchange(a: &Arena) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -253,7 +259,7 @@ pub fn find_interchange(a: &Arena) -> Vec<Path> {
         .collect()
 }
 
-/// `scopes::find_reorder` (walks *all* nodes, not just scopes).
+/// Locations `scopes::apply_reorder` accepts (all nodes, not just scopes).
 pub fn find_reorder(a: &Arena) -> Vec<Path> {
     let mut out = Vec::new();
     for id in a.node_ids() {
@@ -266,7 +272,7 @@ pub fn find_reorder(a: &Arena) -> Vec<Path> {
     out
 }
 
-/// `scopes::find_split_reduction`.
+/// Locations `scopes::apply_split_reduction` accepts.
 pub fn find_split_reduction(a: &Arena, tile: usize) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -286,13 +292,13 @@ pub fn find_split_reduction(a: &Arena, tile: usize) -> Vec<Path> {
             if a.acc_uses(op.out, d) {
                 return false; // not a reduction over this scope
             }
-            a.access(op.out).all_affine
+            a.access(op.out).all_affine && privatizing_ancestors_const(a, id)
         })
         .map(|id| a.path(id))
         .collect()
 }
 
-/// `scopes::find_unroll` (note: no SSR condition, matching the tree twin).
+/// Locations `scopes::apply_unroll` accepts (no SSR condition).
 pub fn find_unroll(a: &Arena) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -305,7 +311,7 @@ pub fn find_unroll(a: &Arena) -> Vec<Path> {
         .collect()
 }
 
-/// `scopes::find_vectorize`.
+/// Locations `scopes::apply_vectorize` accepts.
 pub fn find_vectorize(a: &Arena, width: usize) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -354,7 +360,7 @@ fn access_lane_ok(a: &Arena, acc: AccId, d: usize, is_out: bool) -> bool {
     innermost == Some(j) && buf.dims[j].materialized
 }
 
-/// `scopes::find_parallelize`.
+/// Locations `scopes::apply_parallelize` accepts.
 pub fn find_parallelize(a: &Arena) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -370,23 +376,29 @@ pub fn find_parallelize(a: &Arena) -> Vec<Path> {
         .collect()
 }
 
-fn no_annotated_ancestor(a: &Arena, id: NodeId) -> bool {
-    let mut q = a.parent(id);
-    while let Some(anc) = q {
-        if let Some(s) = a.scope(anc) {
-            if matches!(
+/// Parallel and GPU-bound ancestor scopes of `id`.
+fn annotated_ancestors(a: &Arena, id: NodeId) -> impl Iterator<Item = &AScope> {
+    std::iter::successors(a.parent(id), |&anc| a.parent(anc))
+        .filter_map(|anc| a.scope(anc))
+        .filter(|s| {
+            matches!(
                 s.kind,
                 ScopeKind::Parallel | ScopeKind::GpuGrid | ScopeKind::GpuBlock | ScopeKind::GpuWarp
-            ) {
-                return false;
-            }
-        }
-        q = a.parent(anc);
-    }
-    true
+            )
+        })
 }
 
-/// `scopes::find_bind_gpu`.
+fn no_annotated_ancestor(a: &Arena, id: NodeId) -> bool {
+    annotated_ancestors(a, id).next().is_none()
+}
+
+/// `split_reduction` sizes its partial accumulator by every parallel or
+/// GPU-bound ancestor's trip count, so each must be constant.
+fn privatizing_ancestors_const(a: &Arena, id: NodeId) -> bool {
+    annotated_ancestors(a, id).all(|s| s.size.as_const().is_some())
+}
+
+/// Locations `scopes::apply_bind_gpu` accepts.
 pub fn find_bind_gpu(a: &Arena, kind: ScopeKind) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -420,7 +432,7 @@ fn nearest_gpu_ancestor(a: &Arena, id: NodeId) -> Option<ScopeKind> {
     None
 }
 
-/// `scopes::find_set_seq`.
+/// Locations `scopes::apply_set_seq` accepts.
 pub fn find_set_seq(a: &Arena) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -431,7 +443,7 @@ pub fn find_set_seq(a: &Arena) -> Vec<Path> {
         .collect()
 }
 
-/// `scopes::find_enable_ssr`.
+/// Locations `scopes::apply_enable_ssr` accepts.
 pub fn find_enable_ssr(a: &Arena) -> Vec<Path> {
     scope_ids(a).filter(|&id| ssr_applicable(a, id)).map(|id| a.path(id)).collect()
 }
@@ -481,7 +493,7 @@ fn stream_body(a: &Arena, kids: &[NodeId], d: usize, arrays: &mut Vec<NameId>) -
     true
 }
 
-/// `scopes::find_enable_frep`.
+/// Locations `scopes::apply_enable_frep` accepts.
 pub fn find_enable_frep(a: &Arena) -> Vec<Path> {
     scope_ids(a)
         .filter(|&id| {
@@ -493,10 +505,10 @@ pub fn find_enable_frep(a: &Arena) -> Vec<Path> {
 }
 
 // ---------------------------------------------------------------------------
-// layout finders (ports of crate::layout::find_*)
+// layout finders (the locations crate::layout::apply_* accepts)
 // ---------------------------------------------------------------------------
 
-/// `layout::find_reuse`.
+/// Locations `layout::apply_reuse` accepts.
 pub fn find_reuse(a: &Arena) -> Vec<BufDimLoc> {
     let mut out = Vec::new();
     for bi in 0..a.buffers.len() {
@@ -521,7 +533,7 @@ fn reuse_applicable(a: &Arena, bi: usize, dim: usize) -> bool {
     let mut consts_used: Vec<i64> = Vec::new();
     for op in a.op_list() {
         // Rows are the op's out access then its reads, matching the tree
-        // twin's handle(out) / handle(each read) sequence.
+        // check's handle(out) / handle(each read) sequence.
         for r in a.region(op.node) {
             let name = a.access(r.acc).name;
             if !buf.holds(a.name_str(name)) {
@@ -552,7 +564,7 @@ fn reuse_applicable(a: &Arena, bi: usize, dim: usize) -> bool {
     )
 }
 
-/// `layout::find_materialize`.
+/// Locations `layout::apply_materialize` accepts.
 pub fn find_materialize(a: &Arena) -> Vec<BufDimLoc> {
     let mut out = Vec::new();
     for b in &a.buffers {
@@ -565,7 +577,7 @@ pub fn find_materialize(a: &Arena) -> Vec<BufDimLoc> {
     out
 }
 
-/// `layout::find_swap_dims`.
+/// Locations `layout::apply_swap_dims` accepts.
 pub fn find_swap_dims(a: &Arena) -> Vec<BufDimLoc> {
     let mut out = Vec::new();
     for (bi, b) in a.buffers.iter().enumerate() {
@@ -592,7 +604,7 @@ pub fn find_swap_dims(a: &Arena) -> Vec<BufDimLoc> {
     out
 }
 
-/// `layout::find_pad`.
+/// Locations `layout::apply_pad` accepts.
 pub fn find_pad(a: &Arena, align: usize) -> Vec<BufDimLoc> {
     let mut out = Vec::new();
     if align < 2 {
@@ -609,7 +621,7 @@ pub fn find_pad(a: &Arena, align: usize) -> Vec<BufDimLoc> {
     out
 }
 
-/// `layout::find_set_location`.
+/// Locations `layout::apply_set_location` accepts.
 pub fn find_set_location(a: &Arena, target: Location) -> Vec<String> {
     a.buffers
         .iter()
@@ -631,44 +643,67 @@ pub fn find_set_location(a: &Arena, target: Location) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{available_actions, Transform, TransformLibrary};
-    use perfdojo_ir::{Arena, Program};
+    use crate::{available_actions, BufDimLoc, Loc, Transform, TransformLibrary};
+    use perfdojo_ir::{Arena, Node, Program};
 
     fn libraries() -> Vec<TransformLibrary> {
         vec![TransformLibrary::cpu(8), TransformLibrary::gpu(32), TransformLibrary::snitch()]
     }
 
-    fn assert_conformance(p: &Program, lib: &TransformLibrary, ctx: &str) {
+    /// Every location of every kind in `p`, in the finders' order: each
+    /// node in pre-order; each (scope, split index), one index past the
+    /// last child included; each buffer dimension, one past the last
+    /// included; each buffer.
+    fn candidates(p: &Program) -> Vec<Loc> {
+        let mut nodes = Vec::new();
+        let mut splits = Vec::new();
+        perfdojo_ir::path::walk(&p.roots, &mut |path, node, _| {
+            nodes.push(Loc::Node(path.clone()));
+            if let Node::Scope(s) = node {
+                splits.extend((0..=s.children.len()).map(|at| Loc::NodeAt(path.clone(), at)));
+            }
+        });
+        let dims = p.buffers.iter().flat_map(|b| {
+            (0..=b.dims.len()).map(|dim| Loc::BufferDim(BufDimLoc { buffer: b.name.clone(), dim }))
+        });
+        let buffers = p.buffers.iter().map(|b| Loc::Buffer(b.name.clone()));
+        nodes.into_iter().chain(splits).chain(dims).chain(buffers).collect()
+    }
+
+    /// `find_locations` must offer exactly the candidates `apply` accepts,
+    /// in the same order, for every transform of `lib`.
+    fn assert_find_matches_apply(p: &Program, lib: &TransformLibrary, ctx: &str) {
         let a = Arena::build(p);
+        let cands = candidates(p);
         for t in &lib.transforms {
-            let arena_locs = t.find_locations_in(&a);
-            let tree_locs = t.find_locations_tree(p);
-            assert_eq!(arena_locs, tree_locs, "{t} diverges on {ctx}");
+            let accepted: Vec<Loc> =
+                cands.iter().filter(|loc| t.apply(p, loc).is_ok()).cloned().collect();
+            assert_eq!(t.find_locations_in(&a), accepted, "{t}: find and apply disagree on {ctx}");
         }
     }
 
     #[test]
-    fn arena_finders_match_tree_finders_on_suite() {
+    fn finders_match_apply_on_suite() {
         for k in perfdojo_kernels::small_suite() {
             for lib in libraries() {
-                assert_conformance(&k.program, &lib, &k.label);
+                assert_find_matches_apply(&k.program, &lib, &k.label);
             }
         }
     }
 
     #[test]
-    fn arena_finders_match_tree_finders_on_transformed_states() {
-        // Descend two levels of the game tree: conformance must hold on
+    fn finders_match_apply_on_transformed_states() {
+        // Descend two levels of the game tree: the contract must hold on
         // arbitrary transformed states, not just the seed kernels.
         for k in perfdojo_kernels::small_suite() {
             for lib in libraries() {
                 let actions = available_actions(&k.program, &lib);
                 for act in actions.iter().take(10) {
                     let q = act.apply(&k.program).expect("found action applies");
-                    assert_conformance(&q, &lib, &format!("{} after {act}", k.label));
+                    assert_find_matches_apply(&q, &lib, &format!("{} after {act}", k.label));
                     for act2 in available_actions(&q, &lib).iter().take(3) {
                         let r = act2.apply(&q).expect("found action applies");
-                        assert_conformance(
+                        assert_find_matches_apply(
                             &r,
                             &lib,
                             &format!("{} after {act} then {act2}", k.label),
@@ -693,11 +728,46 @@ z f32 [8] heap
 ";
         let p = perfdojo_ir::parse_program(src).expect("parses");
         for lib in libraries() {
-            assert_conformance(&p, &lib, "indirect kernel");
+            assert_find_matches_apply(&p, &lib, "indirect kernel");
         }
         // sanity: indirection blocks the affine-only transforms
         let a = Arena::build(&p);
         assert!(Transform::Parallelize.find_locations_in(&a).is_empty());
         assert!(Transform::EnableSsr.find_locations_in(&a).is_empty());
+    }
+
+    #[test]
+    fn data_dependent_scopes_are_neither_offered_nor_applied() {
+        // Validation rejects scopes sized by data, but the public API still
+        // reaches them through `parse_program`: a transformation that needs
+        // the trip count is neither offered nor applied there.
+        let fissionable = "\
+kernel dd
+in n, x
+out z
+n i32 [1] heap
+x f32 [4, 8] heap
+t f32 [4, 8] stack
+z f32 [4, 8] heap
+
+n[0] | 8 | t[{0}, {1}] = x[{0}, {1}]
+     | 8 | z[{0}, {1}] = t[{0}, {1}]
+";
+        let reduction = "\
+kernel ddr
+in n, x
+out s
+n i32 [1] heap
+x f32 [4, 32] heap
+s f32 [4] heap
+
+n[0]:p | 32 | s[{0}] = s[{0}] + x[{0}, {1}]
+";
+        for src in [fissionable, reduction] {
+            let p = perfdojo_ir::parse_program(src).expect("parses");
+            for lib in libraries() {
+                assert_find_matches_apply(&p, &lib, &p.name);
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ pub struct BufDimLoc {
 // reuse_dims
 // ---------------------------------------------------------------------------
 
-/// Buffer dimensions that can safely stop being materialized.
+/// The buffer dimension can safely stop being materialized.
 ///
 /// The paper's check (Fig. 5): the dimension must not be "used in more than
 /// one scope". Precisely, across **every** access to any array of the
@@ -37,18 +37,6 @@ pub struct BufDimLoc {
 ///
 /// Then all surviving accesses agree on which physical element they mean at
 /// any point of execution, so collapsing the dimension preserves semantics.
-pub fn find_reuse(p: &Program) -> Vec<BufDimLoc> {
-    let mut out = Vec::new();
-    for b in &p.buffers {
-        for dim in 0..b.dims.len() {
-            if b.dims[dim].materialized && reuse_applicable(p, &b.name, dim) {
-                out.push(BufDimLoc { buffer: b.name.clone(), dim });
-            }
-        }
-    }
-    out
-}
-
 fn reuse_applicable(p: &Program, buffer: &str, dim: usize) -> bool {
     let Some(buf) = p.buffer(buffer) else { return false };
     if !buf.dims.get(dim).is_some_and(|d| d.materialized) {
@@ -125,19 +113,6 @@ pub fn apply_reuse(p: &Program, loc: &BufDimLoc) -> Result<Program, TransformErr
     Ok(out)
 }
 
-/// Non-materialized dimensions (re-materialization is always safe).
-pub fn find_materialize(p: &Program) -> Vec<BufDimLoc> {
-    let mut out = Vec::new();
-    for b in &p.buffers {
-        for dim in 0..b.dims.len() {
-            if !b.dims[dim].materialized {
-                out.push(BufDimLoc { buffer: b.name.clone(), dim });
-            }
-        }
-    }
-    out
-}
-
 /// Re-materialize a collapsed dimension (inverse of `reuse_dims`; trades
 /// memory back for generality, always semantics-preserving).
 pub fn apply_materialize(p: &Program, loc: &BufDimLoc) -> Result<Program, TransformError> {
@@ -162,28 +137,10 @@ pub fn apply_materialize(p: &Program, loc: &BufDimLoc) -> Result<Program, Transf
 // swap_dims
 // ---------------------------------------------------------------------------
 
-/// Buffer dimensions swappable with their successor (`dim`, `dim+1`).
-///
 /// A dimension swap is a consistent relabeling of storage and accesses, so
 /// it is always semantics-preserving — but only allowed on non-interface
 /// buffers (swapping an input/output changes the caller-visible layout) and
 /// only when every access is affine.
-pub fn find_swap_dims(p: &Program) -> Vec<BufDimLoc> {
-    let mut out = Vec::new();
-    for b in &p.buffers {
-        if b.dims.len() < 2 {
-            continue;
-        }
-        if !swap_buffer_ok(p, &b.name) {
-            continue;
-        }
-        for dim in 0..b.dims.len() - 1 {
-            out.push(BufDimLoc { buffer: b.name.clone(), dim });
-        }
-    }
-    out
-}
-
 fn swap_buffer_ok(p: &Program, buffer: &str) -> bool {
     let Some(buf) = p.buffer(buffer) else { return false };
     let interface = buf
@@ -250,26 +207,9 @@ fn rewrite_expr(e: &mut perfdojo_ir::Expr, f: &mut dyn FnMut(&mut perfdojo_ir::A
 // pad_dim
 // ---------------------------------------------------------------------------
 
-/// Buffer dimensions paddable to a multiple of `align` (strictly growing).
-/// Padding only changes strides; logical contents are untouched, so it is
-/// always semantics-preserving.
-pub fn find_pad(p: &Program, align: usize) -> Vec<BufDimLoc> {
-    let mut out = Vec::new();
-    if align < 2 {
-        return out;
-    }
-    for b in &p.buffers {
-        for dim in 0..b.dims.len() {
-            let d = b.dims[dim];
-            if d.materialized && d.pad_to % align != 0 {
-                out.push(BufDimLoc { buffer: b.name.clone(), dim });
-            }
-        }
-    }
-    out
-}
-
-/// Pad the dimension's physical extent up to the next multiple of `align`.
+/// Pad the dimension's physical extent up to the next multiple of `align`
+/// (strictly growing). Padding only changes strides; logical contents are
+/// untouched, so it is always semantics-preserving.
 pub fn apply_pad(p: &Program, loc: &BufDimLoc, align: usize) -> Result<Program, TransformError> {
     if align < 2 {
         return Err(TransformError::NotApplicable("padding alignment < 2".into()));
@@ -295,15 +235,7 @@ pub fn apply_pad(p: &Program, loc: &BufDimLoc, align: usize) -> Result<Program, 
 // set_location
 // ---------------------------------------------------------------------------
 
-/// Buffers movable to `target` (temporaries only, within size limits).
-pub fn find_set_location(p: &Program, target: Location) -> Vec<String> {
-    p.buffers
-        .iter()
-        .filter(|b| location_applicable(p, b, target))
-        .map(|b| b.name.clone())
-        .collect()
-}
-
+/// The buffer is movable to `target`: temporaries only, within size limits.
 fn location_applicable(p: &Program, b: &perfdojo_ir::BufferDecl, target: Location) -> bool {
     if b.location == target {
         return false;

@@ -8,7 +8,7 @@
 //!   rewrites in one step).
 //! * **Applicability detection** — every transformation enumerates the code
 //!   locations where it can be applied *and* filters out locations where it
-//!   would violate semantics, via the dependence analyses in [`deps`].
+//!   would violate semantics, via dependence analysis.
 //! * **Non-destructive** — applications are pure (`&Program -> Program`) and
 //!   recorded in a [`history::History`], so any earlier step can be undone
 //!   or replaced while keeping the rest of the sequence ([`history`]).
@@ -17,12 +17,18 @@
 //! [`Transform::apply`], and [`available_actions`] (which enumerates the
 //! action space of the Dojo game for a given target's
 //! [`TransformLibrary`]).
+//!
+//! The action space has one enumeration: the scans over the flat
+//! [`Arena`] behind [`Transform::find_locations_in`]. `apply` re-checks its
+//! location on the tree, and those checks are the specification: a
+//! conformance test pins that `find_locations` offers exactly, and in
+//! order, the locations `apply` accepts.
 
-pub mod deps;
-pub mod finders;
+mod deps;
+mod finders;
 pub mod history;
-pub mod layout;
-pub mod scopes;
+mod layout;
+mod scopes;
 pub mod serial;
 
 pub use history::{replay, replay_sequence, History, Replay, ReplayError};
@@ -166,9 +172,9 @@ impl Transform {
         self.find_locations_in(&Arena::build(p))
     }
 
-    /// Arena-based applicability scan: same results, same order as
-    /// [`Transform::find_locations_tree`], without re-walking the tree per
-    /// query (see [`finders`]).
+    /// Arena-based applicability scan: every location where
+    /// [`Transform::apply`] succeeds, nodes in pre-order and buffers in
+    /// declaration order.
     pub fn find_locations_in(&self, a: &Arena) -> Vec<Loc> {
         match self {
             Transform::SplitScope { tile } => {
@@ -217,60 +223,6 @@ impl Transform {
             }
             Transform::EnableFrep => {
                 finders::find_enable_frep(a).into_iter().map(Loc::Node).collect()
-            }
-        }
-    }
-
-    /// Reference tree-walking applicability scan. Kept as the executable
-    /// specification the arena finders are conformance-tested against.
-    pub fn find_locations_tree(&self, p: &Program) -> Vec<Loc> {
-        match self {
-            Transform::SplitScope { tile } => {
-                scopes::find_split(p, *tile).into_iter().map(Loc::Node).collect()
-            }
-            Transform::JoinScopes => scopes::find_join(p).into_iter().map(Loc::Node).collect(),
-            Transform::FissionScope => scopes::find_fission(p)
-                .into_iter()
-                .map(|(p_, i)| Loc::NodeAt(p_, i))
-                .collect(),
-            Transform::InterchangeScopes => {
-                scopes::find_interchange(p).into_iter().map(Loc::Node).collect()
-            }
-            Transform::ReorderOps => scopes::find_reorder(p).into_iter().map(Loc::Node).collect(),
-            Transform::SplitReduction { tile } => {
-                scopes::find_split_reduction(p, *tile).into_iter().map(Loc::Node).collect()
-            }
-            Transform::Unroll => scopes::find_unroll(p).into_iter().map(Loc::Node).collect(),
-            Transform::Vectorize { width } => {
-                scopes::find_vectorize(p, *width).into_iter().map(Loc::Node).collect()
-            }
-            Transform::Parallelize => {
-                scopes::find_parallelize(p).into_iter().map(Loc::Node).collect()
-            }
-            Transform::BindGpu(kind) => {
-                scopes::find_bind_gpu(p, *kind).into_iter().map(Loc::Node).collect()
-            }
-            Transform::SetSeq => scopes::find_set_seq(p).into_iter().map(Loc::Node).collect(),
-            Transform::ReuseDims => {
-                layout::find_reuse(p).into_iter().map(Loc::BufferDim).collect()
-            }
-            Transform::MaterializeDims => {
-                layout::find_materialize(p).into_iter().map(Loc::BufferDim).collect()
-            }
-            Transform::SwapDims => {
-                layout::find_swap_dims(p).into_iter().map(Loc::BufferDim).collect()
-            }
-            Transform::PadDim { align } => {
-                layout::find_pad(p, *align).into_iter().map(Loc::BufferDim).collect()
-            }
-            Transform::SetLocation(target) => {
-                layout::find_set_location(p, *target).into_iter().map(Loc::Buffer).collect()
-            }
-            Transform::EnableSsr => {
-                scopes::find_enable_ssr(p).into_iter().map(Loc::Node).collect()
-            }
-            Transform::EnableFrep => {
-                scopes::find_enable_frep(p).into_iter().map(Loc::Node).collect()
             }
         }
     }

@@ -2,10 +2,12 @@
 //! reduction splitting, and instantiation annotations (unroll / vectorize /
 //! parallelize / GPU bindings / SSR / FREP).
 //!
-//! Every function comes in a pair: `find_*` returns all code locations where
-//! the transformation is applicable (paper §2.2 "applicability detection"),
-//! and `apply_*` performs the atomic rewrite, re-checking applicability so a
-//! stale location can never corrupt semantics.
+//! Each `apply_*` performs one atomic rewrite after re-checking
+//! applicability on the tree, so a stale location can never corrupt
+//! semantics. These checks are the specification of where a transformation
+//! applies (paper §2.2 "applicability detection"): the arena scans in
+//! [`crate::finders`] must offer exactly the locations they accept, and
+//! the conformance test there pins it.
 
 use crate::deps;
 use crate::TransformError;
@@ -70,31 +72,15 @@ fn substitute_subtree(node: &Node, depth: usize, repl: &Affine) -> Node {
 // split_scope (tiling)
 // ---------------------------------------------------------------------------
 
-/// Locations where `split_scope` with `tile` applies: plain sequential
-/// scopes whose trip count is divisible by `tile` (strictly between 1 and
-/// the trip count, so the split is not a no-op).
-pub fn find_split(p: &Program, tile: usize) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| {
-            let s = p.node(path).unwrap().as_scope().unwrap();
-            s.kind == ScopeKind::Seq
-                && !s.frep
-                && !s.ssr
-                && s.size
-                    .as_const()
-                    .is_some_and(|n| tile > 1 && tile < n && n % tile == 0)
-        })
-        .collect()
-}
-
 /// Tile the scope at `path` into `trip/tile` × `tile`. Iteration order is
 /// preserved exactly (`i = i_outer*tile + i_inner` in lexicographic order),
 /// so the rewrite is unconditionally semantics-preserving.
 pub fn apply_split(p: &Program, path: &Path, tile: usize) -> Result<Program, TransformError> {
     let s = scope_at(p, path)?;
     expect_seq(s, "split_scope")?;
-    let n = s.trip();
+    let Some(n) = s.size.as_const() else {
+        return Err(TransformError::NotApplicable(format!("split_scope at {path}: dynamic trip")));
+    };
     if tile <= 1 || tile >= n || n % tile != 0 {
         return Err(TransformError::NotApplicable(format!(
             "tile {tile} does not split trip {n}"
@@ -121,18 +107,9 @@ pub fn apply_split(p: &Program, path: &Path, tile: usize) -> Result<Program, Tra
 // join_scopes (fusion)
 // ---------------------------------------------------------------------------
 
-/// Locations where the scope at the path can be fused with its immediately
-/// following sibling scope (paper `join_scopes`).
-pub fn find_join(p: &Program) -> Vec<Path> {
-    let mut out = Vec::new();
-    for path in p.scope_paths() {
-        if join_applicable(p, &path) {
-            out.push(path);
-        }
-    }
-    out
-}
-
+/// The scope at `path` fuses with its immediately following sibling scope
+/// (paper `join_scopes`): both plain, one constant trip count, and their
+/// regions fusable at the shared depth.
 fn join_applicable(p: &Program, path: &Path) -> bool {
     let Some(s1) = p.node(path).and_then(Node::as_scope) else { return false };
     let Some(next) = path.next_sibling() else { return false };
@@ -174,27 +151,11 @@ pub fn apply_join(p: &Program, path: &Path) -> Result<Program, TransformError> {
 // fission_scope
 // ---------------------------------------------------------------------------
 
-/// Locations (scope path, split index) where a scope's children can be
-/// distributed into two sibling scopes.
-pub fn find_fission(p: &Program) -> Vec<(Path, usize)> {
-    let mut out = Vec::new();
-    for path in p.scope_paths() {
-        let s = p.node(&path).unwrap().as_scope().unwrap();
-        if s.kind != ScopeKind::Seq || s.frep || s.ssr || s.children.len() < 2 {
-            continue;
-        }
-        for at in 1..s.children.len() {
-            if fission_applicable(p, &path, at) {
-                out.push((path.clone(), at));
-            }
-        }
-    }
-    out
-}
-
+/// The children of the constant-trip scope at `path` split at `at` into
+/// two sibling scopes.
 fn fission_applicable(p: &Program, path: &Path, at: usize) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
-    if at == 0 || at >= s.children.len() {
+    if at == 0 || at >= s.children.len() || s.size.as_const().is_none() {
         return false;
     }
     let d = path.len() - 1;
@@ -234,14 +195,7 @@ pub fn apply_fission(p: &Program, path: &Path, at: usize) -> Result<Program, Tra
 // interchange_scopes
 // ---------------------------------------------------------------------------
 
-/// Scopes that can be swapped with their single child scope.
-pub fn find_interchange(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| interchange_applicable(p, path))
-        .collect()
-}
-
+/// The scope at `path` swaps with its single child scope.
 fn interchange_applicable(p: &Program, path: &Path) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
     if s.kind != ScopeKind::Seq || s.frep || s.ssr || s.children.len() != 1 {
@@ -293,19 +247,6 @@ pub fn apply_interchange(p: &Program, path: &Path) -> Result<Program, TransformE
 // reorder_ops (swap adjacent siblings)
 // ---------------------------------------------------------------------------
 
-/// Sibling positions whose subtree can be swapped with the next sibling.
-pub fn find_reorder(p: &Program) -> Vec<Path> {
-    let mut out = Vec::new();
-    perfdojo_ir::path::walk(&p.roots, &mut |path, _, _| {
-        if let Some(next) = path.next_sibling() {
-            if p.node(&next).is_some() && deps::siblings_commute(p, path, &next) {
-                out.push(path.clone());
-            }
-        }
-    });
-    out
-}
-
 /// Swap the node at `path` with its next sibling.
 pub fn apply_reorder(p: &Program, path: &Path) -> Result<Program, TransformError> {
     let next = path
@@ -326,16 +267,9 @@ pub fn apply_reorder(p: &Program, path: &Path) -> Result<Program, TransformError
 // split_reduction (reduction privatization into a partial-sum array)
 // ---------------------------------------------------------------------------
 
-/// Scopes eligible for `split_reduction` with `tile`: a plain scope whose
-/// only child is an associative reduction update independent of the scope's
-/// iterator, with trip divisible by `tile`.
-pub fn find_split_reduction(p: &Program, tile: usize) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| split_reduction_applicable(p, path, tile))
-        .collect()
-}
-
+/// `split_reduction` with `tile` applies to a plain scope whose only child
+/// is an associative reduction update independent of the scope's iterator,
+/// with trip divisible by `tile`.
 fn split_reduction_applicable(p: &Program, path: &Path, tile: usize) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
     if s.kind != ScopeKind::Seq || s.frep || s.ssr || s.children.len() != 1 {
@@ -352,7 +286,25 @@ fn split_reduction_applicable(p: &Program, path: &Path, tile: usize) -> bool {
         return false; // not a reduction over this scope
     }
     // The accumulator must be addressable outside: affine indices only.
-    op.out.affine_indices().is_some()
+    op.out.affine_indices().is_some() && privatizing_ancestors(p, path).is_some()
+}
+
+/// `(depth, trip)` of every parallel/GPU ancestor of `path`, outermost
+/// first: under each, a partial accumulator needs one private slot per
+/// iteration. `None` when one of them has no constant trip count.
+fn privatizing_ancestors(p: &Program, path: &Path) -> Option<Vec<(usize, usize)>> {
+    let mut lead = Vec::new();
+    for k in 1..path.len() {
+        if let Some(Node::Scope(anc)) = p.node(&Path(path.0[..k].to_vec())) {
+            if matches!(
+                anc.kind,
+                ScopeKind::Parallel | ScopeKind::GpuGrid | ScopeKind::GpuBlock | ScopeKind::GpuWarp
+            ) {
+                lead.push((k - 1, anc.size.as_const()?));
+            }
+        }
+    }
+    Some(lead)
 }
 
 /// Split the reduction at `path` into partial accumulators:
@@ -396,18 +348,7 @@ pub fn apply_split_reduction(
     // Privatization: under parallel/GPU ancestors the partial accumulator
     // must not be shared between concurrent iterations, so it gains one
     // leading dimension per such ancestor, indexed by that iterator.
-    let mut lead: Vec<(usize, usize)> = Vec::new(); // (depth, trip)
-    for k in 1..path.len() {
-        let ap = Path(path.0[..k].to_vec());
-        if let Some(Node::Scope(anc)) = p.node(&ap) {
-            if matches!(
-                anc.kind,
-                ScopeKind::Parallel | ScopeKind::GpuGrid | ScopeKind::GpuBlock | ScopeKind::GpuWarp
-            ) {
-                lead.push((k - 1, anc.trip()));
-            }
-        }
-    }
+    let lead = privatizing_ancestors(p, path).expect("checked by split_reduction_applicable");
     let lead_idx: Vec<Affine> = lead.iter().map(|&(dep, _)| Affine::var(dep)).collect();
     let mut idx_d = lead_idx.clone();
     idx_d.push(Affine::var(d));
@@ -479,20 +420,8 @@ fn strip_accumulator(e: &Expr, acc: &perfdojo_ir::Access) -> Option<Expr> {
 // Instantiation annotations: unroll / vectorize / parallelize / GPU / seq
 // ---------------------------------------------------------------------------
 
-/// Scopes that can be unrolled: plain, constant trip ≤ [`MAX_UNROLL`].
-pub fn find_unroll(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| {
-            let s = p.node(path).unwrap().as_scope().unwrap();
-            s.kind == ScopeKind::Seq
-                && !s.frep
-                && s.size.as_const().is_some_and(|n| n <= MAX_UNROLL)
-        })
-        .collect()
-}
-
-/// Mark the scope unrolled (performance-only; semantics unchanged).
+/// Mark the scope unrolled (performance-only; semantics unchanged): plain,
+/// constant trip ≤ [`MAX_UNROLL`].
 pub fn apply_unroll(p: &Program, path: &Path) -> Result<Program, TransformError> {
     let s = scope_at(p, path)?;
     if s.kind != ScopeKind::Seq || s.frep || s.size.as_const().is_none_or(|n| n > MAX_UNROLL) {
@@ -503,16 +432,9 @@ pub fn apply_unroll(p: &Program, path: &Path) -> Result<Program, TransformError>
     Ok(out)
 }
 
-/// Scopes vectorizable at `width` (paper §2: the trip count must equal the
-/// vector width and the scope must wrap a single instruction with
-/// vectorizable arguments — unit-stride or broadcast).
-pub fn find_vectorize(p: &Program, width: usize) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| vectorize_applicable(p, path, width))
-        .collect()
-}
-
+/// Vectorizable at `width` (paper §2): the trip count equals the vector
+/// width and the scope wraps a single instruction with vectorizable
+/// arguments — unit-stride or broadcast.
 fn vectorize_applicable(p: &Program, path: &Path, width: usize) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
     if s.kind != ScopeKind::Seq || s.frep || s.ssr {
@@ -564,22 +486,6 @@ pub fn apply_vectorize(p: &Program, path: &Path, width: usize) -> Result<Program
     Ok(out)
 }
 
-/// Scopes whose iterations are provably independent (parallelizable).
-pub fn find_parallelize(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| {
-            let s = p.node(path).unwrap().as_scope().unwrap();
-            s.kind == ScopeKind::Seq
-                && !s.frep
-                && !s.ssr
-                && s.size.as_const().is_some()
-                && no_annotated_ancestor(p, path)
-                && deps::iterations_independent(p, path)
-        })
-        .collect()
-}
-
 fn no_annotated_ancestor(p: &Program, path: &Path) -> bool {
     let mut q = path.parent();
     while let Some(pp) = q {
@@ -597,26 +503,21 @@ fn no_annotated_ancestor(p: &Program, path: &Path) -> bool {
     true
 }
 
-/// Mark the scope CPU-parallel.
+/// Mark the scope CPU-parallel: a plain constant-trip scope whose
+/// iterations are provably independent, under no parallel or GPU-bound
+/// ancestor.
 pub fn apply_parallelize(p: &Program, path: &Path) -> Result<Program, TransformError> {
     let s = scope_at(p, path)?;
     expect_seq(s, "parallelize")?;
-    if !no_annotated_ancestor(p, path) || !deps::iterations_independent(p, path) {
+    if s.size.as_const().is_none()
+        || !no_annotated_ancestor(p, path)
+        || !deps::iterations_independent(p, path)
+    {
         return Err(TransformError::NotApplicable(format!("parallelize at {path}")));
     }
     let mut out = p.clone();
     out.node_mut(path).unwrap().as_scope_mut().unwrap().kind = ScopeKind::Parallel;
     Ok(out)
-}
-
-/// Scopes bindable to a GPU level. Grid requires no GPU-bound ancestor;
-/// block requires the nearest GPU-bound ancestor to be a grid; warp requires
-/// it to be a block. Independence of iterations is required for all three.
-pub fn find_bind_gpu(p: &Program, kind: ScopeKind) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| bind_gpu_applicable(p, path, kind))
-        .collect()
 }
 
 fn nearest_gpu_ancestor(p: &Program, path: &Path) -> Option<ScopeKind> {
@@ -635,6 +536,9 @@ fn nearest_gpu_ancestor(p: &Program, path: &Path) -> Option<ScopeKind> {
     None
 }
 
+/// Grid requires no GPU-bound ancestor; block requires the nearest
+/// GPU-bound ancestor to be a grid; warp requires it to be a block.
+/// Independence of iterations is required for all three.
 fn bind_gpu_applicable(p: &Program, path: &Path, kind: ScopeKind) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
     if s.kind != ScopeKind::Seq || s.frep || s.ssr || s.size.as_const().is_none() {
@@ -660,18 +564,6 @@ pub fn apply_bind_gpu(p: &Program, path: &Path, kind: ScopeKind) -> Result<Progr
     Ok(out)
 }
 
-/// Annotated scopes that can be reset to plain sequential (the
-/// non-destructive inverse of every annotation).
-pub fn find_set_seq(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| {
-            let s = p.node(path).unwrap().as_scope().unwrap();
-            s.kind != ScopeKind::Seq || s.frep || s.ssr
-        })
-        .collect()
-}
-
 /// Reset a scope's instantiation to plain sequential (clears SSR/FREP too).
 pub fn apply_set_seq(p: &Program, path: &Path) -> Result<Program, TransformError> {
     let s = scope_at(p, path)?;
@@ -693,15 +585,9 @@ pub fn apply_set_seq(p: &Program, path: &Path) -> Result<Program, TransformError
 /// Maximum hardware data-mover streams on the modelled Snitch core.
 pub const MAX_SSR_STREAMS: usize = 3;
 
-/// Innermost scopes whose single-op body has at most [`MAX_SSR_STREAMS`]
-/// affine input streams: eligible for stream semantic registers.
-pub fn find_enable_ssr(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| ssr_applicable(p, path))
-        .collect()
-}
-
+/// Stream semantic registers apply to a constant-trip scope whose
+/// stream-shaped body touches at most [`MAX_SSR_STREAMS`] arrays along
+/// its iterator.
 fn ssr_applicable(p: &Program, path: &Path) -> bool {
     let Some(s) = p.node(path).and_then(Node::as_scope) else { return false };
     if s.ssr || s.kind == ScopeKind::Vector {
@@ -761,19 +647,8 @@ pub fn apply_enable_ssr(p: &Program, path: &Path) -> Result<Program, TransformEr
     Ok(out)
 }
 
-/// SSR-enabled scopes eligible for floating-point repetition: the hardware
-/// loop needs a streaming body with a constant trip count.
-pub fn find_enable_frep(p: &Program) -> Vec<Path> {
-    p.scope_paths()
-        .into_iter()
-        .filter(|path| {
-            let s = p.node(path).unwrap().as_scope().unwrap();
-            s.ssr && !s.frep && s.size.as_const().is_some()
-        })
-        .collect()
-}
-
-/// Enable FREP on an SSR scope (removes integer-core loop overhead).
+/// Enable FREP on an SSR scope (removes integer-core loop overhead); the
+/// hardware loop needs a constant trip count.
 pub fn apply_enable_frep(p: &Program, path: &Path) -> Result<Program, TransformError> {
     let s = scope_at(p, path)?;
     if !s.ssr || s.frep || s.size.as_const().is_none() {

@@ -42,7 +42,7 @@ fn main() {
     ] {
         let action = dojo
             .actions()
-            .into_iter()
+            .iter()
             .find(|a| {
                 a.transform == pick
                     && match (&pick, &a.loc) {
@@ -53,6 +53,7 @@ fn main() {
                         _ => true,
                     }
             })
+            .cloned()
             .unwrap_or_else(|| panic!("{what} should be applicable"));
         let step = dojo.step(action).expect("semantics-preserving");
         println!(
