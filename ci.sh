@@ -49,11 +49,12 @@
 #      injected worker kill (`--kill-after`) plus a resume must merge the
 #      same bytes again; two `--exp fleet` runs must emit a byte-identical
 #      `BENCH_fleet.json` whose model scaling is >= 1.7x from 1 to 4
-#      workers; claim liveness must be deterministic — the release
-#      dead-worker reclaim test must pass 20 of 20 isolated runs; and a
-#      real `kill -9` of a `fleet work` process holding a claim must be
-#      reclaimed once by the next worker and merge `cmp`-identical to an
-#      uninterrupted fleet.
+#      workers; job-lock liveness must be deterministic — the release
+#      dead-worker test must pass 20 of 20 isolated runs; a real `kill -9`
+#      of a `fleet work` process holding a job lock must leave the job
+#      pending (neither running nor done), and the next worker must run
+#      it once and merge `cmp`-identical to an uninterrupted fleet; and
+#      `fleet run` on a `jobs.list` with a garbled block must fail.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
 #      cache keys at full speed), and so must the find ≡ apply conformance
@@ -350,36 +351,40 @@ grep -q '"merged_identical_across_worker_counts": true' "$PDLIB_DIR/fleet1.json"
 grep -q '"kill_resume_identical": true' "$PDLIB_DIR/fleet1.json"
 awk -F': ' '/"speedup_1_to_4"/ { gsub(/,/, "", $2); exit !($2 >= 1.7) }' \
     "$PDLIB_DIR/fleet1.json"
-# liveness is the claim's OS lock, not a deadline, so the dead-worker
-# reclaim test has no timing to lose: every isolated release run passes
+# liveness is the job's OS lock, not a deadline, so the dead-worker
+# test has no timing to lose: every isolated release run passes
 cargo test -q --release -p perfdojo-library --offline --test fleet_crash --no-run
 for run in $(seq 20); do
     if ! cargo test -q --release -p perfdojo-library --offline --test fleet_crash -- \
-        --exact dead_workers_job_is_reclaimed_once_and_retuned > /dev/null 2>&1; then
-        echo "ci.sh: dead-worker reclaim test failed on isolated run $run of 20" >&2
+        --exact dead_workers_job_is_retuned_exactly_once > /dev/null 2>&1; then
+        echo "ci.sh: dead-worker test failed on isolated run $run of 20" >&2
         exit 1
     fi
 done
-# a real kill -9: the kernel drops the dead worker's claim lock, so the
-# next worker reclaims the job once and resumes its checkpoint to the
-# bytes of an uninterrupted fleet
+# a real kill -9: the kernel drops the dead worker's job lock, so the job
+# is pending again and the next worker runs it once, resuming its
+# checkpoint to the bytes of an uninterrupted fleet
 KILL_ARGS=(--kernels softmax --strategy anneal:3000 --seed 5)
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm9" "${KILL_ARGS[@]}" > /dev/null
 ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm9" --worker w0 > /dev/null &
 worker=$!
 for _ in $(seq 400); do
-    [ -z "$(ls -A "$PDLIB_DIR/farm9/claims")" ] || break
+    [ -z "$(ls -A "$PDLIB_DIR/farm9/locks")" ] || break
     sleep 0.025
 done
 kill -9 "$worker"
 wait "$worker" 2> /dev/null || true
-if [ -z "$(ls -A "$PDLIB_DIR/farm9/claims")" ]; then
-    echo "ci.sh: the killed fleet worker never held a claim" >&2
+if [ -z "$(ls -A "$PDLIB_DIR/farm9/locks")" ]; then
+    echo "ci.sh: the killed fleet worker never held a job lock" >&2
     exit 1
 fi
+./target/release/perfdojo-lib fleet status --dir "$PDLIB_DIR/farm9" \
+    | tee "$PDLIB_DIR/farm9-status.txt"
+grep -q "^running: 0$" "$PDLIB_DIR/farm9-status.txt"
+grep -q "^done: *0$" "$PDLIB_DIR/farm9-status.txt"
 ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm9" --worker w1 \
     | tee "$PDLIB_DIR/farm9.txt"
-grep -q "Drained .* 1 reclaimed" "$PDLIB_DIR/farm9.txt"
+grep -q "Drained — 1 jobs done" "$PDLIB_DIR/farm9.txt"
 ./target/release/perfdojo-lib fleet merge --dir "$PDLIB_DIR/farm9" \
     --out "$PDLIB_DIR/farm9.pdl" > /dev/null
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm1" "${KILL_ARGS[@]}" > /dev/null
@@ -387,6 +392,15 @@ grep -q "Drained .* 1 reclaimed" "$PDLIB_DIR/farm9.txt"
 ./target/release/perfdojo-lib fleet merge --dir "$PDLIB_DIR/farm1" \
     --out "$PDLIB_DIR/farm1.pdl" > /dev/null
 cmp "$PDLIB_DIR/farm1.pdl" "$PDLIB_DIR/farm9.pdl"
+# jobs.list is the only list of jobs: one garbled block must fail the
+# fleet rather than silently drop that job
+./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farmg" \
+    --kernels softmax,relu --strategy heuristic --seed 3 > /dev/null
+sed -i 's/^dims 64x64$/dims 1x?x64x64/' "$PDLIB_DIR/farmg/jobs.list"
+if ./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farmg" > /dev/null 2>&1; then
+    echo "ci.sh: fleet run accepted a garbled jobs.list" >&2
+    exit 1
+fi
 
 echo "== 11/13 arena/cache-keying smoke: release A/B + cache-quality regression =="
 # the incremental engine must stay bit-identical to the naive one under the

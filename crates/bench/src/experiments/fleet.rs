@@ -1,5 +1,5 @@
 //! Fleet scaling experiment: build the tune-suite library through the
-//! distributed work-queue fleet at several worker counts, plus once with
+//! distributed fleet at several worker counts, plus once with
 //! an injected worker kill, and verify the merged library is
 //! byte-identical every time.
 //!
@@ -66,8 +66,9 @@ fn run_one(
         if killed != 1 {
             return Err(format!("expected exactly one killed worker, saw {killed}"));
         }
-        // the survivors usually reclaim and drain; a 1-worker fleet (or an
-        // unlucky schedule) needs the rerun — exactly what an operator does
+        // the survivors usually resume the job and drain; a 1-worker fleet
+        // (or an unlucky schedule) needs the rerun — exactly what an
+        // operator does
         if !report.drained {
             run_fleet(&fleet, workers, &WorkerConfig::new(""), &FaultPlan::none())?;
         }
@@ -76,12 +77,12 @@ fn run_one(
     }
     let wall = t0.elapsed().as_secs_f64();
 
-    let merge = fleet.merge();
+    let merge = fleet.merge()?;
     if !merge.unfinished.is_empty() {
         return Err(format!("unfinished jobs after drain: {:?}", merge.unfinished));
     }
     let mut job_evals = BTreeMap::new();
-    for job in fleet.manifest() {
+    for job in fleet.manifest()? {
         let id = job.id();
         let (evals, _) = fleet.part(&id).ok_or_else(|| format!("missing part {id}"))?;
         job_evals.insert(id, evals);
@@ -210,7 +211,7 @@ fn try_run_fleet_exp(json_path: Option<&std::path::Path>) -> Result<String, Stri
     ));
     t.note(format!(
         "injected kill: w0 killed after {KILL_AFTER_STEPS} steps in a 4-worker fleet; \
-         survivors reclaimed its claim and resumed its checkpoint; merged library \
+         survivors resumed its checkpoint; merged library \
          byte-identical to the uninterrupted run: {}",
         if e.kill_resume_identical { "yes" } else { "NO" }
     ));

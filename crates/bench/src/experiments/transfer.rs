@@ -1,7 +1,7 @@
 //! Cross-shape transfer experiment: parameterized schedules + warm-started
 //! search. An anneal-tuned library over a small training grid (three
-//! operator families, two shapes each) is distilled into a
-//! [`TransferIndex`]; held-out shapes are then (a) served through the
+//! operator families, two shapes each) is fit per family
+//! ([`fit_for`]); held-out shapes are then (a) served through the
 //! parameterized dispatch tier and (b) tuned cold vs transfer-warmed at
 //! equal budget. Emits `BENCH_transfer.json`, which must be
 //! byte-reproducible: every number comes from the deterministic machine
@@ -10,9 +10,7 @@
 use crate::report::{fmt_x, geomean, Table};
 use perfdojo_core::{Dojo, Target};
 use perfdojo_kernels::KernelInstance;
-use perfdojo_library::{
-    Disposition, KernelSig, Library, LibraryBuilder, Strategy, TransferIndex,
-};
+use perfdojo_library::{fit_for, Disposition, KernelSig, Library, LibraryBuilder, Strategy};
 use perfdojo_search::{anneal_resume, simulated_annealing, AnnealState, HeuristicSpace};
 use std::path::Path;
 
@@ -100,14 +98,14 @@ impl ShapeRow {
     }
 }
 
-fn emit_json(rows: &[ShapeRow], index_len: usize, param_hits: u64) -> String {
+fn emit_json(rows: &[ShapeRow], fitted: usize, param_hits: u64) -> String {
     let mut j = String::from("{\n  \"experiment\": \"transfer\",\n");
     j.push_str("  \"target\": \"x86\",\n");
     j.push_str(&format!("  \"seed\": {SEED},\n"));
     j.push_str(&format!("  \"train_budget\": {TRAIN_BUDGET},\n"));
     j.push_str(&format!("  \"eval_budget\": {EVAL_BUDGET},\n"));
     j.push_str(&format!("  \"train_kernels\": {},\n", train_grid().len()));
-    j.push_str(&format!("  \"index_schedules\": {index_len},\n"));
+    j.push_str(&format!("  \"index_schedules\": {fitted},\n"));
     j.push_str("  \"held_out\": [\n");
     for (i, r) in rows.iter().enumerate() {
         j.push_str("    {\n");
@@ -154,8 +152,8 @@ fn emit_json(rows: &[ShapeRow], index_len: usize, param_hits: u64) -> String {
 fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
     let target = Target::x86();
 
-    // Train: anneal-tune the grid into a library, then distill the
-    // parameterized schedules the dispatch tier and warm starts both read.
+    // Train: anneal-tune the grid into the library whose family fits the
+    // dispatch tier and the warm starts both read.
     let train: Vec<KernelInstance> = train_grid()
         .iter()
         .map(|(label, dims)| instance(label, dims))
@@ -163,7 +161,11 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
     let mut lib = Library::new();
     let builder = LibraryBuilder::new(Strategy::Anneal { budget: TRAIN_BUDGET }, SEED);
     builder.build_into(&mut lib, &train, std::slice::from_ref(&target));
-    let index = TransferIndex::build(&lib);
+    // each family that fits counts once, through its donor record
+    let fitted = lib
+        .records()
+        .filter(|r| fit_for(&lib, &r.sig).is_some_and(|ps| ps.donor == r.sig.key()))
+        .count();
 
     let mut rows = Vec::new();
     for (label, dims) in &held_out() {
@@ -178,7 +180,7 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
         };
 
         // (b) Equal-budget tuning: cold anneal vs transfer-warmed anneal.
-        let warm = index.materialize_for(&sig).unwrap_or_default();
+        let warm = fit_for(&lib, &sig).map_or_else(Vec::new, |ps| ps.materialize(&sig.shape));
         let mut dojo = Dojo::for_target(query.program.clone(), &target)
             .map_err(|e| format!("dojo for {}: {e}", query.label))?;
         let cold = simulated_annealing(&mut dojo, &HeuristicSpace, EVAL_BUDGET, SEED);
@@ -233,7 +235,7 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
         "train grid: {} kernels (3 families x 2 shapes) anneal-tuned at budget {TRAIN_BUDGET}, \
          seed {SEED}; {} parameterized schedules distilled",
         train.len(),
-        index.len(),
+        fitted,
     ));
     t.note(format!(
         "parameterized-tier hit rate on held-out shapes: {param_hits}/{}; \
@@ -248,7 +250,7 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
         rows.len(),
         rows.iter().all(|r| r.warm_not_worse()),
     ));
-    let json = emit_json(&rows, index.len(), param_hits);
+    let json = emit_json(&rows, fitted, param_hits);
     if let Some(path) = json_path {
         match std::fs::write(path, &json) {
             Ok(()) => t.note(format!("wrote {}", path.display())),

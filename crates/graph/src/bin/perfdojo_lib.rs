@@ -92,24 +92,24 @@ usage:
                       rerun the identical command to resume)
   perfdojo-lib fleet init   --dir <fleet-dir> [--kernels a,b] [--targets x86,gh200]
                      [--strategy heuristic|anneal[:N[:K]]|perfllm[:N]] [--seed N]
-                     (seed the shared work queue with the kernels x targets
-                      job grid and write the jobs.list manifest; idempotent
-                      on a live fleet)
+                     (write the kernels x targets job grid as the jobs.list
+                      manifest; safe to rerun on a live fleet)
   perfdojo-lib fleet run    --dir <fleet-dir> [--workers N] [--step-limit N]
                      [--kill-after N] [--fault-seed N]
-                     (run N in-process workers until the queue drains;
+                     (run N in-process workers until every job is done;
                       --step-limit pauses each worker cleanly after N tuning
                       steps, exit code 4 — rerun to continue; --kill-after
                       simulates a kill -9 of worker w0 after N steps,
-                      leaving its claim for the survivors to reclaim;
+                      leaving its job for the survivors to resume;
                       --fault-seed injects a seeded random fault plan)
   perfdojo-lib fleet work   --dir <fleet-dir> --worker <id> [--step-limit N]
                      [--kill-after N]
-                     (one worker process: claim jobs under an OS file lock,
-                      tune under the per-job checkpoint, emit hash-checked
-                      parts; a dead worker's claim, even after kill -9, is
-                      reclaimed by the next idle worker — launch any number
-                      of these against the same dir)
+                     (one worker process: own each job through an OS file
+                      lock, tune under the per-job checkpoint, emit
+                      hash-checked parts; a dead worker's lock, even after
+                      kill -9, dies with it and the next idle worker
+                      resumes the job — launch any number of these against
+                      the same dir)
   perfdojo-lib fleet status --dir <fleet-dir>
   perfdojo-lib fleet merge  --dir <fleet-dir> --out <file>
                      (deterministic keep-best join of every valid part;
@@ -559,13 +559,12 @@ fn fleet_init(args: &[String]) -> Result<(), String> {
         }
     };
     let jobs = FleetJob::grid(&kernels, &target_names, strategy, seed)?;
-    let queued = fleet.init(&jobs).map_err(|e| format!("fleet init: {e}"))?;
+    fleet.init(&jobs).map_err(|e| format!("fleet init: {e}"))?;
     println!(
-        "fleet init {}: {} jobs in manifest, {} queued ({} already live or done)",
+        "fleet init {}: {} jobs in manifest ({} already done)",
         fleet.root().display(),
         jobs.len(),
-        queued,
-        jobs.len() - queued
+        fleet.status()?.done
     );
     Ok(())
 }
@@ -588,25 +587,21 @@ fn fleet_run(args: &[String]) -> Result<ExitCode, String> {
     let report = run_fleet(&fleet, workers, &cfg, &plan)?;
     for (i, w) in report.workers.iter().enumerate() {
         println!(
-            "  w{i}: {:?} — {} jobs done, {} steps, {} reclaimed, {} requeued lost, \
-             {} torn parts discarded",
+            "  w{i}: {:?} — {} jobs done, {} steps, {} torn parts discarded",
             w.exit,
             w.jobs_done.len(),
             w.steps,
-            w.reclaimed,
-            w.requeued_lost,
             w.discarded_torn
         );
     }
-    let s = fleet.status();
+    let s = fleet.status()?;
     println!(
-        "fleet run {}: {}/{} jobs done ({} queued, {} claimed, {} lost)",
+        "fleet run {}: {}/{} jobs done ({} pending, {} running)",
         fleet.root().display(),
         s.done,
         s.total,
-        s.queued,
-        s.claimed,
-        s.lost
+        s.pending,
+        s.running
     );
     if report.drained {
         Ok(ExitCode::SUCCESS)
@@ -622,12 +617,11 @@ fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
     let cfg = fleet_worker_config(args, &worker)?;
     let report = run_worker(&fleet, &cfg, &FaultPlan::none())?;
     println!(
-        "worker {}: {:?} — {} jobs done, {} steps, {} reclaimed",
+        "worker {}: {:?} — {} jobs done, {} steps",
         worker,
         report.exit,
         report.jobs_done.len(),
-        report.steps,
-        report.reclaimed
+        report.steps
     );
     match report.exit {
         WorkerExit::Drained => Ok(ExitCode::SUCCESS),
@@ -637,23 +631,19 @@ fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
 
 fn fleet_status(args: &[String]) -> Result<(), String> {
     let fleet = open_fleet(args)?;
-    let s = fleet.status();
+    let s = fleet.status()?;
     println!("fleet:   {}", fleet.root().display());
     println!("jobs:    {} total", s.total);
-    println!("queued:  {}", s.queued);
-    println!("claimed: {}", s.claimed);
+    println!("pending: {}", s.pending);
+    println!("running: {}", s.running);
     println!("done:    {}", s.done);
-    println!("lost:    {}", s.lost);
-    for id in fleet.claimed_ids() {
-        println!("  claimed: {id}");
-    }
     Ok(())
 }
 
 fn fleet_merge(args: &[String]) -> Result<(), String> {
     let fleet = open_fleet(args)?;
     let out = PathBuf::from(required(args, "--out")?);
-    let m = fleet.merge();
+    let m = fleet.merge()?;
     if !m.unfinished.is_empty() {
         for id in &m.unfinished {
             eprintln!("warning: unfinished job {id}");

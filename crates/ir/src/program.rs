@@ -82,12 +82,16 @@ impl Program {
     /// (`sum over leaves of product of enclosing trip counts`), a proxy for
     /// algorithmic work used by the peak-performance calculations (§4.1).
     /// Saturates at `u64::MAX` instead of wrapping, so a huge program never
-    /// counts as a small one.
+    /// counts as a small one. A trip count that is not constant (validation
+    /// rejects such scopes, but `parse_program` returns them) counts as
+    /// `u64::MAX`: its work is unknown, so every gate treats it as too large.
     pub fn dynamic_op_instances(&self) -> u64 {
         self.ops()
             .iter()
             .map(|(_, op, chain)| {
-                let iters = chain.iter().fold(1u64, |n, s| n.saturating_mul(s.trip() as u64));
+                let iters = chain.iter().fold(1u64, |n, s| {
+                    n.saturating_mul(s.size.as_const().map_or(u64::MAX, |t| t as u64))
+                });
                 iters.saturating_mul(op.expr.op_count().max(1) as u64)
             })
             .fold(0, u64::saturating_add)
@@ -173,6 +177,26 @@ mod tests {
         // 2^32 * 2^32 iterations wrap a u64 product to 0
         let inner = Node::Scope(Scope::new(1 << 32, vec![op]));
         p.roots = vec![Node::Scope(Scope::new(1 << 32, vec![inner]))];
+        assert_eq!(p.dynamic_op_instances(), u64::MAX);
+    }
+
+    #[test]
+    fn data_dependent_trip_counts_as_unbounded_work() {
+        let p = crate::parse_program(
+            "\
+kernel dd
+in n, x
+out z
+n i32 [1] heap
+x f32 [4, 8] heap
+t f32 [4, 8] stack
+z f32 [4, 8] heap
+
+n[0] | 8 | t[{0}, {1}] = x[{0}, {1}]
+     | 8 | z[{0}, {1}] = t[{0}, {1}]
+",
+        )
+        .expect("parses");
         assert_eq!(p.dynamic_op_instances(), u64::MAX);
     }
 

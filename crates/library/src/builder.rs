@@ -150,12 +150,13 @@ pub struct LibraryBuilder {
     pub strategy: Strategy,
     /// Global seed; per-job seeds are derived from it.
     pub seed: u64,
-    /// Transfer index used to warm-start search-based jobs: each job's
-    /// search begins from the materialized family schedule (when one fits
-    /// the job's kernel) instead of the empty program. `None` tunes cold.
-    /// The index is part of a job's identity — rebuilding or resuming with
-    /// a different index is a different build.
-    pub warm: Option<std::sync::Arc<crate::transfer::TransferIndex>>,
+    /// Donor library used to warm-start search-based jobs: each job's
+    /// search begins from its family's schedule fit over the donor
+    /// ([`crate::transfer::fit_for`]), materialized at the job's shape,
+    /// instead of the empty program. `None` tunes cold, as does a job whose
+    /// family does not fit. The donor is part of a job's identity —
+    /// rebuilding or resuming with a different donor is a different build.
+    pub warm: Option<std::sync::Arc<Library>>,
 }
 
 impl LibraryBuilder {
@@ -166,23 +167,21 @@ impl LibraryBuilder {
     }
 
     /// Warm-start search-based jobs from parameterized schedules fit over
-    /// `lib`'s records (a no-op when nothing fits).
+    /// `lib`'s records (a no-op for an empty library).
     pub fn with_warm_from(mut self, lib: &Library) -> LibraryBuilder {
-        let index = crate::transfer::TransferIndex::build(lib);
-        if !index.is_empty() {
-            self.warm = Some(std::sync::Arc::new(index));
+        if !lib.is_empty() {
+            self.warm = Some(std::sync::Arc::new(lib.clone()));
         }
         self
     }
 
-    /// The warm-start sequence for one job: the transfer index's
-    /// materialized schedule for the job's kernel signature, empty when
-    /// there is no index or no covering family.
+    /// The warm-start sequence for one job: the schedule of the job's
+    /// family fit over the donor, materialized at the job's shape; empty
+    /// when there is no donor or the family does not fit.
     pub fn warm_steps(&self, kernel: &KernelInstance, target: &Target) -> Vec<Action> {
-        self.warm
-            .as_ref()
-            .and_then(|ix| ix.materialize_for(&KernelSig::of(&kernel.program, &target.name)))
-            .unwrap_or_default()
+        let Some(donor) = &self.warm else { return Vec::new() };
+        let sig = KernelSig::of(&kernel.program, &target.name);
+        crate::transfer::fit_for(donor, &sig).map_or_else(Vec::new, |ps| ps.materialize(&sig.shape))
     }
 
     /// Seed for one job, mixed from the global seed and job identity so a
@@ -711,6 +710,22 @@ mod tests {
         let builder = LibraryBuilder::new(Strategy::Anneal { budget: 10 }, 5)
             .with_warm_from(&Library::new());
         assert!(builder.warm.is_none());
+        // a donor with no family that fits (one record per family) tunes
+        // every job byte-identically to a cold build
+        let kernels = tune(&["layernorm 1"]);
+        let targets = [Target::x86()];
+        let mut donor = Library::new();
+        LibraryBuilder::new(Strategy::Heuristic, 7).build_into(&mut donor, &kernels, &targets);
+        let build = |builder: LibraryBuilder| {
+            let mut lib = Library::new();
+            builder.build_into(&mut lib, &kernels, &targets);
+            lib.to_text()
+        };
+        let strategy = Strategy::PerfLlm { episodes: 2 };
+        assert_eq!(
+            build(LibraryBuilder::new(strategy, 5).with_warm_from(&donor)),
+            build(LibraryBuilder::new(strategy, 5))
+        );
     }
 
     #[test]

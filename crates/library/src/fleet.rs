@@ -1,56 +1,58 @@
-//! Distributed, preemptible tuning fleet: a filesystem-coordinated work
-//! queue of library-build jobs shared by N worker processes (or in-process
+//! Distributed, preemptible tuning fleet: a filesystem-coordinated list
+//! of library-build jobs shared by N worker processes (or in-process
 //! worker threads), with deterministic keep-best merging of the partial
 //! libraries the workers emit.
 //!
 //! This is ROADMAP item 4 — "tune the whole kernel universe overnight" —
 //! built from primitives the repo already trusts: the atomic
 //! write-tmp-rename idiom ([`perfdojo_util::trace::atomic_write`]), the
-//! exclusive-rename claim transfer ([`perfdojo_util::claim::try_move`]),
-//! and the PR-5 crash-safe [`BuildCheckpoint`] layer, which bounds the
-//! cost of killing any worker to the job it had in flight.
+//! non-blocking OS file lock ([`perfdojo_util::claim::try_lock`]), and
+//! the PR-5 crash-safe [`BuildCheckpoint`] layer, which bounds the cost
+//! of killing any worker to the job it had in flight.
 //!
 //! # Directory protocol
 //!
-//! A fleet directory holds five subdirectories plus a manifest (and an
+//! A fleet directory holds four subdirectories plus a manifest (and an
 //! optional frozen donor library):
 //!
-//! - `jobs.list` — the full job universe, written once by
-//!   [`FleetDir::init`]. Workers run jobs from it — queue and claim
-//!   files are markers whose bytes are never read — and recovery
-//!   compares live state against it.
-//! - `queue/<id>.job` — jobs nobody owns. A worker **claims** a job by
-//!   locking the file ([`perfdojo_util::claim::try_lock`]) and renaming
-//!   it into `claims/` — `rename(2)` is atomic and its source vanishes,
-//!   so exactly one of any number of racing workers wins.
-//! - `claims/<id>.claim` — jobs being worked on: the job file, moved
-//!   verbatim, still locked by its owner.
+//! - `jobs.list` — the full job universe and the only list of jobs,
+//!   written by [`FleetDir::init`].
+//! - `locks/<id>.lock` — an empty file whose exclusive OS lock makes its
+//!   holder the job's owner ([`FleetDir::try_claim`] creates it on the
+//!   first claim); never read, written or moved.
 //! - `parts/<id>.part` — one completed job's partial library, wrapped in
 //!   a hash-checked [`render_part`] envelope so a torn (non-atomic)
 //!   write is detected and the job re-runs instead of silently losing or
 //!   corrupting its record.
 //! - `ckpt/<id>/` — the job's [`BuildCheckpoint`] directory. A worker
-//!   killed mid-job leaves its search state here; whoever reclaims the
-//!   job resumes bit-identically (same RNG words, same budget spend).
+//!   killed mid-job leaves its search state here; whoever claims the job
+//!   next resumes bit-identically (same RNG words, same budget spend).
 //! - `logs/worker-<id>.jsonl` — per-worker operational trace events
-//!   (claims, completions, reclaims); never compared, never merged.
+//!   (claims, completions, torn parts); never compared, never merged.
 //! - `warm.pdl` — optional: the donor library every job warm-starts from,
 //!   frozen once by [`FleetDir::set_warm_from`].
 //!
+//! A job's state is two facts the filesystem keeps: it is *done* when its
+//! part passes the hash check and *running* while someone holds its lock;
+//! otherwise it is pending. A worker takes the lock of the first manifest
+//! job without a valid part, checks the part again under the lock
+//! (another worker may have finished the job between the scan and the
+//! lock), runs the job in checkpoint slices, writes the part and drops
+//! the lock.
+//!
 //! # Liveness from the OS
 //!
-//! A claim is *live* exactly while its owner holds the OS lock it took
-//! on the job file before moving it ([`FleetDir::try_claim`]); the owner
-//! keeps the file open until the part is written and the claim removed.
-//! The lock dies with the owner's process, so the next idle scan moves a
-//! dead worker's claim back into `queue/` ([`FleetDir::try_reclaim`]) —
-//! exactly once, however many workers race for it — while a live claim
-//! is never reclaimed, however slow its owner. A worker that is alive
-//! but hung keeps its claim until it is killed, and the fleet directory
-//! needs working `flock` locks (see [`perfdojo_util::claim`]).
+//! The kernel drops a lock when its holder's process ends, however it
+//! ends. A pause, `kill_after`, every in-process fault and a real
+//! `kill -9` all just drop the lock, so the next scan finds the job
+//! pending and whoever claims it resumes the checkpoint: a job can never
+//! be lost and nothing has to be reclaimed, while a live owner keeps its
+//! job however slow it is. A worker that is alive but hung keeps its job
+//! until it is killed, and the fleet directory needs working `flock`
+//! locks (see [`perfdojo_util::claim`]).
 //!
-//! Even when a job *does* run twice (a dropped or duplicated claim file,
-//! see [`FaultKind`]), the part file it writes is byte-identical, because
+//! Even when a job *does* run twice (a deleted lock file, see
+//! [`FaultKind`]), the part file it writes is byte-identical, because
 //! every job's outcome is a pure function of the job identity and seed.
 //! Duplicated work can waste time; it can never change the merged
 //! library.
@@ -70,9 +72,9 @@
 //! the worker loop threads a seeded [`FaultPlan`] through every
 //! vulnerable point ([`FaultSite`]): kill before claiming, kill at a
 //! mid-job slice boundary, kill after tuning but before the part write,
-//! kill between the part's tmp write and its rename, plus dropped claim
-//! files, duplicated claim files, and torn partial-library writes. Every
-//! crash scenario is a replayable unit test (`tests/fleet_crash.rs`).
+//! kill between the part's tmp write and its rename, plus deleted lock
+//! files and torn partial-library writes. Every crash scenario is a
+//! replayable unit test (`tests/fleet_crash.rs`).
 
 use crate::builder::{target_by_name, BuildProgress, LibraryBuilder, Strategy};
 use crate::checkpoint::BuildCheckpoint;
@@ -80,20 +82,18 @@ use crate::format::{self, ScheduleRecord};
 use crate::library::Library;
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
-use perfdojo_util::claim::{try_lock, try_move};
+use perfdojo_util::claim::try_lock;
 use perfdojo_util::trace::{atomic_write, TraceSink};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-/// How long a worker with nothing to claim waits between idle scans.
+/// How long a worker with nothing to claim waits between idle scans. A
+/// poll rather than a blocking lock wait: a worker blocked on one job's
+/// lock would leave another job that a dead owner freed waiting behind it.
 const SCAN_WAIT: Duration = Duration::from_millis(25);
-
-/// Consecutive idle scans that must see a manifest job nowhere (no part,
-/// no queue file, no claim) before it is requeued as lost.
-const LOST_SCANS: u64 = 8;
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -211,7 +211,7 @@ impl FleetJob {
     }
 
     /// The full kernels × targets job grid for one strategy + seed —
-    /// what [`FleetDir::init`] seeds the queue with.
+    /// what [`FleetDir::init`] writes into the manifest.
     pub fn grid(
         kernels: &[KernelInstance],
         targets: &[String],
@@ -345,15 +345,12 @@ impl FaultSite {
 /// What happens when a fault triggers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker dies on the spot: no cleanup, its claim left behind
-    /// with the lock released.
+    /// The worker dies on the spot: no cleanup; its lock drops with it.
     Kill,
-    /// The worker's claim file is deleted out from under it; the worker
-    /// keeps running (it cannot tell).
-    DropClaim,
-    /// The job file is duplicated back into the queue while its claim is
-    /// live, so a second worker will run the same job concurrently.
-    DuplicateClaim,
+    /// The worker's lock file is deleted out from under it; the worker
+    /// keeps running (it cannot tell), and the next claimant locks a fresh
+    /// file and runs the same job concurrently.
+    DropLock,
     /// The part file is written torn (truncated, no atomic rename) and
     /// the worker dies — the non-atomic-filesystem nightmare scenario.
     TornPart,
@@ -406,17 +403,16 @@ impl FaultPlan {
     pub fn seeded(seed: u64, workers: &[String]) -> FaultPlan {
         let mut rng = perfdojo_util::rng::Rng::seed_from_u64(seed ^ 0xF1EE7);
         let sites = FaultSite::all();
-        let kinds =
-            [FaultKind::Kill, FaultKind::DropClaim, FaultKind::DuplicateClaim, FaultKind::TornPart];
+        let kinds = [FaultKind::Kill, FaultKind::DropLock, FaultKind::TornPart];
         let mut plan = FaultPlan::none();
         for _ in 0..rng.gen_range(1..4usize) {
             let worker = &workers[rng.gen_range(0..workers.len())];
             let site = sites[rng.gen_range(0..sites.len())];
-            // drop/duplicate/torn only make sense while a job is held
+            // drop/torn only make sense while a job is held
             let kind = match site {
                 FaultSite::PreClaim => FaultKind::Kill,
                 FaultSite::MidJob | FaultSite::PreDone => {
-                    kinds[rng.gen_range(0..3usize)] // kill / drop / duplicate
+                    kinds[rng.gen_range(0..2usize)] // kill / drop
                 }
                 FaultSite::MidRename => {
                     if rng.gen_range(0..2usize) == 0 {
@@ -471,20 +467,18 @@ pub struct FleetDir {
 pub struct FleetStatus {
     /// Jobs in the manifest.
     pub total: usize,
-    /// Jobs waiting in the queue.
-    pub queued: usize,
-    /// Jobs currently claimed.
-    pub claimed: usize,
+    /// Jobs without a valid part that nobody owns.
+    pub pending: usize,
+    /// Jobs without a valid part whose lock someone holds.
+    pub running: usize,
     /// Jobs with a valid part file.
     pub done: usize,
-    /// Manifest jobs visible nowhere (dropped claims, pre-recovery).
-    pub lost: usize,
 }
 
 impl FleetDir {
     /// Open (creating if needed) a fleet directory and its substructure.
     pub fn open(root: &Path) -> io::Result<FleetDir> {
-        for sub in ["queue", "claims", "parts", "ckpt", "logs"] {
+        for sub in ["locks", "parts", "ckpt", "logs"] {
             std::fs::create_dir_all(root.join(sub))?;
         }
         Ok(FleetDir { root: root.to_path_buf() })
@@ -495,12 +489,8 @@ impl FleetDir {
         &self.root
     }
 
-    fn queue_path(&self, id: &str) -> PathBuf {
-        self.root.join("queue").join(format!("{id}.job"))
-    }
-
-    fn claim_path(&self, id: &str) -> PathBuf {
-        self.root.join("claims").join(format!("{id}.claim"))
+    fn lock_path(&self, id: &str) -> PathBuf {
+        self.root.join("locks").join(format!("{id}.lock"))
     }
 
     fn part_path(&self, id: &str) -> PathBuf {
@@ -523,99 +513,51 @@ impl FleetDir {
     }
 
     /// Freeze `lib` as the donor library every job the fleet runs
-    /// warm-starts from. Each job rebuilds the transfer index from it (the
-    /// index is a pure function of library contents), so only the library
-    /// is stored. Write-once by design: a job's outcome must be a pure
+    /// warm-starts from. Each job fits its transfer family from it (the fit
+    /// is a pure function of library contents), so only the library is
+    /// stored. Write-once by design: a job's outcome must be a pure
     /// function of its identity and seed (parts are compared byte-for-byte
     /// across workers), so the donor is frozen at fleet init and never
     /// updated while workers run. Returns `false` without writing when a
     /// donor is already frozen or no family in `lib` fits.
     pub fn set_warm_from(&self, lib: &Library) -> io::Result<bool> {
-        if self.warm_path().exists() || crate::transfer::TransferIndex::build(lib).is_empty() {
+        if self.warm_path().exists()
+            || !lib.records().any(|r| crate::transfer::fit_for(lib, &r.sig).is_some())
+        {
             return Ok(false);
         }
         lib.save(&self.warm_path())?;
         Ok(true)
     }
 
-    /// Seed the queue with `jobs` and write the manifest. Idempotent: a
-    /// job that already exists somewhere (queue, claim, or part) is not
-    /// re-queued, so `init` on a live or finished fleet is a no-op.
-    pub fn init(&self, jobs: &[FleetJob]) -> io::Result<usize> {
-        let mut manifest = String::new();
-        let mut queued = 0;
-        for job in jobs {
-            let id = job.id();
-            manifest.push_str(&job.render());
-            manifest.push_str("---\n");
-            if self.queue_path(&id).exists()
-                || self.claim_path(&id).exists()
-                || self.part_path(&id).exists()
-            {
-                continue;
-            }
-            atomic_write(&self.queue_path(&id), &job.render())?;
-            queued += 1;
-        }
-        atomic_write(&self.manifest_path(), &manifest)?;
-        Ok(queued)
+    /// Write `jobs` as the manifest. A job's state lives in its lock and
+    /// its part, so re-running `init` on a live or finished fleet changes
+    /// nothing but the manifest.
+    pub fn init(&self, jobs: &[FleetJob]) -> io::Result<()> {
+        let manifest: String = jobs.iter().map(|job| format!("{}---\n", job.render())).collect();
+        atomic_write(&self.manifest_path(), &manifest)
     }
 
-    /// The manifest job universe (empty when the fleet was never
-    /// initialized).
-    pub fn manifest(&self) -> Vec<FleetJob> {
-        let Ok(text) = std::fs::read_to_string(self.manifest_path()) else {
-            return Vec::new();
-        };
-        text.split("---\n").filter(|b| !b.trim().is_empty()).filter_map(|b| FleetJob::parse(b).ok()).collect()
+    /// The manifest job universe. Fails when the fleet was never
+    /// initialized or any block does not parse: the manifest is the only
+    /// list of jobs, so a block skipped here would be a job that never
+    /// runs and is never missed.
+    pub fn manifest(&self) -> Result<Vec<FleetJob>, String> {
+        let path = self.manifest_path();
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("{}: {e} (run fleet init first)", path.display()))?;
+        text.split("---\n")
+            .filter(|b| !b.trim().is_empty())
+            .map(|b| FleetJob::parse(b).map_err(|e| format!("{}: {e}", path.display())))
+            .collect()
     }
 
-    /// Sorted ids of job files currently in the queue.
-    pub fn queued_ids(&self) -> Vec<String> {
-        self.sorted_stems("queue", ".job")
-    }
-
-    /// Sorted ids of currently-claimed jobs.
-    pub fn claimed_ids(&self) -> Vec<String> {
-        self.sorted_stems("claims", ".claim")
-    }
-
-    fn sorted_stems(&self, sub: &str, suffix: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(self.root.join(sub)) {
-            for e in entries.flatten() {
-                if let Some(name) = e.file_name().to_str() {
-                    if let Some(stem) = name.strip_suffix(suffix) {
-                        out.push(stem.to_string());
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Claim the queued job `id`: lock its queue file without blocking,
-    /// then move it into `claims/` (the lock follows the file, and exactly
-    /// one racing claimant wins). Returns the locked file; the claim is
-    /// live for exactly as long as it stays open. `None` when the job is
-    /// gone or another claimant holds it. The file's bytes are never read:
-    /// the job to run is the manifest's.
+    /// Claim job `id`: take the exclusive lock on its lock file without
+    /// blocking, creating the file if it is missing. Returns the locked
+    /// file; the job is owned for exactly as long as it stays open. `None`
+    /// when another claimant holds it.
     pub fn try_claim(&self, id: &str) -> io::Result<Option<File>> {
-        let Some(lock) = try_lock(&self.queue_path(id))? else {
-            return Ok(None);
-        };
-        Ok(try_move(&self.queue_path(id), &self.claim_path(id))?.then_some(lock))
-    }
-
-    /// Move a dead claim back into the queue. A claim is dead once nobody
-    /// holds its lock, so a live claim is never moved. Returns `true` for
-    /// the (exactly one) caller whose rename performed the transfer.
-    pub fn try_reclaim(&self, id: &str) -> io::Result<bool> {
-        match try_lock(&self.claim_path(id))? {
-            Some(_lock) => try_move(&self.claim_path(id), &self.queue_path(id)),
-            None => Ok(false),
-        }
+        try_lock(&self.lock_path(id))
     }
 
     /// Read and integrity-check the part file for `id`.
@@ -629,43 +571,38 @@ impl FleetDir {
         atomic_write(&self.part_path(id), &render_part(id, evaluations, &lib.to_text()))
     }
 
-    /// Remove `id`'s claim file (idempotent; used after the part write).
-    pub fn remove_claim(&self, id: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.claim_path(id)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
-    }
-
-    /// Live state summary against the manifest.
-    pub fn status(&self) -> FleetStatus {
-        let manifest = self.manifest();
+    /// Live state summary against the manifest. A job without a lock file
+    /// was never claimed; probing an existing lock takes it for an
+    /// instant, so a worker claiming at that moment moves on and finds the
+    /// job again on its next scan.
+    pub fn status(&self) -> Result<FleetStatus, String> {
+        let manifest = self.manifest()?;
         let mut s = FleetStatus { total: manifest.len(), ..FleetStatus::default() };
         for job in &manifest {
             let id = job.id();
             if self.part(&id).is_some() {
                 s.done += 1;
-            } else if self.claim_path(&id).exists() {
-                s.claimed += 1;
-            } else if self.queue_path(&id).exists() {
-                s.queued += 1;
+            } else if !self.lock_path(&id).exists()
+                || self.try_claim(&id).map_err(|e| format!("lock {id}: {e}"))?.is_some()
+            {
+                s.pending += 1;
             } else {
-                s.lost += 1;
+                s.running += 1;
             }
         }
-        s
+        Ok(s)
     }
 
     /// Coordinator merge: join every valid part keep-best into one
     /// library, deterministically. Jobs without a valid part are listed
-    /// as unfinished (the fleet is not drained yet — or a torn part was
-    /// discarded and awaits its re-run).
-    pub fn merge(&self) -> MergeOutcome {
+    /// as unfinished (the fleet is not drained yet — or a torn part
+    /// awaits its re-run).
+    pub fn merge(&self) -> Result<MergeOutcome, String> {
         let mut libs = Vec::new();
         let mut merged_jobs = 0;
         let mut evaluations = 0;
         let mut unfinished = Vec::new();
-        for job in self.manifest() {
+        for job in self.manifest()? {
             let id = job.id();
             match self.part(&id) {
                 Some((evals, lib)) => {
@@ -676,7 +613,7 @@ impl FleetDir {
                 None => unfinished.push(id),
             }
         }
-        MergeOutcome { library: join_libraries(libs), merged_jobs, evaluations, unfinished }
+        Ok(MergeOutcome { library: join_libraries(libs), merged_jobs, evaluations, unfinished })
     }
 }
 
@@ -705,12 +642,12 @@ pub struct WorkerConfig {
     /// worker loses at most one slice of unpersisted search progress...
     /// which the resume then re-runs bit-identically).
     pub slice_steps: u64,
-    /// Total tuning steps before a *clean pause*: the claim is released
-    /// back to the queue and the worker exits [`WorkerExit::Paused`].
+    /// Total tuning steps before a *clean pause*: the worker drops its
+    /// lock, keeping the job's checkpoint, and exits [`WorkerExit::Paused`].
     pub step_limit: Option<u64>,
     /// Total tuning steps before a *simulated crash*: the worker exits
-    /// [`WorkerExit::Killed`] leaving its claim behind, unlocked, exactly
-    /// like a `kill -9`.
+    /// [`WorkerExit::Killed`] on the spot, its lock dropping with it,
+    /// exactly like a `kill -9`.
     pub kill_after: Option<u64>,
 }
 
@@ -731,7 +668,7 @@ impl WorkerConfig {
 pub enum WorkerExit {
     /// Every manifest job has a valid part; nothing left to do.
     Drained,
-    /// The step limit ran out; the in-flight claim was released cleanly.
+    /// The step limit ran out; the in-flight job's lock was dropped.
     Paused,
     /// A planned fault (or `kill_after`) killed the worker mid-protocol.
     Killed,
@@ -744,11 +681,6 @@ pub struct WorkerReport {
     pub exit: WorkerExit,
     /// Ids of jobs this worker completed (part written).
     pub jobs_done: Vec<String>,
-    /// Dead claims this worker moved back to the queue.
-    pub reclaimed: usize,
-    /// Manifest jobs this worker resurrected from nowhere (dropped
-    /// claims).
-    pub requeued_lost: usize,
     /// Torn part files this worker discarded.
     pub discarded_torn: usize,
     /// Tuning steps this worker spent.
@@ -819,52 +751,63 @@ pub fn run_worker(
     let mut report = WorkerReport {
         exit: WorkerExit::Drained,
         jobs_done: Vec::new(),
-        reclaimed: 0,
-        requeued_lost: 0,
         discarded_torn: 0,
         steps: 0,
     };
     let mut sink = TraceSink::new();
-    // manifest-id -> consecutive scans seen nowhere
-    let mut absent: BTreeMap<String, u64> = BTreeMap::new();
     let mut parts = ValidParts::default();
-    // the job source of truth: `init` and lost-job requeues both write
-    // exactly these renders into the queue
     let manifest: BTreeMap<String, FleetJob> =
-        fleet.manifest().into_iter().map(|job| (job.id(), job)).collect();
+        fleet.manifest()?.into_iter().map(|job| (job.id(), job)).collect();
     if manifest.is_empty() {
-        return Err(format!("fleet {} has no manifest — run init first", fleet.root().display()));
+        return Err(format!("fleet {} has no jobs — run init first", fleet.root().display()));
     }
 
     let exit = 'outer: loop {
-        // -- claim phase: first queued manifest job wins; a queue file
-        // that names no manifest job is never claimed
-        let mut claimed: Option<(String, (FleetJob, File))> = None;
-        for id in fleet.queued_ids() {
-            let Some(job) = manifest.get(&id) else { continue };
+        // lock the first job without a valid part that nobody owns
+        let mut outstanding = 0;
+        let mut claimed: Option<(&String, (FleetJob, File))> = None;
+        for (id, job) in &manifest {
+            if matches!(parts.check(fleet, id), PartState::Valid) {
+                continue;
+            }
+            outstanding += 1;
             if cursor.check(plan, &cfg.worker, FaultSite::PreClaim) == Some(FaultKind::Kill) {
                 break 'outer WorkerExit::Killed;
             }
-            // a duplicated or falsely-reclaimed job can sit in the queue
-            // after its part landed: retire it instead of re-running
-            if matches!(parts.check(fleet, &id), PartState::Valid) {
-                let _ = std::fs::remove_file(fleet.queue_path(&id));
+            let Some(lock) = fleet.try_claim(id).map_err(|e| format!("claim {id}: {e}"))? else {
                 continue;
+            };
+            // the owner before us may have written the part between the
+            // scan and the lock; a torn part is a dead writer's, and the
+            // re-run rewrites it (the checkpoint holds the finished state)
+            match parts.check(fleet, id) {
+                PartState::Valid => {
+                    outstanding -= 1;
+                    continue;
+                }
+                PartState::Torn => match std::fs::remove_file(fleet.part_path(id)) {
+                    Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                        return Err(format!("discard torn part {id}: {e}"));
+                    }
+                    _ => {
+                        report.discarded_torn += 1;
+                        sink.event("torn_part").str("job", id).emit();
+                    }
+                },
+                PartState::Missing => {}
             }
-            if let Some(lock) = fleet.try_claim(&id).map_err(|e| format!("claim {id}: {e}"))? {
-                claimed = Some((id, (job.clone(), lock)));
-                break;
-            }
+            claimed = Some((id, (job.clone(), lock)));
+            break;
         }
 
         if let Some((id, claim)) = claimed {
-            sink.event("claim").str("job", &id).str("worker", &cfg.worker).emit();
-            match run_job(fleet, cfg, plan, &mut cursor, &id, claim, &mut report)? {
+            sink.event("claim").str("job", id).str("worker", &cfg.worker).emit();
+            match run_job(fleet, cfg, plan, &mut cursor, id, claim, &mut report)? {
                 JobRun::Completed => {
-                    sink.event("done").str("job", &id).emit();
-                    report.jobs_done.push(id);
-                    // the step limit also pauses between jobs — nothing
-                    // to release, the next job is simply left queued
+                    sink.event("done").str("job", id).emit();
+                    report.jobs_done.push(id.clone());
+                    // the step limit also pauses between jobs, with no
+                    // lock held
                     if cfg.step_limit.is_some_and(|limit| report.steps >= limit) {
                         break WorkerExit::Paused;
                     }
@@ -874,13 +817,10 @@ pub fn run_worker(
                 JobRun::Killed => break WorkerExit::Killed,
             }
         }
-
-        // -- idle phase: nothing claimable. Recover, then wait or finish.
-        let outstanding =
-            scan_recover(fleet, &manifest, &mut parts, &mut absent, &mut report, &mut sink)?;
         if outstanding == 0 {
             break WorkerExit::Drained;
         }
+        // every outstanding job is owned: wait for an owner to finish or die
         std::thread::sleep(SCAN_WAIT);
     };
 
@@ -892,80 +832,10 @@ pub fn run_worker(
     Ok(report)
 }
 
-/// One pass over claims + parts + manifest: finish straggler claims whose
-/// part exists, discard torn parts, reclaim dead claims, resurrect lost
-/// jobs. Reads only the part files `parts` has not already validated.
-/// Returns how many manifest jobs still lack a valid part.
-fn scan_recover(
-    fleet: &FleetDir,
-    manifest: &BTreeMap<String, FleetJob>,
-    parts: &mut ValidParts,
-    absent: &mut BTreeMap<String, u64>,
-    report: &mut WorkerReport,
-    sink: &mut TraceSink,
-) -> Result<usize, String> {
-    let io_err = |id: &str, e: io::Error| format!("fleet recover {id}: {e}");
-    // valid parts are done; torn ones are discarded so the job re-runs
-    // (its checkpoint still holds the finished state; the re-run just
-    // re-renders identical bytes)
-    let mut done = BTreeSet::new();
-    for id in manifest.keys() {
-        match parts.check(fleet, id) {
-            PartState::Missing => continue,
-            PartState::Valid => {
-                done.insert(id.as_str());
-                continue;
-            }
-            PartState::Torn => {}
-        }
-        match std::fs::remove_file(fleet.part_path(id)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(io_err(id, e)),
-            _ => {
-                report.discarded_torn += 1;
-                sink.event("torn_part").str("job", id).emit();
-            }
-        }
-    }
-    // claims: done-but-unreleased ones are cleaned up; dead ones (nobody
-    // holds the lock) go back to the queue
-    for id in fleet.claimed_ids() {
-        if done.contains(id.as_str()) {
-            fleet.remove_claim(&id).map_err(|e| io_err(&id, e))?;
-        } else if fleet.try_reclaim(&id).map_err(|e| io_err(&id, e))? {
-            report.reclaimed += 1;
-            sink.event("reclaim").str("job", &id).emit();
-        }
-    }
-    // lost jobs: in the manifest but visible nowhere (a dropped claim);
-    // resurrect once LOST_SCANS scans in a row agree. The rename protocol
-    // itself has no all-absent window, so absence really means loss.
-    let mut outstanding = 0;
-    for (id, job) in manifest {
-        if done.contains(id.as_str()) {
-            absent.remove(id);
-            continue;
-        }
-        outstanding += 1;
-        if fleet.queue_path(id).exists() || fleet.claim_path(id).exists() {
-            absent.remove(id);
-            continue;
-        }
-        let n = absent.entry(id.clone()).or_insert(0);
-        *n += 1;
-        if *n >= LOST_SCANS {
-            absent.remove(id);
-            atomic_write(&fleet.queue_path(id), &job.render()).map_err(|e| io_err(id, e))?;
-            report.requeued_lost += 1;
-            sink.event("requeue_lost").str("job", id).emit();
-        }
-    }
-    Ok(outstanding)
-}
-
 /// Run one claimed job to completion in checkpoint slices, consulting the
-/// fault plan at every vulnerable point. `_lock` keeps the claim live: it
-/// is held until the part is written and the claim removed, and every
-/// early return drops it, leaving the claim for the next idle scan.
+/// fault plan at every vulnerable point. `_lock` is the job's ownership:
+/// it is held until the part is written, and every early return drops it,
+/// leaving the job and its checkpoint to the next claimant.
 fn run_job(
     fleet: &FleetDir,
     cfg: &WorkerConfig,
@@ -1011,26 +881,18 @@ fn run_job(
         }
         match cursor.check(plan, &cfg.worker, FaultSite::MidJob) {
             Some(FaultKind::Kill) => return Ok(JobRun::Killed),
-            Some(FaultKind::DropClaim) => {
-                let _ = std::fs::remove_file(fleet.claim_path(id));
-            }
-            Some(FaultKind::DuplicateClaim) => {
-                atomic_write(&fleet.queue_path(id), &job.render()).map_err(io_err)?;
+            Some(FaultKind::DropLock) => {
+                let _ = std::fs::remove_file(fleet.lock_path(id));
             }
             _ => {}
         }
         if progress == BuildProgress::Finished {
             break lib;
         }
-        if let Some(limit) = cfg.step_limit {
-            if report.steps >= limit {
-                // clean pause: hand the job back so a sibling (or the
-                // resumed process) continues from the checkpoint; the lock
-                // is held until the move is done, so no idle worker
-                // counts the job as reclaimed
-                try_move(&fleet.claim_path(id), &fleet.queue_path(id)).map_err(io_err)?;
-                return Ok(JobRun::Paused);
-            }
+        // clean pause: dropping the lock hands the job to a sibling (or
+        // the resumed process), which continues from the checkpoint
+        if cfg.step_limit.is_some_and(|limit| report.steps >= limit) {
+            return Ok(JobRun::Paused);
         }
     };
 
@@ -1056,7 +918,6 @@ fn run_job(
         _ => {}
     }
     fleet.write_part(id, evaluations, &lib).map_err(io_err)?;
-    fleet.remove_claim(id).map_err(io_err)?;
     Ok(JobRun::Completed)
 }
 
@@ -1098,7 +959,7 @@ pub fn run_fleet(
     });
     let workers = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
     let drained = {
-        let s = fleet.status();
+        let s = fleet.status()?;
         s.total > 0 && s.done == s.total
     };
     Ok(FleetRunReport { workers, drained })
@@ -1169,23 +1030,18 @@ mod tests {
         let fleet = FleetDir::open(&dir).unwrap();
         let js = jobs(&["softmax"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
+        // init writes the manifest and nothing else, and status only reads
+        assert_eq!(fleet.status().unwrap().pending, 1);
+        assert_eq!(std::fs::read_dir(dir.join("locks")).unwrap().count(), 0);
         let id = js[0].id();
-        let held = fleet.try_claim(&id).unwrap().expect("queued job claimable");
+        let held = fleet.try_claim(&id).unwrap().expect("free job claimable");
         assert!(fleet.try_claim(&id).unwrap().is_none(), "double claim");
-        // the claim is the job file moved verbatim, and while its holder
-        // lives it refuses every reclaim
-        assert_eq!(std::fs::read_to_string(fleet.claim_path(&id)).unwrap(), js[0].render());
-        assert!(!fleet.try_reclaim(&id).unwrap(), "live claim reclaimed");
-        assert_eq!(fleet.claimed_ids(), vec![id.clone()]);
-        // once the holder drops it, reclaim puts it back; the second
-        // reclaimer loses
+        // the claim is a lock on an empty file; nothing is written into it
+        assert_eq!(std::fs::read(fleet.lock_path(&id)).unwrap(), b"");
+        // once the holder drops it, the next claimant takes the job
         drop(held);
-        assert!(fleet.try_reclaim(&id).unwrap());
-        assert!(!fleet.try_reclaim(&id).unwrap());
-        assert_eq!(fleet.queued_ids(), vec![id.clone()]);
-        // and the re-queued file re-claims, intact
-        let _held = fleet.try_claim(&id).unwrap().expect("reclaimed job claimable");
-        assert_eq!(std::fs::read_to_string(fleet.claim_path(&id)).unwrap(), js[0].render());
+        let _held = fleet.try_claim(&id).unwrap().expect("released job claimable");
+        assert!(fleet.try_claim(&id).unwrap().is_none(), "double claim after release");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1198,7 +1054,7 @@ mod tests {
         fleet.init(&jobs(&labels, strategy, 5)).unwrap();
         let report = run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
         assert!(report.drained);
-        let merged = fleet.merge();
+        let merged = fleet.merge().unwrap();
         assert!(merged.unfinished.is_empty());
         assert_eq!(merged.merged_jobs, 2);
         assert!(merged.evaluations > 0);
@@ -1241,7 +1097,7 @@ mod tests {
         fleet.init(&jobs(&labels, strategy, 5)).unwrap();
         let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
         assert!(report.drained);
-        let merged = fleet.merge();
+        let merged = fleet.merge().unwrap();
         assert!(merged.unfinished.is_empty());
 
         let mut plain = Library::new();
@@ -1300,7 +1156,7 @@ mod tests {
             std::fs::write(fleet.warm_path(), format!("{text}{tail}")).unwrap();
             fleet.init(&grid).unwrap();
             run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
-            assert_eq!(&fleet.merge().library.to_text(), want, "{tag} donor");
+            assert_eq!(&fleet.merge().unwrap().library.to_text(), want, "{tag} donor");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1314,7 +1170,7 @@ mod tests {
             fleet.init(&jobs(&labels, Strategy::Anneal { budget: 10 }, 7)).unwrap();
             let report = run_fleet(&fleet, n, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
             assert!(report.drained, "{n} workers failed to drain");
-            let text = fleet.merge().library.to_text();
+            let text = fleet.merge().unwrap().library.to_text();
             std::fs::remove_dir_all(&dir).unwrap();
             text
         };
@@ -1329,19 +1185,37 @@ mod tests {
         let fleet = FleetDir::open(&dir).unwrap();
         let js = jobs(&["softmax", "matmul"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
-        assert_eq!(
-            fleet.status(),
-            FleetStatus { total: 2, queued: 2, ..FleetStatus::default() }
-        );
+        let status = |pending, running, done| FleetStatus { total: 2, pending, running, done };
+        assert_eq!(fleet.status().unwrap(), status(2, 0, 0));
         let id = js[0].id();
-        fleet.try_claim(&id).unwrap().unwrap();
-        assert_eq!(fleet.status().claimed, 1);
-        // init is idempotent on a live fleet: nothing re-queued
-        assert_eq!(fleet.init(&js).unwrap(), 0);
-        assert_eq!(fleet.status().claimed, 1);
-        // a dropped claim shows up as lost
-        std::fs::remove_file(fleet.claim_path(&id)).unwrap();
-        assert_eq!(fleet.status().lost, 1);
+        let held = fleet.try_claim(&id).unwrap().unwrap();
+        assert_eq!(fleet.status().unwrap(), status(1, 1, 0));
+        // init on a live fleet rewrites the manifest and nothing else
+        fleet.init(&js).unwrap();
+        assert_eq!(fleet.status().unwrap(), status(1, 1, 0));
+        // a dropped lock is a pending job; a valid part is a done one
+        drop(held);
+        assert_eq!(fleet.status().unwrap(), status(2, 0, 0));
+        fleet.write_part(&id, 0, &Library::new()).unwrap();
+        assert_eq!(fleet.status().unwrap(), status(1, 0, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_manifest_fails_instead_of_shrinking_the_fleet() {
+        let dir = tmpdir("manifest");
+        let fleet = FleetDir::open(&dir).unwrap();
+        assert!(fleet.manifest().is_err(), "a fleet without a manifest has no job list");
+        fleet.init(&jobs(&["softmax", "relu"], Strategy::Heuristic, 3)).unwrap();
+        let path = dir.join("jobs.list");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let garbled =
+            text.replacen("label softmax\ndims 64x64", "label softmax\ndims 1x?x64x64", 1);
+        assert_ne!(garbled, text);
+        std::fs::write(&path, garbled).unwrap();
+        assert!(fleet.status().is_err());
+        assert!(run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).is_err());
+        assert!(fleet.merge().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1357,12 +1231,12 @@ mod tests {
         };
         let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Paused);
-        let s = fleet.status();
-        assert_eq!((s.queued, s.claimed), (1, 0), "pause must hand the job back");
+        let s = fleet.status().unwrap();
+        assert_eq!((s.pending, s.running), (1, 0), "pause must hand the job back");
         // a fresh unlimited worker finishes from the checkpoint
         let report = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Drained);
-        assert!(fleet.merge().unfinished.is_empty());
+        assert!(fleet.merge().unwrap().unfinished.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

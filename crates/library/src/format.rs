@@ -20,7 +20,7 @@
 //! human-readable comment, so `save → load → save` is byte-identical.
 //! Loading is corrupt-tolerant at block granularity: a malformed line
 //! invalidates only its entry block, which is counted and skipped; every
-//! well-formed block survives. Saves are atomic (write `<path>.tmp`, then
+//! well-formed block survives. Saves are atomic (write a temporary, then
 //! rename) so a crashed writer never truncates a served library.
 
 use crate::sig::KernelSig;

@@ -26,10 +26,10 @@
 //!   query shape; feeds the parameterized dispatch tier and warm-starts
 //!   tune-miss / fleet searches.
 //! - [`fleet`] — the distributed, preemptible tuning fleet: a
-//!   filesystem-coordinated work queue claimed via atomic renames, with
-//!   claim liveness from OS file locks, dead-claim reclamation,
-//!   deterministic lattice-join merging, and a seeded fault-injection plan
-//!   for replayable crash tests.
+//!   filesystem-coordinated job manifest whose jobs are owned through OS
+//!   file locks and finished by hash-checked parts, with deterministic
+//!   lattice-join merging and a seeded fault-injection plan for
+//!   replayable crash tests.
 //! - [`admission`] — the serving tier's bounded query queue and
 //!   deduplicating tune-miss queue.
 //! - [`serve::Server`] — the concurrent schedule-serving daemon core:
@@ -66,5 +66,5 @@ pub use serve::{
 };
 pub use sig::KernelSig;
 pub use transfer::{
-    fit_family, fit_for, ParamFn, ParamSchedule, ParamStep, TransferIndex, RESIDUAL_LIMIT,
+    fit_family, fit_for, ParamFn, ParamSchedule, ParamStep, RESIDUAL_LIMIT,
 };

@@ -32,7 +32,6 @@ use crate::format::ScheduleRecord;
 use crate::library::{current_model_version, Library};
 use crate::sig::KernelSig;
 use perfdojo_transform::{Action, Transform};
-use std::collections::BTreeMap;
 
 /// Largest acceptable per-parameter fit residual, in log space:
 /// `max_r |ln(predicted_r / observed_r)|` over the fit support. ln 2 —
@@ -148,12 +147,6 @@ impl ParamSchedule {
             })
             .collect()
     }
-}
-
-/// Family key of a signature: the signature key with the concrete shape
-/// replaced by its arity.
-pub fn family_key(sig: &KernelSig) -> String {
-    format!("{:016x}|{}|{}|{}", sig.structure, sig.shape.len(), sig.dtype, sig.target)
 }
 
 /// Two actions share a skeleton slot when they are the same transform kind
@@ -273,7 +266,9 @@ pub fn fit_family(records: &[&ScheduleRecord]) -> Option<ParamSchedule> {
 
 /// Collect `sig`'s family from `lib` (current model version, non-empty
 /// steps) and fit it. The exact-shape record, if present, participates in
-/// the fit like any other member.
+/// the fit like any other member. The one way to fit a family: dispatch,
+/// warm starts and the fleet's donor check all call it, and the fit is a
+/// pure function of the library's contents, so it is never persisted.
 pub fn fit_for(lib: &Library, sig: &KernelSig) -> Option<ParamSchedule> {
     let version = current_model_version();
     let fam: Vec<&ScheduleRecord> = lib
@@ -290,62 +285,13 @@ pub fn fit_for(lib: &Library, sig: &KernelSig) -> Option<ParamSchedule> {
     fit_family(&fam)
 }
 
-/// Every family's fitted schedule, keyed by family key — what builders
-/// warm-start from. A pure function of the library's contents, so it is
-/// never persisted: a fleet freezes its donor library and every job
-/// rebuilds the same index from it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TransferIndex {
-    schedules: BTreeMap<String, ParamSchedule>,
-}
-
-impl TransferIndex {
-    /// Fit every family in `lib` that supports a fit.
-    pub fn build(lib: &Library) -> TransferIndex {
-        let version = current_model_version();
-        let mut families: BTreeMap<String, Vec<&ScheduleRecord>> = BTreeMap::new();
-        for r in lib.records() {
-            if r.model_version != version || r.steps.is_empty() {
-                continue;
-            }
-            families.entry(family_key(&r.sig)).or_default().push(r);
-        }
-        let mut schedules = BTreeMap::new();
-        for (key, fam) in families {
-            if let Some(ps) = fit_family(&fam) {
-                schedules.insert(key, ps);
-            }
-        }
-        TransferIndex { schedules }
-    }
-
-    /// Number of fitted families.
-    pub fn len(&self) -> usize {
-        self.schedules.len()
-    }
-
-    /// True when no family fit.
-    pub fn is_empty(&self) -> bool {
-        self.schedules.is_empty()
-    }
-
-    /// The fitted schedule covering `sig`'s family, if any.
-    pub fn for_sig(&self, sig: &KernelSig) -> Option<&ParamSchedule> {
-        self.schedules.get(&family_key(sig))
-    }
-
-    /// Materialized action sequence for `sig`, if its family fit.
-    pub fn materialize_for(&self, sig: &KernelSig) -> Option<Vec<Action>> {
-        self.for_sig(sig).map(|ps| ps.materialize(&sig.shape))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{LibraryBuilder, Strategy};
     use crate::format::Provenance;
     use perfdojo_core::Target;
+    use perfdojo_kernels::KernelInstance;
     use perfdojo_transform::parse_action;
 
     fn record(cols: usize, cost: f64, steps: Vec<Action>) -> ScheduleRecord {
@@ -451,14 +397,26 @@ mod tests {
             &kernels,
             std::slice::from_ref(&target),
         );
-        let idx = TransferIndex::build(&lib);
-        assert_eq!(idx.len(), 1, "one family fits");
+        // both tuned shapes fit the one family, to the same schedule
+        let fits: Vec<ParamSchedule> =
+            lib.records().map(|r| fit_for(&lib, &r.sig).expect("family fits")).collect();
+        assert_eq!(fits.len(), 2);
+        assert_eq!(fits[0], fits[1]);
         let unseen = perfdojo_kernels::by_label_with_shape("layernorm 1", &[96, 48]).unwrap();
         let sig = KernelSig::of(&unseen, &target.name);
-        let steps = idx.materialize_for(&sig).expect("family covers the unseen shape");
+        let ps = fit_for(&lib, &sig).expect("family covers the unseen shape");
+        assert_eq!(ps, fits[0]);
+        let steps = ps.materialize(&sig.shape);
         assert!(!steps.is_empty());
-        // fit_for over the raw library agrees with the prebuilt index
-        let ps = fit_for(&lib, &sig).expect("fit_for fits the same family");
-        assert_eq!(ps, *idx.for_sig(&sig).unwrap());
+        // a builder warmed from the library starts the unseen shape there
+        let unseen = KernelInstance {
+            label: "layernorm 1".into(),
+            shape: "96x48".into(),
+            description: String::new(),
+            program: unseen.clone(),
+            verify_program: unseen,
+        };
+        let builder = LibraryBuilder::new(Strategy::Heuristic, 3).with_warm_from(&lib);
+        assert_eq!(builder.warm_steps(&unseen, &target), steps);
     }
 }

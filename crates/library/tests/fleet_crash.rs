@@ -2,15 +2,17 @@
 //! through the seeded `FaultPlan` harness, must leave a fleet that
 //! resumes to a merged library byte-identical to the uninterrupted run —
 //! the PR-5 `cmp` methodology lifted to the multi-worker protocol. Plus
-//! the liveness guarantees of the claim lock: a dead worker's job is
-//! reclaimed exactly once under concurrent reclaimers, and a live owner's
-//! job is never reclaimed, however long it takes.
+//! the liveness guarantees of the job lock: exactly one of any number of
+//! racing claimants owns a job, a dead worker's job is re-run exactly
+//! once, a live owner's job is never taken, however long it takes, and
+//! deleted lock files lose no job.
 
 use perfdojo_library::{
-    run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, Strategy,
-    WorkerConfig, WorkerExit,
+    run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, FleetRunReport,
+    Strategy, WorkerConfig, WorkerExit,
 };
 use std::path::PathBuf;
+use std::sync::Barrier;
 use std::time::Duration;
 
 const STRATEGY: Strategy = Strategy::Anneal { budget: 12 };
@@ -45,7 +47,7 @@ fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> String {
             .unwrap();
         assert!(resumed.drained, "{tag}: fleet failed to drain after fault-free rerun");
     }
-    let merged = fleet.merge();
+    let merged = fleet.merge().unwrap();
     assert!(merged.unfinished.is_empty(), "{tag}: unfinished {:?}", merged.unfinished);
     let text = merged.library.to_text();
     assert!(!text.lines().next().unwrap_or("").is_empty());
@@ -68,15 +70,14 @@ fn kill_at_every_fault_site_resumes_byte_identical() {
     }
 }
 
-/// The non-kill fault kinds: dropped claims, duplicated claims (the same
-/// job running concurrently on two workers), and torn part writes. All
-/// must converge to the baseline bytes.
+/// The non-kill fault kinds: deleted lock files (the same job running
+/// concurrently on two workers) and torn part writes. Both must converge
+/// to the baseline bytes.
 #[test]
 fn claim_and_part_faults_converge_byte_identical() {
     let baseline = drain_under("nk-baseline", 2, &FaultPlan::none());
     let scenarios = [
-        ("drop", FaultSite::MidJob, FaultKind::DropClaim),
-        ("dup", FaultSite::MidJob, FaultKind::DuplicateClaim),
+        ("drop", FaultSite::MidJob, FaultKind::DropLock),
         ("torn", FaultSite::MidRename, FaultKind::TornPart),
     ];
     for (tag, site, kind) in scenarios {
@@ -87,7 +88,7 @@ fn claim_and_part_faults_converge_byte_identical() {
 }
 
 /// Seeded random fault plans (the harness the module doc promises): any
-/// seed's combination of kills, drops, duplicates and torn writes must
+/// seed's combination of kills, deleted lock files and torn writes must
 /// converge to the same bytes.
 #[test]
 fn seeded_fault_plans_converge_byte_identical() {
@@ -101,9 +102,10 @@ fn seeded_fault_plans_converge_byte_identical() {
     }
 }
 
-/// A worker killed mid-job leaves its claim unlocked; racing reclaimers
-/// must transfer it back to the queue exactly once — the rename-level
-/// guarantee, checked with 8 concurrent reclaimers.
+/// A dead owner's lock is free the moment it dies; claimants racing for
+/// the job must find exactly one winner, and the next claimant gets in
+/// only once the winner drops its lock. Checked with 8 concurrent
+/// claimants released together by a barrier.
 #[test]
 fn concurrent_reclaimers_reclaim_exactly_once() {
     let dir = scratch("reclaim-race");
@@ -111,52 +113,69 @@ fn concurrent_reclaimers_reclaim_exactly_once() {
     let js = jobs();
     fleet.init(&js).unwrap();
     let id = js[0].id();
-    // the claimant dies at once: its lock drops with the returned file
+    // the first owner dies at once: its lock drops with the returned file
     fleet.try_claim(&id).unwrap().unwrap();
 
-    let wins: Vec<bool> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            (0..8).map(|_| s.spawn(|| fleet.try_reclaim(&id).unwrap())).collect();
+    let start = Barrier::new(8);
+    let claims: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    fleet.try_claim(&id).unwrap()
+                })
+            })
+            .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert_eq!(wins.iter().filter(|w| **w).count(), 1, "reclaim wins: {wins:?}");
-    // no orphan: the job is back in the queue, claimable, and intact
-    let _held = fleet.try_claim(&id).unwrap().expect("reclaimed job must be claimable");
-    let claim = dir.join("claims").join(format!("{id}.claim"));
-    assert_eq!(std::fs::read_to_string(claim).unwrap(), js[0].render());
+    let mut winners: Vec<_> = claims.into_iter().flatten().collect();
+    assert_eq!(winners.len(), 1, "claim wins: {}", winners.len());
+    assert!(fleet.try_claim(&id).unwrap().is_none(), "claimed while the winner holds it");
+    drop(winners.pop());
+    assert!(fleet.try_claim(&id).unwrap().is_some(), "the winner's drop must free the job");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The full-protocol version: a worker claims a job and dies; a surviving
-/// multi-worker fleet must find the unlocked claim, reclaim it exactly
-/// once across all scanners, re-run the job once, and drain to the
-/// baseline bytes.
+/// Without a fault no job runs twice: every manifest id appears exactly
+/// once across the workers' completed jobs.
+fn assert_each_job_done_once(report: &FleetRunReport, js: &[FleetJob]) {
+    let mut done: Vec<&String> = report.workers.iter().flat_map(|w| &w.jobs_done).collect();
+    done.sort();
+    let mut want: Vec<String> = js.iter().map(FleetJob::id).collect();
+    want.sort();
+    assert_eq!(done, want.iter().collect::<Vec<_>>(), "jobs not done exactly once");
+}
+
+/// The full-protocol version: a worker dies mid-job, leaving a
+/// checkpoint; a surviving multi-worker fleet must resume the job, run
+/// every job exactly once, and drain to the baseline bytes.
 #[test]
-fn dead_workers_job_is_reclaimed_once_and_retuned() {
+fn dead_workers_job_is_retuned_exactly_once() {
     let baseline = drain_under("dead-baseline", 2, &FaultPlan::none());
     let dir = scratch("dead-worker");
     let fleet = FleetDir::open(&dir).unwrap();
     let js = jobs();
     fleet.init(&js).unwrap();
-    // the dead worker claimed a job and was kill -9'd: its lock drops with
-    // the returned file
-    let id = js[0].id();
-    fleet.try_claim(&id).unwrap().unwrap();
+    // the dead worker took the first job and was kill -9'd one slice in
+    let cfg = WorkerConfig { slice_steps: 4, kill_after: Some(4), ..WorkerConfig::new("dead") };
+    let dead = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+    assert_eq!((dead.exit, dead.jobs_done.len()), (WorkerExit::Killed, 0));
+    assert_eq!(std::fs::read_dir(dir.join("ckpt")).unwrap().count(), 1, "one job started");
 
     let report = run_fleet(&fleet, 3, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
     assert!(report.drained);
-    let reclaims: usize = report.workers.iter().map(|w| w.reclaimed).sum();
-    assert_eq!(reclaims, 1, "dead worker's claim reclaimed {reclaims} times, want exactly 1");
-    let merged = fleet.merge();
+    assert_each_job_done_once(&report, &js);
+    let merged = fleet.merge().unwrap();
     assert!(merged.unfinished.is_empty());
-    assert_eq!(merged.library.to_text(), baseline, "reclaimed re-tune changed the bytes");
+    assert_eq!(merged.library.to_text(), baseline, "resumed re-tune changed the bytes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Queue bytes never decide what runs: a stray queue file that names no
-/// manifest job is never claimed, and a manifest job whose queue file was
-/// overwritten with garbage still runs from the manifest. The fleet must
-/// drain and merge to the baseline bytes.
+/// Stray bytes never decide what runs: a lock file that names no manifest
+/// job, garbage in a manifest job's lock file, a garbage part (a torn
+/// write) for another job, and the `queue/` and `claims/` files an older
+/// fleet kept are all harmless. The fleet must drain to the baseline bytes
+/// and leave the stray files alone.
 #[test]
 fn unparseable_queue_files_do_not_wedge_the_fleet() {
     let baseline = drain_under("garbage-baseline", 2, &FaultPlan::none());
@@ -164,24 +183,35 @@ fn unparseable_queue_files_do_not_wedge_the_fleet() {
     let fleet = FleetDir::open(&dir).unwrap();
     let js = jobs();
     fleet.init(&js).unwrap();
-    std::fs::write(dir.join("queue").join("aaa.job"), "garbage\n").unwrap();
-    std::fs::write(dir.join("queue").join(format!("{}.job", js[1].id())), "garbage\n").unwrap();
+    let stray = [
+        dir.join("locks").join("aaa.lock"),
+        dir.join("queue").join(format!("{}.job", js[0].id())),
+        dir.join("claims").join(format!("{}.claim", js[3].id())),
+    ];
+    for path in &stray {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, "garbage\n").unwrap();
+    }
+    std::fs::write(dir.join("locks").join(format!("{}.lock", js[1].id())), "garbage\n").unwrap();
+    std::fs::write(dir.join("parts").join(format!("{}.part", js[2].id())), "garbage\n").unwrap();
 
     let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
     assert!(report.drained);
-    let merged = fleet.merge();
+    assert_eq!(report.workers.iter().map(|w| w.discarded_torn).sum::<usize>(), 1);
+    let merged = fleet.merge().unwrap();
     assert!(merged.unfinished.is_empty(), "unfinished {:?}", merged.unfinished);
-    assert_eq!(merged.library.to_text(), baseline, "garbage queue bytes changed the merge");
-    assert_eq!(fleet.queued_ids(), vec!["aaa".to_string()], "the stray file is left alone");
+    assert_eq!(merged.library.to_text(), baseline, "garbage bytes changed the merge");
+    for path in &stray {
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "garbage\n", "{path:?} touched");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Liveness is the claim's lock, not a deadline: the test thread claims
-/// one of the four jobs and sits on it while a 2-worker fleet drains the
-/// other three and then scans idle for over 500 ms (more than 20 scans,
-/// twice any slice-sized deadline). The held job must stay claimed and
-/// unstarted. Once the test drops it, the fleet must reclaim it exactly
-/// once and drain to the baseline bytes.
+/// Liveness is the lock, not a deadline: the test thread claims one of
+/// the four jobs and sits on it while a 2-worker fleet drains the other
+/// three and then scans idle for over 500 ms (more than 20 scans). The
+/// held job must stay running and unstarted. Once the test drops it, the
+/// fleet must run it exactly once and drain to the baseline bytes.
 #[test]
 fn slow_live_owner_is_never_reclaimed() {
     let baseline = drain_under("slow-baseline", 2, &FaultPlan::none());
@@ -194,31 +224,53 @@ fn slow_live_owner_is_never_reclaimed() {
 
     let report = std::thread::scope(|s| {
         let run = s.spawn(|| run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()));
-        while fleet.status().done < js.len() - 1 {
+        while fleet.status().unwrap().done < js.len() - 1 {
             assert!(!run.is_finished(), "fleet stopped before draining the other jobs");
             std::thread::sleep(Duration::from_millis(5));
         }
         // only the held job is left: the workers can do nothing but scan
         std::thread::sleep(Duration::from_millis(500));
-        assert_eq!(fleet.claimed_ids(), vec![id.clone()], "held claim moved");
-        assert!(fleet.queued_ids().is_empty(), "held job requeued");
+        let status = fleet.status().unwrap();
+        assert_eq!((status.running, status.pending), (1, 0), "held job not running");
         assert!(!fleet.ckpt_path(&id).exists(), "a worker started the held job");
         assert!(fleet.part(&id).is_none());
         drop(held);
         run.join().unwrap().unwrap()
     });
     assert!(report.drained);
-    let reclaims: usize = report.workers.iter().map(|w| w.reclaimed).sum();
-    assert_eq!(reclaims, 1, "released claim reclaimed {reclaims} times, want exactly 1");
-    let merged = fleet.merge();
+    assert_each_job_done_once(&report, &js);
+    let merged = fleet.merge().unwrap();
     assert!(merged.unfinished.is_empty());
-    assert_eq!(merged.library.to_text(), baseline, "reclaimed re-tune changed the bytes");
+    assert_eq!(merged.library.to_text(), baseline, "released re-tune changed the bytes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Clean pause vs simulated crash: `step_limit` releases the claim
-/// (Paused), `kill_after` leaves it behind unlocked (Killed) — and both
-/// resume to the baseline bytes through a fresh worker.
+/// A lock file can vanish: before the run for a pending job, and under a
+/// running job's owner (`DropLock`, which lets a second worker run the
+/// job concurrently). Neither loses a job or changes the merged bytes.
+#[test]
+fn dropped_lock_files_lose_no_job() {
+    let baseline = drain_under("droplock-baseline", 2, &FaultPlan::none());
+    let dir = scratch("droplock");
+    let fleet = FleetDir::open(&dir).unwrap();
+    let js = jobs();
+    fleet.init(&js).unwrap();
+    drop(fleet.try_claim(&js[1].id()).unwrap());
+    std::fs::remove_file(dir.join("locks").join(format!("{}.lock", js[1].id()))).unwrap();
+
+    let plan = FaultPlan::none().with("w0", FaultSite::MidJob, 1, FaultKind::DropLock);
+    let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &plan).unwrap();
+    assert!(report.drained);
+    let merged = fleet.merge().unwrap();
+    assert!(merged.unfinished.is_empty());
+    assert_eq!(merged.library.to_text(), baseline, "dropped lock files changed the bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Clean pause vs simulated crash: `step_limit` pauses (Paused) and
+/// `kill_after` dies (Killed) mid-job; both drop the lock, leaving the job
+/// pending with its checkpoint, and both resume to the baseline bytes
+/// through a fresh worker.
 #[test]
 fn pause_and_kill_resume_paths_are_byte_identical() {
     let baseline = drain_under("pk-baseline", 2, &FaultPlan::none());
@@ -234,17 +286,14 @@ fn pause_and_kill_resume_paths_are_byte_identical() {
             cfg.kill_after = Some(4);
         }
         let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
-        let status = fleet.status();
-        if pause {
-            assert_eq!(report.exit, WorkerExit::Paused);
-            assert_eq!(status.claimed, 0, "pause must release the claim");
-        } else {
-            assert_eq!(report.exit, WorkerExit::Killed);
-            assert_eq!(status.claimed, 1, "kill must leave the claim behind");
-        }
+        let want = if pause { WorkerExit::Paused } else { WorkerExit::Killed };
+        assert_eq!(report.exit, want);
+        let status = fleet.status().unwrap();
+        assert_eq!((status.pending, status.running), (4, 0), "{tag}: the job must be pending");
         let resumed = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
         assert_eq!(resumed.exit, WorkerExit::Drained);
-        assert_eq!(fleet.merge().library.to_text(), baseline, "{tag} resume changed the bytes");
+        let merged = fleet.merge().unwrap().library.to_text();
+        assert_eq!(merged, baseline, "{tag} resume changed the bytes");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

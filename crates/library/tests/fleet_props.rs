@@ -133,11 +133,10 @@ proptest! {
         }
     }
 
-    /// Job files round-trip through render/parse, and through one and two
-    /// lines the parser does not know above the body (the owner headers
-    /// older fleets stamped on claimed, reclaimed and re-claimed files).
-    /// A claim is the job file moved verbatim, so that is the full
-    /// lifecycle a job file can live.
+    /// Job blocks (what `jobs.list` holds) round-trip through
+    /// render/parse, and through one and two lines the parser does not
+    /// know above the body (the owner headers older fleets stamped on
+    /// claimed, reclaimed and re-claimed job files).
     #[test]
     fn job_files_survive_the_claim_lifecycle(
         k in 0usize..16,

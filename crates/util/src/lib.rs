@@ -20,8 +20,8 @@
 //!   bit-exact float codecs (the substrate of checkpoint/resume);
 //! * [`sharded`] — sharded `RwLock<Arc<T>>` snapshot publication for
 //!   read-mostly serving (never-torn hot swaps);
-//! * [`claim`] — atomic exclusive file transfer and non-blocking OS file
-//!   locks (liveness of a claim's owner) for filesystem work queues;
+//! * [`claim`] — non-blocking exclusive OS locks on lock files: a job is
+//!   owned exactly while its owner's process holds the lock;
 //! * [`zipf`] — Zipf-distributed rank sampling for skewed load
 //!   generation.
 

@@ -9,7 +9,8 @@
 //! produce byte-identical traces that CI can `cmp`.
 //!
 //! The module also hosts the small persistence vocabulary the checkpoint
-//! formats share: [`atomic_write`] (write `<path>.tmp`, fsync, rename),
+//! formats share: [`atomic_write`] (write a private temporary, fsync,
+//! rename),
 //! the bit-exact float codecs ([`f64_to_hex`] / [`f64_from_hex`] and the
 //! `f32` twins) that keep serialized costs and weights exactly
 //! round-trippable, the `rng` and `f32`-vector line writers
@@ -22,6 +23,7 @@ use crate::rng::Rng;
 use std::io::Write as _;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Render an `f64` as its 16-hex-digit bit pattern (bit-exact, locale-free).
 pub fn f64_to_hex(x: f64) -> String {
@@ -43,13 +45,21 @@ pub fn f32_from_hex(s: &str) -> Option<f32> {
     u32::from_str_radix(s, 16).ok().map(f32::from_bits)
 }
 
-/// Atomically write `text` to `path`: write `<path>.tmp`, fsync, rename.
+/// Atomically write `text` to `path`: write a temporary file beside it,
+/// fsync, rename.
 ///
 /// A crash mid-save leaves either the old file or the new one, never a
 /// torn mixture — the durability primitive under every checkpoint and
-/// trace save in the workspace.
+/// trace save in the workspace. Every call writes its own temporary
+/// (`<stem>.<pid>-<n>.tmp`), so concurrent writers of one path — two
+/// fleet workers running the same job — each rename a complete file and
+/// the last rename wins; a shared name would let one writer rename
+/// another's half-written file and fail its own rename.
 pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
+    // a unique id, publishing no other data
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{n}.tmp", std::process::id()));
     {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(text.as_bytes())?;
@@ -531,9 +541,32 @@ mod tests {
         s.save(&path).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(back, s.to_text());
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "tmp renamed away");
         let resumed = TraceSink::from_text(&back);
         assert_eq!(resumed.next_step(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_all_land() {
+        let dir = std::env::temp_dir().join(format!("pd-trace-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("part");
+        let start = std::sync::Barrier::new(4);
+        for round in 0..8 {
+            let text = format!("round {round}\n").repeat(1000);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        start.wait();
+                        atomic_write(&path, &text).expect("a racing writer failed");
+                    });
+                }
+            });
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "a temporary was left");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

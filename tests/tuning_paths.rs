@@ -101,7 +101,7 @@ fn fleet(
 ) -> Built {
     let fleet = FleetDir::open(dir).unwrap();
     if let Some(lib) = warm {
-        assert!(fleet.set_warm_from(lib).unwrap(), "the donor must freeze a warm index");
+        assert!(fleet.set_warm_from(lib).unwrap(), "the donor must freeze");
     }
     let jobs = FleetJob::grid(kernels, &["x86".to_string()], strategy, SEED).unwrap();
     fleet.init(&jobs).unwrap();
@@ -111,7 +111,7 @@ fn fleet(
         .iter()
         .map(|j| (j.label.clone(), fleet.part(&j.id()).expect("finished job has a part").0))
         .collect();
-    (fleet.merge().library.to_text(), evals)
+    (fleet.merge().unwrap().library.to_text(), evals)
 }
 
 #[test]
