@@ -51,10 +51,12 @@
 #      `BENCH_fleet.json` whose model scaling is >= 1.7x from 1 to 4
 #      workers; job-lock liveness must be deterministic — the release
 #      dead-worker test must pass 20 of 20 isolated runs; a real `kill -9`
-#      of a `fleet work` process holding a job lock must leave the job
-#      pending (neither running nor done), and the next worker must run
-#      it once and merge `cmp`-identical to an uninterrupted fleet; and
-#      `fleet run` on a `jobs.list` with a garbled block must fail.
+#      of a `fleet work` process once its job's first checkpoint slice
+#      landed must leave the job pending (neither running nor done) with
+#      the checkpoint in place, and the next worker must resume it (fewer
+#      steps than an uninterrupted worker) and merge `cmp`-identical to an
+#      uninterrupted fleet; and `fleet run` on a `jobs.list` with a
+#      garbled block must fail.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
 #      cache keys at full speed), and so must the find ≡ apply conformance
@@ -361,21 +363,23 @@ for run in $(seq 20); do
         exit 1
     fi
 done
-# a real kill -9: the kernel drops the dead worker's job lock, so the job
-# is pending again and the next worker runs it once, resuming its
-# checkpoint to the bytes of an uninterrupted fleet
+# a real kill -9 after the job's first checkpoint slice landed: the
+# kernel drops the dead worker's job lock, so the job is pending again,
+# and the next worker resumes the checkpoint (fewer steps than an
+# uninterrupted worker runs) to the bytes of an uninterrupted fleet
 KILL_ARGS=(--kernels softmax --strategy anneal:3000 --seed 5)
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm9" "${KILL_ARGS[@]}" > /dev/null
 ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm9" --worker w0 > /dev/null &
 worker=$!
+farm9_ckpt() { compgen -G "$PDLIB_DIR/farm9/ckpt/*/inflight.ckpt" > /dev/null; }
 for _ in $(seq 400); do
-    [ -z "$(ls -A "$PDLIB_DIR/farm9/locks")" ] || break
+    farm9_ckpt && break
     sleep 0.025
 done
 kill -9 "$worker"
 wait "$worker" 2> /dev/null || true
-if [ -z "$(ls -A "$PDLIB_DIR/farm9/locks")" ]; then
-    echo "ci.sh: the killed fleet worker never held a job lock" >&2
+if ! farm9_ckpt; then
+    echo "ci.sh: the killed fleet worker left no in-flight checkpoint" >&2
     exit 1
 fi
 ./target/release/perfdojo-lib fleet status --dir "$PDLIB_DIR/farm9" \
@@ -388,10 +392,19 @@ grep -q "Drained — 1 jobs done" "$PDLIB_DIR/farm9.txt"
 ./target/release/perfdojo-lib fleet merge --dir "$PDLIB_DIR/farm9" \
     --out "$PDLIB_DIR/farm9.pdl" > /dev/null
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm1" "${KILL_ARGS[@]}" > /dev/null
-./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm1" --worker w0 > /dev/null
+./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm1" --worker w0 \
+    | tee "$PDLIB_DIR/farm1.txt"
 ./target/release/perfdojo-lib fleet merge --dir "$PDLIB_DIR/farm1" \
     --out "$PDLIB_DIR/farm1.pdl" > /dev/null
 cmp "$PDLIB_DIR/farm1.pdl" "$PDLIB_DIR/farm9.pdl"
+drained_steps() { sed -n 's/.*Drained — 1 jobs done, \([0-9]*\) steps.*/\1/p' "$1"; }
+resumed=$(drained_steps "$PDLIB_DIR/farm9.txt")
+whole=$(drained_steps "$PDLIB_DIR/farm1.txt")
+if [ -z "$resumed" ] || [ -z "$whole" ] || [ "$resumed" -ge "$whole" ]; then
+    echo "ci.sh: the resumed worker ran ${resumed:-?} steps, an uninterrupted one" \
+        "${whole:-?}: the kill -9 resumed no checkpoint" >&2
+    exit 1
+fi
 # jobs.list is the only list of jobs: one garbled block must fail the
 # fleet rather than silently drop that job
 ./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farmg" \

@@ -446,10 +446,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let snap = server.snapshot(0);
     let p50 = nearest_rank(&latencies, 0.50);
     let p99 = nearest_rank(&latencies, 0.99);
-    println!("served:   {} ({} submitted, {} shed)", s.served, s.submitted, s.rejected);
     println!(
-        "tiers:    {} exact, {} nearest, {} heuristic, {} naive",
-        s.exact, s.nearest, s.heuristic, s.naive
+        "served:   {} ({} submitted, {} shed, {} from the reply memo)",
+        s.served, s.submitted, s.rejected, s.memo_hits
+    );
+    println!(
+        "tiers:    {} exact, {} parameterized, {} nearest, {} heuristic, {} naive",
+        s.exact, s.parameterized, s.nearest, s.heuristic, s.naive
     );
     if s.block_exact + s.block_nearest + s.block_fallback > 0 {
         println!(
@@ -478,10 +481,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         j.push_str(&format!("  \"submitted\": {},\n", s.submitted));
         j.push_str(&format!("  \"rejected\": {},\n", s.rejected));
         j.push_str(&format!("  \"served\": {},\n", s.served));
+        j.push_str(&format!("  \"memo_hits\": {},\n", s.memo_hits));
         j.push_str(&format!(
-            "  \"tiers\": {{ \"exact\": {}, \"nearest\": {}, \"heuristic\": {}, \
-             \"naive\": {} }},\n",
-            s.exact, s.nearest, s.heuristic, s.naive
+            "  \"tiers\": {{ \"exact\": {}, \"parameterized\": {}, \"nearest\": {}, \
+             \"heuristic\": {}, \"naive\": {} }},\n",
+            s.exact, s.parameterized, s.nearest, s.heuristic, s.naive
         ));
         j.push_str(&format!(
             "  \"block_tiers\": {{ \"exact\": {}, \"nearest\": {}, \"fallback\": {} }},\n",

@@ -22,6 +22,9 @@
 //! is small enough to interpret — is numerically verified against the
 //! naive program via `perfdojo_interp::verify_equivalent`. A replay that
 //! fails any check falls through to the next tier instead of being served.
+//! The serving tier (`crate::serve`) memoizes replies per library
+//! snapshot, so a repeated query reuses a schedule that passed these
+//! checks against the same snapshot.
 
 use crate::library::Library;
 use crate::sig::KernelSig;
@@ -138,7 +141,8 @@ static EMPTY_RECORD_SKIPS: AtomicU64 = AtomicU64::new(0);
 static HEURISTIC_SERVES: AtomicU64 = AtomicU64::new(0);
 static NAIVE_SERVES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide dispatch counters, one per tier outcome.
+/// Process-wide dispatch counters, one per tier outcome (see
+/// [`dispatch_stats`] for what counts as a dispatch).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Tier-1 serves (exact-signature replay accepted).
@@ -160,6 +164,11 @@ pub struct DispatchStats {
 
 /// Snapshot of the process-wide dispatch counters. Compare deltas, not
 /// absolute values — other tests and serving threads dispatch concurrently.
+///
+/// The counters count dispatches that actually ran the tier walk, not
+/// replies served: a reply the serving tier answers from its per-snapshot
+/// memo ([`crate::serve::ServeStats::memo_hits`]) is not a dispatch. For
+/// single-kernel queries, replies served = memo hits + dispatches.
 pub fn dispatch_stats() -> DispatchStats {
     DispatchStats {
         exact_hits: EXACT_HITS.load(Ordering::Relaxed),
@@ -179,11 +188,22 @@ impl Library {
     /// `target`'s machine model prices candidates; its transformation
     /// library drives the heuristic fallback tier.
     pub fn lookup(&self, query: &Program, target: &Target) -> DispatchResult {
-        let sig = KernelSig::of(query, &target.name);
+        self.lookup_sig(&KernelSig::of(query, &target.name), query, target)
+    }
+
+    /// [`Library::lookup`] with the query's signature already computed:
+    /// `sig` must be `KernelSig::of(query, &target.name)`. The serving tier
+    /// computes it once at admission and carries it here.
+    pub(crate) fn lookup_sig(
+        &self,
+        sig: &KernelSig,
+        query: &Program,
+        target: &Target,
+    ) -> DispatchResult {
         let naive_cost = target.machine.evaluate(query).map(|e| e.seconds).unwrap_or(f64::INFINITY);
 
         // Tiers 1–3: cached records (exact, parameterized, nearest-shape).
-        if let Some(result) = self.cached_tiers(&sig, query, target, naive_cost) {
+        if let Some(result) = self.cached_tiers(sig, query, target, naive_cost) {
             return result;
         }
 

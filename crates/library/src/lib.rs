@@ -34,7 +34,8 @@
 //!   deduplicating tune-miss queue.
 //! - [`serve::Server`] — the concurrent schedule-serving daemon core:
 //!   shared snapshot behind a sharded lock slot, batched admission,
-//!   background tune-miss drains with atomic hot swap.
+//!   background tune-miss drains with atomic hot swap, and a reply memo
+//!   per snapshot.
 //!
 //! The `perfdojo-lib` binary exposes `build` / `query` / `stats` / `gc` /
 //! `serve` over libraries on disk.

@@ -21,11 +21,26 @@
 //!   written with the atomic write-tmp-rename idiom and published to the
 //!   snapshot slot. Readers are never blocked on a build; they keep
 //!   serving the old snapshot until the swap instant.
+//! - **Reply memo** — dispatch is a pure function of (library snapshot,
+//!   query program, target), so each [`ServeSnapshot`] keeps a bounded
+//!   LRU from the query's signature key, computed once at admission, to
+//!   the query program last dispatched under it and the reply it got. A
+//!   repeat is served from it, skipping replay, validation, pricing and
+//!   numeric verification; a hit must match the stored program exactly
+//!   (the key erases names and constants). A batch consults and fills the
+//!   memo in admission order and dispatches only the rest in parallel, so
+//!   which replies are memo hits depends on the query log alone, never on
+//!   thread timing. The memo lives inside the immutable snapshot, so a hot
+//!   swap drops it with the old generation and nothing is ever
+//!   invalidated. Block (subgraph) queries are not memoized.
 //! - **Deterministic latency** — wall-clock latency of an in-process
 //!   dispatch is noise; reports need byte-reproducibility. Every reply
 //!   carries [`latency_units`], a deterministic work proxy derived from
 //!   the dispatch tier and replayed step count, so two fixed-seed load
-//!   runs produce identical p50/p99 numbers.
+//!   runs produce identical p50/p99 numbers. A memo hit carries the units
+//!   of the dispatch that produced the memoized reply: the proxy describes
+//!   the resolution a reply came from, so reports do not depend on what
+//!   the memo happened to hold.
 
 use crate::admission::{AdmissionError, AdmissionQueue, TuneQueue};
 use crate::builder::{BuildProgress, LibraryBuilder, Strategy};
@@ -37,8 +52,10 @@ use perfdojo_core::Target;
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_ir::Program;
 use perfdojo_kernels::KernelInstance;
+use perfdojo_util::lru::LruCache;
 use perfdojo_util::par::par_map;
 use perfdojo_util::sharded::ShardedSlot;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,13 +87,64 @@ impl Default for ServeConfig {
     }
 }
 
-/// An immutable published view of the library.
-#[derive(Clone, Debug)]
+/// Replies one snapshot's memo keeps; the least recently used is evicted.
+const MEMO_CAPACITY: usize = 256;
+
+/// An immutable published view of the library, plus the memo of the
+/// replies served from it.
+///
+/// The library and generation never change after publish. The memo only
+/// records what dispatch against this library already determined, so it
+/// is private to the snapshot and dies with it: every publish starts an
+/// empty memo, and no entry outlives its generation. A reply served from
+/// the memo is not a dispatch: it counts in [`ServeStats::memo_hits`] and
+/// leaves [`crate::dispatch_stats`] alone.
+#[derive(Debug)]
 pub struct ServeSnapshot {
     /// The library this snapshot serves.
     pub library: Library,
     /// Publish generation: 0 for the initial snapshot, +1 per hot swap.
     pub generation: u64,
+    /// Signature key → the query program last dispatched under it and
+    /// what the dispatch determined.
+    memo: Mutex<LruCache<String, Arc<(Program, Resolution)>>>,
+}
+
+impl ServeSnapshot {
+    fn new(library: Library, generation: u64) -> ServeSnapshot {
+        ServeSnapshot { library, generation, memo: Mutex::new(LruCache::new(MEMO_CAPACITY)) }
+    }
+
+    /// The memoized resolution of `program` under `key`. A hit needs the
+    /// stored program to equal `program`: the key erases what `Program`'s
+    /// equality sees (names, constants), so a key match alone is never
+    /// trusted.
+    fn recall(&self, key: &str, program: &Program) -> Option<Resolution> {
+        let entry = Arc::clone(self.memo.lock().expect("serve memo poisoned").get(key)?);
+        (entry.0 == *program).then_some(entry.1)
+    }
+
+    /// Keep `resolution` as the answer to `program` under `key`, replacing
+    /// whatever the key held.
+    fn memoize(&self, key: String, program: Program, resolution: Resolution) {
+        let evicted = self
+            .memo
+            .lock()
+            .expect("serve memo poisoned")
+            .insert(key, Arc::new((program, resolution)));
+        drop(evicted); // freed outside the lock
+    }
+}
+
+/// How a batch answers one of its queries (see [`Server::serve_batch`]).
+enum Plan {
+    /// From the snapshot's memo.
+    Memo(Resolution),
+    /// From the dispatch of the batch's earlier query at this index, which
+    /// has the same key and program.
+    Twin(usize),
+    /// By a dispatch.
+    Dispatch,
 }
 
 /// The graph-tier half of a block query: the structural subgraph
@@ -221,6 +289,42 @@ pub fn latency_units(r: &DispatchResult) -> u64 {
     }
 }
 
+/// Everything a reply reports about how its query resolved; what the
+/// snapshot memo keeps per query.
+#[derive(Clone, Copy, Debug)]
+struct Resolution {
+    tier: HitTier,
+    latency_units: u64,
+    cost: f64,
+    naive_cost: f64,
+    steps: usize,
+}
+
+impl Resolution {
+    fn of(r: &DispatchResult) -> Resolution {
+        Resolution {
+            tier: HitTier::of(&r.disposition),
+            latency_units: latency_units(r),
+            cost: r.cost,
+            naive_cost: r.naive_cost,
+            steps: r.steps.len(),
+        }
+    }
+
+    fn reply(self, label: String, key: String, generation: u64) -> ServeReply {
+        ServeReply {
+            label,
+            key,
+            tier: self.tier,
+            latency_units: self.latency_units,
+            cost: self.cost,
+            naive_cost: self.naive_cost,
+            steps: self.steps,
+            generation,
+        }
+    }
+}
+
 /// One served reply.
 #[derive(Clone, Debug)]
 pub struct ServeReply {
@@ -249,8 +353,13 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Queries shed because the queue was full.
     pub rejected: u64,
-    /// Queries served (batched + direct).
+    /// Queries served (batched + direct), memo hits included.
     pub served: u64,
+    /// Single-kernel replies answered from the snapshot's reply memo
+    /// without a dispatch (each also counts in `served` and its tier).
+    /// Dispatches actually run are the [`crate::dispatch_stats`] deltas:
+    /// for single-kernel queries, served = memo hits + dispatches.
+    pub memo_hits: u64,
     /// Exact-hit replies.
     pub exact: u64,
     /// Parameterized-schedule replies.
@@ -280,6 +389,7 @@ struct Counters {
     submitted: AtomicU64,
     rejected: AtomicU64,
     served: AtomicU64,
+    memo_hits: AtomicU64,
     /// Replies per tier, indexed by `HitTier as usize`.
     tiers: [AtomicU64; HitTier::Naive as usize + 1],
     tune_jobs: AtomicU64,
@@ -356,11 +466,12 @@ pub enum TuneProgress {
 ///
 /// All methods take `&self`: a `Server` is shared across serving threads
 /// as-is (or behind an `Arc`). Reads go through the sharded snapshot
-/// slot; the only internal serialization points are the queue mutexes and
-/// the writer mutex around merge+swap.
+/// slot; the only internal serialization points are the queue mutexes,
+/// each snapshot's memo mutex and the writer mutex around merge+swap.
 pub struct Server {
     slot: ShardedSlot<ServeSnapshot>,
-    admission: AdmissionQueue<ServeQuery>,
+    /// Admitted queries with the signature computed at admission.
+    admission: AdmissionQueue<(KernelSig, ServeQuery)>,
     tunes: TuneQueue<TuneJob>,
     /// Jobs (with their queue keys) drained but not yet merged (survives a
     /// paused checkpointed drain so the resume re-runs the same job list;
@@ -378,9 +489,8 @@ pub struct Server {
 impl Server {
     /// A server over `library` for `target`.
     pub fn new(library: Library, target: Target, config: ServeConfig) -> Server {
-        let snapshot = ServeSnapshot { library, generation: 0 };
         Server {
-            slot: ShardedSlot::new(snapshot, config.shards),
+            slot: ShardedSlot::new(ServeSnapshot::new(library, 0), config.shards),
             admission: AdmissionQueue::new(config.queue_capacity),
             tunes: TuneQueue::new(),
             inflight: Mutex::new(Vec::new()),
@@ -440,6 +550,7 @@ impl Server {
             submitted: c.submitted.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
             served: c.served.load(Ordering::Relaxed),
+            memo_hits: c.memo_hits.load(Ordering::Relaxed),
             exact: c.tier(HitTier::Exact),
             parameterized: c.tier(HitTier::Parameterized),
             nearest: c.tier(HitTier::Nearest),
@@ -456,8 +567,8 @@ impl Server {
 
     /// Admit one query, or shed it when the queue is at capacity.
     pub fn submit(&self, query: ServeQuery) -> Result<(), AdmissionError> {
-        let key = query.key(&self.target);
-        match self.admission.try_enqueue(key, query) {
+        let sig = query.sig(&self.target);
+        match self.admission.try_enqueue(sig.key(), (sig, query)) {
             Ok(()) => {
                 self.counters.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(())
@@ -470,117 +581,159 @@ impl Server {
     }
 
     /// Drain up to one batch from the admission queue and resolve it
-    /// concurrently on the workspace thread pool. Replies come back in
-    /// admission order; misses are enqueued (deduplicated) for the next
-    /// background drain.
+    /// against one snapshot. Replies come back in admission order; misses
+    /// are enqueued (deduplicated) for the next background drain.
+    ///
+    /// The batch consults and fills the memo in admission order, as if it
+    /// served one query at a time: a query is answered from the memo, or
+    /// from the dispatch of an earlier query in the batch with the same key
+    /// and program, and only the rest are dispatched, concurrently on the
+    /// workspace thread pool. So which replies are memo hits depends on the
+    /// query log alone, never on thread timing.
     pub fn serve_batch(&self) -> Vec<ServeReply> {
-        let batch = self.admission.drain_batch(self.config.batch_size);
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let replies = par_map(batch, |(key, query)| self.resolve(&key, &query));
-        // enqueue misses in reply (admission) order so the tune queue is
-        // deterministic under a deterministic query log (resolve returns a
-        // job exactly when the query missed its cached tier)
-        for (reply, job) in &replies {
-            if let Some(job) = job {
-                if self.tunes.enqueue(reply.key.clone(), job.clone()) {
-                    self.counters.tune_jobs.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        replies.into_iter().map(|(reply, _)| reply).collect()
+        self.resolve(self.admission.drain_batch(self.config.batch_size))
     }
 
     /// Resolve one query immediately, bypassing admission (used by tests
     /// and interactive `query`-style callers). Misses still enqueue tune
     /// jobs.
     pub fn lookup_now(&self, query: &ServeQuery) -> ServeReply {
-        let key = query.key(&self.target);
-        let (reply, job) = self.resolve(&key, query);
-        if let Some(job) = job {
-            if self.tunes.enqueue(key, job) {
-                self.counters.tune_jobs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        reply
+        let sig = query.sig(&self.target);
+        let mut replies = self.resolve(vec![(sig.key(), (sig, query.clone()))]);
+        replies.pop().expect("one reply per query")
     }
 
-    fn resolve(&self, key: &str, query: &ServeQuery) -> (ServeReply, Option<TuneJob>) {
-        if query.block.is_some() {
-            return self.resolve_block(key, query);
+    fn enqueue_tune(&self, key: String, job: TuneJob) {
+        if self.tunes.enqueue(key, job) {
+            self.counters.tune_jobs.fetch_add(1, Ordering::Relaxed);
         }
-        let snap = self.slot.read(fnv1a(key.as_bytes()));
-        let r = snap.library.lookup(&query.program, &self.target);
-        let tier = HitTier::of(&r.disposition);
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        self.counters.count(tier);
-        let job = tier.is_miss().then(|| TuneJob {
-            label: query.label.clone(),
-            dims: query.dims.clone(),
-            program: query.program.clone(),
-            sig_override: None,
-        });
-        let reply = ServeReply {
-            label: query.label.clone(),
-            key: key.to_string(),
-            tier,
-            latency_units: latency_units(&r),
-            cost: r.cost,
-            naive_cost: r.naive_cost,
-            steps: r.steps.len(),
-            generation: snap.generation,
+    }
+
+    /// Resolve `batch` (keys, signatures computed at admission, queries)
+    /// as [`Server::serve_batch`] describes.
+    fn resolve(&self, batch: Vec<(String, (KernelSig, ServeQuery))>) -> Vec<ServeReply> {
+        let Some((first, _)) = batch.first() else {
+            return Vec::new();
         };
-        (reply, job)
+        let snap = self.slot.read(fnv1a(first.as_bytes()));
+        let plans = plan(&snap, &batch);
+        let todo: Vec<usize> =
+            (0..batch.len()).filter(|&i| matches!(plans[i], Plan::Dispatch)).collect();
+        let mut dispatched = par_map(todo, |i| {
+            let (_, (sig, query)) = &batch[i];
+            self.dispatch(&snap, sig, query)
+        })
+        .into_iter();
+        // settle in admission order, so the memo's contents and the tune
+        // queue are functions of the query log
+        let mut resolved: Vec<Resolution> = Vec::with_capacity(batch.len());
+        let mut replies = Vec::with_capacity(batch.len());
+        for ((key, (_, query)), plan) in batch.into_iter().zip(plans) {
+            let ServeQuery { label, dims, program, block } = query;
+            let (resolution, job) = match plan {
+                Plan::Memo(r) => (r, self.settle(&r, true, &label, dims, Some(program))),
+                Plan::Twin(j) => {
+                    (resolved[j], self.settle(&resolved[j], true, &label, dims, Some(program)))
+                }
+                // a block query was counted by its dispatch, tune job and all
+                Plan::Dispatch if block.is_some() => {
+                    dispatched.next().expect("one result per dispatch")
+                }
+                Plan::Dispatch => {
+                    let (r, _) = dispatched.next().expect("one result per dispatch");
+                    // a miss tier's tune job needs the program as well
+                    let copy = r.tier.is_miss().then(|| program.clone());
+                    snap.memoize(key.clone(), program, r);
+                    (r, self.settle(&r, false, &label, dims, copy))
+                }
+            };
+            if let Some(job) = job {
+                self.enqueue_tune(key.clone(), job);
+            }
+            resolved.push(resolution);
+            replies.push(resolution.reply(label, key, snap.generation));
+        }
+        replies
+    }
+
+    /// Count a single-kernel reply and, if its tier is a miss, build its
+    /// tune job from `program` (present whenever the tier is a miss).
+    fn settle(
+        &self,
+        resolution: &Resolution,
+        memo_hit: bool,
+        label: &str,
+        dims: Vec<usize>,
+        program: Option<Program>,
+    ) -> Option<TuneJob> {
+        if memo_hit {
+            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.counters.served.fetch_add(1, Ordering::Relaxed);
+        self.counters.count(resolution.tier);
+        let program = program.filter(|_| resolution.tier.is_miss())?;
+        Some(TuneJob { label: label.to_string(), dims, program, sig_override: None })
+    }
+
+    /// Dispatch `query` on `snap`, bypassing the memo. A block query is
+    /// counted here and comes back with its tune job; a single-kernel
+    /// query is counted, and its tune job built, when its batch settles.
+    fn dispatch(
+        &self,
+        snap: &ServeSnapshot,
+        sig: &KernelSig,
+        query: &ServeQuery,
+    ) -> (Resolution, Option<TuneJob>) {
+        match &query.block {
+            Some(block) => self.resolve_block(snap, sig, query, block),
+            None => {
+                (Resolution::of(&snap.library.lookup_sig(sig, &query.program, &self.target)), None)
+            }
+        }
     }
 
     /// Resolve a block (subgraph) query: try the cached replay tiers under
     /// the subgraph signature first; on a block miss, answer by per-node
     /// dispatch over the query's parts (each node through the full tier
     /// stack, edges priced at the caller-supplied materialization cost)
-    /// and enqueue a block tune job so the next drain learns the block.
-    fn resolve_block(&self, key: &str, query: &ServeQuery) -> (ServeReply, Option<TuneJob>) {
-        let block = query.block.as_ref().expect("resolve_block without block");
-        let sig = query.sig(&self.target);
-        let snap = self.slot.read(fnv1a(key.as_bytes()));
+    /// and return a block tune job so the next drain learns the block.
+    /// Block replies are not memoized.
+    fn resolve_block(
+        &self,
+        snap: &ServeSnapshot,
+        sig: &KernelSig,
+        query: &ServeQuery,
+        block: &BlockQuery,
+    ) -> (Resolution, Option<TuneJob>) {
         self.counters.served.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = snap.library.lookup_cached(&sig, &query.program, &self.target) {
+        if let Some(r) = snap.library.lookup_cached(sig, &query.program, &self.target) {
             // the cached tiers only: exact, parameterized or nearest
-            let tier = HitTier::of(&r.disposition);
-            self.counters.count(tier);
-            match tier {
+            let resolution = Resolution::of(&r);
+            self.counters.count(resolution.tier);
+            match resolution.tier {
                 HitTier::Exact => &self.counters.block_exact,
                 _ => &self.counters.block_nearest,
             }
             .fetch_add(1, Ordering::Relaxed);
-            let reply = ServeReply {
-                label: query.label.clone(),
-                key: key.to_string(),
-                tier,
-                latency_units: latency_units(&r),
-                cost: r.cost,
-                naive_cost: r.naive_cost,
-                steps: r.steps.len(),
-                generation: snap.generation,
-            };
-            return (reply, None);
+            return (resolution, None);
         }
         // block miss: per-node tiered dispatch, aggregated
         self.counters.block_fallback.fetch_add(1, Ordering::Relaxed);
-        let mut cost = block.edge_cost;
-        let mut naive_cost = block.edge_cost;
-        let mut latency = 2; // block probe + fallback decision
-        let mut steps = 0usize;
-        let mut tier = HitTier::Exact;
+        let mut total = Resolution {
+            tier: HitTier::Exact,
+            latency_units: 2, // block probe + fallback decision
+            cost: block.edge_cost,
+            naive_cost: block.edge_cost,
+            steps: 0,
+        };
         for part in &block.parts {
-            let r = snap.library.lookup(&part.program, &self.target);
-            let t = HitTier::of(&r.disposition);
-            self.counters.count(t);
-            cost += r.cost;
-            naive_cost += r.naive_cost;
-            latency += latency_units(&r);
-            steps += r.steps.len();
-            tier = tier.max(t); // worst tier wins the aggregate
+            let r = Resolution::of(&snap.library.lookup(&part.program, &self.target));
+            self.counters.count(r.tier);
+            total.cost += r.cost;
+            total.naive_cost += r.naive_cost;
+            total.latency_units += r.latency_units;
+            total.steps += r.steps;
+            total.tier = total.tier.max(r.tier); // worst tier wins the aggregate
         }
         // a block miss always schedules block tuning, even when every part
         // replayed: the block record (fusion + layout) is what's missing
@@ -588,19 +741,9 @@ impl Server {
             label: query.label.clone(),
             dims: query.dims.clone(),
             program: query.program.clone(),
-            sig_override: Some(sig),
+            sig_override: Some(sig.clone()),
         });
-        let reply = ServeReply {
-            label: query.label.clone(),
-            key: key.to_string(),
-            tier,
-            latency_units: latency,
-            cost,
-            naive_cost,
-            steps,
-            generation: snap.generation,
-        };
-        (reply, job)
+        (total, job)
     }
 
     /// Drain the tune-miss queue: tune every pending job with the
@@ -737,8 +880,34 @@ impl Server {
             library.save(path).map_err(|e| format!("{}: {e}", path.display()))?;
         }
         let generation = self.slot.generation() + 1;
-        Ok(self.slot.publish(Arc::new(ServeSnapshot { library, generation })))
+        Ok(self.slot.publish(Arc::new(ServeSnapshot::new(library, generation))))
     }
+}
+
+/// Plan each query of `batch` on `snap`, in admission order: a query is
+/// answered from the memo, from an earlier query of the batch planned for
+/// dispatch under the same key with an equal program, or by a dispatch of
+/// its own. Block queries are always dispatched.
+fn plan(snap: &ServeSnapshot, batch: &[(String, (KernelSig, ServeQuery))]) -> Vec<Plan> {
+    // per key, the latest query of the batch planned for dispatch: what the
+    // memo will hold for the key once the batch settles that far
+    let mut planned: HashMap<&str, usize> = HashMap::new();
+    let mut plans = Vec::with_capacity(batch.len());
+    for (i, (key, (_, query))) in batch.iter().enumerate() {
+        if query.block.is_some() {
+            plans.push(Plan::Dispatch);
+            continue;
+        }
+        let answer = match planned.get(key.as_str()) {
+            Some(&j) => (batch[j].1 .1.program == query.program).then_some(Plan::Twin(j)),
+            None => snap.recall(key, &query.program).map(Plan::Memo),
+        };
+        plans.push(answer.unwrap_or_else(|| {
+            planned.insert(key, i);
+            Plan::Dispatch
+        }));
+    }
+    plans
 }
 
 #[cfg(test)]
@@ -845,6 +1014,150 @@ mod tests {
         assert_eq!(stats.corrupt_entries, 0);
         assert_eq!(ondisk.to_text(), server.snapshot(0).library.to_text());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Submit `query` alone and serve it as a batch of one.
+    fn serve_one(server: &Server, query: &ServeQuery) -> ServeReply {
+        server.submit(query.clone()).unwrap();
+        let mut replies = server.serve_batch();
+        assert_eq!(replies.len(), 1);
+        replies.pop().unwrap()
+    }
+
+    /// Every reply field, costs as bit patterns.
+    fn fields(r: &ServeReply) -> (String, String, HitTier, u64, u64, u64, usize, u64) {
+        (
+            r.label.clone(),
+            r.key.clone(),
+            r.tier,
+            r.latency_units,
+            r.cost.to_bits(),
+            r.naive_cost.to_bits(),
+            r.steps,
+            r.generation,
+        )
+    }
+
+    #[test]
+    fn memo_repeats_replies_and_counts_them_like_dispatches() {
+        const K: u64 = 5;
+        let server = tuned_server(ServeConfig::default());
+        let queries: Vec<ServeQuery> =
+            [("softmax", vec![64, 64]), ("softmax", vec![96, 64]), ("rmsnorm", vec![64, 64])]
+                .iter()
+                .map(|(label, dims)| ServeQuery::of(label, dims).unwrap())
+                .collect();
+        let mut first: Vec<ServeReply> = Vec::new();
+        for round in 0..K {
+            for q in &queries {
+                server.submit(q.clone()).unwrap();
+            }
+            let replies = server.serve_batch();
+            if round == 0 {
+                let tiers: Vec<HitTier> = replies.iter().map(|r| r.tier).collect();
+                assert_eq!(tiers, [HitTier::Exact, HitTier::Nearest, HitTier::Heuristic]);
+                first = replies;
+                continue;
+            }
+            for (a, b) in first.iter().zip(&replies) {
+                assert_eq!(fields(a), fields(b), "round {round}: a repeat differs from the first");
+            }
+        }
+        let s = server.stats();
+        assert_eq!(s.served, 3 * K);
+        assert_eq!(s.memo_hits, 3 * (K - 1), "every repeat must come from the memo");
+        assert_eq!((s.exact, s.nearest, s.heuristic), (K, K, K), "memo hits count their tier");
+        assert_eq!((s.parameterized, s.naive), (0, 0));
+        assert_eq!(s.tune_jobs, 1);
+        assert_eq!(server.pending_tunes(), 1);
+    }
+
+    #[test]
+    fn memo_entries_do_not_outlive_their_generation() {
+        let server = tuned_server(ServeConfig::default());
+        let q = ServeQuery::of("rmsnorm", &[64, 64]).unwrap();
+        let miss = serve_one(&server, &q);
+        assert!(miss.tier.is_miss(), "{:?}", miss.tier);
+        assert_eq!(miss.generation, 0);
+        assert_eq!(fields(&serve_one(&server, &q)), fields(&miss));
+        assert_eq!(server.stats().memo_hits, 1);
+        let swapped = server.drain_tunes().unwrap();
+        assert!(matches!(swapped, TuneProgress::Swapped { generation: 1, .. }), "{swapped:?}");
+        // the swap dropped generation 0's memo: the miss is not replayed
+        let hit = serve_one(&server, &q);
+        assert_eq!((hit.tier, hit.generation), (HitTier::Exact, 1));
+        assert_eq!(server.stats().memo_hits, 1);
+        // generation 1 memoizes its own answer
+        assert_eq!(fields(&serve_one(&server, &q)), fields(&hit));
+        assert_eq!(server.stats().memo_hits, 2);
+    }
+
+    #[test]
+    fn memo_hit_requires_the_same_program() {
+        let server = tuned_server(ServeConfig::default());
+        let a = ServeQuery::of("softmax", &[64, 64]).unwrap();
+        let mut b = a.clone();
+        b.program.name = String::from("softmax_renamed");
+        // the signature erases the kernel name; program equality does not
+        assert_eq!(a.key(server.target()), b.key(server.target()));
+        assert_ne!(a.program, b.program);
+        let hits = || server.stats().memo_hits;
+        serve_one(&server, &a);
+        serve_one(&server, &b);
+        assert_eq!(hits(), 0, "b was served from a's entry");
+        serve_one(&server, &b);
+        assert_eq!(hits(), 1, "b's repeat must hit");
+        // a key holds one program: b's dispatch replaced a's entry
+        serve_one(&server, &a);
+        assert_eq!(hits(), 1, "a was served from b's entry");
+        serve_one(&server, &a);
+        assert_eq!(hits(), 2, "a's repeat must hit");
+        assert_eq!(server.stats().served, 5);
+    }
+
+    #[test]
+    fn a_batch_answers_repeats_in_admission_order() {
+        // two batches of [a, a, a', a, r, a, n, r] x 4, where a' is a with
+        // another name (same key, different program): within a batch, a
+        // copy is answered by the dispatch of the latest earlier query
+        // under its key if that query's program is equal, so the count of
+        // memo hits is a function of the log, whatever the thread timing
+        let run = || {
+            let server = tuned_server(ServeConfig::default());
+            let a = ServeQuery::of("softmax", &[64, 64]).unwrap();
+            let mut renamed = a.clone();
+            renamed.program.name = String::from("softmax_renamed");
+            let r = ServeQuery::of("rmsnorm", &[64, 64]).unwrap();
+            let n = ServeQuery::of("softmax", &[96, 64]).unwrap();
+            let log = [&a, &a, &renamed, &a, &r, &a, &n, &r];
+            let mut replies = Vec::new();
+            for _ in 0..2 {
+                for _ in 0..4 {
+                    for q in log {
+                        server.submit(q.clone()).unwrap();
+                    }
+                }
+                let batch = server.serve_batch();
+                assert_eq!(batch.len(), 32);
+                replies.extend(batch.iter().map(fields));
+            }
+            (server.stats(), replies)
+        };
+        let (stats, replies) = run();
+        // batch 1 dispatches a, a', a, r and n, then a' and a in each later
+        // round (21 hits); batch 2 finds a, r and n in the memo and
+        // dispatches a' and a per round (24 hits)
+        assert_eq!(stats.served, 64);
+        assert_eq!(stats.memo_hits, 21 + 24);
+        assert_eq!((stats.exact, stats.nearest, stats.heuristic), (40, 8, 16));
+        assert_eq!(stats.tune_jobs, 1);
+        for (i, reply) in replies.iter().enumerate() {
+            // every copy of a query gets the same reply
+            assert_eq!(*reply, replies[i % 8], "reply {i}");
+        }
+        for _ in 0..3 {
+            assert_eq!(run(), (stats.clone(), replies.clone()), "a rerun served differently");
+        }
     }
 
     #[test]

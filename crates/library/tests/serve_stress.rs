@@ -16,17 +16,28 @@
 //!
 //! Together 1–3 say the concurrent run is equivalent to a sequential
 //! replay of the same query log annotated with observed generations.
+//!
+//! The race is forced, not left to the scheduler: every role runs on its
+//! own thread, and the first publish waits on a barrier until every
+//! reader has made one whole pass at generation 0. So the generation-0
+//! reply memo holds every key when the swaps start, and a reply served
+//! past its generation would fail the oracle.
+//! Each reader keeps reading until it observes the final generation, so
+//! every reader spans at least two generations whatever the core count.
 
 use perfdojo_core::Target;
 use perfdojo_kernels::KernelInstance;
-use perfdojo_library::{Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy};
-use perfdojo_util::par::par_map;
-use std::collections::BTreeMap;
+use perfdojo_library::{
+    HitTier, Library, LibraryBuilder, ServeConfig, ServeQuery, ServeReply, Server, Strategy,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const READERS: usize = 4;
-/// Passes each reader makes over the query set.
-const PASSES: usize = 6;
+/// Upper bound on a reader's passes over the query set; a reader that
+/// reaches it never observed the final generation, and the test fails.
+const MAX_PASSES: usize = 200_000;
 
 fn kernel(label: &str, dims: &[usize]) -> KernelInstance {
     let program = perfdojo_kernels::by_label_with_shape(label, dims)
@@ -118,74 +129,167 @@ fn readers_never_see_torn_swaps_and_match_sequential_replay() {
     assert_ne!(oracle[0][4], oracle[swaps][4], "rmsnorm tier never shifted");
 
     let server = Server::new(libs[0].clone(), target.clone(), ServeConfig::default());
+    let final_gen = swaps as u64;
 
-    // role 0 publishes the K swaps; roles 1..=N read through them
-    let roles: Vec<usize> = (0..=READERS).collect();
-    let logs: Vec<Vec<(usize, u64, Fingerprint)>> = par_map(roles, |role| {
-        if role == 0 {
+    // one thread per role: the writer publishes the K swaps, each reader
+    // reads through them. Readers check every reply as it arrives and
+    // keep only a summary, since how many passes a reader makes depends
+    // on the scheduler.
+    let first_publish = Barrier::new(READERS + 1);
+    let summaries: Vec<Result<ReaderSummary, String>> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            first_publish.wait();
             for next in &libs[1..] {
                 std::thread::sleep(Duration::from_millis(3));
                 server.publish(next.clone()).expect("publish");
             }
-            return Vec::new();
-        }
-        let mut log = Vec::new();
-        for _ in 0..PASSES {
-            for (qi, q) in queries.iter().enumerate() {
-                let r = server.lookup_now(q);
-                log.push((
-                    qi,
-                    r.generation,
-                    Fingerprint {
-                        tier: match r.tier {
-                            perfdojo_library::HitTier::Exact => "exact-hit",
-                            perfdojo_library::HitTier::Parameterized => "parameterized",
-                            perfdojo_library::HitTier::Nearest => "fallback-replay",
-                            perfdojo_library::HitTier::Heuristic => "fallback-heuristic",
-                            perfdojo_library::HitTier::Naive => "naive",
-                        },
-                        latency_units: r.latency_units,
-                        cost_bits: r.cost.to_bits(),
-                        naive_bits: r.naive_cost.to_bits(),
-                        steps: r.steps,
-                    },
-                ));
-            }
-        }
-        log
+        });
+        let readers: Vec<_> = (1..=READERS)
+            .map(|reader| {
+                let (server, queries, oracle) = (&server, &queries, &oracle);
+                let first_publish = &first_publish;
+                scope.spawn(move || {
+                    read_until_final(reader, server, queries, oracle, final_gen, first_publish)
+                })
+            })
+            .collect();
+        readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
     });
 
     // no lost updates: the last publish won on every shard
-    assert_eq!(server.generation(), swaps as u64);
+    assert_eq!(server.generation(), final_gen);
     let final_text = libs[swaps].to_text();
     for hint in 0..64 {
         let snap = server.snapshot(hint);
-        assert_eq!(snap.generation, swaps as u64, "stale shard at hint {hint}");
+        assert_eq!(snap.generation, final_gen, "stale shard at hint {hint}");
         assert_eq!(snap.library.to_text(), final_text, "shard diverged at hint {hint}");
     }
 
-    let mut observed = 0usize;
-    for (reader, log) in logs.iter().enumerate().skip(1) {
-        assert_eq!(log.len(), PASSES * queries.len(), "reader {reader} lost replies");
-        // never torn / sequential-replay equivalence: each reply is the
-        // oracle's answer for its observed generation
-        let mut last_gen: BTreeMap<usize, u64> = BTreeMap::new();
-        for (qi, generation, fp) in log {
-            let g = *generation as usize;
-            assert!(g <= swaps, "reader {reader} saw generation {g} > {swaps}");
-            assert_eq!(
-                fp, &oracle[g][*qi],
-                "reader {reader} query {qi} at generation {g}: torn or divergent reply"
-            );
-            // per-key monotonicity: the same query never goes back in time
-            if let Some(prev) = last_gen.insert(*qi, *generation) {
-                assert!(
-                    prev <= *generation,
-                    "reader {reader} query {qi}: generation went {prev} -> {generation}"
-                );
-            }
-            observed += 1;
+    for (i, summary) in summaries.into_iter().enumerate() {
+        let summary = summary.unwrap_or_else(|e| panic!("{e}"));
+        let reader = i + 1;
+        assert_eq!(summary.replies, summary.passes * queries.len(), "reader {reader} lost replies");
+        assert!(
+            summary.generations.len() >= 2,
+            "reader {reader} saw only generations {:?}: it never raced a swap",
+            summary.generations
+        );
+    }
+}
+
+/// What one reader observed, once every reply passed the checks.
+struct ReaderSummary {
+    passes: usize,
+    replies: usize,
+    generations: BTreeSet<u64>,
+}
+
+/// A reader's share of the writer's first-publish barrier: it waits once,
+/// at the end of the reader's first pass or, if the reader returns or
+/// panics before that, when dropped. Either way the writer and the other
+/// readers are released, so a failing reader fails the test instead of
+/// hanging it.
+struct FirstPublish<'a> {
+    barrier: &'a Barrier,
+    waited: bool,
+}
+
+impl FirstPublish<'_> {
+    fn release(&mut self) {
+        if !self.waited {
+            self.waited = true;
+            self.barrier.wait();
         }
     }
-    assert_eq!(observed, READERS * PASSES * queries.len());
+}
+
+impl Drop for FirstPublish<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// Make passes over `queries` until a whole pass is served at `final_gen`,
+/// checking each reply against the oracle for its observed generation and
+/// per-key monotonicity. The end of the first pass releases the writer's
+/// first publish (even when a reply failed), so that pass is all at
+/// generation 0.
+fn read_until_final(
+    reader: usize,
+    server: &Server,
+    queries: &[ServeQuery],
+    oracle: &[Vec<Fingerprint>],
+    final_gen: u64,
+    first_publish: &Barrier,
+) -> Result<ReaderSummary, String> {
+    let mut first_publish = FirstPublish { barrier: first_publish, waited: false };
+    let mut summary = ReaderSummary { passes: 0, replies: 0, generations: BTreeSet::new() };
+    let mut last_gen: BTreeMap<usize, u64> = BTreeMap::new();
+    loop {
+        if summary.passes == MAX_PASSES {
+            return Err(format!(
+                "reader {reader} made {MAX_PASSES} passes without a whole pass at generation \
+                 {final_gen}; it saw {:?}",
+                summary.generations
+            ));
+        }
+        let mut all_final = true;
+        let mut failure = None;
+        for (qi, q) in queries.iter().enumerate() {
+            let r = server.lookup_now(q);
+            summary.replies += 1;
+            summary.generations.insert(r.generation);
+            all_final &= r.generation == final_gen;
+            if let Err(e) = check_reply(&r, oracle.get(r.generation as usize), qi, &mut last_gen) {
+                failure = Some(format!("reader {reader} query {qi}: {e}"));
+                break;
+            }
+        }
+        first_publish.release();
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        summary.passes += 1;
+        if all_final {
+            return Ok(summary);
+        }
+    }
+}
+
+/// Check one reply to query `qi`: it is the oracle's answer at its
+/// observed generation (`oracle`, `None` past the last one), and that
+/// query's generation never goes back.
+fn check_reply(
+    r: &ServeReply,
+    oracle: Option<&Vec<Fingerprint>>,
+    qi: usize,
+    last_gen: &mut BTreeMap<usize, u64>,
+) -> Result<(), String> {
+    let g = r.generation;
+    let oracle = oracle.ok_or_else(|| format!("generation {g} was never published"))?;
+    // never torn / sequential-replay equivalence
+    let fp = Fingerprint {
+        tier: match r.tier {
+            HitTier::Exact => "exact-hit",
+            HitTier::Parameterized => "parameterized",
+            HitTier::Nearest => "fallback-replay",
+            HitTier::Heuristic => "fallback-heuristic",
+            HitTier::Naive => "naive",
+        },
+        latency_units: r.latency_units,
+        cost_bits: r.cost.to_bits(),
+        naive_bits: r.naive_cost.to_bits(),
+        steps: r.steps,
+    };
+    if fp != oracle[qi] {
+        return Err(format!(
+            "torn or divergent reply at generation {g}: {fp:?}, oracle {:?}",
+            oracle[qi]
+        ));
+    }
+    // per-key monotonicity: the same query never goes back in time
+    match last_gen.insert(qi, g) {
+        Some(prev) if prev > g => Err(format!("generation went {prev} -> {g}")),
+        _ => Ok(()),
+    }
 }

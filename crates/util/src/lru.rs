@@ -11,6 +11,7 @@
 //! (`perfdojo-core`), where a search strategy revisits the same program
 //! many times and each miss costs a full lower + analytical-cost pass.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -92,8 +93,14 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Look up `key`, promoting it to most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Look up `key`, promoting it to most-recently-used on a hit. As with
+    /// `HashMap::get`, the probe may be any borrowed form of the key (a
+    /// `&str` for `String` keys), so a lookup need not allocate.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let slot = *self.map.get(key)?;
         if slot != self.head {
             self.unlink(slot);
@@ -103,7 +110,11 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Look up `key` without disturbing recency (for inspection/tests).
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.get(key).map(|&slot| &self.slab[slot].value)
     }
 
@@ -239,6 +250,22 @@ mod tests {
         // recency order is exactly newest-first
         let keys: Vec<u64> = c.keys_by_recency().into_iter().copied().collect();
         assert_eq!(keys, (992..1000).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn owned_keys_are_probed_by_borrowed_form() {
+        let mut c: LruCache<String, u32> = LruCache::new(2);
+        c.insert("a".to_string(), 1);
+        c.insert("b".to_string(), 2);
+        assert_eq!(c.peek("a"), Some(&1));
+        assert_eq!(c.keys_by_recency(), vec!["b", "a"], "peek must not promote");
+        assert_eq!(c.get("a"), Some(&1));
+        assert_eq!(c.keys_by_recency(), vec!["a", "b"], "get promotes");
+        assert_eq!(c.get("z"), None);
+        // the borrowed probe sees the same slot an owned key would
+        c.insert("c".to_string(), 3);
+        assert_eq!(c.get("b"), None);
+        assert_eq!(c.get(&"c".to_string()), Some(&3));
     }
 
     #[test]

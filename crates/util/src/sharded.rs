@@ -93,7 +93,6 @@ impl<T> ShardedSlot<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::par_map;
 
     #[test]
     fn read_returns_initial_from_every_shard() {
@@ -128,29 +127,36 @@ mod tests {
         // Snapshots are (generation, payload) pairs where payload is a
         // function of generation; a torn or stale-mixture read would
         // break the payload check, a lost update would break monotonicity.
-        let slot = Arc::new(ShardedSlot::new((0u64, 0u64), 8));
+        // Every role gets its own thread, so the writer races the readers
+        // whatever the core count.
+        let slot = ShardedSlot::new((0u64, 0u64), 8);
         const SWAPS: u64 = 50;
-        const READERS: usize = 6;
-        let roles: Vec<usize> = (0..=READERS).collect();
-        let logs = par_map(roles, |role| {
-            if role == 0 {
+        const READERS: u64 = 6;
+        let logs: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let slot = &slot;
+            scope.spawn(move || {
                 for g in 1..=SWAPS {
                     slot.publish(Arc::new((g, g * 31)));
                 }
-                Vec::new()
-            } else {
-                let mut seen = Vec::new();
-                for i in 0..400u64 {
-                    // spread hints: never torn, whichever shard serves
-                    let snap = slot.read(i.wrapping_mul(0x9E37_79B9) + role as u64);
-                    assert_eq!(snap.1, snap.0 * 31, "torn snapshot");
-                    // pinned hint: a single shard must be monotone
-                    seen.push(slot.read(role as u64).0);
-                }
-                seen
-            }
+            });
+            let readers: Vec<_> = (1..=READERS)
+                .map(|role| {
+                    scope.spawn(move || {
+                        let mut seen = Vec::new();
+                        for i in 0..400u64 {
+                            // spread hints: never torn, whichever shard serves
+                            let snap = slot.read(i.wrapping_mul(0x9E37_79B9) + role);
+                            assert_eq!(snap.1, snap.0 * 31, "torn snapshot");
+                            // pinned hint: a single shard must be monotone
+                            seen.push(slot.read(role).0);
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
         });
-        for log in logs.iter().skip(1) {
+        for log in &logs {
             assert!(log.windows(2).all(|w| w[0] <= w[1]), "pinned shard went backward");
         }
         // after the writer finishes, everyone sees the final publish
