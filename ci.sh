@@ -11,7 +11,9 @@
 #      full Fig. 1b run) must pass in release.
 #   4. The schedule-library pipeline must work end to end: build a
 #      mini-library with perfdojo-lib, dispatch an exact-shape query and a
-#      never-tuned-shape query against it, and report non-empty stats.
+#      never-tuned-shape query against it, and report non-empty stats;
+#      and `build` into a copy of that library whose header names another
+#      format version must fail and leave the copy byte-identical.
 #   5. Differential fuzz smoke: a fixed-seed run over random programs ×
 #      random transformation walks must find zero counterexamples, finish
 #      quickly, and produce a byte-identical report when repeated — the
@@ -41,9 +43,12 @@
 #   9. Graph-tier smoke: a fixed-seed `--exp graph` run (block-level vs
 #      per-node dispatch over the pipeline suite) must be byte-identical
 #      across two runs and show block cost at or below per-node cost, the
-#      graph CLI must round-trip build → exact block hit, and seeded random
+#      graph CLI must round-trip build → exact block hit, seeded random
 #      pipelines must pass the differential oracle (graph executor vs
-#      composed interpreter reference).
+#      composed interpreter reference), `graph-build` into a library copy
+#      with another format version's header must fail and leave the copy
+#      byte-identical, and `graph-check` on a seed range past u64::MAX
+#      must fail.
 #  10. Fleet smoke: a fixed-seed `perfdojo-lib fleet` build at 2 and at 4
 #      workers must merge `cmp`-identical libraries; a fleet with one
 #      injected worker kill (`--kill-after`) plus a resume must merge the
@@ -82,6 +87,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# refuses_v2_out LIB CMD...: CMD must fail when its --out, which it names
+# as "$PDLIB_DIR/v2.pdl", is a copy of LIB whose header names format v2;
+# the error must name the file, and the copy's bytes must not change
+refuses_v2_out() {
+    { echo "perfdojo-library v2"; tail -n +2 "$1"; } > "$PDLIB_DIR/v2.pdl"
+    cp "$PDLIB_DIR/v2.pdl" "$PDLIB_DIR/v2-orig.pdl"
+    shift
+    if "$@" 2> "$PDLIB_DIR/v2.err"; then
+        echo "ci.sh: $2 saved over an --out it could not load" >&2
+        exit 1
+    fi
+    grep -q "v2.pdl" "$PDLIB_DIR/v2.err"
+    cmp "$PDLIB_DIR/v2.pdl" "$PDLIB_DIR/v2-orig.pdl"
+}
+
 echo "== 1/13 perfdojo-util: warning-free build (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build -q -p perfdojo-util --offline
 RUSTFLAGS="-D warnings" cargo test -q -p perfdojo-util --offline
@@ -111,6 +131,9 @@ grep -q "disposition: fallback-replay" "$PDLIB_DIR/q2.txt"
 # stats must report the two tuned entries
 ./target/release/perfdojo-lib stats --lib "$PDLIB" | tee "$PDLIB_DIR/stats.txt"
 grep -q "entries:         2" "$PDLIB_DIR/stats.txt"
+# an --out that does not load is never saved over
+refuses_v2_out "$PDLIB" ./target/release/perfdojo-lib build --out "$PDLIB_DIR/v2.pdl" \
+    --kernels relu --targets x86 --strategy heuristic
 
 echo "== 5/13 differential fuzz smoke: fixed seed, deterministic, clean =="
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz1.txt"
@@ -309,6 +332,16 @@ grep -q "per-node fallback" "$PDLIB_DIR/gq2.txt"
 ./target/release/perfdojo-lib graph-check --seed 0 --count 12 \
     | tee "$PDLIB_DIR/gc.txt"
 grep -q "12 random graphs passed the differential oracle" "$PDLIB_DIR/gc.txt"
+# graph-build never saves over an --out that does not load either
+refuses_v2_out "$PDLIB_DIR/graph.pdl" ./target/release/perfdojo-lib graph-build \
+    --out "$PDLIB_DIR/v2.pdl" --target x86 --graphs ffn
+# a seed range past u64::MAX is an error, not a report on graphs never
+# checked
+if ./target/release/perfdojo-lib graph-check --seed 18446744073709551615 --count 3 \
+    > "$PDLIB_DIR/gc-overflow.txt" 2>&1; then
+    echo "ci.sh: graph-check accepted a seed range past u64::MAX" >&2
+    exit 1
+fi
 
 echo "== 10/13 fleet smoke: worker-count invariance, injected kill, reproducible report =="
 FLEET_ARGS=(--kernels softmax,matmul,relu,reducemean --strategy anneal:12 --seed 5)

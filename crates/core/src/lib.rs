@@ -16,7 +16,7 @@ pub mod target;
 
 pub use target::Target;
 
-use perfdojo_interp::{verify_equivalent, VerifyReport};
+use perfdojo_interp::{verify_equivalent, VerifyReport, VERIFY_WORK_LIMIT};
 use perfdojo_ir::{exact_fp128, validate, Arena, Fp128, Program};
 use perfdojo_machine::{Machine, MachineError};
 use perfdojo_transform::{
@@ -77,10 +77,6 @@ pub enum VerifyMode {
         trials: usize,
     },
 }
-
-/// Interpreting more dynamic ops than this per verification trial is not
-/// practical inside a search loop.
-const VERIFY_WORK_LIMIT: u64 = 2_000_000;
 
 /// Default capacity of the fingerprint-keyed cost cache. Sized so the
 /// working set of a multi-thousand-evaluation SA run fits; keys are 128-bit

@@ -25,11 +25,9 @@
 use crate::compose::Composed;
 use crate::oracle::check_transformed;
 use perfdojo_core::Target;
+use perfdojo_interp::VERIFY_WORK_LIMIT;
 use perfdojo_ir::{validate, Path, Program};
 use perfdojo_transform::{Action, BufDimLoc, Loc, Transform};
-
-/// Numeric re-verification gate: same work limit as library dispatch.
-const VERIFY_WORK_LIMIT: u64 = 2_000_000;
 
 /// Fixed seed for plan-time differential checks (deterministic planning).
 const PLAN_VERIFY_SEED: u64 = 0x9E37_79B9;

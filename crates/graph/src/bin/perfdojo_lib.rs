@@ -18,18 +18,20 @@
 //!
 //! Arguments are hand-parsed (zero-dependency workspace policy). `build`
 //! and `graph-build` merge into an existing `--out` file when one is
-//! present, so libraries grow incrementally across runs.
+//! present, so libraries grow incrementally across runs; an `--out` that
+//! exists but does not load is an error and is left as it is.
 
 use perfdojo_core::Target;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{
     run_fleet, run_worker, target_by_name, BuildCheckpoint, BuildProgress, FaultPlan, FleetDir,
-    FleetJob, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy, TuneProgress,
-    WorkerConfig, WorkerExit,
+    FleetJob, FormatError, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy,
+    TuneProgress, WorkerConfig, WorkerExit,
 };
 use perfdojo_util::rng::Rng;
 use perfdojo_util::zipf::Zipf;
-use std::path::PathBuf;
+use std::io::ErrorKind;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Exit code of a checkpointed build that paused at `--step-limit` (the
@@ -145,13 +147,29 @@ fn required(args: &[String], flag: &str) -> Result<String, String> {
     flag_value(args, flag)?.ok_or_else(|| format!("{flag} is required"))
 }
 
-fn load_library(args: &[String]) -> Result<(Library, PathBuf), String> {
-    let path = PathBuf::from(required(args, "--lib")?);
-    let (lib, stats) = Library::load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+/// Load the library at `path`, warning about the corrupt entries skipped.
+fn load(path: &Path) -> Result<Library, FormatError> {
+    let (lib, stats) = Library::load(path)?;
     if stats.corrupt_entries > 0 {
         eprintln!("warning: {} corrupt entries skipped", stats.corrupt_entries);
     }
+    Ok(lib)
+}
+
+fn load_library(args: &[String]) -> Result<(Library, PathBuf), String> {
+    let path = PathBuf::from(required(args, "--lib")?);
+    let lib = load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok((lib, path))
+}
+
+/// The library `build` and `graph-build` merge into and save over: the one
+/// at `out`, or an empty one when `out` does not exist yet. Any other load
+/// error stops the command, so a file that did not load is never replaced.
+fn load_out(out: &Path) -> Result<Library, String> {
+    match load(out) {
+        Err(FormatError::Io(e)) if e.kind() == ErrorKind::NotFound => Ok(Library::new()),
+        loaded => loaded.map_err(|e| format!("{}: {e}; not overwriting it", out.display())),
+    }
 }
 
 fn parse_targets(spec: Option<String>) -> Result<Vec<Target>, String> {
@@ -203,10 +221,7 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
         }
     };
 
-    let mut lib = match Library::load(&out) {
-        Ok((l, _)) => l,
-        Err(_) => Library::new(),
-    };
+    let mut lib = load_out(&out)?;
     let builder = LibraryBuilder::new(strategy, seed);
     let (progress, report, outcomes) = match &ckpt_dir {
         None => {
@@ -374,13 +389,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     };
     let report_path = flag_value(args, "--report")?;
 
-    let config = ServeConfig {
-        queue_capacity: queue,
-        batch_size: batch,
-        strategy,
-        seed,
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { queue_capacity: queue, batch_size: batch, strategy, seed };
     let server = Server::new(lib, target, config).with_disk(path.clone());
     let ckpt = match &ckpt_dir {
         None => None,
@@ -693,10 +702,7 @@ fn cmd_graph_build(args: &[String]) -> Result<(), String> {
         None => 0,
         Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
     };
-    let mut lib = match Library::load(&out) {
-        Ok((l, _)) => l,
-        Err(_) => Library::new(),
-    };
+    let mut lib = load_out(&out)?;
     let (report, outcomes) =
         perfdojo_graph::build_graphs_into(&mut lib, &graphs, &target, strategy, seed);
     for o in outcomes.iter().filter(|o| o.error.is_some()) {
@@ -778,7 +784,10 @@ fn cmd_graph_check(args: &[String]) -> Result<(), String> {
         None => 12,
         Some(s) => s.parse().map_err(|_| format!("bad count {s:?}"))?,
     };
-    for s in seed..seed + count {
+    let end = seed
+        .checked_add(count)
+        .ok_or_else(|| format!("--seed {seed} plus --count {count} overflows u64"))?;
+    for s in seed..end {
         let g = perfdojo_graph::random_graph(s);
         let report = perfdojo_graph::check_graph(&g, s)
             .map_err(|e| format!("seed {s} ({}): differential mismatch: {e}", g.name))?;

@@ -25,13 +25,11 @@ use crate::compose::Composed;
 use crate::graph::KernelGraph;
 use crate::oracle::check_transformed;
 use perfdojo_core::Target;
+use perfdojo_interp::VERIFY_WORK_LIMIT;
 use perfdojo_ir::{validate, Path, Program};
 use perfdojo_library::Library;
 use perfdojo_transform::{replay_sequence, Action, BufDimLoc, Loc};
 use std::collections::BTreeMap;
-
-/// Numeric re-verification gate: same work limit as library dispatch.
-const VERIFY_WORK_LIMIT: u64 = 2_000_000;
 
 /// Fixed seed for the post-inheritance differential check.
 const INHERIT_VERIFY_SEED: u64 = 0x517C_C1B7;

@@ -21,7 +21,7 @@ pub mod tensor;
 pub mod verify;
 
 pub use tensor::Tensor;
-pub use verify::{random_inputs, verify_equivalent, VerifyReport};
+pub use verify::{random_inputs, verify_equivalent, VerifyReport, VERIFY_WORK_LIMIT};
 
 use perfdojo_ir as ir;
 use perfdojo_ir::{Affine, BinaryOp, UnaryOp};

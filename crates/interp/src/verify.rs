@@ -47,6 +47,12 @@ pub fn random_inputs(p: &Program, seed: u64) -> HashMap<String, Tensor> {
     m
 }
 
+/// Above this many dynamic op instances
+/// ([`Program::dynamic_op_instances`]), callers skip numeric verification:
+/// interpreting a paper-scale kernel in every check is not practical. The
+/// Dojo, library dispatch and the graph tier all gate on it.
+pub const VERIFY_WORK_LIMIT: u64 = 2_000_000;
+
 /// Numerically compare two programs on `trials` random inputs.
 ///
 /// The reference `original` defines the interface; `transformed` must accept

@@ -91,13 +91,6 @@ pub fn exact_text(p: &Program) -> String {
     print_program(p)
 }
 
-/// FNV-1a of [`exact_text`] — a compact exact-identity fingerprint for
-/// logs and reports. (The cost cache keys on the collision-checked
-/// [`exact_fp128`] instead, which never renders the text.)
-pub fn exact_hash(p: &Program) -> u64 {
-    fnv1a(exact_text(p).as_bytes())
-}
-
 /// A 128-bit exact program fingerprint plus stream length.
 ///
 /// Two independently-mixed 64-bit hashes over a tagged, length-prefixed
@@ -446,9 +439,8 @@ mod tests {
         let a = scaled(4, 8, 0.25);
         let b = scaled(64, 128, 0.25);
         assert_eq!(structure_hash(&a), structure_hash(&b));
-        assert_ne!(exact_hash(&a), exact_hash(&b));
+        assert_ne!(exact_text(&a), exact_text(&b));
         // and exact identity is reflexive/deterministic
-        assert_eq!(exact_hash(&a), exact_hash(&a.clone()));
         assert_eq!(exact_text(&a), exact_text(&a.clone()));
     }
 

@@ -40,7 +40,7 @@ pub use arena::Arena;
 pub use buffer::{BufDim, BufferDecl, DType, Location};
 pub use builder::ProgramBuilder;
 pub use expr::{Access, BinaryOp, Expr, IndexExpr, UnaryOp};
-pub use fingerprint::{exact_fp128, exact_hash, exact_text, structure_hash, structure_text, Fp128};
+pub use fingerprint::{exact_fp128, exact_text, structure_hash, structure_text, Fp128};
 pub use node::{Node, OpNode, Scope, ScopeKind, ScopeSize};
 pub use parse::{parse_program, ParseError};
 pub use path::Path;

@@ -29,15 +29,11 @@
 use crate::library::Library;
 use crate::sig::KernelSig;
 use perfdojo_core::{Dojo, Target};
+use perfdojo_interp::VERIFY_WORK_LIMIT;
 use perfdojo_ir::{validate, Program};
 use perfdojo_transform::{replay, replay_sequence, Action};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Above this many dynamic op instances, numeric verification is skipped
-/// (interpreting paper-scale kernels is not practical); mirrors the Dojo's
-/// own verification gate.
-const VERIFY_WORK_LIMIT: u64 = 2_000_000;
 
 /// Trials for numeric verification of a served schedule.
 const VERIFY_TRIALS: usize = 2;

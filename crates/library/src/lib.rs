@@ -33,7 +33,7 @@
 //! - [`admission`] — the serving tier's bounded query queue and
 //!   deduplicating tune-miss queue.
 //! - [`serve::Server`] — the concurrent schedule-serving daemon core:
-//!   shared snapshot behind a sharded lock slot, batched admission,
+//!   one shared snapshot behind an `RwLock`, batched admission,
 //!   background tune-miss drains with atomic hot swap, and a reply memo
 //!   per snapshot.
 //!

@@ -6,9 +6,11 @@
 //! grows a daemon-shaped core here. The moving parts:
 //!
 //! - **Shared snapshot** — the current library lives in an immutable
-//!   [`ServeSnapshot`] behind a [`ShardedSlot`]: readers resolve against
-//!   whatever complete snapshot their shard holds; a hot swap can never
-//!   expose a half-merged library.
+//!   [`ServeSnapshot`] behind one `RwLock<Arc<_>>`, read once per batch:
+//!   a reader clones the `Arc` and resolves against that complete
+//!   snapshot, a hot swap replaces the pointer, so no reader can see a
+//!   half-merged library, and every read after a publish returns the new
+//!   snapshot.
 //! - **Batched admission** — queries enter through a bounded
 //!   [`AdmissionQueue`] and are served in batches on the workspace thread
 //!   pool (`perfdojo_util::par`). At capacity the server sheds load
@@ -49,22 +51,18 @@ use crate::dispatch::{DispatchResult, Disposition};
 use crate::library::Library;
 use crate::sig::KernelSig;
 use perfdojo_core::Target;
-use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_ir::Program;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_util::lru::LruCache;
 use perfdojo_util::par::par_map;
-use perfdojo_util::sharded::ShardedSlot;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// Serving configuration.
+/// Serving configuration: admission, batching and background tuning.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Lock shards for the snapshot slot.
-    pub shards: usize,
     /// Admission queue bound; queries beyond it are shed.
     pub queue_capacity: usize,
     /// Queries drained per serving batch.
@@ -78,7 +76,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            shards: 8,
             queue_capacity: 256,
             batch_size: 32,
             strategy: Strategy::Heuristic,
@@ -465,20 +462,22 @@ pub enum TuneProgress {
 /// The schedule-serving daemon core.
 ///
 /// All methods take `&self`: a `Server` is shared across serving threads
-/// as-is (or behind an `Arc`). Reads go through the sharded snapshot
-/// slot; the only internal serialization points are the queue mutexes,
-/// each snapshot's memo mutex and the writer mutex around merge+swap.
+/// as-is (or behind an `Arc`). A batch takes the snapshot's read lock once,
+/// and a publish takes its write lock once, for the pointer swap; the
+/// other serialization points are the queue mutexes, each snapshot's memo
+/// mutex and the writer mutex around merge+swap.
 pub struct Server {
-    slot: ShardedSlot<ServeSnapshot>,
+    /// The snapshot every read returns; its `generation` counts the swaps.
+    snapshot: RwLock<Arc<ServeSnapshot>>,
     /// Admitted queries with the signature computed at admission.
     admission: AdmissionQueue<(KernelSig, ServeQuery)>,
     tunes: TuneQueue<TuneJob>,
-    /// Jobs (with their queue keys) drained but not yet merged (survives a
-    /// paused checkpointed drain so the resume re-runs the same job list;
-    /// the keys let a completed drain forget jobs that produced nothing).
-    inflight: Mutex<Vec<(String, TuneJob)>>,
-    /// Serializes merge+publish so concurrent drains cannot lose updates.
-    writer: Mutex<()>,
+    /// Serializes merge+publish so concurrent drains cannot lose updates,
+    /// and holds the jobs (with their queue keys) a drain took but has not
+    /// merged: they survive a paused checkpointed drain so the resume
+    /// re-runs the same job list, and the keys let a completed drain forget
+    /// jobs that produced nothing.
+    writer: Mutex<Vec<(String, TuneJob)>>,
     target: Target,
     config: ServeConfig,
     /// On-disk home of the library; hot swaps persist here atomically.
@@ -490,11 +489,10 @@ impl Server {
     /// A server over `library` for `target`.
     pub fn new(library: Library, target: Target, config: ServeConfig) -> Server {
         Server {
-            slot: ShardedSlot::new(ServeSnapshot::new(library, 0), config.shards),
+            snapshot: RwLock::new(Arc::new(ServeSnapshot::new(library, 0))),
             admission: AdmissionQueue::new(config.queue_capacity),
             tunes: TuneQueue::new(),
-            inflight: Mutex::new(Vec::new()),
-            writer: Mutex::new(()),
+            writer: Mutex::new(Vec::new()),
             target,
             config,
             disk: None,
@@ -522,15 +520,16 @@ impl Server {
         self.config.strategy = strategy;
     }
 
-    /// The current snapshot (readers pass a spread hint; see
-    /// [`ShardedSlot::read`]).
-    pub fn snapshot(&self, hint: u64) -> Arc<ServeSnapshot> {
-        self.slot.read(hint)
+    /// The current snapshot: the latest publish, or the initial library
+    /// before any. The argument is ignored.
+    pub fn snapshot(&self, _hint: u64) -> Arc<ServeSnapshot> {
+        Arc::clone(&self.snapshot.read().expect("serve snapshot poisoned"))
     }
 
-    /// Generation of the latest published snapshot.
+    /// Generation of the latest published snapshot, which is the number of
+    /// hot swaps so far.
     pub fn generation(&self) -> u64 {
-        self.slot.generation()
+        self.snapshot.read().expect("serve snapshot poisoned").generation
     }
 
     /// Queries waiting in the admission queue.
@@ -558,7 +557,7 @@ impl Server {
             naive: c.tier(HitTier::Naive),
             tune_jobs: c.tune_jobs.load(Ordering::Relaxed),
             tuned: c.tuned.load(Ordering::Relaxed),
-            swaps: self.slot.generation(),
+            swaps: self.generation(),
             block_exact: c.block_exact.load(Ordering::Relaxed),
             block_nearest: c.block_nearest.load(Ordering::Relaxed),
             block_fallback: c.block_fallback.load(Ordering::Relaxed),
@@ -612,10 +611,7 @@ impl Server {
     /// Resolve `batch` (keys, signatures computed at admission, queries)
     /// as [`Server::serve_batch`] describes.
     fn resolve(&self, batch: Vec<(String, (KernelSig, ServeQuery))>) -> Vec<ServeReply> {
-        let Some((first, _)) = batch.first() else {
-            return Vec::new();
-        };
-        let snap = self.slot.read(fnv1a(first.as_bytes()));
+        let snap = self.snapshot(0);
         let plans = plan(&snap, &batch);
         let todo: Vec<usize> =
             (0..batch.len()).filter(|&i| matches!(plans[i], Plan::Dispatch)).collect();
@@ -777,27 +773,26 @@ impl Server {
         ckpt: Option<&BuildCheckpoint>,
         step_limit: Option<u64>,
     ) -> Result<TuneProgress, String> {
-        let _writer = self.writer.lock().expect("serve writer poisoned");
+        let mut jobs = self.writer.lock().expect("serve writer poisoned");
         // a paused drain left jobs in flight: finish those before new ones
-        let jobs: Vec<(String, TuneJob)> = {
-            let mut inflight = self.inflight.lock().expect("serve inflight poisoned");
-            if inflight.is_empty() {
-                *inflight = self.tunes.drain();
-            }
-            inflight.clone()
-        };
+        if jobs.is_empty() {
+            *jobs = self.tunes.drain();
+        }
         if jobs.is_empty() {
             return Ok(TuneProgress::Idle);
         }
         let kernels: Vec<KernelInstance> = jobs.iter().map(|(_, j)| j.kernel()).collect();
         let targets = [self.target.clone()];
+        // the snapshot this drain warms from and merges into; holding
+        // `writer`, nothing can publish over it
+        let current = self.snapshot(0);
         // warm-start tune jobs from the served snapshot's family schedules:
         // a miss near a tuned family begins from the transferred schedule
         // instead of the empty program. Jobs already in flight from a paused
         // drain resume from their checkpointed search state, which embeds
         // the warm start they began with.
         let builder = LibraryBuilder::new(self.config.strategy, self.config.seed)
-            .with_warm_from(&self.snapshot(0).library);
+            .with_warm_from(&current.library);
 
         // build into a scratch library so the served snapshot is untouched
         // until the merge below publishes a complete replacement; it ends up
@@ -824,7 +819,7 @@ impl Server {
 
         // re-key block jobs: their record was tuned under the composed
         // program's own signature but must land under the subgraph key
-        for (_, j) in &jobs {
+        for (_, j) in jobs.iter() {
             if let Some(sig) = &j.sig_override {
                 let own = KernelSig::of(&j.program, &self.target.name);
                 if let Some(mut rec) = scratch.remove(&own) {
@@ -847,8 +842,7 @@ impl Server {
             .collect();
         let unimproved = failed_keys.len();
         let tuned = jobs.len() - unimproved;
-        let snap = self.slot.read(0);
-        let mut merged = snap.library.clone();
+        let mut merged = current.library.clone();
         merged.merge(scratch.records().cloned());
         self.counters.tuned.fetch_add(tuned as u64, Ordering::Relaxed);
         let generation = self.publish_locked(merged)?;
@@ -863,7 +857,7 @@ impl Server {
         for key in &failed_keys {
             self.tunes.forget(key);
         }
-        self.inflight.lock().expect("serve inflight poisoned").clear();
+        jobs.clear();
         Ok(TuneProgress::Swapped { generation, tuned, unimproved })
     }
 
@@ -875,12 +869,18 @@ impl Server {
         self.publish_locked(library)
     }
 
+    /// Save and publish `library` as the next generation; the caller holds
+    /// `writer`, so the current generation cannot move under it.
     fn publish_locked(&self, library: Library) -> Result<u64, String> {
         if let Some(path) = &self.disk {
             library.save(path).map_err(|e| format!("{}: {e}", path.display()))?;
         }
-        let generation = self.slot.generation() + 1;
-        Ok(self.slot.publish(Arc::new(ServeSnapshot::new(library, generation))))
+        let generation = self.generation() + 1;
+        let next = Arc::new(ServeSnapshot::new(library, generation));
+        let old =
+            std::mem::replace(&mut *self.snapshot.write().expect("serve snapshot poisoned"), next);
+        drop(old); // freed outside the lock
+        Ok(generation)
     }
 }
 

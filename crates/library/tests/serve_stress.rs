@@ -8,11 +8,12 @@
 //!    sequential dispatch against that reply's snapshot generation
 //!    produces (same tier, same step count, same bit-exact costs, same
 //!    latency units). A half-swapped library would break this.
-//! 2. **Per-key monotonicity**: a reader re-querying the same key can
-//!    never see the generation go backwards (same key → same shard).
+//! 2. **Monotonicity**: a reader never sees the generation go backwards,
+//!    whichever keys it queries: once a publish lands, every read returns
+//!    the new snapshot.
 //! 3. **No lost updates**: after the writer finishes, the served snapshot
-//!    is the last published generation on every shard, byte-identical to
-//!    the final library.
+//!    is the last published generation, byte-identical to the final
+//!    library.
 //!
 //! Together 1–3 say the concurrent run is equivalent to a sequential
 //! replay of the same query log annotated with observed generations.
@@ -30,7 +31,7 @@ use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{
     HitTier, Library, LibraryBuilder, ServeConfig, ServeQuery, ServeReply, Server, Strategy,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -156,14 +157,11 @@ fn readers_never_see_torn_swaps_and_match_sequential_replay() {
         readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
     });
 
-    // no lost updates: the last publish won on every shard
+    // no lost updates: the last publish won
     assert_eq!(server.generation(), final_gen);
-    let final_text = libs[swaps].to_text();
-    for hint in 0..64 {
-        let snap = server.snapshot(hint);
-        assert_eq!(snap.generation, final_gen, "stale shard at hint {hint}");
-        assert_eq!(snap.library.to_text(), final_text, "shard diverged at hint {hint}");
-    }
+    let snap = server.snapshot(0);
+    assert_eq!(snap.generation, final_gen, "stale snapshot");
+    assert_eq!(snap.library.to_text(), libs[swaps].to_text(), "snapshot diverged");
 
     for (i, summary) in summaries.into_iter().enumerate() {
         let summary = summary.unwrap_or_else(|e| panic!("{e}"));
@@ -211,7 +209,8 @@ impl Drop for FirstPublish<'_> {
 
 /// Make passes over `queries` until a whole pass is served at `final_gen`,
 /// checking each reply against the oracle for its observed generation and
-/// per-key monotonicity. The end of the first pass releases the writer's
+/// that the generation never goes back across all of this reader's
+/// replies. The end of the first pass releases the writer's
 /// first publish (even when a reply failed), so that pass is all at
 /// generation 0.
 fn read_until_final(
@@ -224,7 +223,7 @@ fn read_until_final(
 ) -> Result<ReaderSummary, String> {
     let mut first_publish = FirstPublish { barrier: first_publish, waited: false };
     let mut summary = ReaderSummary { passes: 0, replies: 0, generations: BTreeSet::new() };
-    let mut last_gen: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut last_gen = 0;
     loop {
         if summary.passes == MAX_PASSES {
             return Err(format!(
@@ -258,12 +257,12 @@ fn read_until_final(
 
 /// Check one reply to query `qi`: it is the oracle's answer at its
 /// observed generation (`oracle`, `None` past the last one), and that
-/// query's generation never goes back.
+/// generation is not older than `last_gen`, the reader's previous reply's.
 fn check_reply(
     r: &ServeReply,
     oracle: Option<&Vec<Fingerprint>>,
     qi: usize,
-    last_gen: &mut BTreeMap<usize, u64>,
+    last_gen: &mut u64,
 ) -> Result<(), String> {
     let g = r.generation;
     let oracle = oracle.ok_or_else(|| format!("generation {g} was never published"))?;
@@ -287,9 +286,10 @@ fn check_reply(
             oracle[qi]
         ));
     }
-    // per-key monotonicity: the same query never goes back in time
-    match last_gen.insert(qi, g) {
-        Some(prev) if prev > g => Err(format!("generation went {prev} -> {g}")),
-        _ => Ok(()),
+    // monotonicity: no reply is older than the reader's previous one
+    if *last_gen > g {
+        return Err(format!("generation went {last_gen} -> {g}"));
     }
+    *last_gen = g;
+    Ok(())
 }

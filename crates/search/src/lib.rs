@@ -17,7 +17,7 @@ pub mod space;
 pub use anneal::{anneal_resume, simulated_annealing, AnnealProgress, AnnealState};
 pub use parallel::{anneal_chains, chain_seed};
 pub use passes::{greedy_pass, heuristic_pass, naive_pass};
-pub use sampling::{random_sampling, sampling_resume, SamplingState};
+pub use sampling::random_sampling;
 pub use space::{revert, EdgesSpace, HeuristicSpace, SearchSpace, Undo};
 
 /// One point of a convergence curve: (evaluations so far, best runtime).

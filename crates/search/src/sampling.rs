@@ -5,111 +5,42 @@
 //! runtime of its parent in the search graph", which avoids spending budget
 //! on children of weakly performing candidates.
 //!
-//! Like annealing, the loop is factored into a resumable
-//! [`SamplingState`] (RNG words, the candidate pool, best-so-far, spend)
-//! driven by [`sampling_resume`], so runs can emit trajectory events,
-//! pause and resume bit-identically. It has no checkpoint text: no
-//! library build strategy runs random sampling.
+//! A run is one uninterrupted call: no library build strategy runs random
+//! sampling, so nothing pauses, resumes or traces it.
 
-use crate::{SearchResult, TracePoint};
+use crate::SearchResult;
 use perfdojo_core::Dojo;
 use perfdojo_transform::Action;
 use perfdojo_util::rng::{IndexedRandom, Rng};
-use perfdojo_util::trace::TraceSink;
 
 /// One encountered program in the sampling pool.
-#[derive(Clone, Debug)]
-pub struct Candidate {
+struct Candidate {
     /// Transformation sequence reaching it.
-    pub steps: Vec<Action>,
+    steps: Vec<Action>,
     /// Own measured runtime.
-    pub runtime: f64,
+    runtime: f64,
     /// Parent's runtime (the §4.2.2 cost).
-    pub cost: f64,
+    cost: f64,
 }
 
-/// The full, resumable state of one random-sampling run.
-///
-/// Self-contained: unlike [`crate::AnnealState`] no dojo reattachment is
-/// needed, because every iteration re-loads its parent sequence from
-/// scratch.
-#[derive(Clone, Debug)]
-pub struct SamplingState {
-    /// Search RNG.
-    pub rng: Rng,
-    /// Pool of all encountered programs.
-    pub pool: Vec<Candidate>,
-    /// Best sequence seen so far.
-    pub best_steps: Vec<Action>,
-    /// Best runtime seen so far.
-    pub best_runtime: f64,
-    /// Evaluations spent so far.
-    pub spent: u64,
-    /// Convergence trace accumulated so far.
-    pub trace: Vec<TracePoint>,
-    /// Trajectory events emitted so far.
-    pub events: u64,
-}
-
-impl SamplingState {
-    /// Start a fresh run: seed the RNG and the pool with the untransformed
-    /// program (spends nothing).
-    pub fn start(dojo: &Dojo, seed: u64) -> SamplingState {
-        let initial_runtime = dojo.initial_runtime();
-        SamplingState {
-            rng: Rng::seed_from_u64(seed),
-            pool: vec![Candidate {
-                steps: Vec::new(),
-                runtime: initial_runtime,
-                cost: initial_runtime,
-            }],
-            best_steps: Vec::new(),
-            best_runtime: initial_runtime,
-            spent: 0,
-            trace: vec![(0, initial_runtime)],
-            events: 0,
-        }
-    }
-
-    /// Consume the state into a [`SearchResult`].
-    pub fn into_result(self) -> SearchResult {
-        SearchResult {
-            best_steps: self.best_steps,
-            best_runtime: self.best_runtime,
-            trace: self.trace,
-        }
-    }
-}
-
-/// Whether [`sampling_resume`] ran the budget dry or paused early.
-pub use crate::anneal::AnnealProgress as SamplingProgress;
-
-/// Drive a [`SamplingState`] forward until the budget is spent, or until
-/// `max_steps` iterations have run. Emits one `"rs"` event per expanded
-/// candidate when `sink` is given.
-pub fn sampling_resume(
-    dojo: &mut Dojo,
-    budget: u64,
-    state: &mut SamplingState,
-    mut sink: Option<&mut TraceSink>,
-    max_steps: Option<u64>,
-) -> SamplingProgress {
-    let base = state.spent;
-    let seg0 = dojo.evaluations();
-    let mut steps_done = 0u64;
-    loop {
-        state.spent = base + (dojo.evaluations() - seg0);
-        if state.spent >= budget {
-            return SamplingProgress::Finished;
-        }
-        if max_steps.is_some_and(|m| steps_done >= m) {
-            return SamplingProgress::Paused;
-        }
-        steps_done += 1;
+/// Run parent-cost-weighted random sampling for `budget` evaluations.
+pub fn random_sampling(dojo: &mut Dojo, budget: u64, seed: u64) -> SearchResult {
+    let initial_runtime = dojo.initial_runtime();
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut pool =
+        vec![Candidate { steps: Vec::new(), runtime: initial_runtime, cost: initial_runtime }];
+    let mut result = SearchResult {
+        best_steps: Vec::new(),
+        best_runtime: initial_runtime,
+        trace: vec![(0, initial_runtime)],
+    };
+    let start = dojo.evaluations();
+    let spent = |dojo: &Dojo| dojo.evaluations() - start;
+    while spent(dojo) < budget {
         // selection ∝ 1/cost (cheaper parents more likely)
-        let weights: Vec<f64> = state.pool.iter().map(|c| 1.0 / c.cost).collect();
+        let weights: Vec<f64> = pool.iter().map(|c| 1.0 / c.cost).collect();
         let total: f64 = weights.iter().sum();
-        let mut pick = state.rng.random_range(0.0..total);
+        let mut pick = rng.random_range(0.0..total);
         let mut idx = 0;
         for (i, w) in weights.iter().enumerate() {
             if pick < *w {
@@ -118,43 +49,22 @@ pub fn sampling_resume(
             }
             pick -= w;
         }
-        let parent_steps = state.pool[idx].steps.clone();
-        let parent_runtime = state.pool[idx].runtime;
-        if dojo.load_sequence(&parent_steps).is_err() {
+        let mut steps = pool[idx].steps.clone();
+        let parent_runtime = pool[idx].runtime;
+        if dojo.load_sequence(&steps).is_err() {
             continue;
         }
-        let Some(a) = dojo.actions().choose(&mut state.rng).cloned() else { continue };
-        let hits_before = dojo.cache_stats().hits;
+        let Some(a) = dojo.actions().choose(&mut rng).cloned() else { continue };
         let Ok(step) = dojo.step(a.clone()) else { continue };
-        let cache_hit = dojo.cache_stats().hits > hits_before;
-        let mut steps = parent_steps;
-        steps.push(a.clone());
-        if step.runtime < state.best_runtime {
-            state.best_runtime = step.runtime;
-            state.best_steps = steps.clone();
+        steps.push(a);
+        if step.runtime < result.best_runtime {
+            result.best_runtime = step.runtime;
+            result.best_steps = steps.clone();
         }
-        state.spent = base + (dojo.evaluations() - seg0);
-        state.trace.push((state.spent, state.best_runtime));
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.event("rs")
-                .u64("evals", state.spent)
-                .u64("parent", idx as u64)
-                .str("action", &a.to_string())
-                .f64("cost", step.runtime)
-                .f64("best", state.best_runtime)
-                .bool("cache_hit", cache_hit)
-                .emit();
-            state.events = sink.next_step();
-        }
-        state.pool.push(Candidate { steps, runtime: step.runtime, cost: parent_runtime });
+        result.trace.push((spent(dojo), result.best_runtime));
+        pool.push(Candidate { steps, runtime: step.runtime, cost: parent_runtime });
     }
-}
-
-/// Run parent-cost-weighted random sampling for `budget` evaluations.
-pub fn random_sampling(dojo: &mut Dojo, budget: u64, seed: u64) -> SearchResult {
-    let mut state = SamplingState::start(dojo, seed);
-    sampling_resume(dojo, budget, &mut state, None, None);
-    state.into_result()
+    result
 }
 
 #[cfg(test)]
@@ -201,26 +111,5 @@ mod tests {
         assert!(r.best_steps.is_empty());
         assert_eq!(r.best_runtime.to_bits(), d.initial_runtime().to_bits());
         assert_eq!(d.evaluations(), before);
-    }
-
-    #[test]
-    fn paused_and_resumed_matches_uninterrupted() {
-        let mk = || {
-            let p = perfdojo_kernels::rmsnorm(4, 16);
-            Dojo::for_target(p, &Target::x86()).unwrap()
-        };
-        let (budget, seed) = (70, 4);
-        let mut d1 = mk();
-        let full = random_sampling(&mut d1, budget, seed);
-
-        let mut d2 = mk();
-        let mut st = SamplingState::start(&d2, seed);
-        while sampling_resume(&mut d2, budget, &mut st, None, Some(5))
-            == SamplingProgress::Paused
-        {}
-        let r = st.into_result();
-        assert_eq!(full.best_runtime.to_bits(), r.best_runtime.to_bits());
-        assert_eq!(full.best_steps, r.best_steps);
-        assert_eq!(full.trace, r.trace);
     }
 }

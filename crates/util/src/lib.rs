@@ -18,8 +18,6 @@
 //!   `criterion`);
 //! * [`trace`] — a clock-free JSONL telemetry sink with atomic saves and
 //!   bit-exact float codecs (the substrate of checkpoint/resume);
-//! * [`sharded`] — sharded `RwLock<Arc<T>>` snapshot publication for
-//!   read-mostly serving (never-torn hot swaps);
 //! * [`claim`] — non-blocking exclusive OS locks on lock files: a job is
 //!   owned exactly while its owner's process holds the lock;
 //! * [`zipf`] — Zipf-distributed rank sampling for skewed load
@@ -33,7 +31,6 @@ pub mod lru;
 pub mod par;
 pub mod proptest_lite;
 pub mod rng;
-pub mod sharded;
 pub mod timer;
 pub mod trace;
 pub mod zipf;
