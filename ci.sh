@@ -12,8 +12,10 @@
 #   4. The schedule-library pipeline must work end to end: build a
 #      mini-library with perfdojo-lib, dispatch an exact-shape query and a
 #      never-tuned-shape query against it, and report non-empty stats;
-#      and `build` into a copy of that library whose header names another
-#      format version must fail and leave the copy byte-identical.
+#      `build` into a copy of that library whose header names another
+#      format version must fail and leave the copy byte-identical; and
+#      `build` with a misspelled flag (`--seeed`) must fail and write no
+#      library.
 #   5. Differential fuzz smoke: a fixed-seed run over random programs ×
 #      random transformation walks must find zero counterexamples, finish
 #      quickly, and produce a byte-identical report when repeated — the
@@ -37,9 +39,11 @@
 #   8. Serving-tier smoke: a fixed-seed `--exp serve` load test must be
 #      byte-identical across two runs, a CLI `perfdojo-lib serve` run on two
 #      copies of the same library must produce identical reports AND
-#      identical hot-swapped libraries, a step-limited serve must pause with
-#      exit 4 and converge on resume to the uninterrupted library, and the
-#      reader/hot-swap stress test must pass under --release.
+#      identical hot-swapped libraries, `serve --batch 0` must fail (a
+#      batch of none would answer nothing), a step-limited serve must
+#      pause with exit 4 and converge on resume to the uninterrupted
+#      library, and the reader/hot-swap stress test must pass under
+#      --release.
 #   9. Graph-tier smoke: a fixed-seed `--exp graph` run (block-level vs
 #      per-node dispatch over the pipeline suite) must be byte-identical
 #      across two runs and show block cost at or below per-node cost, the
@@ -134,6 +138,16 @@ grep -q "entries:         2" "$PDLIB_DIR/stats.txt"
 # an --out that does not load is never saved over
 refuses_v2_out "$PDLIB" ./target/release/perfdojo-lib build --out "$PDLIB_DIR/v2.pdl" \
     --kernels relu --targets x86 --strategy heuristic
+# a misspelled flag is an error, not a build at the flag's default
+if ./target/release/perfdojo-lib build --out "$PDLIB_DIR/typo.pdl" \
+    --kernels relu --targets x86 --strategy heuristic --seeed 5 2> /dev/null; then
+    echo "ci.sh: build accepted the unknown flag --seeed" >&2
+    exit 1
+fi
+if [ -e "$PDLIB_DIR/typo.pdl" ]; then
+    echo "ci.sh: build with an unknown flag wrote its --out" >&2
+    exit 1
+fi
 
 echo "== 5/13 differential fuzz smoke: fixed seed, deterministic, clean =="
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz1.txt"
@@ -254,6 +268,12 @@ SERVE_ARGS=(--target x86 --rounds 3 --requests 64 --seed 11 --strategy heuristic
     "${SERVE_ARGS[@]}" --report "$PDLIB_DIR/srv-b.json" > /dev/null
 cmp "$PDLIB_DIR/srv-a.json" "$PDLIB_DIR/srv-b.json"
 cmp "$PDLIB_DIR/srv-a.pdl" "$PDLIB_DIR/srv-b.pdl"
+# serve refuses a batch size of 0
+if ./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-a.pdl" \
+    "${SERVE_ARGS[@]}" --batch 0 > /dev/null 2>&1; then
+    echo "ci.sh: serve accepted --batch 0" >&2
+    exit 1
+fi
 # step-limited serve: background tuning must pause with exit 4 (leaving
 # the on-disk library untouched), and resuming the identical command must
 # converge to the same library an uninterrupted serve produces

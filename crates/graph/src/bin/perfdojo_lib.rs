@@ -16,10 +16,11 @@
 //! perfdojo-lib graph-check [--seed N] [--count K]
 //! ```
 //!
-//! Arguments are hand-parsed (zero-dependency workspace policy). `build`
-//! and `graph-build` merge into an existing `--out` file when one is
-//! present, so libraries grow incrementally across runs; an `--out` that
-//! exists but does not load is an error and is left as it is.
+//! Arguments are hand-parsed (zero-dependency workspace policy); a `--flag`
+//! the subcommand does not take is an error. `build` and `graph-build`
+//! merge into an existing `--out` file when one is present, so libraries
+//! grow incrementally across runs; an `--out` that exists but does not
+//! load is an error and is left as it is.
 
 use perfdojo_core::Target;
 use perfdojo_kernels::KernelInstance;
@@ -86,8 +87,8 @@ usage:
                      [--checkpoint-dir <dir> [--step-limit N]]
                      [--report <out.json>]
                      (fixed-seed Zipf load over a built-in query universe;
-                      --zipf-s sets the skew exponent, default 1.1, with
-                      --zipf kept as an alias; tune-misses drain between
+                      --zipf-s sets the skew exponent, default 1.1;
+                      --batch must be at least 1; tune-misses drain between
                       rounds and hot-swap --lib atomically; with
                       --checkpoint-dir the drain is crash-safe and
                       --step-limit pauses it cleanly with exit code 4 —
@@ -123,7 +124,7 @@ usage:
                      (tune whole pipelines as blocks: inter-kernel fusion
                       and edge-layout planning, then intra-block schedule
                       search; records key on the structural subgraph
-                      fingerprint so serve answers a block in one query)
+                      fingerprint so graph-query answers a block in one lookup)
   perfdojo-lib graph-query --lib <file> --target <name> --graph <name>
                      (dispatch a whole pipeline: subgraph block hit, or
                       per-node tiered fallback on a block miss)
@@ -131,6 +132,15 @@ usage:
                      (random-graph differential smoke: per-node executor
                       vs composed interpreter reference at pinned seeds)
 ";
+
+/// Refuse any `--flag` in `args` that is not in `accepted`, so a misspelled
+/// option fails instead of leaving its setting at the default.
+fn accept_only(args: &[String], accepted: &[&str]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--") && !accepted.contains(&a.as_str())) {
+        Some(a) => Err(format!("unknown argument {a:?}; accepted: {}", accepted.join(" "))),
+        None => Ok(()),
+    }
+}
 
 /// Pull the value following `--flag` out of `args`, if present.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -180,6 +190,19 @@ fn parse_targets(spec: Option<String>) -> Result<Vec<Target>, String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
+    accept_only(
+        args,
+        &[
+            "--out",
+            "--kernels",
+            "--targets",
+            "--strategy",
+            "--seed",
+            "--paper-shapes",
+            "--checkpoint-dir",
+            "--step-limit",
+        ],
+    )?;
     let out = PathBuf::from(required(args, "--out")?);
     let targets = parse_targets(flag_value(args, "--targets")?)?;
     let strategy = match flag_value(args, "--strategy")? {
@@ -266,6 +289,7 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--lib", "--target", "--kernel", "--shape"])?;
     let (lib, _) = load_library(args)?;
     let target_name = required(args, "--target")?;
     let target = target_by_name(&target_name).ok_or_else(|| format!("unknown target {target_name:?}"))?;
@@ -307,6 +331,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--lib"])?;
     let (lib, path) = load_library(args)?;
     let s = lib.stats();
     println!("library:         {}", path.display());
@@ -346,6 +371,23 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    accept_only(
+        args,
+        &[
+            "--lib",
+            "--target",
+            "--rounds",
+            "--requests",
+            "--seed",
+            "--zipf-s",
+            "--batch",
+            "--queue",
+            "--strategy",
+            "--checkpoint-dir",
+            "--step-limit",
+            "--report",
+        ],
+    )?;
     let (lib, path) = load_library(args)?;
     let target_name = required(args, "--target")?;
     let target =
@@ -359,17 +401,15 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let rounds = parse_num("--rounds", 3)?;
     let requests = parse_num("--requests", 64)?;
     let batch = parse_num("--batch", 32)?;
+    if batch == 0 {
+        return Err("--batch must be at least 1".to_string());
+    }
     let queue = parse_num("--queue", 256)?;
     let seed: u64 = match flag_value(args, "--seed")? {
         None => 0,
         Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
     };
-    // --zipf-s is the documented spelling; --zipf survives as an alias
-    let zipf_spec = match flag_value(args, "--zipf-s")? {
-        Some(s) => Some(s),
-        None => flag_value(args, "--zipf")?,
-    };
-    let zipf_s: f64 = match zipf_spec {
+    let zipf_s: f64 = match flag_value(args, "--zipf-s")? {
         None => 1.1,
         Some(s) => s.parse().map_err(|_| format!("bad zipf exponent {s:?}"))?,
     };
@@ -463,12 +503,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         "tiers:    {} exact, {} parameterized, {} nearest, {} heuristic, {} naive",
         s.exact, s.parameterized, s.nearest, s.heuristic, s.naive
     );
-    if s.block_exact + s.block_nearest + s.block_fallback > 0 {
-        println!(
-            "blocks:   {} exact, {} nearest, {} fell back to per-node dispatch",
-            s.block_exact, s.block_nearest, s.block_fallback
-        );
-    }
     println!(
         "latency:  p50 {p50}, p99 {p99}, max {} (deterministic dispatch-work units)",
         latencies.last().copied().unwrap_or(0)
@@ -495,10 +529,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "  \"tiers\": {{ \"exact\": {}, \"parameterized\": {}, \"nearest\": {}, \
              \"heuristic\": {}, \"naive\": {} }},\n",
             s.exact, s.parameterized, s.nearest, s.heuristic, s.naive
-        ));
-        j.push_str(&format!(
-            "  \"block_tiers\": {{ \"exact\": {}, \"nearest\": {}, \"fallback\": {} }},\n",
-            s.block_exact, s.block_nearest, s.block_fallback
         ));
         j.push_str(&format!(
             "  \"latency_units\": {{ \"p50\": {p50}, \"p99\": {p99}, \"max\": {} }},\n",
@@ -545,6 +575,7 @@ fn fleet_worker_config(args: &[String], worker: &str) -> Result<WorkerConfig, St
 }
 
 fn fleet_init(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--dir", "--kernels", "--targets", "--strategy", "--seed"])?;
     let fleet = open_fleet(args)?;
     let targets = parse_targets(flag_value(args, "--targets")?)?;
     let target_names: Vec<String> = targets.iter().map(|t| t.name.to_string()).collect();
@@ -583,6 +614,7 @@ fn fleet_init(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_run(args: &[String]) -> Result<ExitCode, String> {
+    accept_only(args, &["--dir", "--workers", "--step-limit", "--kill-after", "--fault-seed"])?;
     let fleet = open_fleet(args)?;
     let workers: usize = match flag_value(args, "--workers")? {
         None => 2,
@@ -625,6 +657,7 @@ fn fleet_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
+    accept_only(args, &["--dir", "--worker", "--step-limit", "--kill-after"])?;
     let fleet = open_fleet(args)?;
     let worker = required(args, "--worker")?;
     let cfg = fleet_worker_config(args, &worker)?;
@@ -643,6 +676,7 @@ fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn fleet_status(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--dir"])?;
     let fleet = open_fleet(args)?;
     let s = fleet.status()?;
     println!("fleet:   {}", fleet.root().display());
@@ -654,6 +688,7 @@ fn fleet_status(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_merge(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--dir", "--out"])?;
     let fleet = open_fleet(args)?;
     let out = PathBuf::from(required(args, "--out")?);
     let m = fleet.merge()?;
@@ -689,6 +724,7 @@ fn parse_graphs(spec: Option<String>) -> Result<Vec<perfdojo_graph::KernelGraph>
 }
 
 fn cmd_graph_build(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--out", "--target", "--graphs", "--strategy", "--seed"])?;
     let out = PathBuf::from(required(args, "--out")?);
     let target_name = flag_value(args, "--target")?.unwrap_or_else(|| "x86".to_string());
     let target =
@@ -735,6 +771,7 @@ fn cmd_graph_build(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_graph_query(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--lib", "--target", "--graph"])?;
     let (lib, _) = load_library(args)?;
     let target_name = required(args, "--target")?;
     let target =
@@ -742,13 +779,13 @@ fn cmd_graph_query(args: &[String]) -> Result<(), String> {
     let name = required(args, "--graph")?;
     let g = perfdojo_graph::suite::by_name(&name)
         .ok_or_else(|| format!("unknown graph {name:?}"))?;
-    let query = perfdojo_graph::block_query(&g, &target).map_err(|e| e.to_string())?;
-    let sig = query.sig(&target);
+    let composed = perfdojo_graph::compose(&g).map_err(|e| e.to_string())?;
+    let sig = perfdojo_graph::fingerprint::subgraph_sig_composed(&g, &composed, &target.name);
 
     println!("graph:       {name} ({} nodes, {} edges)", g.nodes().len(), g.edges().len());
     println!("target:      {}", target.name);
     println!("subgraph:    {:016x}", sig.structure);
-    match lib.lookup_cached(&sig, &query.program, &target) {
+    match lib.lookup_cached(&sig, &composed.program, &target) {
         Some(r) => {
             println!("dispatch:    block hit ({})", r.disposition);
             println!("steps:       {}", r.steps.len());
@@ -776,6 +813,7 @@ fn cmd_graph_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_graph_check(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--seed", "--count"])?;
     let seed: u64 = match flag_value(args, "--seed")? {
         None => 0,
         Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
@@ -805,6 +843,7 @@ fn cmd_graph_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gc(args: &[String]) -> Result<(), String> {
+    accept_only(args, &["--lib"])?;
     let (mut lib, path) = load_library(args)?;
     let removed = lib.gc();
     lib.save(&path).map_err(|e| format!("{}: {e}", path.display()))?;

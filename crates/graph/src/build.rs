@@ -21,7 +21,7 @@ use perfdojo_library::{
     current_model_version, KernelSig, Library, LibraryBuilder, MergeReport, Provenance,
     ScheduleRecord, Strategy,
 };
-use perfdojo_transform::{replay, replay_sequence, Action};
+use perfdojo_transform::{replay, replay_sequence};
 use perfdojo_util::par::par_map;
 
 /// Result of tuning one graph as a block.
@@ -111,15 +111,7 @@ pub fn tune_graph(
     let mut cost = p.cost;
     if let Some(rec) = &outcome.record {
         if rec.cost < cost {
-            let rep = replay_sequence(&p.program, &rec.steps);
-            let kept: Vec<Action> = rec
-                .steps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !rep.skipped.contains(i))
-                .map(|(_, s)| s.clone())
-                .collect();
-            steps.extend(kept);
+            steps.extend(replay_sequence(&p.program, &rec.steps).applied(&rec.steps));
             cost = rec.cost;
         }
     }

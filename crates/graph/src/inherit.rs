@@ -143,12 +143,7 @@ pub fn inherit_schedules(
 
     let rep = replay_sequence(&composed.program, &steps);
     let skipped = rep.skipped.len();
-    let kept: Vec<Action> = steps
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !rep.skipped.contains(i))
-        .map(|(_, s)| s.clone())
-        .collect();
+    let kept = rep.applied(&steps);
     if kept.is_empty() || validate(&rep.program).is_err() {
         return noop(composed, target, skipped);
     }

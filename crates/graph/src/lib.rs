@@ -40,8 +40,6 @@
 //!   transformer layer, and HeteroBench-style mixed pipelines.
 //! - [`random`] — seeded random pipeline generator for differential smoke
 //!   tests (fuzz-style, but over graphs).
-//! - [`query`] — serve-tier glue: a graph becomes one block query that the
-//!   daemon answers with a subgraph exact hit or per-node fallback.
 
 pub mod actions;
 pub mod build;
@@ -52,7 +50,6 @@ pub mod fingerprint;
 pub mod graph;
 pub mod inherit;
 pub mod oracle;
-pub mod query;
 pub mod random;
 pub mod suite;
 
@@ -65,5 +62,4 @@ pub use fingerprint::{fingerprint, subgraph_sig};
 pub use graph::{GraphEdge, GraphError, GraphNode, KernelGraph};
 pub use inherit::{inherit_schedules, Inherited};
 pub use oracle::{check_graph, check_transformed, OracleReport};
-pub use query::block_query;
 pub use random::random_graph;

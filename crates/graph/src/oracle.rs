@@ -15,7 +15,7 @@
 //!    this is the check every planned/tuned block schedule passes before
 //!    it is recorded or served.
 
-use crate::compose::{compose, Composed};
+use crate::compose::compose;
 use crate::exec::{execute_graph, Sched};
 use crate::graph::KernelGraph;
 use perfdojo_fuzz::first_mismatch;
@@ -45,18 +45,9 @@ fn diff_tensor(name: &str, reference: &Tensor, other: &Tensor, exact: bool) -> R
 /// Run the full differential oracle on `g` with inputs seeded by `seed`.
 pub fn check_graph(g: &KernelGraph, seed: u64) -> Result<OracleReport, String> {
     let composed = compose(g).map_err(|e| e.to_string())?;
-    check_graph_composed(g, &composed, seed)
-}
-
-/// As [`check_graph`] with a pre-computed composition.
-pub fn check_graph_composed(
-    g: &KernelGraph,
-    composed: &Composed,
-    seed: u64,
-) -> Result<OracleReport, String> {
     let inputs = random_inputs(&composed.program, seed);
-    let seq = execute_graph(g, composed, &inputs, Sched::Sequential)?;
-    let par = execute_graph(g, composed, &inputs, Sched::Parallel)?;
+    let seq = execute_graph(g, &composed, &inputs, Sched::Sequential)?;
+    let par = execute_graph(g, &composed, &inputs, Sched::Parallel)?;
 
     // 1. scheduling determinism: every buffer, bit-exact
     if seq.env.len() != par.env.len() {

@@ -1,7 +1,8 @@
 //! `perfdojo-lib` argument and output-file guards, run against the built
 //! binary: `build` and `graph-build` never save over an `--out` that exists
-//! but does not load, and `graph-check` refuses a seed range that overflows
-//! instead of reporting graphs it never checked.
+//! but does not load, `graph-check` refuses a seed range that overflows
+//! instead of reporting graphs it never checked, a flag the subcommand does
+//! not take is an error, and `serve` refuses a batch size of 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -76,4 +77,36 @@ fn graph_check_refuses_an_overflowing_seed_range() {
     assert!(!run.status.success(), "an overflowing seed range passed: {stdout}");
     assert!(!stdout.contains("passed the differential oracle"), "{stdout}");
     assert!(String::from_utf8_lossy(&run.stderr).contains("overflows"));
+}
+
+#[test]
+fn an_unknown_flag_is_refused_before_any_work() {
+    let dir = TempDir::new("unknown-flag");
+    let (lib, graph) = (dir.0.join("lib.pdl"), dir.0.join("g.pdl"));
+    let (lib_path, graph_path) = (lib.to_str().unwrap(), graph.to_str().unwrap());
+    let build = ["build", "--out", lib_path, "--kernels", "relu", "--seeed", "5"];
+    // `build`'s spelling; `graph-build` takes `--target`
+    let graph_build = ["graph-build", "--out", graph_path, "--graphs", "ffn", "--targets", "gh200"];
+    for (out, args, flag) in [(&lib, &build, "--seeed"), (&graph, &graph_build, "--targets")] {
+        let run = perfdojo_lib(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{args:?} accepted {flag}");
+        assert!(stderr.contains(flag), "the error does not name {flag}: {stderr}");
+        assert!(!out.exists(), "{args:?} wrote its --out");
+    }
+}
+
+#[test]
+fn serve_refuses_a_zero_batch() {
+    let dir = TempDir::new("zero-batch");
+    let lib = dir.0.join("lib.pdl");
+    let lib_path = lib.to_str().unwrap();
+    let build = perfdojo_lib(&["build", "--out", lib_path, "--kernels", "relu"]);
+    assert!(build.status.success(), "{}", String::from_utf8_lossy(&build.stderr));
+    let built = std::fs::read(&lib).unwrap();
+    let serve = ["serve", "--lib", lib_path, "--target", "x86", "--requests", "4", "--batch", "0"];
+    let run = perfdojo_lib(&serve);
+    assert!(!run.status.success(), "{}", String::from_utf8_lossy(&run.stdout));
+    assert!(String::from_utf8_lossy(&run.stderr).contains("--batch"));
+    assert_eq!(std::fs::read(&lib).unwrap(), built, "a refused serve changed the library");
 }

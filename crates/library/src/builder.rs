@@ -234,24 +234,20 @@ impl LibraryBuilder {
         })
     }
 
-    /// Tune the full `kernels` × `targets` grid concurrently and return the
-    /// outcomes in grid order (kernels major, targets minor).
-    pub fn tune_all(&self, kernels: &[KernelInstance], targets: &[Target]) -> Vec<TuneOutcome> {
-        let jobs: Vec<(KernelInstance, Target)> = kernels
-            .iter()
-            .flat_map(|k| targets.iter().map(move |t| (k.clone(), t.clone())))
-            .collect();
-        perfdojo_util::par::par_map(jobs, |(k, t)| self.tune_kernel(&k, &t))
-    }
-
-    /// Tune the grid and merge the produced records into `lib` keep-best.
+    /// Tune the full `kernels` × `targets` grid concurrently and merge the
+    /// produced records into `lib` keep-best. The outcomes come back in grid
+    /// order (kernels major, targets minor).
     pub fn build_into(
         &self,
         lib: &mut Library,
         kernels: &[KernelInstance],
         targets: &[Target],
     ) -> (MergeReport, Vec<TuneOutcome>) {
-        let outcomes = self.tune_all(kernels, targets);
+        let jobs: Vec<(KernelInstance, Target)> = kernels
+            .iter()
+            .flat_map(|k| targets.iter().map(move |t| (k.clone(), t.clone())))
+            .collect();
+        let outcomes = perfdojo_util::par::par_map(jobs, |(k, t)| self.tune_kernel(&k, &t));
         let report = lib.merge(outcomes.iter().filter_map(|o| o.record.clone()));
         (report, outcomes)
     }

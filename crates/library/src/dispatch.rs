@@ -163,8 +163,8 @@ pub struct DispatchStats {
 ///
 /// The counters count dispatches that actually ran the tier walk, not
 /// replies served: a reply the serving tier answers from its per-snapshot
-/// memo ([`crate::serve::ServeStats::memo_hits`]) is not a dispatch. For
-/// single-kernel queries, replies served = memo hits + dispatches.
+/// memo ([`crate::serve::ServeStats::memo_hits`]) is not a dispatch, so
+/// replies served = memo hits + dispatches.
 pub fn dispatch_stats() -> DispatchStats {
     DispatchStats {
         exact_hits: EXACT_HITS.load(Ordering::Relaxed),
@@ -237,8 +237,8 @@ impl Library {
     /// then nearest-shape fallback (lenient replay), all behind the full
     /// acceptance checks. `None` means "nothing cached replayed" —
     /// the caller decides the fallback (full `lookup` runs the heuristic
-    /// and naive tiers; subgraph dispatch in `serve` instead falls back to
-    /// per-node single-kernel dispatch).
+    /// and naive tiers; `perfdojo-lib graph-query` instead prices the
+    /// graph per node).
     ///
     /// Callers pass the signature explicitly because it is not always
     /// `KernelSig::of(query)`: subgraph queries are keyed by the graph
@@ -283,12 +283,7 @@ impl Library {
         if let Some(ps) = crate::transfer::fit_for(self, sig) {
             let steps = ps.materialize(&sig.shape);
             let rep = replay_sequence(query, &steps);
-            let applied: Vec<Action> = steps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !rep.skipped.contains(i))
-                .map(|(_, a)| a.clone())
-                .collect();
+            let applied = rep.applied(&steps);
             let served = if applied.is_empty() {
                 None
             } else {
@@ -325,13 +320,7 @@ impl Library {
                 let rep = replay_sequence(query, &rec.steps);
                 let skipped = rep.skipped.len();
                 if skipped < rec.steps.len() {
-                    let steps: Vec<Action> = rec
-                        .steps
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !rep.skipped.contains(i))
-                        .map(|(_, a)| a.clone())
-                        .collect();
+                    let steps = rep.applied(&rec.steps);
                     let cand = Candidate {
                         disposition: Disposition::FallbackReplay {
                             from: rec.sig.key(),

@@ -80,13 +80,6 @@ impl Library {
         self.entries.get(&sig.key())
     }
 
-    /// Remove and return the entry at `sig`, if any. Used when a record
-    /// must be re-keyed (subgraph tuning records the composed program under
-    /// its natural signature and is then re-homed under the graph key).
-    pub fn remove(&mut self, sig: &KernelSig) -> Option<ScheduleRecord> {
-        self.entries.remove(&sig.key())
-    }
-
     /// The nearest same-operator record to `sig` (smallest
     /// [`KernelSig::shape_distance`]), excluding an exact match. Only
     /// current-model-version entries are candidates. Ties break toward the

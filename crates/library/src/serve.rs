@@ -34,7 +34,7 @@
 //!   which replies are memo hits depends on the query log alone, never on
 //!   thread timing. The memo lives inside the immutable snapshot, so a hot
 //!   swap drops it with the old generation and nothing is ever
-//!   invalidated. Block (subgraph) queries are not memoized.
+//!   invalidated.
 //! - **Deterministic latency** — wall-clock latency of an in-process
 //!   dispatch is noise; reports need byte-reproducibility. Every reply
 //!   carries [`latency_units`], a deterministic work proxy derived from
@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct ServeConfig {
     /// Admission queue bound; queries beyond it are shed.
     pub queue_capacity: usize,
-    /// Queries drained per serving batch.
+    /// Queries drained per serving batch (clamped to at least 1).
     pub batch_size: usize,
     /// Strategy for background tune-miss builds.
     pub strategy: Strategy,
@@ -144,37 +144,16 @@ enum Plan {
     Dispatch,
 }
 
-/// The graph-tier half of a block query: the structural subgraph
-/// fingerprint to dispatch on, plus the per-node queries to fall back to
-/// when the library has no block record.
-#[derive(Clone, Debug)]
-pub struct BlockQuery {
-    /// Structural subgraph fingerprint (`perfdojo_graph::fingerprint`).
-    pub fingerprint: u64,
-    /// Composed-program shape vector (flattened buffer extents).
-    pub shape: Vec<usize>,
-    /// Per-node queries in canonical order, for the fallback path.
-    pub parts: Vec<ServeQuery>,
-    /// Edge-materialization cost the per-node path pays (model seconds).
-    pub edge_cost: f64,
-}
-
 /// One query: a kernel label plus constructor dimensions, resolved to the
-/// naive program to serve a schedule for. A query carrying a
-/// [`BlockQuery`] asks for a whole subgraph instead: it dispatches on the
-/// block's subgraph signature and falls back to per-node dispatch on a
-/// block miss.
+/// naive program to serve a schedule for.
 #[derive(Clone, Debug)]
 pub struct ServeQuery {
-    /// Tune-suite kernel label (`softmax`, `matmul`, …) or `graph:<name>`.
+    /// Tune-suite kernel label (`softmax`, `matmul`, …).
     pub label: String,
-    /// Constructor dimensions (the `by_label_with_shape` arity), or the
-    /// composed shape vector for block queries.
+    /// Constructor dimensions (the `by_label_with_shape` arity).
     pub dims: Vec<usize>,
-    /// The naive query program (the composed program for block queries).
+    /// The naive query program.
     pub program: Program,
-    /// Present for block (subgraph) queries.
-    pub block: Option<BlockQuery>,
 }
 
 impl ServeQuery {
@@ -182,35 +161,12 @@ impl ServeQuery {
     /// wrong arity.
     pub fn of(label: &str, dims: &[usize]) -> Option<ServeQuery> {
         let program = perfdojo_kernels::by_label_with_shape(label, dims)?;
-        Some(ServeQuery { label: label.to_string(), dims: dims.to_vec(), program, block: None })
+        Some(ServeQuery { label: label.to_string(), dims: dims.to_vec(), program })
     }
 
-    /// Build a block query for a composed subgraph. `parts` are the
-    /// per-node fallback queries in canonical order; `edge_cost` is what
-    /// the per-node path pays to materialize the interior edges.
-    pub fn block(
-        label: &str,
-        program: Program,
-        fingerprint: u64,
-        shape: Vec<usize>,
-        parts: Vec<ServeQuery>,
-        edge_cost: f64,
-    ) -> ServeQuery {
-        ServeQuery {
-            label: label.to_string(),
-            dims: shape.clone(),
-            program,
-            block: Some(BlockQuery { fingerprint, shape, parts, edge_cost }),
-        }
-    }
-
-    /// The signature of this query on `target` (subgraph-class for block
-    /// queries).
+    /// The signature of this query on `target`.
     pub fn sig(&self, target: &Target) -> KernelSig {
-        match &self.block {
-            Some(b) => KernelSig::subgraph(b.fingerprint, b.shape.clone(), &target.name),
-            None => KernelSig::of(&self.program, &target.name),
-        }
+        KernelSig::of(&self.program, &target.name)
     }
 
     /// The signature key of this query on `target`.
@@ -220,7 +176,7 @@ impl ServeQuery {
 }
 
 /// How a served query resolved, collapsed to the reporting tiers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HitTier {
     /// Exact-signature record replayed.
     Exact,
@@ -352,10 +308,10 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Queries served (batched + direct), memo hits included.
     pub served: u64,
-    /// Single-kernel replies answered from the snapshot's reply memo
-    /// without a dispatch (each also counts in `served` and its tier).
-    /// Dispatches actually run are the [`crate::dispatch_stats`] deltas:
-    /// for single-kernel queries, served = memo hits + dispatches.
+    /// Replies answered from the snapshot's reply memo without a dispatch
+    /// (each also counts in `served` and its tier). Dispatches actually
+    /// run are the [`crate::dispatch_stats`] deltas: served = memo hits +
+    /// dispatches.
     pub memo_hits: u64,
     /// Exact-hit replies.
     pub exact: u64,
@@ -373,12 +329,6 @@ pub struct ServeStats {
     pub tuned: u64,
     /// Hot swaps published.
     pub swaps: u64,
-    /// Block queries answered by an exact subgraph record.
-    pub block_exact: u64,
-    /// Block queries answered by a nearest-shape subgraph record.
-    pub block_nearest: u64,
-    /// Block queries that fell back to per-node dispatch.
-    pub block_fallback: u64,
 }
 
 #[derive(Debug, Default)]
@@ -391,9 +341,6 @@ struct Counters {
     tiers: [AtomicU64; HitTier::Naive as usize + 1],
     tune_jobs: AtomicU64,
     tuned: AtomicU64,
-    block_exact: AtomicU64,
-    block_nearest: AtomicU64,
-    block_fallback: AtomicU64,
 }
 
 impl Counters {
@@ -415,18 +362,9 @@ pub struct TuneJob {
     pub dims: Vec<usize>,
     /// The naive program to tune.
     pub program: Program,
-    /// When set, the produced record is re-keyed under this signature
-    /// instead of the program's own — block (subgraph) jobs tune the
-    /// composed program but must land under the subgraph key.
-    pub sig_override: Option<KernelSig>,
 }
 
 impl TuneJob {
-    /// The signature the job's record must be keyed under.
-    fn final_sig(&self, target: &Target) -> KernelSig {
-        self.sig_override.clone().unwrap_or_else(|| KernelSig::of(&self.program, &target.name))
-    }
-
     fn kernel(&self) -> KernelInstance {
         let shape =
             self.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
@@ -487,7 +425,9 @@ pub struct Server {
 
 impl Server {
     /// A server over `library` for `target`.
-    pub fn new(library: Library, target: Target, config: ServeConfig) -> Server {
+    pub fn new(library: Library, target: Target, mut config: ServeConfig) -> Server {
+        // a batch of none would leave every admitted query unanswered
+        config.batch_size = config.batch_size.max(1);
         Server {
             snapshot: RwLock::new(Arc::new(ServeSnapshot::new(library, 0))),
             admission: AdmissionQueue::new(config.queue_capacity),
@@ -558,9 +498,6 @@ impl Server {
             tune_jobs: c.tune_jobs.load(Ordering::Relaxed),
             tuned: c.tuned.load(Ordering::Relaxed),
             swaps: self.generation(),
-            block_exact: c.block_exact.load(Ordering::Relaxed),
-            block_nearest: c.block_nearest.load(Ordering::Relaxed),
-            block_fallback: c.block_fallback.load(Ordering::Relaxed),
         }
     }
 
@@ -617,7 +554,7 @@ impl Server {
             (0..batch.len()).filter(|&i| matches!(plans[i], Plan::Dispatch)).collect();
         let mut dispatched = par_map(todo, |i| {
             let (_, (sig, query)) = &batch[i];
-            self.dispatch(&snap, sig, query)
+            Resolution::of(&snap.library.lookup_sig(sig, &query.program, &self.target))
         })
         .into_iter();
         // settle in admission order, so the memo's contents and the tune
@@ -625,18 +562,14 @@ impl Server {
         let mut resolved: Vec<Resolution> = Vec::with_capacity(batch.len());
         let mut replies = Vec::with_capacity(batch.len());
         for ((key, (_, query)), plan) in batch.into_iter().zip(plans) {
-            let ServeQuery { label, dims, program, block } = query;
+            let ServeQuery { label, dims, program } = query;
             let (resolution, job) = match plan {
                 Plan::Memo(r) => (r, self.settle(&r, true, &label, dims, Some(program))),
                 Plan::Twin(j) => {
                     (resolved[j], self.settle(&resolved[j], true, &label, dims, Some(program)))
                 }
-                // a block query was counted by its dispatch, tune job and all
-                Plan::Dispatch if block.is_some() => {
-                    dispatched.next().expect("one result per dispatch")
-                }
                 Plan::Dispatch => {
-                    let (r, _) = dispatched.next().expect("one result per dispatch");
+                    let r = dispatched.next().expect("one result per dispatch");
                     // a miss tier's tune job needs the program as well
                     let copy = r.tier.is_miss().then(|| program.clone());
                     snap.memoize(key.clone(), program, r);
@@ -652,8 +585,8 @@ impl Server {
         replies
     }
 
-    /// Count a single-kernel reply and, if its tier is a miss, build its
-    /// tune job from `program` (present whenever the tier is a miss).
+    /// Count a reply and, if its tier is a miss, build its tune job from
+    /// `program` (present whenever the tier is a miss).
     fn settle(
         &self,
         resolution: &Resolution,
@@ -668,78 +601,7 @@ impl Server {
         self.counters.served.fetch_add(1, Ordering::Relaxed);
         self.counters.count(resolution.tier);
         let program = program.filter(|_| resolution.tier.is_miss())?;
-        Some(TuneJob { label: label.to_string(), dims, program, sig_override: None })
-    }
-
-    /// Dispatch `query` on `snap`, bypassing the memo. A block query is
-    /// counted here and comes back with its tune job; a single-kernel
-    /// query is counted, and its tune job built, when its batch settles.
-    fn dispatch(
-        &self,
-        snap: &ServeSnapshot,
-        sig: &KernelSig,
-        query: &ServeQuery,
-    ) -> (Resolution, Option<TuneJob>) {
-        match &query.block {
-            Some(block) => self.resolve_block(snap, sig, query, block),
-            None => {
-                (Resolution::of(&snap.library.lookup_sig(sig, &query.program, &self.target)), None)
-            }
-        }
-    }
-
-    /// Resolve a block (subgraph) query: try the cached replay tiers under
-    /// the subgraph signature first; on a block miss, answer by per-node
-    /// dispatch over the query's parts (each node through the full tier
-    /// stack, edges priced at the caller-supplied materialization cost)
-    /// and return a block tune job so the next drain learns the block.
-    /// Block replies are not memoized.
-    fn resolve_block(
-        &self,
-        snap: &ServeSnapshot,
-        sig: &KernelSig,
-        query: &ServeQuery,
-        block: &BlockQuery,
-    ) -> (Resolution, Option<TuneJob>) {
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = snap.library.lookup_cached(sig, &query.program, &self.target) {
-            // the cached tiers only: exact, parameterized or nearest
-            let resolution = Resolution::of(&r);
-            self.counters.count(resolution.tier);
-            match resolution.tier {
-                HitTier::Exact => &self.counters.block_exact,
-                _ => &self.counters.block_nearest,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            return (resolution, None);
-        }
-        // block miss: per-node tiered dispatch, aggregated
-        self.counters.block_fallback.fetch_add(1, Ordering::Relaxed);
-        let mut total = Resolution {
-            tier: HitTier::Exact,
-            latency_units: 2, // block probe + fallback decision
-            cost: block.edge_cost,
-            naive_cost: block.edge_cost,
-            steps: 0,
-        };
-        for part in &block.parts {
-            let r = Resolution::of(&snap.library.lookup(&part.program, &self.target));
-            self.counters.count(r.tier);
-            total.cost += r.cost;
-            total.naive_cost += r.naive_cost;
-            total.latency_units += r.latency_units;
-            total.steps += r.steps;
-            total.tier = total.tier.max(r.tier); // worst tier wins the aggregate
-        }
-        // a block miss always schedules block tuning, even when every part
-        // replayed: the block record (fusion + layout) is what's missing
-        let job = Some(TuneJob {
-            label: query.label.clone(),
-            dims: query.dims.clone(),
-            program: query.program.clone(),
-            sig_override: Some(sig.clone()),
-        });
-        (total, job)
+        Some(TuneJob { label: label.to_string(), dims, program })
     }
 
     /// Drain the tune-miss queue: tune every pending job with the
@@ -817,18 +679,6 @@ impl Server {
             }
         }
 
-        // re-key block jobs: their record was tuned under the composed
-        // program's own signature but must land under the subgraph key
-        for (_, j) in jobs.iter() {
-            if let Some(sig) = &j.sig_override {
-                let own = KernelSig::of(&j.program, &self.target.name);
-                if let Some(mut rec) = scratch.remove(&own) {
-                    rec.sig = sig.clone();
-                    scratch.merge([rec]);
-                }
-            }
-        }
-
         // count this drain's jobs only: a checkpoint's partial library
         // could still hold records from a drain that crashed between
         // publish and checkpoint reset. Jobs that produced no record keep
@@ -837,7 +687,7 @@ impl Server {
         // may run with budget, a fixed strategy, or a model version bump)
         let failed_keys: Vec<String> = jobs
             .iter()
-            .filter(|(_, j)| scratch.get(&j.final_sig(&self.target)).is_none())
+            .filter(|(_, j)| scratch.get(&KernelSig::of(&j.program, &self.target.name)).is_none())
             .map(|(k, _)| k.clone())
             .collect();
         let unimproved = failed_keys.len();
@@ -887,17 +737,13 @@ impl Server {
 /// Plan each query of `batch` on `snap`, in admission order: a query is
 /// answered from the memo, from an earlier query of the batch planned for
 /// dispatch under the same key with an equal program, or by a dispatch of
-/// its own. Block queries are always dispatched.
+/// its own.
 fn plan(snap: &ServeSnapshot, batch: &[(String, (KernelSig, ServeQuery))]) -> Vec<Plan> {
     // per key, the latest query of the batch planned for dispatch: what the
     // memo will hold for the key once the batch settles that far
     let mut planned: HashMap<&str, usize> = HashMap::new();
     let mut plans = Vec::with_capacity(batch.len());
     for (i, (key, (_, query))) in batch.iter().enumerate() {
-        if query.block.is_some() {
-            plans.push(Plan::Dispatch);
-            continue;
-        }
         let answer = match planned.get(key.as_str()) {
             Some(&j) => (batch[j].1 .1.program == query.program).then_some(Plan::Twin(j)),
             None => snap.recall(key, &query.program).map(Plan::Memo),
@@ -964,6 +810,16 @@ mod tests {
         assert_eq!(server.stats().rejected, 1);
         assert_eq!(server.serve_batch().len(), 2);
         server.submit(q).unwrap();
+    }
+
+    #[test]
+    fn a_zero_batch_size_still_answers() {
+        let server = tuned_server(ServeConfig { batch_size: 0, ..ServeConfig::default() });
+        server.submit(ServeQuery::of("softmax", &[64, 64]).unwrap()).unwrap();
+        let replies = server.serve_batch();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].tier, HitTier::Exact);
+        assert_eq!(server.queued(), 0);
     }
 
     #[test]

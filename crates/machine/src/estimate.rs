@@ -51,12 +51,6 @@ impl Estimate {
         self.useful_flops as f64 / self.cycles
     }
 
-    /// Fraction of the machine's theoretical peak (§4.1 reporting metric;
-    /// on a single Snitch core this is "useful FP ops per cycle").
-    pub fn fraction_of_peak(&self) -> f64 {
-        self.flops_per_cycle() / self.peak_flops_per_cycle
-    }
-
     /// Fraction of peak for a single-core share of the machine (used by the
     /// Snitch micro-kernel figures, which report per-core utilization).
     pub fn fraction_of_single_core_peak(&self, cfg: &MachineConfig) -> f64 {
@@ -86,7 +80,6 @@ mod tests {
         let e = Estimate::new(&cfg, &dummy_kernel(800), 1000.0);
         assert!((e.flops_per_cycle() - 0.8).abs() < 1e-12);
         // cluster peak is 8 ops/cycle; single-core peak 1
-        assert!((e.fraction_of_peak() - 0.1).abs() < 1e-12);
         assert!((e.fraction_of_single_core_peak(&cfg) - 0.8).abs() < 1e-12);
     }
 

@@ -56,13 +56,6 @@ pub struct PerfLlmResult {
     pub evaluations: u64,
 }
 
-impl PerfLlmResult {
-    /// Speedup over a reference runtime.
-    pub fn speedup_over(&self, reference: f64) -> f64 {
-        reference / self.best_runtime
-    }
-}
-
 /// The full, resumable state of one PerfLLM training run: everything
 /// [`optimize`] accumulates between episodes. Checkpoints are taken at
 /// episode boundaries (the dojo is rewound by `reset` at the start of

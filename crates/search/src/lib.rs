@@ -34,13 +34,6 @@ pub struct SearchResult {
     pub trace: Vec<TracePoint>,
 }
 
-impl SearchResult {
-    /// Speedup over a reference runtime.
-    pub fn speedup_over(&self, reference: f64) -> f64 {
-        reference / self.best_runtime
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use perfdojo_core::{Dojo, Target};

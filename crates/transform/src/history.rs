@@ -56,6 +56,19 @@ pub struct Replay {
     pub skipped: Vec<usize>,
 }
 
+impl Replay {
+    /// The steps of `steps`, the sequence this replay ran, that applied:
+    /// every one whose index is not in `skipped`, in order.
+    pub fn applied(&self, steps: &[Action]) -> Vec<Action> {
+        steps
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.skipped.contains(i))
+            .map(|(_, a)| a.clone())
+            .collect()
+    }
+}
+
 impl History {
     /// Start a history at `initial`.
     pub fn new(initial: Program) -> Self {
@@ -413,6 +426,7 @@ mod tests {
         let steps = vec![split(8, &[0, 0]), split(8, &[0, 0, 0])]; // second: trip 2? no — 16/8=2 outer, inner 8; splitting @0.0.0 (the new inner 8) by 8 is a no-op tile==trip -> inapplicable
         let r = replay_sequence(&p, &steps);
         assert_eq!(r.skipped, vec![1]);
+        assert_eq!(r.applied(&steps), steps[..1]);
         assert!(verify_equivalent(&p, &r.program, 1, 9).is_equivalent());
     }
 }
