@@ -14,13 +14,15 @@
 #      never-tuned-shape query against it, and report non-empty stats;
 #      `build` into a copy of that library whose header names another
 #      format version must fail and leave the copy byte-identical; and
-#      `build` with a misspelled flag (`--seeed`) must fail and write no
+#      `build` with a misspelled flag (`--seeed`), a repeated flag
+#      (`--seed 1 --seed 2`) or a bare word must fail and write no
 #      library.
 #   5. Differential fuzz smoke: a fixed-seed run over random programs ×
 #      random transformation walks must find zero counterexamples, finish
 #      quickly, and produce a byte-identical report when repeated — the
 #      fuzzer itself must be deterministic or its findings are worthless;
-#      and the resolve-once interpreter must agree bit for bit with the
+#      a repeated flag (`--iters 1 --iters 2`) must be refused; and the
+#      resolve-once interpreter must agree bit for bit with the
 #      tree-walking oracle (`tests/interp_oracle.rs`) under the release
 #      optimizer.
 #   6. Search-engine smoke: the A/B determinism suite must hold (incremental
@@ -40,10 +42,11 @@
 #      byte-identical across two runs, a CLI `perfdojo-lib serve` run on two
 #      copies of the same library must produce identical reports AND
 #      identical hot-swapped libraries, `serve --batch 0` must fail (a
-#      batch of none would answer nothing), a step-limited serve must
-#      pause with exit 4 and converge on resume to the uninterrupted
-#      library, and the reader/hot-swap stress test must pass under
-#      --release.
+#      batch of none would answer nothing), `serve --zipf-s nan` must exit
+#      1 (an argument error, not a panic) and leave the library untouched,
+#      a step-limited serve must pause with exit 4 and converge on resume
+#      to the uninterrupted library, and the reader/hot-swap stress test
+#      must pass under --release.
 #   9. Graph-tier smoke: a fixed-seed `--exp graph` run (block-level vs
 #      per-node dispatch over the pipeline suite) must be byte-identical
 #      across two runs and show block cost at or below per-node cost, the
@@ -138,16 +141,28 @@ grep -q "entries:         2" "$PDLIB_DIR/stats.txt"
 # an --out that does not load is never saved over
 refuses_v2_out "$PDLIB" ./target/release/perfdojo-lib build --out "$PDLIB_DIR/v2.pdl" \
     --kernels relu --targets x86 --strategy heuristic
-# a misspelled flag is an error, not a build at the flag's default
-if ./target/release/perfdojo-lib build --out "$PDLIB_DIR/typo.pdl" \
-    --kernels relu --targets x86 --strategy heuristic --seeed 5 2> /dev/null; then
-    echo "ci.sh: build accepted the unknown flag --seeed" >&2
-    exit 1
-fi
-if [ -e "$PDLIB_DIR/typo.pdl" ]; then
-    echo "ci.sh: build with an unknown flag wrote its --out" >&2
-    exit 1
-fi
+# build_refused WHAT ARGS...: `build --out typo.pdl ARGS` must fail and
+# write no --out
+build_refused() {
+    local what=$1
+    shift
+    if ./target/release/perfdojo-lib build --out "$PDLIB_DIR/typo.pdl" "$@" 2> /dev/null; then
+        echo "ci.sh: build accepted $what" >&2
+        exit 1
+    fi
+    if [ -e "$PDLIB_DIR/typo.pdl" ]; then
+        echo "ci.sh: build with $what wrote its --out" >&2
+        exit 1
+    fi
+}
+# a misspelled flag is an error, not a build at the flag's default; so is
+# a repeated flag (not a build at its first value) and a bare word (not
+# silently dropped)
+build_refused "the unknown flag --seeed" \
+    --kernels relu --targets x86 --strategy heuristic --seeed 5
+build_refused "a repeated --seed" \
+    --kernels relu --targets x86 --strategy heuristic --seed 1 --seed 2
+build_refused "the bare word relu" relu --kernels relu
 
 echo "== 5/13 differential fuzz smoke: fixed seed, deterministic, clean =="
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz1.txt"
@@ -163,6 +178,11 @@ if ./target/release/fuzz --seed 0xC0FFEE --iters 60 --sabotage truncate-split \
     exit 1
 fi
 grep -q "FINDING" "$PDLIB_DIR/fuzz3.txt"
+# a repeated flag is a usage error, not a run at its last value
+if ./target/release/fuzz --iters 1 --iters 2 > /dev/null 2>&1; then
+    echo "ci.sh: fuzz accepted a repeated --iters" >&2
+    exit 1
+fi
 # the interpreter every differential trusts: resolve-once execution must
 # match the tree-walking oracle bit for bit, at full optimization
 cargo test -q --release --offline --test interp_oracle
@@ -274,6 +294,19 @@ if ./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-a.pdl" \
     echo "ci.sh: serve accepted --batch 0" >&2
     exit 1
 fi
+# a Zipf exponent that is not finite is an argument error (exit 1), not a
+# panic (exit 101), and the library is left as it was
+cp "$PDLIB_DIR/srv-a.pdl" "$PDLIB_DIR/srv-a-orig.pdl"
+set +e
+./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-a.pdl" \
+    "${SERVE_ARGS[@]}" --zipf-s nan > /dev/null 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "ci.sh: serve --zipf-s nan should exit 1, got $rc" >&2
+    exit 1
+fi
+cmp "$PDLIB_DIR/srv-a.pdl" "$PDLIB_DIR/srv-a-orig.pdl"
 # step-limited serve: background tuning must pause with exit 4 (leaving
 # the on-disk library untouched), and resuming the identical command must
 # converge to the same library an uninterrupted serve produces

@@ -4,53 +4,43 @@
 //! figures                 # run everything
 //! figures --exp fig7      # one experiment
 //! figures --list          # list experiment ids
-//! figures --exp serve --zipf-s 1.4   # serve load at a different skew
 //! PERFDOJO_FULL=1 figures # paper-scale budgets (1000 evals, long RL)
 //! ```
 //!
-//! `--zipf-s` sets the serve experiment's Zipf skew exponent (default 1.1,
-//! the value the pinned `BENCH_serve.json` goldens assume).
+//! Arguments parse with `perfdojo_util::args`: anything but one `--list`
+//! or one `--exp <id>` (an unknown or repeated flag, a bare word, `--exp`
+//! without its id, or both flags at once) is a usage error, exit code 2.
+
+use perfdojo_util::args::Args;
+
+const USAGE: &str = "usage: figures [--list | --exp <id>]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: figures [--list | --exp <id>] [--zipf-s <exponent>]";
-    if let Some(i) = args.iter().position(|a| a == "--zipf-s") {
-        if i + 1 >= args.len() {
-            eprintln!("{usage}");
-            std::process::exit(2);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::new(&argv, &["--exp"], &["--list"]).and_then(|a| {
+        if a.has("--list") && a.has("--exp") {
+            Err("--list and --exp exclude each other".to_string())
+        } else {
+            Ok(a)
         }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        match raw.parse::<f64>() {
-            Ok(s) if s > 0.0 && s.is_finite() => {
-                perfdojo_bench::experiments::serve::set_zipf_exponent(s)
-            }
-            _ => {
-                eprintln!("--zipf-s wants a positive finite number, got {raw:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+    });
+    let args = args.unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let experiments = perfdojo_bench::experiments::all_experiments();
-    if args.first().is_some_and(|a| a == "--list") {
+    if args.has("--list") {
         for (id, _) in &experiments {
             println!("{id}");
         }
         return;
     }
-    let filter: Option<String> = match args.as_slice() {
-        [flag, id] if flag == "--exp" => Some(id.clone()),
-        [] => None,
-        _ => {
-            eprintln!("{usage}");
-            std::process::exit(2);
-        }
-    };
+    let filter = args.get("--exp");
     let scale = if perfdojo_bench::full_scale() { "paper-scale (PERFDOJO_FULL=1)" } else { "quick" };
     println!("# PerfDojo experiment harness — {scale} budgets\n");
     let mut ran = 0;
     for (id, run) in experiments {
-        if filter.as_deref().is_some_and(|f| f != id) {
+        if filter.is_some_and(|f| f != id) {
             continue;
         }
         println!("--- {id} ---");

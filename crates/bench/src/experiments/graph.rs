@@ -40,15 +40,12 @@ fn per_node_library(graphs: &[KernelGraph], target: &Target) -> Library {
     let mut seen = std::collections::BTreeSet::new();
     for g in graphs {
         for n in g.nodes() {
-            let shape = n.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
-            if seen.insert((n.label.clone(), shape.clone())) {
-                kernels.push(perfdojo_kernels::KernelInstance {
-                    label: n.label.clone(),
-                    shape,
-                    description: String::from("graph per-node baseline"),
-                    program: n.program.clone(),
-                    verify_program: n.program.clone(),
-                });
+            if seen.insert((&n.label, &n.dims)) {
+                kernels.push(perfdojo_kernels::KernelInstance::at(
+                    &n.label,
+                    &n.dims,
+                    n.program.clone(),
+                ));
             }
         }
     }

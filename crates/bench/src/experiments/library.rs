@@ -4,6 +4,7 @@
 
 use crate::report::{fmt_x, geomean, Table};
 use perfdojo_core::Target;
+use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{Disposition, Library, LibraryBuilder, Strategy};
 use std::time::Instant;
 
@@ -80,15 +81,15 @@ pub fn exp_library() -> String {
                 crate::experiments::tune_suite_labels()
             );
         };
-        let r = lib.lookup(&query, &target);
+        let k = KernelInstance::at(label, dims, query);
+        let r = lib.lookup(&k.program, &target);
         if matches!(r.disposition, Disposition::FallbackReplay { .. }) {
             replays += 1;
             replay_speedups.push(r.speedup());
         }
-        let shape = dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
         t.row(vec![
-            label.to_string(),
-            shape,
+            k.label,
+            k.shape,
             r.disposition.tag().into(),
             fmt_x(r.speedup()),
             match r.verified {

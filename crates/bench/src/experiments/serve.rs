@@ -24,31 +24,14 @@ use perfdojo_library::{
 use perfdojo_util::rng::Rng;
 use perfdojo_util::zipf::Zipf;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const SEED: u64 = 0x5E12FE;
 const ROUNDS: usize = 4;
 const REQUESTS_PER_ROUND: usize = 64;
-const DEFAULT_ZIPF_EXPONENT: f64 = 1.1;
-
-/// Bit-pattern of an exponent override set by `figures --zipf-s`; 0 (the
-/// bits of +0.0, which `Zipf` rejects anyway) means "use the default".
-static ZIPF_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Override the Zipf skew exponent for subsequent [`exp_serve`] runs.
-/// The pinned `BENCH_serve.json` goldens assume the default 1.1; any other
-/// value changes the traffic mix and with it the JSON.
-pub fn set_zipf_exponent(s: f64) {
-    ZIPF_OVERRIDE.store(s.to_bits(), Ordering::Relaxed);
-}
-
-fn zipf_exponent() -> f64 {
-    match ZIPF_OVERRIDE.load(Ordering::Relaxed) {
-        0 => DEFAULT_ZIPF_EXPONENT,
-        bits => f64::from_bits(bits),
-    }
-}
+/// The Zipf skew exponent of the query stream; `BENCH_serve.json` pins
+/// the traffic it draws. `perfdojo-lib serve --zipf-s` varies the skew.
+const ZIPF_EXPONENT: f64 = 1.1;
 
 /// The ranked query universe (rank 0 hottest). Mixes tuned shapes (exact
 /// hits), unseen shapes of tuned operators (nearest-shape replays), and
@@ -117,14 +100,7 @@ fn run_load() -> Result<ServeRun, String> {
         .map(|(label, dims)| {
             let program = perfdojo_kernels::by_label_with_shape(label, dims)
                 .ok_or_else(|| format!("no kernel {label:?} at shape {dims:?}"))?;
-            let shape = dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
-            Ok(perfdojo_kernels::KernelInstance {
-                label: label.to_string(),
-                shape,
-                description: String::from("serve pretuned"),
-                program: program.clone(),
-                verify_program: program,
-            })
+            Ok(perfdojo_kernels::KernelInstance::at(label, dims, program))
         })
         .collect::<Result<_, String>>()?;
     let mut lib = Library::new();
@@ -145,7 +121,7 @@ fn run_load() -> Result<ServeRun, String> {
                 .ok_or_else(|| format!("no kernel {label:?} at shape {dims:?}"))
         })
         .collect::<Result<_, _>>()?;
-    let zipf = Zipf::new(queries.len(), zipf_exponent());
+    let zipf = Zipf::new(queries.len(), ZIPF_EXPONENT);
     let mut rng = Rng::seed_from_u64(SEED);
 
     // key -> (missed in some earlier reply, converted to exact later)
@@ -228,7 +204,7 @@ fn emit_json(run: &ServeRun) -> String {
     j.push_str(&format!("  \"seed\": {SEED},\n"));
     j.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
     j.push_str(&format!("  \"requests_per_round\": {REQUESTS_PER_ROUND},\n"));
-    j.push_str(&format!("  \"zipf_exponent\": {},\n", zipf_exponent()));
+    j.push_str(&format!("  \"zipf_exponent\": {ZIPF_EXPONENT},\n"));
     j.push_str(&format!("  \"universe\": {},\n", universe().len()));
     j.push_str(&format!("  \"submitted\": {},\n", run.submitted));
     j.push_str(&format!("  \"rejected\": {},\n", run.rejected));

@@ -57,14 +57,9 @@ fn instance(label: &str, dims: &[usize]) -> Result<KernelInstance, String> {
             crate::experiments::tune_suite_labels()
         )
     })?;
-    let shape = dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
-    Ok(KernelInstance {
-        label: format!("{label} {shape}"),
-        shape,
-        description: format!("{label} at {dims:?}"),
-        verify_program: program.clone(),
-        program,
-    })
+    let mut k = KernelInstance::at(label, dims, program);
+    k.label = format!("{label} {}", k.shape);
+    Ok(k)
 }
 
 /// One held-out shape's measurements.

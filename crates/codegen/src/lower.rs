@@ -3,13 +3,11 @@
 //! The hot entry point is [`lower_arena`]: it walks the flat [`Arena`] view
 //! (typed ids, contiguous region-access rows) instead of recursing through
 //! `Box`/`Arc` tree nodes. [`lower`] is a convenience wrapper that flattens
-//! first; the private tree walker is kept as the executable reference the
-//! conformance test pins `lower_arena` against.
+//! first. The tree-walking reference lowering that the conformance tests
+//! pin `lower_arena` against lives in the test module.
 
 use perfdojo_ir::arena::{AccId, AExpr, Arena, ExprId, NodeId};
-use perfdojo_ir::{
-    Access, BinaryOp, DType, Expr, Location, Node, Program, ScopeKind, UnaryOp,
-};
+use perfdojo_ir::{BinaryOp, DType, Location, Program, ScopeKind, UnaryOp};
 use std::fmt;
 
 /// Classification of arithmetic instructions by cost class.
@@ -377,27 +375,6 @@ fn classify_arena(a: &Arena, e: ExprId, flops: &mut Vec<OpClass>) -> usize {
     }
 }
 
-/// Reference tree-walking lowering, kept for the conformance test.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn lower_tree(p: &Program) -> Result<LoweredKernel, LowerError> {
-    let buffers = p
-        .buffers
-        .iter()
-        .map(|b| BufferInfo {
-            name: b.name.clone(),
-            location: b.location,
-            bytes: b.bytes(),
-            dtype: b.dtype,
-        })
-        .collect();
-    let mut body = Vec::new();
-    for n in &p.roots {
-        body.push(lower_node(p, n, 0)?);
-    }
-    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
-    Ok(LoweredKernel { name: p.name.clone(), buffers, body, useful_flops })
-}
-
 /// Dynamic count of arithmetic *instructions* (FMA fused) — the paper's
 /// "number of required arithmetic operations" for peak calculations, §4.1.
 /// Saturates at `u64::MAX`.
@@ -411,120 +388,142 @@ fn fused_flops(n: &Lowered, mult: u64) -> u64 {
     }
 }
 
-fn lower_node(p: &Program, n: &Node, depth: usize) -> Result<Lowered, LowerError> {
-    match n {
-        Node::Scope(s) => {
-            let trip = s
-                .size
-                .as_const()
-                .ok_or_else(|| LowerError::Unsupported("dynamic scope size".into()))?;
-            let mut body = Vec::new();
-            for c in s.children.iter() {
-                body.push(lower_node(p, c, depth + 1)?);
-            }
-            Ok(Lowered::Loop(Loop {
-                trip,
-                kind: LoopKind::from_scope(s.kind),
-                ssr: s.ssr,
-                frep: s.frep,
-                depth,
-                body,
-            }))
-        }
-        Node::Op(op) => {
-            let store = lower_access(p, &op.out)?;
-            let mut loads = Vec::new();
-            for r in op.reads() {
-                loads.push(lower_access(p, r)?);
-            }
-            let mut flops = Vec::new();
-            let expr_depth = classify(&op.expr, &mut flops);
-            Ok(Lowered::Stmt(Stmt {
-                loads,
-                store,
-                flops,
-                expr_depth,
-                reads_own_output: op.reads_own_output(),
-            }))
-        }
-    }
-}
-
-fn lower_access(p: &Program, acc: &Access) -> Result<MemRef, LowerError> {
-    let buf = p
-        .buffer_of(&acc.array)
-        .ok_or_else(|| LowerError::UnknownArray(acc.array.clone()))?;
-    let indices = acc
-        .affine_indices()
-        .ok_or_else(|| LowerError::Unsupported(format!("indirect access to {}", acc.array)))?;
-    let strides = buf.strides();
-    let mut addr = AffineAddr::default();
-    let mut by_depth: std::collections::BTreeMap<usize, i64> = std::collections::BTreeMap::new();
-    for (dim, ix) in indices.iter().enumerate() {
-        let s = strides[dim] as i64;
-        addr.offset += s * ix.offset;
-        for &(d, c) in &ix.terms {
-            *by_depth.entry(d).or_insert(0) += s * c;
-        }
-    }
-    addr.strides = by_depth.into_iter().filter(|&(_, s)| s != 0).collect();
-    Ok(MemRef {
-        buffer: buf.name.clone(),
-        location: buf.location,
-        elem_bytes: buf.dtype.bytes(),
-        addr,
-    })
-}
-
-/// Classify an expression into an instruction mix (with `a*b + c` fused to
-/// FMA) and return the dependence-chain depth.
-fn classify(e: &Expr, flops: &mut Vec<OpClass>) -> usize {
-    match e {
-        Expr::Load(_) | Expr::Const(_) | Expr::Index(_) => 0,
-        Expr::Unary(op, x) => {
-            let d = classify(x, flops);
-            flops.push(match op {
-                UnaryOp::Neg | UnaryOp::Relu | UnaryOp::Abs => OpClass::AddLike,
-                UnaryOp::Recip => OpClass::DivLike,
-                UnaryOp::Exp
-                | UnaryOp::Log
-                | UnaryOp::Sqrt
-                | UnaryOp::Rsqrt
-                | UnaryOp::Tanh
-                | UnaryOp::Sigmoid => OpClass::Special,
-            });
-            d + 1
-        }
-        Expr::Binary(op, a, b) => {
-            // FMA fusion: Add(Mul(x,y), z) or Add(z, Mul(x,y))
-            if *op == BinaryOp::Add {
-                for (m, other) in [(a, b), (b, a)] {
-                    if let Expr::Binary(BinaryOp::Mul, x, y) = m.as_ref() {
-                        let dx = classify(x, flops);
-                        let dy = classify(y, flops);
-                        let dz = classify(other, flops);
-                        flops.push(OpClass::Fma);
-                        return dx.max(dy).max(dz) + 1;
-                    }
-                }
-            }
-            let da = classify(a, flops);
-            let db = classify(b, flops);
-            flops.push(match op {
-                BinaryOp::Add | BinaryOp::Sub | BinaryOp::Max | BinaryOp::Min => OpClass::AddLike,
-                BinaryOp::Mul => OpClass::MulLike,
-                BinaryOp::Div => OpClass::DivLike,
-            });
-            da.max(db) + 1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use perfdojo_ir::builder::*;
-    use perfdojo_ir::ProgramBuilder;
+    use perfdojo_ir::{Access, Expr, Node, ProgramBuilder};
+
+    /// Reference tree-walking lowering: the oracle `lower_arena` must match.
+    fn lower_tree(p: &Program) -> Result<LoweredKernel, LowerError> {
+        let buffers = p
+            .buffers
+            .iter()
+            .map(|b| BufferInfo {
+                name: b.name.clone(),
+                location: b.location,
+                bytes: b.bytes(),
+                dtype: b.dtype,
+            })
+            .collect();
+        let mut body = Vec::new();
+        for n in &p.roots {
+            body.push(lower_node(p, n, 0)?);
+        }
+        let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
+        Ok(LoweredKernel { name: p.name.clone(), buffers, body, useful_flops })
+    }
+
+    fn lower_node(p: &Program, n: &Node, depth: usize) -> Result<Lowered, LowerError> {
+        match n {
+            Node::Scope(s) => {
+                let trip = s
+                    .size
+                    .as_const()
+                    .ok_or_else(|| LowerError::Unsupported("dynamic scope size".into()))?;
+                let mut body = Vec::new();
+                for c in s.children.iter() {
+                    body.push(lower_node(p, c, depth + 1)?);
+                }
+                Ok(Lowered::Loop(Loop {
+                    trip,
+                    kind: LoopKind::from_scope(s.kind),
+                    ssr: s.ssr,
+                    frep: s.frep,
+                    depth,
+                    body,
+                }))
+            }
+            Node::Op(op) => {
+                let store = lower_access(p, &op.out)?;
+                let mut loads = Vec::new();
+                for r in op.reads() {
+                    loads.push(lower_access(p, r)?);
+                }
+                let mut flops = Vec::new();
+                let expr_depth = classify(&op.expr, &mut flops);
+                Ok(Lowered::Stmt(Stmt {
+                    loads,
+                    store,
+                    flops,
+                    expr_depth,
+                    reads_own_output: op.reads_own_output(),
+                }))
+            }
+        }
+    }
+
+    fn lower_access(p: &Program, acc: &Access) -> Result<MemRef, LowerError> {
+        let buf =
+            p.buffer_of(&acc.array).ok_or_else(|| LowerError::UnknownArray(acc.array.clone()))?;
+        let indices = acc
+            .affine_indices()
+            .ok_or_else(|| LowerError::Unsupported(format!("indirect access to {}", acc.array)))?;
+        let strides = buf.strides();
+        let mut addr = AffineAddr::default();
+        let mut by_depth: std::collections::BTreeMap<usize, i64> =
+            std::collections::BTreeMap::new();
+        for (dim, ix) in indices.iter().enumerate() {
+            let s = strides[dim] as i64;
+            addr.offset += s * ix.offset;
+            for &(d, c) in &ix.terms {
+                *by_depth.entry(d).or_insert(0) += s * c;
+            }
+        }
+        addr.strides = by_depth.into_iter().filter(|&(_, s)| s != 0).collect();
+        Ok(MemRef {
+            buffer: buf.name.clone(),
+            location: buf.location,
+            elem_bytes: buf.dtype.bytes(),
+            addr,
+        })
+    }
+
+    /// Classify an expression into an instruction mix (with `a*b + c` fused to
+    /// FMA) and return the dependence-chain depth.
+    fn classify(e: &Expr, flops: &mut Vec<OpClass>) -> usize {
+        match e {
+            Expr::Load(_) | Expr::Const(_) | Expr::Index(_) => 0,
+            Expr::Unary(op, x) => {
+                let d = classify(x, flops);
+                flops.push(match op {
+                    UnaryOp::Neg | UnaryOp::Relu | UnaryOp::Abs => OpClass::AddLike,
+                    UnaryOp::Recip => OpClass::DivLike,
+                    UnaryOp::Exp
+                    | UnaryOp::Log
+                    | UnaryOp::Sqrt
+                    | UnaryOp::Rsqrt
+                    | UnaryOp::Tanh
+                    | UnaryOp::Sigmoid => OpClass::Special,
+                });
+                d + 1
+            }
+            Expr::Binary(op, a, b) => {
+                // FMA fusion: Add(Mul(x,y), z) or Add(z, Mul(x,y))
+                if *op == BinaryOp::Add {
+                    for (m, other) in [(a, b), (b, a)] {
+                        if let Expr::Binary(BinaryOp::Mul, x, y) = m.as_ref() {
+                            let dx = classify(x, flops);
+                            let dy = classify(y, flops);
+                            let dz = classify(other, flops);
+                            flops.push(OpClass::Fma);
+                            return dx.max(dy).max(dz) + 1;
+                        }
+                    }
+                }
+                let da = classify(a, flops);
+                let db = classify(b, flops);
+                flops.push(match op {
+                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Max | BinaryOp::Min => {
+                        OpClass::AddLike
+                    }
+                    BinaryOp::Mul => OpClass::MulLike,
+                    BinaryOp::Div => OpClass::DivLike,
+                });
+                da.max(db) + 1
+            }
+        }
+    }
 
     /// The node as a loop, or a descriptive error — keeps structural
     /// mismatches reportable instead of aborting (the fuzzer relies on the

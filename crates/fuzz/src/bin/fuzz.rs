@@ -14,10 +14,15 @@
 //! fuzz --seed 1 --iters 20 --sabotage truncate-split   # must find bugs
 //! fuzz --seed 1 --iters 20 --write-corpus tests/corpus # save reproducers
 //! ```
+//!
+//! Options parse with `perfdojo_util::args`: an unknown or repeated
+//! option, a bare word or an option without its value is a usage error
+//! (exit code 2) that runs nothing.
 
 use perfdojo_fuzz::shrink::{shrink_case, Case};
 use perfdojo_fuzz::walk::{library_by_name, walk, CheckConfig, Sabotage};
 use perfdojo_fuzz::{gen_program, reproducer_text, GenConfig};
+use perfdojo_util::args::Args;
 use perfdojo_util::rng::{splitmix64, Rng};
 use std::process::ExitCode;
 
@@ -34,25 +39,8 @@ struct Opts {
     write_corpus: Option<String>,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            seed: 0,
-            iters: 100,
-            steps: 8,
-            lib: "cpu".to_string(),
-            max_dims: 3,
-            max_trip: 6,
-            check_codegen: true,
-            sabotage: None,
-            shrink_budget: 400,
-            write_corpus: None,
-        }
-    }
-}
-
 const USAGE: &str = "\
-usage: fuzz [options]
+usage: fuzz [options]   (each option at most once)
   --seed N|0xHEX     base seed (default 0)
   --iters N          programs to generate (default 100)
   --steps N          max transformation steps per walk (default 8)
@@ -73,41 +61,43 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-fn parse_opts() -> Result<Opts, String> {
-    let mut o = Opts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seed" => o.seed = parse_u64(&val("--seed")?).ok_or("bad --seed")?,
-            "--iters" => o.iters = val("--iters")?.parse().map_err(|_| "bad --iters")?,
-            "--steps" => o.steps = val("--steps")?.parse().map_err(|_| "bad --steps")?,
-            "--lib" => o.lib = val("--lib")?,
-            "--max-dims" => o.max_dims = val("--max-dims")?.parse().map_err(|_| "bad --max-dims")?,
-            "--max-trip" => o.max_trip = val("--max-trip")?.parse().map_err(|_| "bad --max-trip")?,
-            "--no-codegen" => o.check_codegen = false,
-            "--sabotage" => {
-                let name = val("--sabotage")?;
-                o.sabotage = Some(Sabotage::parse(&name).ok_or(format!("unknown sabotage '{name}'"))?);
-            }
-            "--shrink-budget" => {
-                o.shrink_budget = val("--shrink-budget")?.parse().map_err(|_| "bad --shrink-budget")?
-            }
-            "--write-corpus" => o.write_corpus = Some(val("--write-corpus")?),
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option '{other}'\n{USAGE}")),
-        }
-    }
-    Ok(o)
+fn parse_opts(argv: &[String]) -> Result<Opts, String> {
+    let a = Args::new(
+        argv,
+        &[
+            "--seed",
+            "--iters",
+            "--steps",
+            "--lib",
+            "--max-dims",
+            "--max-trip",
+            "--sabotage",
+            "--shrink-budget",
+            "--write-corpus",
+        ],
+        &["--no-codegen"],
+    )?;
+    Ok(Opts {
+        seed: a.parse_with("--seed", parse_u64)?.unwrap_or(0),
+        iters: a.parse("--iters")?.unwrap_or(100),
+        steps: a.parse("--steps")?.unwrap_or(8),
+        lib: a.get("--lib").unwrap_or("cpu").to_string(),
+        max_dims: a.parse("--max-dims")?.unwrap_or(3),
+        max_trip: a.parse("--max-trip")?.unwrap_or(6),
+        check_codegen: !a.has("--no-codegen"),
+        sabotage: a.parse_with("--sabotage", Sabotage::parse)?,
+        shrink_budget: a.parse("--shrink-budget")?.unwrap_or(400),
+        write_corpus: a.get("--write-corpus").map(str::to_string),
+    })
 }
 
 fn main() -> ExitCode {
-    let o = match parse_opts() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let o = match parse_opts(&argv) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("fuzz: {e}");

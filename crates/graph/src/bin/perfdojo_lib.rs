@@ -16,11 +16,13 @@
 //! perfdojo-lib graph-check [--seed N] [--count K]
 //! ```
 //!
-//! Arguments are hand-parsed (zero-dependency workspace policy); a `--flag`
-//! the subcommand does not take is an error. `build` and `graph-build`
-//! merge into an existing `--out` file when one is present, so libraries
-//! grow incrementally across runs; an `--out` that exists but does not
-//! load is an error and is left as it is.
+//! Each subcommand declares its flags and parses argv once with
+//! `perfdojo_util::args` before it reads or writes anything: a flag it
+//! does not take, a bare word, a repeated flag or a flag without its value
+//! is an error that names the token. `build` and `graph-build` merge into
+//! an existing `--out` file when one is present, so libraries grow
+//! incrementally across runs; an `--out` that exists but does not load is
+//! an error and is left as it is.
 
 use perfdojo_core::Target;
 use perfdojo_kernels::KernelInstance;
@@ -29,6 +31,7 @@ use perfdojo_library::{
     FleetJob, FormatError, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy,
     TuneProgress, WorkerConfig, WorkerExit,
 };
+use perfdojo_util::args::Args;
 use perfdojo_util::rng::Rng;
 use perfdojo_util::zipf::Zipf;
 use std::io::ErrorKind;
@@ -67,7 +70,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage:
+usage (each flag at most once; every flag but --paper-shapes takes a value):
   perfdojo-lib build --out <file> [--kernels a,b] [--targets x86,gh200]
                      [--strategy heuristic|anneal[:N[:K]]|perfllm[:N]]
                      (anneal:N:K runs K parallel chains of N evals each)
@@ -133,30 +136,6 @@ usage:
                       vs composed interpreter reference at pinned seeds)
 ";
 
-/// Refuse any `--flag` in `args` that is not in `accepted`, so a misspelled
-/// option fails instead of leaving its setting at the default.
-fn accept_only(args: &[String], accepted: &[&str]) -> Result<(), String> {
-    match args.iter().find(|a| a.starts_with("--") && !accepted.contains(&a.as_str())) {
-        Some(a) => Err(format!("unknown argument {a:?}; accepted: {}", accepted.join(" "))),
-        None => Ok(()),
-    }
-}
-
-/// Pull the value following `--flag` out of `args`, if present.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-            _ => Err(format!("{flag} needs a value")),
-        },
-    }
-}
-
-fn required(args: &[String], flag: &str) -> Result<String, String> {
-    flag_value(args, flag)?.ok_or_else(|| format!("{flag} is required"))
-}
-
 /// Load the library at `path`, warning about the corrupt entries skipped.
 fn load(path: &Path) -> Result<Library, FormatError> {
     let (lib, stats) = Library::load(path)?;
@@ -166,8 +145,8 @@ fn load(path: &Path) -> Result<Library, FormatError> {
     Ok(lib)
 }
 
-fn load_library(args: &[String]) -> Result<(Library, PathBuf), String> {
-    let path = PathBuf::from(required(args, "--lib")?);
+fn load_library(a: &Args) -> Result<(Library, PathBuf), String> {
+    let path = PathBuf::from(a.required("--lib")?);
     let lib = load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok((lib, path))
 }
@@ -182,80 +161,99 @@ fn load_out(out: &Path) -> Result<Library, String> {
     }
 }
 
-fn parse_targets(spec: Option<String>) -> Result<Vec<Target>, String> {
-    let spec = spec.unwrap_or_else(|| "x86".to_string());
+/// `--targets`, a comma-separated list (default `x86`).
+fn targets(a: &Args) -> Result<Vec<Target>, String> {
+    let spec = a.get("--targets").unwrap_or("x86");
     spec.split(',')
         .map(|n| target_by_name(n.trim()).ok_or_else(|| format!("unknown target {n:?}")))
         .collect()
 }
 
-fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
-    accept_only(
-        args,
+/// The target `--target` names, or `default` when the flag is absent;
+/// without a default the flag is required.
+fn target(a: &Args, default: Option<&str>) -> Result<Target, String> {
+    let name = match default {
+        Some(d) => a.get("--target").unwrap_or(d),
+        None => a.required("--target")?,
+    };
+    target_by_name(name).ok_or_else(|| format!("unknown target {name:?}"))
+}
+
+/// `--strategy` (default heuristic).
+fn strategy(a: &Args) -> Result<Strategy, String> {
+    Ok(a.parse_with("--strategy", Strategy::parse)?.unwrap_or(Strategy::Heuristic))
+}
+
+/// `--seed` (default 0).
+fn seed(a: &Args) -> Result<u64, String> {
+    Ok(a.parse("--seed")?.unwrap_or(0))
+}
+
+/// The `--kernels` of `suite`, by label (all of `suite` when absent).
+fn kernels(a: &Args, suite: Vec<KernelInstance>) -> Result<Vec<KernelInstance>, String> {
+    let Some(spec) = a.get("--kernels") else { return Ok(suite) };
+    let wanted: Vec<&str> = spec.split(',').map(str::trim).collect();
+    if let Some(w) = wanted.iter().find(|w| !suite.iter().any(|k| k.label == **w)) {
+        return Err(format!("unknown kernel {w:?}"));
+    }
+    Ok(suite.into_iter().filter(|k| wanted.contains(&k.label.as_str())).collect())
+}
+
+/// `--checkpoint-dir` and the `--step-limit` a checkpointed run pauses
+/// at, which needs the directory. The caller opens (and so creates) the
+/// directory only once the run starts.
+fn checkpoint(a: &Args) -> Result<Option<(&str, Option<u64>)>, String> {
+    let step_limit = a.parse("--step-limit")?;
+    match a.get("--checkpoint-dir") {
+        None if step_limit.is_some() => Err("--step-limit requires --checkpoint-dir".to_string()),
+        dir => Ok(dir.map(|d| (d, step_limit))),
+    }
+}
+
+fn open_checkpoint(dir: &str) -> Result<BuildCheckpoint, String> {
+    BuildCheckpoint::open(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))
+}
+
+fn cmd_build(argv: &[String]) -> Result<ExitCode, String> {
+    let a = Args::new(
+        argv,
         &[
             "--out",
             "--kernels",
             "--targets",
             "--strategy",
             "--seed",
-            "--paper-shapes",
             "--checkpoint-dir",
             "--step-limit",
         ],
+        &["--paper-shapes"],
     )?;
-    let out = PathBuf::from(required(args, "--out")?);
-    let targets = parse_targets(flag_value(args, "--targets")?)?;
-    let strategy = match flag_value(args, "--strategy")? {
-        None => Strategy::Heuristic,
-        Some(s) => Strategy::parse(&s).ok_or_else(|| format!("bad strategy {s:?}"))?,
-    };
-    let seed: u64 = match flag_value(args, "--seed")? {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
-    };
-    let suite = if args.iter().any(|a| a == "--paper-shapes") {
+    let out = PathBuf::from(a.required("--out")?);
+    let targets = targets(&a)?;
+    let strategy = strategy(&a)?;
+    let seed = seed(&a)?;
+    let suite = if a.has("--paper-shapes") {
         perfdojo_kernels::paper_suite()
     } else {
         perfdojo_kernels::tune_suite()
     };
-    let kernels: Vec<KernelInstance> = match flag_value(args, "--kernels")? {
-        None => suite,
-        Some(spec) => {
-            let wanted: Vec<&str> = spec.split(',').map(str::trim).collect();
-            let picked: Vec<KernelInstance> =
-                suite.into_iter().filter(|k| wanted.contains(&k.label.as_str())).collect();
-            for w in &wanted {
-                if !picked.iter().any(|k| k.label == *w) {
-                    return Err(format!("unknown kernel {w:?}"));
-                }
-            }
-            picked
-        }
-    };
-
-    let ckpt_dir = flag_value(args, "--checkpoint-dir")?;
-    let step_limit: Option<u64> = match flag_value(args, "--step-limit")? {
-        None => None,
-        Some(s) => {
-            if ckpt_dir.is_none() {
-                return Err("--step-limit requires --checkpoint-dir".to_string());
-            }
-            Some(s.parse().map_err(|_| format!("bad step limit {s:?}"))?)
-        }
-    };
+    let kernels = kernels(&a, suite)?;
+    let ckpt = checkpoint(&a)?;
 
     let mut lib = load_out(&out)?;
     let builder = LibraryBuilder::new(strategy, seed);
-    let (progress, report, outcomes) = match &ckpt_dir {
+    let (progress, report, outcomes) = match ckpt {
         None => {
             let (report, outcomes) = builder.build_into(&mut lib, &kernels, &targets);
             (BuildProgress::Finished, report, outcomes)
         }
-        Some(dir) => {
-            let ckpt = BuildCheckpoint::open(std::path::Path::new(dir))
-                .map_err(|e| format!("{dir}: {e}"))?;
-            builder.build_into_checkpointed(&mut lib, &kernels, &targets, &ckpt, step_limit)?
-        }
+        Some((dir, step_limit)) => builder.build_into_checkpointed(
+            &mut lib,
+            &kernels,
+            &targets,
+            &open_checkpoint(dir)?,
+            step_limit,
+        )?,
     };
 
     let evals: u64 = outcomes.iter().map(|o| o.evaluations).sum();
@@ -266,7 +264,7 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
         println!(
             "paused {}: {} jobs finished this run, {} evaluations; resume with the same \
              --checkpoint-dir",
-            ckpt_dir.as_deref().unwrap_or("?"),
+            ckpt.map_or("?", |(dir, _)| dir),
             outcomes.len(),
             evals
         );
@@ -288,27 +286,21 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--lib", "--target", "--kernel", "--shape"])?;
-    let (lib, _) = load_library(args)?;
-    let target_name = required(args, "--target")?;
-    let target = target_by_name(&target_name).ok_or_else(|| format!("unknown target {target_name:?}"))?;
-    let label = required(args, "--kernel")?;
-    let query = match flag_value(args, "--shape")? {
+fn cmd_query(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--lib", "--target", "--kernel", "--shape"], &[])?;
+    let target = target(&a, None)?;
+    let label = a.required("--kernel")?;
+    let dims = |s: &str| s.split('x').map(|d| d.parse().ok()).collect::<Option<Vec<usize>>>();
+    let query = match a.parse_with("--shape", dims)? {
         None => {
-            perfdojo_kernels::by_label(&label)
+            perfdojo_kernels::by_label(label)
                 .ok_or_else(|| format!("unknown kernel {label:?}"))?
                 .verify_program
         }
-        Some(spec) => {
-            let dims: Vec<usize> = spec
-                .split('x')
-                .map(|d| d.parse().map_err(|_| format!("bad shape {spec:?}")))
-                .collect::<Result<_, _>>()?;
-            perfdojo_kernels::by_label_with_shape(&label, &dims)
-                .ok_or_else(|| format!("no kernel {label:?} at shape {spec:?}"))?
-        }
+        Some(dims) => perfdojo_kernels::by_label_with_shape(label, &dims)
+            .ok_or_else(|| format!("no kernel {label:?} at shape {dims:?}"))?,
     };
+    let (lib, _) = load_library(&a)?;
 
     let r = lib.lookup(&query, &target);
     println!("kernel:      {label}");
@@ -330,9 +322,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--lib"])?;
-    let (lib, path) = load_library(args)?;
+fn cmd_stats(argv: &[String]) -> Result<(), String> {
+    let (lib, path) = load_library(&Args::new(argv, &["--lib"], &[])?)?;
     let s = lib.stats();
     println!("library:         {}", path.display());
     println!("entries:         {}", s.entries);
@@ -370,9 +361,9 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    accept_only(
-        args,
+fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
+    let a = Args::new(
+        argv,
         &[
             "--lib",
             "--target",
@@ -387,55 +378,31 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--step-limit",
             "--report",
         ],
+        &[],
     )?;
-    let (lib, path) = load_library(args)?;
-    let target_name = required(args, "--target")?;
-    let target =
-        target_by_name(&target_name).ok_or_else(|| format!("unknown target {target_name:?}"))?;
-    let parse_num = |flag: &str, default: usize| -> Result<usize, String> {
-        match flag_value(args, flag)? {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("bad {flag} value {s:?}")),
-        }
-    };
-    let rounds = parse_num("--rounds", 3)?;
-    let requests = parse_num("--requests", 64)?;
-    let batch = parse_num("--batch", 32)?;
+    let target = target(&a, None)?;
+    let rounds: usize = a.parse("--rounds")?.unwrap_or(3);
+    let requests: usize = a.parse("--requests")?.unwrap_or(64);
+    let batch: usize = a.parse("--batch")?.unwrap_or(32);
     if batch == 0 {
         return Err("--batch must be at least 1".to_string());
     }
-    let queue = parse_num("--queue", 256)?;
-    let seed: u64 = match flag_value(args, "--seed")? {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
-    };
-    let zipf_s: f64 = match flag_value(args, "--zipf-s")? {
-        None => 1.1,
-        Some(s) => s.parse().map_err(|_| format!("bad zipf exponent {s:?}"))?,
-    };
-    let strategy = match flag_value(args, "--strategy")? {
-        None => Strategy::Heuristic,
-        Some(s) => Strategy::parse(&s).ok_or_else(|| format!("bad strategy {s:?}"))?,
-    };
-    let ckpt_dir = flag_value(args, "--checkpoint-dir")?;
-    let step_limit: Option<u64> = match flag_value(args, "--step-limit")? {
-        None => None,
-        Some(s) => {
-            if ckpt_dir.is_none() {
-                return Err("--step-limit requires --checkpoint-dir".to_string());
-            }
-            Some(s.parse().map_err(|_| format!("bad step limit {s:?}"))?)
-        }
-    };
-    let report_path = flag_value(args, "--report")?;
+    let queue: usize = a.parse("--queue")?.unwrap_or(256);
+    let seed = seed(&a)?;
+    let zipf_s: f64 = a.parse("--zipf-s")?.unwrap_or(1.1);
+    if !(zipf_s.is_finite() && zipf_s >= 0.0) {
+        return Err(format!("--zipf-s must be finite and at least 0, got {zipf_s}"));
+    }
+    let strategy = strategy(&a)?;
+    let ckpt = checkpoint(&a)?;
+    let report_path = a.get("--report");
 
+    let (lib, path) = load_library(&a)?;
     let config = ServeConfig { queue_capacity: queue, batch_size: batch, strategy, seed };
     let server = Server::new(lib, target, config).with_disk(path.clone());
-    let ckpt = match &ckpt_dir {
+    let ckpt = match ckpt {
         None => None,
-        Some(dir) => Some(
-            BuildCheckpoint::open(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?,
-        ),
+        Some((dir, step_limit)) => Some((open_checkpoint(dir)?, step_limit)),
     };
 
     let queries: Vec<ServeQuery> = serve_universe()
@@ -469,7 +436,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         }
         let progress = match &ckpt {
             None => server.drain_tunes()?,
-            Some(c) => server.drain_tunes_checkpointed(c, step_limit)?,
+            Some((c, step_limit)) => server.drain_tunes_checkpointed(c, *step_limit)?,
         };
         match progress {
             TuneProgress::Paused => {
@@ -539,7 +506,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         j.push_str(&format!("  \"swaps\": {},\n", s.swaps));
         j.push_str(&format!("  \"final_entries\": {},\n", snap.library.len()));
         j.push_str(&format!("  \"final_generation\": {}\n}}\n", snap.generation));
-        std::fs::write(&out, j).map_err(|e| format!("{out}: {e}"))?;
+        std::fs::write(out, j).map_err(|e| format!("{out}: {e}"))?;
         println!("report:   {out}");
     }
     Ok(ExitCode::SUCCESS)
@@ -558,50 +525,26 @@ fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn open_fleet(args: &[String]) -> Result<FleetDir, String> {
-    let dir = PathBuf::from(required(args, "--dir")?);
+fn open_fleet(a: &Args) -> Result<FleetDir, String> {
+    let dir = PathBuf::from(a.required("--dir")?);
     FleetDir::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))
 }
 
-fn fleet_worker_config(args: &[String], worker: &str) -> Result<WorkerConfig, String> {
+fn fleet_worker_config(a: &Args, worker: &str) -> Result<WorkerConfig, String> {
     let mut cfg = WorkerConfig::new(worker);
-    if let Some(s) = flag_value(args, "--step-limit")? {
-        cfg.step_limit = Some(s.parse().map_err(|_| format!("bad step limit {s:?}"))?);
-    }
-    if let Some(s) = flag_value(args, "--kill-after")? {
-        cfg.kill_after = Some(s.parse().map_err(|_| format!("bad kill-after {s:?}"))?);
-    }
+    cfg.step_limit = a.parse("--step-limit")?;
+    cfg.kill_after = a.parse("--kill-after")?;
     Ok(cfg)
 }
 
-fn fleet_init(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--dir", "--kernels", "--targets", "--strategy", "--seed"])?;
-    let fleet = open_fleet(args)?;
-    let targets = parse_targets(flag_value(args, "--targets")?)?;
+fn fleet_init(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--dir", "--kernels", "--targets", "--strategy", "--seed"], &[])?;
+    let targets = targets(&a)?;
     let target_names: Vec<String> = targets.iter().map(|t| t.name.to_string()).collect();
-    let strategy = match flag_value(args, "--strategy")? {
-        None => Strategy::Heuristic,
-        Some(s) => Strategy::parse(&s).ok_or_else(|| format!("bad strategy {s:?}"))?,
-    };
-    let seed: u64 = match flag_value(args, "--seed")? {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
-    };
-    let suite = perfdojo_kernels::tune_suite();
-    let kernels: Vec<KernelInstance> = match flag_value(args, "--kernels")? {
-        None => suite,
-        Some(spec) => {
-            let wanted: Vec<&str> = spec.split(',').map(str::trim).collect();
-            let picked: Vec<KernelInstance> =
-                suite.into_iter().filter(|k| wanted.contains(&k.label.as_str())).collect();
-            for w in &wanted {
-                if !picked.iter().any(|k| k.label == *w) {
-                    return Err(format!("unknown kernel {w:?}"));
-                }
-            }
-            picked
-        }
-    };
+    let strategy = strategy(&a)?;
+    let seed = seed(&a)?;
+    let kernels = kernels(&a, perfdojo_kernels::tune_suite())?;
+    let fleet = open_fleet(&a)?;
     let jobs = FleetJob::grid(&kernels, &target_names, strategy, seed)?;
     fleet.init(&jobs).map_err(|e| format!("fleet init: {e}"))?;
     println!(
@@ -613,22 +556,22 @@ fn fleet_init(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn fleet_run(args: &[String]) -> Result<ExitCode, String> {
-    accept_only(args, &["--dir", "--workers", "--step-limit", "--kill-after", "--fault-seed"])?;
-    let fleet = open_fleet(args)?;
-    let workers: usize = match flag_value(args, "--workers")? {
-        None => 2,
-        Some(s) => s.parse().map_err(|_| format!("bad worker count {s:?}"))?,
-    };
-    let cfg = fleet_worker_config(args, "")?;
-    let plan = match flag_value(args, "--fault-seed")? {
+fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
+    let a = Args::new(
+        argv,
+        &["--dir", "--workers", "--step-limit", "--kill-after", "--fault-seed"],
+        &[],
+    )?;
+    let workers: usize = a.parse("--workers")?.unwrap_or(2);
+    let cfg = fleet_worker_config(&a, "")?;
+    let plan = match a.parse("--fault-seed")? {
         None => FaultPlan::none(),
-        Some(s) => {
-            let seed: u64 = s.parse().map_err(|_| format!("bad fault seed {s:?}"))?;
+        Some(seed) => {
             let ids: Vec<String> = (0..workers).map(|i| format!("w{i}")).collect();
             FaultPlan::seeded(seed, &ids)
         }
     };
+    let fleet = open_fleet(&a)?;
     let report = run_fleet(&fleet, workers, &cfg, &plan)?;
     for (i, w) in report.workers.iter().enumerate() {
         println!(
@@ -656,11 +599,11 @@ fn fleet_run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
-    accept_only(args, &["--dir", "--worker", "--step-limit", "--kill-after"])?;
-    let fleet = open_fleet(args)?;
-    let worker = required(args, "--worker")?;
-    let cfg = fleet_worker_config(args, &worker)?;
+fn fleet_work(argv: &[String]) -> Result<ExitCode, String> {
+    let a = Args::new(argv, &["--dir", "--worker", "--step-limit", "--kill-after"], &[])?;
+    let worker = a.required("--worker")?;
+    let cfg = fleet_worker_config(&a, worker)?;
+    let fleet = open_fleet(&a)?;
     let report = run_worker(&fleet, &cfg, &FaultPlan::none())?;
     println!(
         "worker {}: {:?} — {} jobs done, {} steps",
@@ -675,9 +618,8 @@ fn fleet_work(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn fleet_status(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--dir"])?;
-    let fleet = open_fleet(args)?;
+fn fleet_status(argv: &[String]) -> Result<(), String> {
+    let fleet = open_fleet(&Args::new(argv, &["--dir"], &[])?)?;
     let s = fleet.status()?;
     println!("fleet:   {}", fleet.root().display());
     println!("jobs:    {} total", s.total);
@@ -687,10 +629,10 @@ fn fleet_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn fleet_merge(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--dir", "--out"])?;
-    let fleet = open_fleet(args)?;
-    let out = PathBuf::from(required(args, "--out")?);
+fn fleet_merge(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--dir", "--out"], &[])?;
+    let out = PathBuf::from(a.required("--out")?);
+    let fleet = open_fleet(&a)?;
     let m = fleet.merge()?;
     if !m.unfinished.is_empty() {
         for id in &m.unfinished {
@@ -710,8 +652,9 @@ fn fleet_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_graphs(spec: Option<String>) -> Result<Vec<perfdojo_graph::KernelGraph>, String> {
-    match spec {
+/// `--graphs`, a comma-separated list (default: the whole suite).
+fn graphs(a: &Args) -> Result<Vec<perfdojo_graph::KernelGraph>, String> {
+    match a.get("--graphs") {
         None => Ok(perfdojo_graph::suite::suite()),
         Some(spec) => spec
             .split(',')
@@ -723,21 +666,13 @@ fn parse_graphs(spec: Option<String>) -> Result<Vec<perfdojo_graph::KernelGraph>
     }
 }
 
-fn cmd_graph_build(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--out", "--target", "--graphs", "--strategy", "--seed"])?;
-    let out = PathBuf::from(required(args, "--out")?);
-    let target_name = flag_value(args, "--target")?.unwrap_or_else(|| "x86".to_string());
-    let target =
-        target_by_name(&target_name).ok_or_else(|| format!("unknown target {target_name:?}"))?;
-    let graphs = parse_graphs(flag_value(args, "--graphs")?)?;
-    let strategy = match flag_value(args, "--strategy")? {
-        None => Strategy::Heuristic,
-        Some(s) => Strategy::parse(&s).ok_or_else(|| format!("bad strategy {s:?}"))?,
-    };
-    let seed: u64 = match flag_value(args, "--seed")? {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
-    };
+fn cmd_graph_build(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--out", "--target", "--graphs", "--strategy", "--seed"], &[])?;
+    let out = PathBuf::from(a.required("--out")?);
+    let target = target(&a, Some("x86"))?;
+    let graphs = graphs(&a)?;
+    let strategy = strategy(&a)?;
+    let seed = seed(&a)?;
     let mut lib = load_out(&out)?;
     let (report, outcomes) =
         perfdojo_graph::build_graphs_into(&mut lib, &graphs, &target, strategy, seed);
@@ -770,15 +705,13 @@ fn cmd_graph_build(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_graph_query(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--lib", "--target", "--graph"])?;
-    let (lib, _) = load_library(args)?;
-    let target_name = required(args, "--target")?;
-    let target =
-        target_by_name(&target_name).ok_or_else(|| format!("unknown target {target_name:?}"))?;
-    let name = required(args, "--graph")?;
-    let g = perfdojo_graph::suite::by_name(&name)
-        .ok_or_else(|| format!("unknown graph {name:?}"))?;
+fn cmd_graph_query(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--lib", "--target", "--graph"], &[])?;
+    let target = target(&a, None)?;
+    let name = a.required("--graph")?;
+    let g =
+        perfdojo_graph::suite::by_name(name).ok_or_else(|| format!("unknown graph {name:?}"))?;
+    let (lib, _) = load_library(&a)?;
     let composed = perfdojo_graph::compose(&g).map_err(|e| e.to_string())?;
     let sig = perfdojo_graph::fingerprint::subgraph_sig_composed(&g, &composed, &target.name);
 
@@ -812,16 +745,10 @@ fn cmd_graph_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_graph_check(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--seed", "--count"])?;
-    let seed: u64 = match flag_value(args, "--seed")? {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
-    };
-    let count: u64 = match flag_value(args, "--count")? {
-        None => 12,
-        Some(s) => s.parse().map_err(|_| format!("bad count {s:?}"))?,
-    };
+fn cmd_graph_check(argv: &[String]) -> Result<(), String> {
+    let a = Args::new(argv, &["--seed", "--count"], &[])?;
+    let seed = seed(&a)?;
+    let count: u64 = a.parse("--count")?.unwrap_or(12);
     let end = seed
         .checked_add(count)
         .ok_or_else(|| format!("--seed {seed} plus --count {count} overflows u64"))?;
@@ -842,9 +769,8 @@ fn cmd_graph_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gc(args: &[String]) -> Result<(), String> {
-    accept_only(args, &["--lib"])?;
-    let (mut lib, path) = load_library(args)?;
+fn cmd_gc(argv: &[String]) -> Result<(), String> {
+    let (mut lib, path) = load_library(&Args::new(argv, &["--lib"], &[])?)?;
     let removed = lib.gc();
     lib.save(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     println!("gc {}: {removed} removed, {} entries remain", path.display(), lib.len());

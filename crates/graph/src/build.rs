@@ -92,13 +92,9 @@ pub fn tune_graph(
     let p: GraphPlan = plan_from(&composed, target, start_steps, start_program);
 
     // 2. intra-block schedule search from the planned program
-    let kernel = KernelInstance {
-        label: format!("graph:{}", g.name),
-        shape: format!("{}n{}e", g.nodes().len(), g.edges().len()),
-        description: "graph block".to_string(),
-        program: p.program.clone(),
-        verify_program: p.program.clone(),
-    };
+    // a block has no constructor dimensions (only checkpointed builds read
+    // the shape string)
+    let kernel = KernelInstance::at(&format!("graph:{}", g.name), &[], p.program.clone());
     let outcome = LibraryBuilder::new(strategy, seed).tune_kernel(&kernel, target);
 
     // 3. stitch: plan steps ++ tuner steps, replayable from the composed

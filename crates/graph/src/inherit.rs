@@ -168,13 +168,7 @@ mod tests {
         let kernels: Vec<perfdojo_kernels::KernelInstance> = g
             .nodes()
             .iter()
-            .map(|n| perfdojo_kernels::KernelInstance {
-                label: n.label.clone(),
-                shape: n.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-                description: String::from("inherit test"),
-                program: n.program.clone(),
-                verify_program: n.program.clone(),
-            })
+            .map(|n| perfdojo_kernels::KernelInstance::at(&n.label, &n.dims, n.program.clone()))
             .collect();
         let mut lib = Library::new();
         LibraryBuilder::new(Strategy::Anneal { budget: 200 }, 5).build_into(

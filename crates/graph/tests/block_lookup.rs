@@ -13,13 +13,7 @@ fn per_node_tuned_library(target: &Target) -> Library {
     let kernels: Vec<perfdojo_kernels::KernelInstance> = g
         .nodes()
         .iter()
-        .map(|n| perfdojo_kernels::KernelInstance {
-            label: n.label.clone(),
-            shape: n.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-            description: String::from("per-node baseline"),
-            program: n.program.clone(),
-            verify_program: n.program.clone(),
-        })
+        .map(|n| perfdojo_kernels::KernelInstance::at(&n.label, &n.dims, n.program.clone()))
         .collect();
     let mut lib = Library::new();
     LibraryBuilder::new(Strategy::Heuristic, 7).build_into(

@@ -30,6 +30,14 @@ impl KernelInstance {
             verify_program: verify,
         }
     }
+
+    /// An instance of `label` at the constructor dimensions `dims` whose
+    /// `program` is also its verification program; the shape string is
+    /// `dims` joined by `x`.
+    pub fn at(label: &str, dims: &[usize], program: Program) -> Self {
+        let shape: Vec<String> = dims.iter().map(usize::to_string).collect();
+        KernelInstance::new(label, &shape.join("x"), "", program.clone(), program)
+    }
 }
 
 /// The full Table 3 suite at paper shapes.

@@ -201,13 +201,7 @@ impl FleetJob {
     pub fn kernel(&self) -> Result<KernelInstance, String> {
         let program = perfdojo_kernels::by_label_with_shape(&self.label, &self.dims)
             .ok_or_else(|| format!("no kernel {:?} at shape {:?}", self.label, self.dims))?;
-        Ok(KernelInstance {
-            label: self.label.clone(),
-            shape: self.shape(),
-            description: String::from("fleet job"),
-            program: program.clone(),
-            verify_program: program,
-        })
+        Ok(KernelInstance::at(&self.label, &self.dims, program))
     }
 
     /// The full kernels × targets job grid for one strategy + seed —
@@ -1120,14 +1114,7 @@ mod tests {
         let kernels: Vec<KernelInstance> = [[16, 32], [8, 64]]
             .into_iter()
             .map(|[rows, cols]| {
-                let program = perfdojo_kernels::softmax(rows, cols);
-                KernelInstance {
-                    label: "softmax".to_string(),
-                    shape: format!("{rows}x{cols}"),
-                    description: "softmax".to_string(),
-                    program: program.clone(),
-                    verify_program: program,
-                }
+                KernelInstance::at("softmax", &[rows, cols], perfdojo_kernels::softmax(rows, cols))
             })
             .collect();
         let strategy = Strategy::PerfLlm { episodes: 2 };

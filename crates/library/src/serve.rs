@@ -366,15 +366,7 @@ pub struct TuneJob {
 
 impl TuneJob {
     fn kernel(&self) -> KernelInstance {
-        let shape =
-            self.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x");
-        KernelInstance {
-            label: self.label.clone(),
-            shape,
-            description: String::from("serve tune-miss"),
-            program: self.program.clone(),
-            verify_program: self.program.clone(),
-        }
+        KernelInstance::at(&self.label, &self.dims, self.program.clone())
     }
 }
 

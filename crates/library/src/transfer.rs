@@ -409,13 +409,7 @@ mod tests {
         let steps = ps.materialize(&sig.shape);
         assert!(!steps.is_empty());
         // a builder warmed from the library starts the unseen shape there
-        let unseen = KernelInstance {
-            label: "layernorm 1".into(),
-            shape: "96x48".into(),
-            description: String::new(),
-            program: unseen.clone(),
-            verify_program: unseen,
-        };
+        let unseen = KernelInstance::at("layernorm 1", &[96, 48], unseen);
         let builder = LibraryBuilder::new(Strategy::Heuristic, 3).with_warm_from(&lib);
         assert_eq!(builder.warm_steps(&unseen, &target), steps);
     }

@@ -22,13 +22,7 @@ use std::path::PathBuf;
 fn kernel(label: &str, dims: &[usize]) -> KernelInstance {
     let program = perfdojo_kernels::by_label_with_shape(label, dims)
         .unwrap_or_else(|| panic!("no kernel {label:?} at {dims:?}"));
-    KernelInstance {
-        label: label.to_string(),
-        shape: dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-        description: String::from("serve crash"),
-        program: program.clone(),
-        verify_program: program,
-    }
+    KernelInstance::at(label, dims, program)
 }
 
 fn base_library(target: &Target) -> Library {

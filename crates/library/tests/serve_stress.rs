@@ -43,13 +43,7 @@ const MAX_PASSES: usize = 200_000;
 fn kernel(label: &str, dims: &[usize]) -> KernelInstance {
     let program = perfdojo_kernels::by_label_with_shape(label, dims)
         .unwrap_or_else(|| panic!("no kernel {label:?} at {dims:?}"));
-    KernelInstance {
-        label: label.to_string(),
-        shape: dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-        description: String::from("serve stress"),
-        program: program.clone(),
-        verify_program: program,
-    }
+    KernelInstance::at(label, dims, program)
 }
 
 fn tune(lib: &mut Library, kernels: &[KernelInstance], target: &Target) {

@@ -8,6 +8,9 @@
 //!
 //! Modules:
 //!
+//! * [`args`] — the one command-line grammar of the workspace's binaries:
+//!   declared switches and value flags, parsed in one pass with typed
+//!   getters;
 //! * [`rng`] — seedable SplitMix64/xoshiro256++ PRNG with range sampling,
 //!   shuffling, choosing and Gaussian draws (replaces `rand`);
 //! * [`par`] — scoped-thread parallel map / for-each (replaces `rayon`);
@@ -26,6 +29,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod claim;
 pub mod lru;
 pub mod par;

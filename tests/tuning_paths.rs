@@ -28,14 +28,7 @@ fn softmaxes() -> Vec<KernelInstance> {
     [[16, 32], [8, 64]]
         .into_iter()
         .map(|[rows, cols]| {
-            let program = perfdojo::kernels::softmax(rows, cols);
-            KernelInstance {
-                label: "softmax".to_string(),
-                shape: format!("{rows}x{cols}"),
-                description: "softmax".to_string(),
-                program: program.clone(),
-                verify_program: program,
-            }
+            KernelInstance::at("softmax", &[rows, cols], perfdojo::kernels::softmax(rows, cols))
         })
         .collect()
 }
