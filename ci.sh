@@ -67,14 +67,17 @@
 #      landed must leave the job pending (neither running nor done) with
 #      the checkpoint in place, and the next worker must resume it (fewer
 #      steps than an uninterrupted worker) and merge `cmp`-identical to an
-#      uninterrupted fleet; and `fleet run` on a `jobs.list` with a
-#      garbled block must fail.
+#      uninterrupted fleet; `fleet run` on a `jobs.list` with a garbled
+#      block must fail; and `fleet status` on a path that holds no fleet
+#      must fail and create nothing there.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
 #      cache keys at full speed), and so must the find ≡ apply conformance
 #      tests (the arena finders offer exactly the locations `apply` accepts:
 #      `finders` on the kernel suite, `tests/applicability.rs` on seeded
-#      fuzz walks); a fresh double `--exp searchperf` run must agree on
+#      fuzz walks), and so must the streaming printer behind every library
+#      key (byte-identical to the old printer, `tests/printer_oracle.rs`);
+#      a fresh double `--exp searchperf` run must agree on
 #      every non-timing field, and the fresh run must not regress the
 #      committed BENCH_searchperf.json on cache quality: every kernel keeps
 #      `identical_results: true` and no kernel's cache_hit_rate drops below
@@ -500,6 +503,16 @@ if ./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farmg" > /dev/null 
     echo "ci.sh: fleet run accepted a garbled jobs.list" >&2
     exit 1
 fi
+# only init makes a fleet directory: a mistyped --dir is an error that
+# leaves no fleet skeleton behind
+if ./target/release/perfdojo-lib fleet status --dir "$PDLIB_DIR/farm-typo" > /dev/null 2>&1; then
+    echo "ci.sh: fleet status accepted a directory that holds no fleet" >&2
+    exit 1
+fi
+if [ -e "$PDLIB_DIR/farm-typo" ]; then
+    echo "ci.sh: fleet status created a fleet skeleton under a mistyped --dir" >&2
+    exit 1
+fi
 
 echo "== 11/13 arena/cache-keying smoke: release A/B + cache-quality regression =="
 # the incremental engine must stay bit-identical to the naive one under the
@@ -511,6 +524,10 @@ cargo test -q --release -p perfdojo-search --offline --test incremental_ab
 # optimization they must still offer exactly the locations apply accepts
 cargo test -q --release -p perfdojo-transform --offline --lib finders
 cargo test -q --release --offline --test applicability
+# every library key is FNV-1a over the printer's structure view: the
+# streaming printer must match the old line-vector printer byte for byte
+# at full optimization
+cargo test -q --release --offline --test printer_oracle
 # fresh fixed-seed double run: every non-timing field must agree between
 # the two runs (same strip as gate 6, independent artifacts)
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp searchperf > sp11a.txt)

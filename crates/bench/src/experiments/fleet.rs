@@ -54,7 +54,7 @@ fn run_one(
     let dir: PathBuf =
         std::env::temp_dir().join(format!("perfdojo-bench-fleet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fleet = FleetDir::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let fleet = FleetDir::open(&dir);
     fleet.init(jobs).map_err(|e| format!("fleet init: {e}"))?;
 
     let t0 = Instant::now();

@@ -19,7 +19,8 @@
 use crate::report::Table;
 use perfdojo_core::Target;
 use perfdojo_library::{
-    HitTier, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy, TuneProgress,
+    percentile, HitTier, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy,
+    TuneProgress,
 };
 use perfdojo_util::rng::Rng;
 use perfdojo_util::zipf::Zipf;
@@ -83,14 +84,6 @@ struct ServeRun {
     converted: usize, // distinct keys that missed then later hit exact
     final_entries: usize,
     wall_serving: f64, // stdout-only; never in the JSON
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn run_load() -> Result<ServeRun, String> {
@@ -331,15 +324,5 @@ mod tests {
         // the JSON is a pure function of the seed
         let b = run_load().expect("serve load repeat");
         assert_eq!(emit_json(&a), emit_json(&b), "serve JSON not reproducible");
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.99), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.0), 1);
-        assert_eq!(percentile(&v, 0.5), 51);
-        assert_eq!(percentile(&v, 1.0), 100);
     }
 }

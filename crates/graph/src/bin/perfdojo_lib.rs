@@ -27,9 +27,9 @@
 use perfdojo_core::Target;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{
-    run_fleet, run_worker, target_by_name, BuildCheckpoint, BuildProgress, FaultPlan, FleetDir,
-    FleetJob, FormatError, Library, LibraryBuilder, ServeConfig, ServeQuery, Server, Strategy,
-    TuneProgress, WorkerConfig, WorkerExit,
+    percentile, run_fleet, run_worker, target_by_name, BuildCheckpoint, BuildProgress, FaultPlan,
+    FleetDir, FleetJob, FormatError, Library, LibraryBuilder, ServeConfig, ServeQuery, Server,
+    Strategy, TuneProgress, WorkerConfig, WorkerExit,
 };
 use perfdojo_util::args::Args;
 use perfdojo_util::rng::Rng;
@@ -353,14 +353,6 @@ fn serve_universe() -> Vec<(&'static str, Vec<usize>)> {
     ]
 }
 
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     let a = Args::new(
         argv,
@@ -460,8 +452,8 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     latencies.sort_unstable();
     let s = server.stats();
     let snap = server.snapshot(0);
-    let p50 = nearest_rank(&latencies, 0.50);
-    let p99 = nearest_rank(&latencies, 0.99);
+    let p50 = percentile(&latencies, 0.50);
+    let p99 = percentile(&latencies, 0.99);
     println!(
         "served:   {} ({} submitted, {} shed, {} from the reply memo)",
         s.served, s.submitted, s.rejected, s.memo_hits
@@ -526,8 +518,7 @@ fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn open_fleet(a: &Args) -> Result<FleetDir, String> {
-    let dir = PathBuf::from(a.required("--dir")?);
-    FleetDir::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))
+    Ok(FleetDir::open(Path::new(a.required("--dir")?)))
 }
 
 fn fleet_worker_config(a: &Args, worker: &str) -> Result<WorkerConfig, String> {

@@ -3,8 +3,10 @@
 //! but does not load, `graph-check` refuses a seed range that overflows
 //! instead of reporting graphs it never checked, every subcommand refuses
 //! an unknown flag, a repeated flag, a bare word and a flag without its
-//! value before it touches a file, and `serve` refuses a batch size of 0
-//! and a Zipf exponent that is negative or not finite.
+//! value before it touches a file, `serve` refuses a batch size of 0
+//! and a Zipf exponent that is negative or not finite, and the fleet
+//! commands other than `init` create nothing under a `--dir` that holds no
+//! fleet.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -179,6 +181,33 @@ fn every_subcommand_refuses_a_malformed_line_before_touching_a_file() {
             assert!(snapshot(&dir.0) == before, "{args:?} wrote a file");
         }
     }
+}
+
+#[test]
+fn fleet_commands_create_nothing_under_a_dir_that_holds_no_fleet() {
+    let dir = TempDir::new("no-fleet");
+    let empty = dir.0.join("empty");
+    std::fs::create_dir(&empty).unwrap();
+    let missing = dir.0.join("missing");
+    let out = dir.0.join("out.pdl");
+    let out = out.to_str().unwrap();
+    for path in [&empty, &missing] {
+        let path = path.to_str().unwrap();
+        for args in [
+            &["fleet", "status", "--dir", path][..],
+            &["fleet", "merge", "--dir", path, "--out", out],
+            &["fleet", "run", "--dir", path, "--workers", "1"],
+            &["fleet", "work", "--dir", path, "--worker", "w0"],
+        ] {
+            let run = perfdojo_lib(args);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("init first"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(std::fs::read_dir(&empty).unwrap().next().is_none(), "the empty --dir was written");
+    assert!(!missing.exists(), "the missing --dir was created");
+    assert!(!Path::new(out).exists(), "a refused merge wrote its --out");
 }
 
 #[test]

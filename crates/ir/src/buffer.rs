@@ -8,6 +8,7 @@
 //! single element, which is the layout trick behind the `reuse_dims`
 //! transformation (paper Fig. 5).
 
+use crate::text::View;
 use std::fmt;
 
 /// Scalar element type stored in a buffer.
@@ -227,26 +228,44 @@ impl BufferDecl {
     }
 }
 
-impl fmt::Display for BufferDecl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} [", self.name, self.dtype)?;
+impl BufferDecl {
+    /// Write the declaration line in `view` (the [`View::Structure`] line
+    /// prints every size and pad as `0`).
+    pub(crate) fn write_to<W: fmt::Write>(&self, f: &mut W, view: View) -> fmt::Result {
+        f.write_str(&self.name)?;
+        f.write_char(' ')?;
+        f.write_str(self.dtype.name())?;
+        f.write_str(" [")?;
         for (i, d) in self.dims.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
-            write!(f, "{}", d.size)?;
-            if d.pad_to != d.size {
-                write!(f, "^{}", d.pad_to)?;
+            match view {
+                View::Exact => {
+                    write!(f, "{}", d.size)?;
+                    if d.pad_to != d.size {
+                        write!(f, "^{}", d.pad_to)?;
+                    }
+                }
+                View::Structure => f.write_char('0')?,
             }
             if !d.materialized {
-                write!(f, ":N")?;
+                f.write_str(":N")?;
             }
         }
-        write!(f, "] {}", self.location)?;
-        if !self.arrays.is_empty() {
-            write!(f, " -> {}", self.arrays.join(", "))?;
+        f.write_str("] ")?;
+        f.write_str(self.location.name())?;
+        for (i, a) in self.arrays.iter().enumerate() {
+            f.write_str(if i == 0 { " -> " } else { ", " })?;
+            f.write_str(a)?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for BufferDecl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f, View::Exact)
     }
 }
 

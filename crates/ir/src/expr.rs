@@ -8,6 +8,7 @@
 //! dependence analysis.
 
 use crate::affine::Affine;
+use crate::text::View;
 use std::fmt;
 
 /// One index of a multidimensional access.
@@ -389,27 +390,53 @@ impl Expr {
     }
 }
 
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Expr {
+    /// Write the expression in `view` (the [`View::Structure`] text prints
+    /// every constant as `0.0`).
+    pub(crate) fn write_to<W: fmt::Write>(&self, f: &mut W, view: View) -> fmt::Result {
         match self {
             Expr::Load(a) => write!(f, "{a}"),
+            Expr::Const(_) if view == View::Structure => f.write_str("0.0"),
             Expr::Const(c) => {
                 if *c == f64::NEG_INFINITY {
-                    write!(f, "-inf")
+                    f.write_str("-inf")
                 } else if *c == f64::INFINITY {
-                    write!(f, "inf")
+                    f.write_str("inf")
                 } else {
                     write!(f, "{c:?}")
                 }
             }
             Expr::Index(a) => write!(f, "({a})"),
-            Expr::Unary(UnaryOp::Neg, x) => write!(f, "neg({x})"),
-            Expr::Unary(op, x) => write!(f, "{}({x})", op.name()),
-            Expr::Binary(op @ (BinaryOp::Max | BinaryOp::Min), x, y) => {
-                write!(f, "{}({x}, {y})", op.name())
+            Expr::Unary(op, x) => {
+                f.write_str(op.name())?;
+                f.write_char('(')?;
+                x.write_to(f, view)?;
+                f.write_char(')')
             }
-            Expr::Binary(op, x, y) => write!(f, "({x} {} {y})", op.name()),
+            Expr::Binary(op @ (BinaryOp::Max | BinaryOp::Min), x, y) => {
+                f.write_str(op.name())?;
+                f.write_char('(')?;
+                x.write_to(f, view)?;
+                f.write_str(", ")?;
+                y.write_to(f, view)?;
+                f.write_char(')')
+            }
+            Expr::Binary(op, x, y) => {
+                f.write_char('(')?;
+                x.write_to(f, view)?;
+                f.write_char(' ')?;
+                f.write_str(op.name())?;
+                f.write_char(' ')?;
+                y.write_to(f, view)?;
+                f.write_char(')')
+            }
         }
+    }
+}
+
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f, View::Exact)
     }
 }
 

@@ -4,18 +4,20 @@
 //! *operator structure* of a kernel, independent of its concrete shapes:
 //! `softmax(24576, 512)` and `softmax(4, 8)` must collide so a schedule
 //! tuned at one shape can be replayed (and re-validated) at another. The
-//! fingerprint is computed by printing a shape-normalized clone of the
-//! program through the existing textual printer ([`crate::text`]) and
-//! hashing the result with FNV-1a, so any change to the textual format is
+//! fingerprint is the textual printer's structure view ([`crate::text`])
+//! streamed straight into FNV-1a: the same writer and the same per-item
+//! code as the exact text, with no copy of the program and no rendered
+//! string in between. So any change to the textual format is
 //! automatically a fingerprint change (the on-disk library stores
-//! [`crate::text::FORMAT_VERSION`] alongside and invalidates on mismatch).
+//! [`crate::text::FORMAT_VERSION`] alongside and invalidates on
+//! mismatch).
 //!
-//! Normalization erases everything shape-derived:
-//! * the kernel name (a label, not structure),
-//! * every buffer dimension (logical size, padding),
-//! * every scope trip count,
-//! * every floating-point literal (shapes leak into constants as `1/N`
-//!   factors in mean-style reductions).
+//! The structure view blanks everything shape-derived:
+//! * the kernel name (a label, not structure) prints as `_`,
+//! * every buffer dimension (logical size, padding) as `0`,
+//! * every constant scope trip count as `0`,
+//! * every floating-point literal as `0.0` (shapes leak into constants as
+//!   `1/N` factors in mean-style reductions).
 //!
 //! Scope kinds/annotations, buffer locations, dtypes, array names, access
 //! affine functions and the operator tree all remain — two programs with
@@ -28,56 +30,15 @@ use crate::affine::Affine;
 use crate::expr::{Access, Expr, IndexExpr};
 use crate::node::{Node, ScopeSize};
 use crate::program::Program;
-use crate::text::print_program;
+use crate::text::{print_program, write_program, View};
+use std::fmt;
 
-/// Render the shape-normalized textual form of a program (the hash input).
+/// Render the shape-normalized textual form of a program (the text
+/// [`structure_hash`] hashes).
 pub fn structure_text(p: &Program) -> String {
-    let mut q = p.clone();
-    q.name = "_".into();
-    for b in &mut q.buffers {
-        for d in &mut b.dims {
-            d.size = 0;
-            d.pad_to = 0;
-        }
-    }
-    for n in &mut q.roots {
-        normalize_node(n);
-    }
-    print_program(&q)
-}
-
-fn normalize_node(n: &mut Node) {
-    match n {
-        Node::Scope(s) => {
-            if let ScopeSize::Const(_) = s.size {
-                s.size = ScopeSize::Const(0);
-            }
-            for c in s.children_mut() {
-                normalize_node(c);
-            }
-        }
-        Node::Op(op) => normalize_expr(&mut op.expr),
-    }
-}
-
-fn normalize_expr(e: &mut Expr) {
-    match e {
-        Expr::Const(c) => *c = 0.0,
-        Expr::Unary(_, a) => normalize_expr(a),
-        Expr::Binary(_, a, b) => {
-            normalize_expr(a);
-            normalize_expr(b);
-        }
-        Expr::Load(a) => {
-            for ix in &mut a.indices {
-                if let IndexExpr::Indirect(_) = ix {
-                    // indirect indices are excluded by validation; leave
-                    // them untouched for completeness-demo programs
-                }
-            }
-        }
-        Expr::Index(_) => {}
-    }
+    let mut s = String::new();
+    write_program(&mut s, p, View::Structure).expect("writing to a String cannot fail");
+    s
 }
 
 /// Render the *exact* textual identity of a program: the full printed
@@ -324,9 +285,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Stable structural hash: FNV-1a of [`structure_text`].
+/// Stable structural hash: FNV-1a of [`structure_text`], streamed from
+/// the printer without rendering the text.
 pub fn structure_hash(p: &Program) -> u64 {
-    fnv1a(structure_text(p).as_bytes())
+    let mut h = HashAcc::new();
+    write_program(&mut h, p, View::Structure).expect("hashing cannot fail");
+    h.finish()
 }
 
 /// Incremental FNV-1a accumulator for composite fingerprints.
@@ -374,6 +338,14 @@ impl HashAcc {
 impl Default for HashAcc {
     fn default() -> Self {
         HashAcc::new()
+    }
+}
+
+/// A text sink: writing a string absorbs its UTF-8 bytes.
+impl fmt::Write for HashAcc {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push_bytes(s.as_bytes());
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! Tree nodes: iteration scopes and operation leaves.
 
 use crate::expr::{Access, BinaryOp, Expr};
+use crate::text::View;
 use std::fmt;
 use std::sync::Arc;
 
@@ -140,19 +141,28 @@ impl Scope {
 
     /// Textual header, e.g. `512:v` or `4:u:f`.
     pub fn header(&self) -> String {
-        let mut s = match &self.size {
-            ScopeSize::Const(n) => n.to_string(),
-            ScopeSize::DataDep(a) => a.to_string(),
-            ScopeSize::While(a) => format!("while {a}"),
-        };
-        s.push_str(self.kind.suffix());
+        let mut s = String::new();
+        self.write_header(&mut s, View::Exact).expect("writing to a String cannot fail");
+        s
+    }
+
+    /// Write the header in `view` (the [`View::Structure`] header prints a
+    /// constant trip count as `0`).
+    pub(crate) fn write_header<W: fmt::Write>(&self, f: &mut W, view: View) -> fmt::Result {
+        match (&self.size, view) {
+            (ScopeSize::Const(_), View::Structure) => f.write_char('0')?,
+            (ScopeSize::Const(n), View::Exact) => write!(f, "{n}")?,
+            (ScopeSize::DataDep(a), _) => write!(f, "{a}")?,
+            (ScopeSize::While(a), _) => write!(f, "while {a}")?,
+        }
+        f.write_str(self.kind.suffix())?;
         if self.ssr {
-            s.push_str(":s");
+            f.write_str(":s")?;
         }
         if self.frep {
-            s.push_str(":f");
+            f.write_str(":f")?;
         }
-        s
+        Ok(())
     }
 }
 
@@ -204,9 +214,17 @@ impl OpNode {
     }
 }
 
+impl OpNode {
+    /// Write `out = expr` in `view`.
+    pub(crate) fn write_to<W: fmt::Write>(&self, f: &mut W, view: View) -> fmt::Result {
+        write!(f, "{} = ", self.out)?;
+        self.expr.write_to(f, view)
+    }
+}
+
 impl fmt::Display for OpNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.out, self.expr)
+        self.write_to(f, View::Exact)
     }
 }
 

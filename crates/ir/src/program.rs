@@ -125,7 +125,7 @@ impl Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::text::print_program(self))
+        crate::text::write_program(f, self, crate::text::View::Exact)
     }
 }
 

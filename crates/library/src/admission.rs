@@ -128,11 +128,19 @@ impl<T> TuneQueue<T> {
     /// Enqueue a job for `key` unless that key was ever enqueued before.
     /// Returns `true` when the job was actually admitted.
     pub fn enqueue(&self, key: String, job: T) -> bool {
+        self.enqueue_with(&key, || job)
+    }
+
+    /// As [`TuneQueue::enqueue`], but the job is built by `job` under the
+    /// queue lock, and only when `key` is new: a repeated miss allocates
+    /// nothing.
+    pub fn enqueue_with(&self, key: &str, job: impl FnOnce() -> T) -> bool {
         let mut st = self.inner.lock().expect("tune queue poisoned");
-        if !st.seen.insert(key.clone()) {
+        if st.seen.contains(key) {
             return false;
         }
-        st.pending.push_back((key, job));
+        st.seen.insert(key.to_string());
+        st.pending.push_back((key.to_string(), job()));
         true
     }
 
@@ -205,5 +213,17 @@ mod tests {
         t.forget("k");
         assert!(t.enqueue("k".into(), 3));
         assert_eq!(t.drain(), vec![("k".into(), 3)]);
+    }
+
+    #[test]
+    fn tune_queue_builds_a_job_only_for_a_new_key() {
+        let t = TuneQueue::new();
+        assert!(t.enqueue_with("k", || 1));
+        assert!(!t.enqueue_with("k", || unreachable!("a seen key built its job")));
+        t.drain();
+        assert!(!t.enqueue_with("k", || unreachable!("a drained key built its job")));
+        t.forget("k");
+        assert!(t.enqueue_with("k", || 2));
+        assert_eq!(t.drain(), vec![("k".into(), 2)]);
     }
 }

@@ -470,12 +470,12 @@ pub struct FleetStatus {
 }
 
 impl FleetDir {
-    /// Open (creating if needed) a fleet directory and its substructure.
-    pub fn open(root: &Path) -> io::Result<FleetDir> {
-        for sub in ["locks", "parts", "ckpt", "logs"] {
-            std::fs::create_dir_all(root.join(sub))?;
-        }
-        Ok(FleetDir { root: root.to_path_buf() })
+    /// A handle on the fleet directory at `root`. Nothing is created or
+    /// read here: [`FleetDir::init`] makes the directory tree, and every
+    /// other operation starts by reading the manifest, so a mistyped path
+    /// fails without leaving anything behind.
+    pub fn open(root: &Path) -> FleetDir {
+        FleetDir { root: root.to_path_buf() }
     }
 
     /// The directory root.
@@ -512,8 +512,9 @@ impl FleetDir {
     /// stored. Write-once by design: a job's outcome must be a pure
     /// function of its identity and seed (parts are compared byte-for-byte
     /// across workers), so the donor is frozen at fleet init and never
-    /// updated while workers run. Returns `false` without writing when a
-    /// donor is already frozen or no family in `lib` fits.
+    /// updated while workers run, and frozen after [`FleetDir::init`] made
+    /// the directory. Returns `false` without writing when a donor is
+    /// already frozen or no family in `lib` fits.
     pub fn set_warm_from(&self, lib: &Library) -> io::Result<bool> {
         if self.warm_path().exists()
             || !lib.records().any(|r| crate::transfer::fit_for(lib, &r.sig).is_some())
@@ -524,10 +525,13 @@ impl FleetDir {
         Ok(true)
     }
 
-    /// Write `jobs` as the manifest. A job's state lives in its lock and
-    /// its part, so re-running `init` on a live or finished fleet changes
-    /// nothing but the manifest.
+    /// Create the directory tree and write `jobs` as the manifest. A job's
+    /// state lives in its lock and its part, so re-running `init` on a
+    /// live or finished fleet changes nothing but the manifest.
     pub fn init(&self, jobs: &[FleetJob]) -> io::Result<()> {
+        for sub in ["locks", "parts", "ckpt", "logs"] {
+            std::fs::create_dir_all(self.root.join(sub))?;
+        }
         let manifest: String = jobs.iter().map(|job| format!("{}---\n", job.render())).collect();
         atomic_write(&self.manifest_path(), &manifest)
     }
@@ -1021,7 +1025,7 @@ mod tests {
     #[test]
     fn claim_and_reclaim_are_exclusive() {
         let dir = tmpdir("claim");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         let js = jobs(&["softmax"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
         // init writes the manifest and nothing else, and status only reads
@@ -1042,7 +1046,7 @@ mod tests {
     #[test]
     fn single_worker_fleet_matches_plain_build() {
         let dir = tmpdir("plain-eq");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         let labels = ["softmax", "matmul"];
         let strategy = Strategy::Anneal { budget: 12 };
         fleet.init(&jobs(&labels, strategy, 5)).unwrap();
@@ -1070,7 +1074,7 @@ mod tests {
     #[test]
     fn warm_fleet_matches_plain_warm_build_and_freezes_once() {
         let dir = tmpdir("warm-eq");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         let labels = ["layernorm 1", "layernorm 2"];
         let strategy = Strategy::Anneal { budget: 12 };
         let kernels: Vec<KernelInstance> = perfdojo_kernels::tune_suite()
@@ -1085,10 +1089,9 @@ mod tests {
             &kernels,
             &[Target::x86()],
         );
+        fleet.init(&jobs(&labels, strategy, 5)).unwrap();
         assert!(fleet.set_warm_from(&donor).unwrap(), "layernorm family must fit");
         assert!(!fleet.set_warm_from(&donor).unwrap(), "warm index is write-once");
-
-        fleet.init(&jobs(&labels, strategy, 5)).unwrap();
         let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
         assert!(report.drained);
         let merged = fleet.merge().unwrap();
@@ -1137,11 +1140,11 @@ mod tests {
         let grid = FleetJob::grid(&kernels, &["x86".to_string()], strategy, 5).unwrap();
         for (tag, tail, want) in [("clean", "", &warm), ("stray", "stray\n", &cold)] {
             let dir = tmpdir(&format!("warm-{tag}"));
-            let fleet = FleetDir::open(&dir).unwrap();
+            let fleet = FleetDir::open(&dir);
+            fleet.init(&grid).unwrap();
             assert!(fleet.set_warm_from(&donor).unwrap());
             let text = std::fs::read_to_string(fleet.warm_path()).unwrap();
             std::fs::write(fleet.warm_path(), format!("{text}{tail}")).unwrap();
-            fleet.init(&grid).unwrap();
             run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
             assert_eq!(&fleet.merge().unwrap().library.to_text(), want, "{tag} donor");
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1153,7 +1156,7 @@ mod tests {
         let labels = ["softmax", "matmul", "relu", "reducemean"];
         let run = |n: usize, tag: &str| {
             let dir = tmpdir(tag);
-            let fleet = FleetDir::open(&dir).unwrap();
+            let fleet = FleetDir::open(&dir);
             fleet.init(&jobs(&labels, Strategy::Anneal { budget: 10 }, 7)).unwrap();
             let report = run_fleet(&fleet, n, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
             assert!(report.drained, "{n} workers failed to drain");
@@ -1169,7 +1172,7 @@ mod tests {
     #[test]
     fn status_tracks_the_job_lifecycle() {
         let dir = tmpdir("status");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         let js = jobs(&["softmax", "matmul"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
         let status = |pending, running, done| FleetStatus { total: 2, pending, running, done };
@@ -1191,7 +1194,7 @@ mod tests {
     #[test]
     fn corrupt_manifest_fails_instead_of_shrinking_the_fleet() {
         let dir = tmpdir("manifest");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         assert!(fleet.manifest().is_err(), "a fleet without a manifest has no job list");
         fleet.init(&jobs(&["softmax", "relu"], Strategy::Heuristic, 3)).unwrap();
         let path = dir.join("jobs.list");
@@ -1209,7 +1212,7 @@ mod tests {
     #[test]
     fn paused_worker_releases_its_claim() {
         let dir = tmpdir("pause");
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         fleet.init(&jobs(&["softmax"], Strategy::Anneal { budget: 40 }, 5)).unwrap();
         let cfg = WorkerConfig {
             slice_steps: 4,

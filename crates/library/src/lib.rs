@@ -62,8 +62,8 @@ pub use fleet::{
 pub use format::{FormatError, LoadStats, Provenance, ScheduleRecord};
 pub use library::{current_model_version, Library, LibraryStats, MergeReport};
 pub use serve::{
-    latency_units, HitTier, ServeConfig, ServeQuery, ServeReply, ServeSnapshot, ServeStats,
-    Server, TuneJob, TuneProgress,
+    latency_units, percentile, HitTier, ServeConfig, ServeQuery, ServeReply, ServeSnapshot,
+    ServeStats, Server, TuneJob, TuneProgress,
 };
 pub use sig::KernelSig;
 pub use transfer::{

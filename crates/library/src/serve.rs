@@ -242,6 +242,17 @@ pub fn latency_units(r: &DispatchResult) -> u64 {
     }
 }
 
+/// Nearest-rank percentile `q` (0 to 1) of ascending `sorted` values: the
+/// element at rank `round((len - 1) * q)`, or 0 for no values. Serve
+/// reports aggregate [`latency_units`] with it.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Everything a reply reports about how its query resolved; what the
 /// snapshot memo keeps per query.
 #[derive(Clone, Copy, Debug)]
@@ -531,8 +542,10 @@ impl Server {
         replies.pop().expect("one reply per query")
     }
 
-    fn enqueue_tune(&self, key: String, job: TuneJob) {
-        if self.tunes.enqueue(key, job) {
+    /// Queue the tune job `job` builds for `key`, unless the key was
+    /// queued before (then `job` never runs).
+    fn enqueue_tune(&self, key: &str, job: impl FnOnce() -> TuneJob) {
+        if self.tunes.enqueue_with(key, job) {
             self.counters.tune_jobs.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -555,45 +568,30 @@ impl Server {
         let mut replies = Vec::with_capacity(batch.len());
         for ((key, (_, query)), plan) in batch.into_iter().zip(plans) {
             let ServeQuery { label, dims, program } = query;
-            let (resolution, job) = match plan {
-                Plan::Memo(r) => (r, self.settle(&r, true, &label, dims, Some(program))),
-                Plan::Twin(j) => {
-                    (resolved[j], self.settle(&resolved[j], true, &label, dims, Some(program)))
-                }
-                Plan::Dispatch => {
-                    let r = dispatched.next().expect("one result per dispatch");
-                    // a miss tier's tune job needs the program as well
-                    let copy = r.tier.is_miss().then(|| program.clone());
-                    snap.memoize(key.clone(), program, r);
-                    (r, self.settle(&r, false, &label, dims, copy))
-                }
+            let (resolution, memo_hit) = match plan {
+                Plan::Memo(r) => (r, true),
+                Plan::Twin(j) => (resolved[j], true),
+                Plan::Dispatch => (dispatched.next().expect("one result per dispatch"), false),
             };
-            if let Some(job) = job {
-                self.enqueue_tune(key.clone(), job);
+            if memo_hit {
+                self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            self.counters.served.fetch_add(1, Ordering::Relaxed);
+            self.counters.count(resolution.tier);
+            if resolution.tier.is_miss() {
+                self.enqueue_tune(&key, || TuneJob {
+                    label: label.clone(),
+                    dims,
+                    program: program.clone(),
+                });
+            }
+            if !memo_hit {
+                snap.memoize(key.clone(), program, resolution);
             }
             resolved.push(resolution);
             replies.push(resolution.reply(label, key, snap.generation));
         }
         replies
-    }
-
-    /// Count a reply and, if its tier is a miss, build its tune job from
-    /// `program` (present whenever the tier is a miss).
-    fn settle(
-        &self,
-        resolution: &Resolution,
-        memo_hit: bool,
-        label: &str,
-        dims: Vec<usize>,
-        program: Option<Program>,
-    ) -> Option<TuneJob> {
-        if memo_hit {
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        self.counters.count(resolution.tier);
-        let program = program.filter(|_| resolution.tier.is_miss())?;
-        Some(TuneJob { label: label.to_string(), dims, program })
     }
 
     /// Drain the tune-miss queue: tune every pending job with the
@@ -1017,5 +1015,15 @@ mod tests {
         assert!(exact.latency_units >= 1 + exact.steps as u64);
         assert!(nearest.latency_units > exact.steps as u64);
         assert!(miss.latency_units > nearest.latency_units.min(exact.latency_units));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(percentile(&[7], 0.99), 7);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&v, 0.5), 51);
+        assert_eq!(percentile(&v, 1.0), 100);
     }
 }

@@ -34,20 +34,21 @@ impl KernelSig {
     /// Signature of `program` (its *naive*, untransformed form) on `target`.
     pub fn of(program: &Program, target: &str) -> KernelSig {
         let mut shape = Vec::new();
-        let mut dtypes: Vec<String> = Vec::new();
+        let mut dtype = String::new();
         for b in &program.buffers {
-            for d in &b.dims {
-                shape.push(d.size);
-            }
-            let t = b.dtype.to_string();
-            if !dtypes.contains(&t) {
-                dtypes.push(t);
+            shape.extend(b.dims.iter().map(|d| d.size));
+            let t = b.dtype.name();
+            if !dtype.split('+').any(|seen| seen == t) {
+                if !dtype.is_empty() {
+                    dtype.push('+');
+                }
+                dtype.push_str(t);
             }
         }
         KernelSig {
             structure: perfdojo_ir::structure_hash(program),
             shape,
-            dtype: dtypes.join("+"),
+            dtype,
             target: target.to_string(),
         }
     }

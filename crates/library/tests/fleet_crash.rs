@@ -39,7 +39,7 @@ fn jobs() -> Vec<FleetJob> {
 /// library text.
 fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> String {
     let dir = scratch(tag);
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     fleet.init(&jobs()).unwrap();
     let report = run_fleet(&fleet, workers, &WorkerConfig::new(""), plan).unwrap();
     if !report.drained {
@@ -109,7 +109,7 @@ fn seeded_fault_plans_converge_byte_identical() {
 #[test]
 fn concurrent_reclaimers_reclaim_exactly_once() {
     let dir = scratch("reclaim-race");
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     let id = js[0].id();
@@ -153,7 +153,7 @@ fn assert_each_job_done_once(report: &FleetRunReport, js: &[FleetJob]) {
 fn dead_workers_job_is_retuned_exactly_once() {
     let baseline = drain_under("dead-baseline", 2, &FaultPlan::none());
     let dir = scratch("dead-worker");
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     // the dead worker took the first job and was kill -9'd one slice in
@@ -180,7 +180,7 @@ fn dead_workers_job_is_retuned_exactly_once() {
 fn unparseable_queue_files_do_not_wedge_the_fleet() {
     let baseline = drain_under("garbage-baseline", 2, &FaultPlan::none());
     let dir = scratch("garbage-queue");
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     let stray = [
@@ -216,7 +216,7 @@ fn unparseable_queue_files_do_not_wedge_the_fleet() {
 fn slow_live_owner_is_never_reclaimed() {
     let baseline = drain_under("slow-baseline", 2, &FaultPlan::none());
     let dir = scratch("slow-owner");
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     let id = js[0].id();
@@ -252,7 +252,7 @@ fn slow_live_owner_is_never_reclaimed() {
 fn dropped_lock_files_lose_no_job() {
     let baseline = drain_under("droplock-baseline", 2, &FaultPlan::none());
     let dir = scratch("droplock");
-    let fleet = FleetDir::open(&dir).unwrap();
+    let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     drop(fleet.try_claim(&js[1].id()).unwrap());
@@ -276,7 +276,7 @@ fn pause_and_kill_resume_paths_are_byte_identical() {
     let baseline = drain_under("pk-baseline", 2, &FaultPlan::none());
     for (tag, pause) in [("paused", true), ("killed", false)] {
         let dir = scratch(tag);
-        let fleet = FleetDir::open(&dir).unwrap();
+        let fleet = FleetDir::open(&dir);
         fleet.init(&jobs()).unwrap();
         let mut cfg = WorkerConfig::new("w0");
         cfg.slice_steps = 4;

@@ -92,12 +92,12 @@ fn fleet(
     warm: Option<&Library>,
     dir: &Path,
 ) -> Built {
-    let fleet = FleetDir::open(dir).unwrap();
+    let fleet = FleetDir::open(dir);
+    let jobs = FleetJob::grid(kernels, &["x86".to_string()], strategy, SEED).unwrap();
+    fleet.init(&jobs).unwrap();
     if let Some(lib) = warm {
         assert!(fleet.set_warm_from(lib).unwrap(), "the donor must freeze");
     }
-    let jobs = FleetJob::grid(kernels, &["x86".to_string()], strategy, SEED).unwrap();
-    fleet.init(&jobs).unwrap();
     let report = run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
     assert!(report.drained);
     let evals = jobs
