@@ -8,7 +8,9 @@
 #      root manifest's `default-members` make the plain `cargo test` run
 #      every workspace crate, so no separate `--workspace` run is needed.
 #   3. Heavy tests: the `#[ignore]`d tests too slow for a debug suite (the
-#      full Fig. 1b run) must pass in release.
+#      full Fig. 1b run) must pass in release, and `figures` with no
+#      arguments must run every registered experiment in release and exit
+#      0 (it exits 1 when any experiment reports `error: …`).
 #   4. The schedule-library pipeline must work end to end: build a
 #      mini-library with perfdojo-lib, dispatch an exact-shape query and a
 #      never-tuned-shape query against it, and report non-empty stats;
@@ -39,37 +41,38 @@
 #      path — no record, no evaluation beyond the dojo's own — and must
 #      stay NaN-free.
 #   8. Serving-tier smoke: a fixed-seed `--exp serve` load test must be
-#      byte-identical across two runs, a CLI `perfdojo-lib serve` run on two
-#      copies of the same library must produce identical reports AND
-#      identical hot-swapped libraries, `serve --batch 0` must fail (a
-#      batch of none would answer nothing), `serve --zipf-s nan` must exit
-#      1 (an argument error, not a panic) and leave the library untouched,
-#      a step-limited serve must pause with exit 4 and converge on resume
-#      to the uninterrupted library, and the reader/hot-swap stress test
-#      must pass under --release.
+#      byte-identical across two runs and to the committed BENCH_serve.json,
+#      a CLI `perfdojo-lib serve` run on two copies of the same library must
+#      produce identical reports AND identical hot-swapped libraries,
+#      `serve --batch 0` must fail (a batch of none would answer nothing),
+#      `serve --zipf-s nan` must exit 1 (an argument error, not a panic) and
+#      leave the library untouched, a step-limited serve must pause with
+#      exit 4 and converge on resume to the uninterrupted library, and the
+#      reader/hot-swap stress test must pass under --release.
 #   9. Graph-tier smoke: a fixed-seed `--exp graph` run (block-level vs
 #      per-node dispatch over the pipeline suite) must be byte-identical
-#      across two runs and show block cost at or below per-node cost, the
-#      graph CLI must round-trip build → exact block hit, seeded random
-#      pipelines must pass the differential oracle (graph executor vs
-#      composed interpreter reference), `graph-build` into a library copy
-#      with another format version's header must fail and leave the copy
-#      byte-identical, and `graph-check` on a seed range past u64::MAX
-#      must fail.
+#      across two runs and to the committed BENCH_graph.json and show block
+#      cost at or below per-node cost, the graph CLI must round-trip build →
+#      exact block hit, seeded random pipelines must pass the differential
+#      oracle (graph executor vs composed interpreter reference),
+#      `graph-build` into a library copy with another format version's
+#      header must fail and leave the copy byte-identical, and `graph-check`
+#      on a seed range past u64::MAX must fail.
 #  10. Fleet smoke: a fixed-seed `perfdojo-lib fleet` build at 2 and at 4
 #      workers must merge `cmp`-identical libraries; a fleet with one
 #      injected worker kill (`--kill-after`) plus a resume must merge the
-#      same bytes again; two `--exp fleet` runs must emit a byte-identical
-#      `BENCH_fleet.json` whose model scaling is >= 1.7x from 1 to 4
-#      workers; job-lock liveness must be deterministic — the release
-#      dead-worker test must pass 20 of 20 isolated runs; a real `kill -9`
-#      of a `fleet work` process once its job's first checkpoint slice
-#      landed must leave the job pending (neither running nor done) with
-#      the checkpoint in place, and the next worker must resume it (fewer
-#      steps than an uninterrupted worker) and merge `cmp`-identical to an
-#      uninterrupted fleet; `fleet run` on a `jobs.list` with a garbled
-#      block must fail; and `fleet status` on a path that holds no fleet
-#      must fail and create nothing there.
+#      same bytes again; two `--exp fleet` runs must emit a
+#      `BENCH_fleet.json` byte-identical to each other and to the committed
+#      one, whose model scaling is >= 1.7x from 1 to 4 workers; job-lock
+#      liveness must be deterministic — the release dead-worker test must
+#      pass 20 of 20 isolated runs; a real `kill -9` of a `fleet work`
+#      process once its job's first checkpoint slice landed must leave the
+#      job pending (neither running nor done) with the checkpoint in place,
+#      and the next worker must resume it (fewer steps than an uninterrupted
+#      worker) and merge `cmp`-identical to an uninterrupted fleet; `fleet
+#      run` on a `jobs.list` with a garbled block must fail; and `fleet
+#      status` on a path that holds no fleet must fail and create nothing
+#      there.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
 #      cache keys at full speed), and so must the find ≡ apply conformance
@@ -83,12 +86,12 @@
 #      `identical_results: true` and no kernel's cache_hit_rate drops below
 #      the committed value.
 #  12. Transfer smoke: a fixed-seed `--exp transfer` run must emit a
-#      byte-identical `BENCH_transfer.json` across two runs, transfer-warmed
-#      anneal must beat tuned-from-scratch at equal budget on >= 3 held-out
-#      shapes and never be worse, the parameterized dispatch tier must fire
-#      on >= 3 of them, and the three dispatch bugfix regressions (nearest
-#      tie-breaking, NaN-cost guard, zero-step record accounting) must hold
-#      under --release.
+#      `BENCH_transfer.json` byte-identical across two runs and to the
+#      committed one, transfer-warmed anneal must beat tuned-from-scratch at
+#      equal budget on >= 3 held-out shapes and never be worse, the
+#      parameterized dispatch tier must fire on >= 3 of them, and the three
+#      dispatch bugfix regressions (nearest tie-breaking, NaN-cost guard,
+#      zero-step record accounting) must hold under --release.
 #  13. Clippy: `cargo clippy` over every workspace target must exit 0
 #      (its deny-by-default lints are errors; warnings are allowed).
 #
@@ -120,13 +123,18 @@ echo "== 2/13 tier-1 verify: release build + tests =="
 cargo build --release --workspace --offline
 cargo test -q --offline
 
-echo "== 3/13 heavy tests: the ignored ones, in release =="
-cargo test -q --release -p perfdojo-bench --offline --lib -- --ignored \
-    gh200_speedups_exceed_one_geomean
-
-echo "== 4/13 schedule-library pipeline: build, dispatch, stats =="
 PDLIB_DIR=$(mktemp -d)
 trap 'rm -rf "$PDLIB_DIR"' EXIT
+
+echo "== 3/13 heavy tests: the ignored ones + every registered experiment, in release =="
+cargo test -q --release -p perfdojo-bench --offline --lib -- --ignored \
+    gh200_speedups_exceed_one_geomean
+# the registry is the one list of the paper's evaluation: every experiment
+# in it must run, and an experiment that reports an error fails the run
+mkdir "$PDLIB_DIR/all"
+(cd "$PDLIB_DIR/all" && "$OLDPWD/target/release/figures" > figures.txt)
+
+echo "== 4/13 schedule-library pipeline: build, dispatch, stats =="
 PDLIB="$PDLIB_DIR/ci.pdl"
 ./target/release/perfdojo-lib build --out "$PDLIB" \
     --kernels softmax,matmul --targets x86 --strategy heuristic --seed 7
@@ -277,6 +285,8 @@ mv "$PDLIB_DIR/BENCH_serve.json" "$PDLIB_DIR/serve1.json"
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp serve > serve2.txt)
 mv "$PDLIB_DIR/BENCH_serve.json" "$PDLIB_DIR/serve2.json"
 cmp "$PDLIB_DIR/serve1.json" "$PDLIB_DIR/serve2.json"
+# and the committed report: a change that moves it commits the new file
+cmp BENCH_serve.json "$PDLIB_DIR/serve1.json"
 grep -q '"miss_then_tuned"' "$PDLIB_DIR/serve1.json"
 # CLI serve determinism: same seed over two copies of the same base
 # library must serve the same report and hot-swap to the same library
@@ -362,6 +372,7 @@ mv "$PDLIB_DIR/BENCH_graph.json" "$PDLIB_DIR/graph1.json"
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp graph > graph2.txt)
 mv "$PDLIB_DIR/BENCH_graph.json" "$PDLIB_DIR/graph2.json"
 cmp "$PDLIB_DIR/graph1.json" "$PDLIB_DIR/graph2.json"
+cmp BENCH_graph.json "$PDLIB_DIR/graph1.json"
 grep -q 'block dispatch ≤ per-node dispatch on 3/3 pipelines' "$PDLIB_DIR/graph1.txt"
 if grep -q '"block_recorded": false' "$PDLIB_DIR/graph1.json"; then
     echo "ci.sh: a suite pipeline failed to tune into a block record" >&2
@@ -438,6 +449,7 @@ mv "$PDLIB_DIR/BENCH_fleet.json" "$PDLIB_DIR/fleet1.json"
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp fleet > fleet2.txt)
 mv "$PDLIB_DIR/BENCH_fleet.json" "$PDLIB_DIR/fleet2.json"
 cmp "$PDLIB_DIR/fleet1.json" "$PDLIB_DIR/fleet2.json"
+cmp BENCH_fleet.json "$PDLIB_DIR/fleet1.json"
 grep -q '"merged_identical_across_worker_counts": true' "$PDLIB_DIR/fleet1.json"
 grep -q '"kill_resume_identical": true' "$PDLIB_DIR/fleet1.json"
 awk -F': ' '/"speedup_1_to_4"/ { gsub(/,/, "", $2); exit !($2 >= 1.7) }' \
@@ -564,6 +576,7 @@ mv "$PDLIB_DIR/BENCH_transfer.json" "$PDLIB_DIR/tr1.json"
 (cd "$PDLIB_DIR" && "$OLDPWD/target/release/figures" --exp transfer > tr2.txt)
 mv "$PDLIB_DIR/BENCH_transfer.json" "$PDLIB_DIR/tr2.json"
 cmp "$PDLIB_DIR/tr1.json" "$PDLIB_DIR/tr2.json"
+cmp BENCH_transfer.json "$PDLIB_DIR/tr1.json"
 # the headline claims: transfer-warmed search beats cold at equal budget
 # on >= 3 held-out shapes and is never worse; the parameterized tier
 # resolves >= 3 of the held-out queries

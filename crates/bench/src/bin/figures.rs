@@ -10,6 +10,8 @@
 //! Arguments parse with `perfdojo_util::args`: anything but one `--list`
 //! or one `--exp <id>` (an unknown or repeated flag, a bare word, `--exp`
 //! without its id, or both flags at once) is a usage error, exit code 2.
+//! An experiment that cannot run reports `error: …` in place of its table;
+//! the run goes on with the rest and then exits 1, naming every failure.
 
 use perfdojo_util::args::Args;
 
@@ -39,6 +41,7 @@ fn main() {
     let scale = if perfdojo_bench::full_scale() { "paper-scale (PERFDOJO_FULL=1)" } else { "quick" };
     println!("# PerfDojo experiment harness — {scale} budgets\n");
     let mut ran = 0;
+    let mut failed = Vec::new();
     for (id, run) in experiments {
         if filter.is_some_and(|f| f != id) {
             continue;
@@ -48,10 +51,17 @@ fn main() {
         let report = run();
         println!("{report}");
         println!("[{id} completed in {:.1?}]\n", start.elapsed());
+        if report.starts_with("error: ") {
+            failed.push(id);
+        }
         ran += 1;
     }
     if ran == 0 {
         eprintln!("unknown experiment id; try --list");
         std::process::exit(2);
+    }
+    if !failed.is_empty() {
+        eprintln!("figures: {} of {ran} experiments failed: {}", failed.len(), failed.join(", "));
+        std::process::exit(1);
     }
 }

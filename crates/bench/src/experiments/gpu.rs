@@ -17,7 +17,7 @@ fn perfllm_config() -> PerfLlmConfig {
 }
 
 /// Which Table 3 kernels enter the GPU evaluation (the heavy convolutions
-/// are skipped at quick scale to keep `cargo bench` time bounded).
+/// are skipped at quick scale to keep a full `figures` run bounded).
 fn gpu_suite() -> Vec<perfdojo_kernels::KernelInstance> {
     perfdojo_kernels::paper_suite()
         .into_iter()

@@ -142,10 +142,9 @@ fn try_run_graph(json_path: Option<&std::path::Path>) -> Result<String, String> 
     t.note(format!("block dispatch ≤ per-node dispatch on {fused_wins}/{} pipelines", rows.len()));
     let json = emit_json(&rows);
     if let Some(path) = json_path {
-        match std::fs::write(path, &json) {
-            Ok(()) => t.note(format!("wrote {}", path.display())),
-            Err(e) => t.note(format!("could not write {}: {e}", path.display())),
-        }
+        std::fs::write(path, &json)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        t.note(format!("wrote {}", path.display()));
     }
     Ok(t.render())
 }

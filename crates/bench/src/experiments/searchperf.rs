@@ -270,10 +270,9 @@ fn try_run_searchperf(json_path: Option<&std::path::Path>) -> Result<String, Str
     ));
     let json = emit_json(&rows, &mc);
     if let Some(path) = json_path {
-        match std::fs::write(path, &json) {
-            Ok(()) => t.note(format!("wrote {}", path.display())),
-            Err(e) => t.note(format!("could not write {}: {e}", path.display())),
-        }
+        std::fs::write(path, &json)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        t.note(format!("wrote {}", path.display()));
     }
     Ok(t.render())
 }

@@ -247,10 +247,9 @@ fn try_run_transfer(json_path: Option<&Path>) -> Result<String, String> {
     ));
     let json = emit_json(&rows, fitted, param_hits);
     if let Some(path) = json_path {
-        match std::fs::write(path, &json) {
-            Ok(()) => t.note(format!("wrote {}", path.display())),
-            Err(e) => t.note(format!("could not write {}: {e}", path.display())),
-        }
+        std::fs::write(path, &json)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        t.note(format!("wrote {}", path.display()));
     }
     Ok(t.render())
 }

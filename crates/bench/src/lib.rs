@@ -2,10 +2,11 @@
 //! evaluation (see DESIGN.md's per-experiment index).
 //!
 //! Each `exp_*` function computes the data for one table/figure and
-//! returns it as printable rows; the `figures` binary drives them, and the
-//! Criterion benches re-run them under `cargo bench`. Budgets default to
-//! quick settings; set `PERFDOJO_FULL=1` for paper-scale evaluation counts
-//! (1000 tuning evaluations, longer RL training).
+//! returns it as printable rows; the `figures` binary drives them, one
+//! registry entry each ([`experiments::all_experiments`]). Wall-clock
+//! timing of the system lives in the separate `perfbench` crate. Budgets
+//! default to quick settings; set `PERFDOJO_FULL=1` for paper-scale
+//! evaluation counts (1000 tuning evaluations, longer RL training).
 
 pub mod experiments;
 pub mod report;
@@ -14,7 +15,7 @@ pub use experiments::*;
 pub use report::{geomean, Table};
 
 /// Evaluation budget (auto-tuning evaluations per kernel): 1000 in the
-/// paper, reduced by default so `cargo bench` stays snappy.
+/// paper, reduced by default so a full `figures` run stays snappy.
 pub fn tuning_budget() -> u64 {
     if full_scale() {
         1000

@@ -1,6 +1,7 @@
 //! `figures` argument guards, run against the built binary: anything but
 //! one `--list` or one `--exp <id>` is a usage error (exit code 2) that
-//! names its token, runs no experiment and writes no report.
+//! names its token, runs no experiment and writes no report; an experiment
+//! that reports `error: …` makes the run exit 1.
 
 use std::process::Command;
 
@@ -39,4 +40,32 @@ fn list_prints_the_experiment_ids() {
     assert!(run.status.success());
     let ids = String::from_utf8_lossy(&run.stdout);
     assert!(ids.lines().any(|id| id == "serve") && ids.lines().any(|id| id == "fig12"), "{ids}");
+}
+
+#[test]
+fn an_experiment_that_reports_an_error_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("figures-fail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // the fleet experiment makes its fleets under the temp dir, and a temp
+    // dir that is a regular file fails its `fleet init`; a directory where
+    // the serve report goes fails the report's write
+    let not_a_dir = dir.join("tmp-is-a-file");
+    std::fs::write(&not_a_dir, "").unwrap();
+    std::fs::create_dir(dir.join("BENCH_serve.json")).unwrap();
+    for (exp, error) in
+        [("fleet", "error: fleet init"), ("serve", "error: could not write BENCH_serve.json")]
+    {
+        let run = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["--exp", exp])
+            .env("TMPDIR", &not_a_dir)
+            .current_dir(&dir)
+            .output()
+            .expect("run figures");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stdout.contains(error), "{exp}: {stdout}");
+        assert_eq!(run.status.code(), Some(1), "{exp}: {stderr}");
+        assert!(stderr.contains(&format!("failed: {exp}")), "{exp} is not named: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -40,122 +40,48 @@ impl KernelInstance {
     }
 }
 
+/// One Table 3 operator: its label, its description, and the constructor
+/// dimensions ([`by_label_with_shape`]) of its paper-scale, verification
+/// and tuning instances.
+type Operator = (&'static str, &'static str, &'static [usize], &'static [usize], &'static [usize]);
+
+/// The Table 3 operators, the one list every suite of them is built from.
+#[rustfmt::skip]
+const TABLE3: [Operator; 16] = [
+    ("add", "Elementwise addition", &[3072, 4096], &[8, 16], &[64, 256]),
+    ("batchnorm 1", "Batch Normalization", &[8, 3, 2048, 2048], &[2, 3, 6, 6], &[2, 3, 32, 32]),
+    ("batchnorm 2", "Batch Normalization", &[8, 64, 300, 300], &[2, 4, 5, 5], &[2, 4, 24, 24]),
+    ("bmm", "Batched Matrix Multiplication", &[192, 256, 128, 256], &[2, 4, 3, 4], &[4, 16, 16, 16]),
+    ("conv 1", "2D Convolution", &[8, 10, 3, 512, 512, 5], &[1, 2, 2, 8, 8, 3], &[1, 4, 4, 16, 16, 3]),
+    ("conv 2", "2D convolution", &[8, 64, 64, 56, 56, 3], &[1, 3, 3, 7, 7, 3], &[1, 6, 6, 12, 12, 3]),
+    ("layernorm 1", "Layer Normalization", &[16384, 1024], &[4, 16], &[64, 64]),
+    ("layernorm 2", "Layer Normalization", &[4096, 4096], &[3, 12], &[32, 128]),
+    ("matmul", "Matrix Multiplication", &[768, 1024, 1024], &[4, 6, 5], &[48, 48, 48]),
+    ("mul", "Elementwise multiplication", &[6, 14336], &[3, 16], &[64, 256]),
+    ("reducemean", "Average along axis", &[4096, 4096], &[4, 12], &[64, 64]),
+    ("relu", "Rectified Linear Unit (ReLU)", &[4096, 4096], &[6, 10], &[64, 256]),
+    ("relu_ffn", "ReLU+FeedForward Network", &[8, 64, 112, 112], &[2, 3, 4, 4], &[2, 4, 16, 16]),
+    ("rmsnorm", "Root Mean Square Normalization", &[3072, 4096], &[3, 16], &[64, 64]),
+    ("softmax", "Softmax", &[24576, 512], &[4, 8], &[64, 64]),
+    ("swiglu", "SwiGLU activation function", &[1, 256, 4096, 448], &[1, 3, 4, 3], &[1, 16, 64, 32]),
+];
+
+/// `label` at `dims`, described as `desc` and verified at `verify`.
+fn operator(label: &str, desc: &str, dims: &[usize], verify: &[usize]) -> KernelInstance {
+    let build = |dims| by_label_with_shape(label, dims).expect("Table 3 dims fit their operator");
+    KernelInstance {
+        description: desc.to_string(),
+        verify_program: build(verify),
+        ..KernelInstance::at(label, dims, build(dims))
+    }
+}
+
 /// The full Table 3 suite at paper shapes.
 pub fn paper_suite() -> Vec<KernelInstance> {
-    vec![
-        KernelInstance::new(
-            "add",
-            "3072x4096",
-            "Elementwise addition",
-            elementwise::add_kernel(3072, 4096),
-            elementwise::add_kernel(8, 16),
-        ),
-        KernelInstance::new(
-            "batchnorm 1",
-            "8x3x2048x2048",
-            "Batch Normalization",
-            normalization::batchnorm(8, 3, 2048, 2048),
-            normalization::batchnorm(2, 3, 6, 6),
-        ),
-        KernelInstance::new(
-            "batchnorm 2",
-            "8x64x300x300",
-            "Batch Normalization",
-            normalization::batchnorm(8, 64, 300, 300),
-            normalization::batchnorm(2, 4, 5, 5),
-        ),
-        KernelInstance::new(
-            "bmm",
-            "192x256x128x256",
-            "Batched Matrix Multiplication",
-            contraction::bmm(192, 256, 128, 256),
-            contraction::bmm(2, 4, 3, 4),
-        ),
-        KernelInstance::new(
-            "conv 1",
-            "8x10x3x512x512x5",
-            "2D Convolution",
-            contraction::conv2d(8, 10, 3, 512, 512, 5),
-            contraction::conv2d(1, 2, 2, 8, 8, 3),
-        ),
-        KernelInstance::new(
-            "conv 2",
-            "8x64x64x56x56x3",
-            "2D convolution",
-            contraction::conv2d(8, 64, 64, 56, 56, 3),
-            contraction::conv2d(1, 3, 3, 7, 7, 3),
-        ),
-        KernelInstance::new(
-            "layernorm 1",
-            "16384x1024",
-            "Layer Normalization",
-            normalization::layernorm(16384, 1024),
-            normalization::layernorm(4, 16),
-        ),
-        KernelInstance::new(
-            "layernorm 2",
-            "4096x4096",
-            "Layer Normalization",
-            normalization::layernorm(4096, 4096),
-            normalization::layernorm(3, 12),
-        ),
-        KernelInstance::new(
-            "matmul",
-            "768x1024x1024",
-            "Matrix Multiplication",
-            contraction::matmul(768, 1024, 1024),
-            contraction::matmul(4, 6, 5),
-        ),
-        KernelInstance::new(
-            "mul",
-            "6x14336",
-            "Elementwise multiplication",
-            elementwise::mul_kernel(6, 14336),
-            elementwise::mul_kernel(3, 16),
-        ),
-        KernelInstance::new(
-            "reducemean",
-            "4096x4096",
-            "Average along axis",
-            normalization::reducemean(4096, 4096),
-            normalization::reducemean(4, 12),
-        ),
-        KernelInstance::new(
-            "relu",
-            "4096x4096",
-            "Rectified Linear Unit (ReLU)",
-            elementwise::relu_kernel(4096, 4096),
-            elementwise::relu_kernel(6, 10),
-        ),
-        KernelInstance::new(
-            "relu_ffn",
-            "8x64x112x112",
-            "ReLU+FeedForward Network",
-            elementwise::relu_ffn_kernel(8, 64, 112, 112),
-            elementwise::relu_ffn_kernel(2, 3, 4, 4),
-        ),
-        KernelInstance::new(
-            "rmsnorm",
-            "3072x4096",
-            "Root Mean Square Normalization",
-            normalization::rmsnorm(3072, 4096),
-            normalization::rmsnorm(3, 16),
-        ),
-        KernelInstance::new(
-            "softmax",
-            "24576x512",
-            "Softmax",
-            normalization::softmax(24576, 512),
-            normalization::softmax(4, 8),
-        ),
-        KernelInstance::new(
-            "swiglu",
-            "1x256x4096x448",
-            "SwiGLU activation function",
-            normalization::swiglu(1, 256, 4096, 448),
-            normalization::swiglu(1, 3, 4, 3),
-        ),
-    ]
+    TABLE3
+        .iter()
+        .map(|&(label, desc, paper, verify, _)| operator(label, desc, paper, verify))
+        .collect()
 }
 
 /// The Table 3 operators at shrunken shapes — every `program` here is small
@@ -176,28 +102,7 @@ pub fn small_suite() -> Vec<KernelInstance> {
 /// to interpret, so schedule-library builds and CI can tune, dispatch, and
 /// numerically verify end to end in seconds.
 pub fn tune_suite() -> Vec<KernelInstance> {
-    let mk = |label: &str, shape: &str, desc: &str, p: Program| {
-        let v = p.clone();
-        KernelInstance::new(label, shape, desc, p, v)
-    };
-    vec![
-        mk("add", "64x256", "Elementwise addition", elementwise::add_kernel(64, 256)),
-        mk("batchnorm 1", "2x3x32x32", "Batch Normalization", normalization::batchnorm(2, 3, 32, 32)),
-        mk("batchnorm 2", "2x4x24x24", "Batch Normalization", normalization::batchnorm(2, 4, 24, 24)),
-        mk("bmm", "4x16x16x16", "Batched Matrix Multiplication", contraction::bmm(4, 16, 16, 16)),
-        mk("conv 1", "1x4x4x16x16x3", "2D Convolution", contraction::conv2d(1, 4, 4, 16, 16, 3)),
-        mk("conv 2", "1x6x6x12x12x3", "2D convolution", contraction::conv2d(1, 6, 6, 12, 12, 3)),
-        mk("layernorm 1", "64x64", "Layer Normalization", normalization::layernorm(64, 64)),
-        mk("layernorm 2", "32x128", "Layer Normalization", normalization::layernorm(32, 128)),
-        mk("matmul", "48x48x48", "Matrix Multiplication", contraction::matmul(48, 48, 48)),
-        mk("mul", "64x256", "Elementwise multiplication", elementwise::mul_kernel(64, 256)),
-        mk("reducemean", "64x64", "Average along axis", normalization::reducemean(64, 64)),
-        mk("relu", "64x256", "Rectified Linear Unit (ReLU)", elementwise::relu_kernel(64, 256)),
-        mk("relu_ffn", "2x4x16x16", "ReLU+FeedForward Network", elementwise::relu_ffn_kernel(2, 4, 16, 16)),
-        mk("rmsnorm", "64x64", "Root Mean Square Normalization", normalization::rmsnorm(64, 64)),
-        mk("softmax", "64x64", "Softmax", normalization::softmax(64, 64)),
-        mk("swiglu", "1x16x64x32", "SwiGLU activation function", normalization::swiglu(1, 16, 64, 32)),
-    ]
+    TABLE3.iter().map(|&(label, desc, _, _, tune)| operator(label, desc, tune, tune)).collect()
 }
 
 /// Snitch micro-kernel suite (§4.1) at cycle-simulatable sizes.

@@ -129,10 +129,20 @@ impl FleetJob {
         self.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
     }
 
-    /// Stable filesystem id: sanitized human-readable identity plus an
-    /// fnv1a suffix so sanitization can never collide two jobs.
+    /// Stable filesystem id: the sanitized kernel, shape and target plus
+    /// an fnv1a suffix over the whole identity (those three, the strategy
+    /// and the seed), so sanitization can never collide two jobs and a job
+    /// tuned another way never inherits this one's lock, part or
+    /// checkpoint.
     pub fn id(&self) -> String {
-        let identity = format!("{}|{}|{}", self.label, self.shape(), self.target);
+        let identity = format!(
+            "{}|{}|{}|{}|{}",
+            self.label,
+            self.shape(),
+            self.target,
+            self.strategy.spec(),
+            self.seed
+        );
         let safe: String = format!("{}-{}-{}", self.label, self.shape(), self.target)
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
@@ -527,7 +537,8 @@ impl FleetDir {
 
     /// Create the directory tree and write `jobs` as the manifest. A job's
     /// state lives in its lock and its part, so re-running `init` on a
-    /// live or finished fleet changes nothing but the manifest.
+    /// live or finished fleet changes nothing but the manifest; a job whose
+    /// strategy or seed changed has a new id and starts from nothing.
     pub fn init(&self, jobs: &[FleetJob]) -> io::Result<()> {
         for sub in ["locks", "parts", "ckpt", "logs"] {
             std::fs::create_dir_all(self.root.join(sub))?;
@@ -974,13 +985,17 @@ mod tests {
         d
     }
 
-    fn jobs(labels: &[&str], strategy: Strategy, seed: u64) -> Vec<FleetJob> {
+    fn kernels(labels: &[&str]) -> Vec<KernelInstance> {
         let kernels: Vec<KernelInstance> = perfdojo_kernels::tune_suite()
             .into_iter()
             .filter(|k| labels.contains(&k.label.as_str()))
             .collect();
         assert_eq!(kernels.len(), labels.len());
-        FleetJob::grid(&kernels, &["x86".to_string()], strategy, seed).unwrap()
+        kernels
+    }
+
+    fn jobs(labels: &[&str], strategy: Strategy, seed: u64) -> Vec<FleetJob> {
+        FleetJob::grid(&kernels(labels), &["x86".to_string()], strategy, seed).unwrap()
     }
 
     #[test]
@@ -1057,11 +1072,8 @@ mod tests {
         assert_eq!(merged.merged_jobs, 2);
         assert!(merged.evaluations > 0);
 
-        let kernels: Vec<KernelInstance> = perfdojo_kernels::tune_suite()
-            .into_iter()
-            .filter(|k| labels.contains(&k.label.as_str()))
-            .collect();
         let mut plain = Library::new();
+        let kernels = kernels(&labels);
         LibraryBuilder::new(strategy, 5).build_into(&mut plain, &kernels, &[Target::x86()]);
         assert_eq!(
             merged.library.to_text(),
@@ -1077,10 +1089,7 @@ mod tests {
         let fleet = FleetDir::open(&dir);
         let labels = ["layernorm 1", "layernorm 2"];
         let strategy = Strategy::Anneal { budget: 12 };
-        let kernels: Vec<KernelInstance> = perfdojo_kernels::tune_suite()
-            .into_iter()
-            .filter(|k| labels.contains(&k.label.as_str()))
-            .collect();
+        let kernels = kernels(&labels);
 
         // donor library: heuristic-tuned family the index fits over
         let mut donor = Library::new();
@@ -1206,6 +1215,49 @@ mod tests {
         assert!(fleet.status().is_err());
         assert!(run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).is_err());
         assert!(fleet.merge().is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reinit_under_another_strategy_resumes_no_foreign_checkpoint() {
+        // an anneal worker pauses with its search state in the job's
+        // checkpoint; the kernel re-initialized under PerfLLM is another
+        // job, which tunes from nothing instead of loading that state
+        let dir = tmpdir("reinit-ckpt");
+        let fleet = FleetDir::open(&dir);
+        let anneal = jobs(&["softmax"], Strategy::Anneal { budget: 40 }, 5);
+        fleet.init(&anneal).unwrap();
+        let cfg = WorkerConfig { slice_steps: 4, step_limit: Some(4), ..WorkerConfig::new("w0") };
+        assert_eq!(run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap().exit, WorkerExit::Paused);
+        assert!(fleet.ckpt_path(&anneal[0].id()).join("inflight.ckpt").exists());
+        fleet.init(&jobs(&["softmax"], Strategy::PerfLlm { episodes: 1 }, 5)).unwrap();
+        let report = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
+        assert_eq!(report.exit, WorkerExit::Drained);
+        assert!(fleet.merge().unwrap().unfinished.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reinit_under_another_strategy_and_seed_reuses_no_part() {
+        // a drained heuristic fleet re-initialized as anneal at another
+        // seed has nothing done: its merge is the new grid's plain build,
+        // not the old parts
+        let dir = tmpdir("reinit-part");
+        let fleet = FleetDir::open(&dir);
+        let labels = ["softmax", "relu"];
+        let drain = |fleet: &FleetDir| {
+            run_fleet(fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap().drained
+        };
+        fleet.init(&jobs(&labels, Strategy::Heuristic, 5)).unwrap();
+        assert!(drain(&fleet));
+        let strategy = Strategy::Anneal { budget: 12 };
+        fleet.init(&jobs(&labels, strategy, 9)).unwrap();
+        assert_eq!(fleet.status().unwrap().done, 0, "the old grid's parts count as done");
+        assert!(drain(&fleet));
+        let mut plain = Library::new();
+        let kernels = kernels(&labels);
+        LibraryBuilder::new(strategy, 9).build_into(&mut plain, &kernels, &[Target::x86()]);
+        assert_eq!(fleet.merge().unwrap().library.to_text(), plain.to_text());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

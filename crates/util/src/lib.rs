@@ -17,8 +17,6 @@
 //! * [`lru`] — bounded O(1) least-recently-used cache (replaces `lru`);
 //! * [`proptest_lite`] — a small property-testing harness with strategies,
 //!   seed reporting and shrink-by-halving (replaces `proptest`);
-//! * [`timer`] — a warmup+median micro-benchmark runner (replaces
-//!   `criterion`);
 //! * [`trace`] — a clock-free JSONL telemetry sink with atomic saves and
 //!   bit-exact float codecs (the substrate of checkpoint/resume);
 //! * [`claim`] — non-blocking exclusive OS locks on lock files: a job is
@@ -35,6 +33,5 @@ pub mod lru;
 pub mod par;
 pub mod proptest_lite;
 pub mod rng;
-pub mod timer;
 pub mod trace;
 pub mod zipf;
