@@ -44,6 +44,9 @@
 #      byte-identical across two runs and to the committed BENCH_serve.json,
 #      a CLI `perfdojo-lib serve` run on two copies of the same library must
 #      produce identical reports AND identical hot-swapped libraries,
+#      a zero-budget anneal serve (every job fails) must skip the 8 known
+#      failures its later rounds re-queue, publish the base library and
+#      report identically twice,
 #      `serve --batch 0` must fail (a batch of none would answer nothing),
 #      `serve --zipf-s nan` must exit 1 (an argument error, not a panic) and
 #      leave the library untouched, a step-limited serve must pause with
@@ -301,6 +304,23 @@ SERVE_ARGS=(--target x86 --rounds 3 --requests 64 --seed 11 --strategy heuristic
     "${SERVE_ARGS[@]}" --report "$PDLIB_DIR/srv-b.json" > /dev/null
 cmp "$PDLIB_DIR/srv-a.json" "$PDLIB_DIR/srv-b.json"
 cmp "$PDLIB_DIR/srv-a.pdl" "$PDLIB_DIR/srv-b.pdl"
+# known failures are not re-run: under a zero-budget anneal every tune job
+# fails, each drain forgets the failed keys so the next round queues the
+# same 4 jobs again, and the drains of rounds 1-2 skip those 8 jobs. The
+# published library stays the base, and the report is reproducible
+FAIL_ARGS=(--target x86 --rounds 3 --requests 64 --seed 11 --strategy anneal:0)
+for run in a b; do
+    cp "$PDLIB_DIR/srv-base.pdl" "$PDLIB_DIR/srv-fail-$run.pdl"
+    ./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-fail-$run.pdl" \
+        "${FAIL_ARGS[@]}" --report "$PDLIB_DIR/srv-fail-$run.json" > /dev/null
+    cmp "$PDLIB_DIR/srv-fail-$run.pdl" "$PDLIB_DIR/srv-base.pdl"
+done
+cmp "$PDLIB_DIR/srv-fail-a.json" "$PDLIB_DIR/srv-fail-b.json"
+if ! grep -q '"tune_skipped": 8,' "$PDLIB_DIR/srv-fail-a.json"; then
+    echo "ci.sh: anneal:0 serve should skip 8 known failures" >&2
+    grep '"tune' "$PDLIB_DIR/srv-fail-a.json" >&2
+    exit 1
+fi
 # serve refuses a batch size of 0
 if ./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-a.pdl" \
     "${SERVE_ARGS[@]}" --batch 0 > /dev/null 2>&1; then

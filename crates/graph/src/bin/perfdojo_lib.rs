@@ -467,9 +467,11 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
         latencies.last().copied().unwrap_or(0)
     );
     println!(
-        "tuning:   {} jobs, {} tuned, {} hot swaps; library now {} entries (gen {})",
+        "tuning:   {} jobs, {} tuned, {} known failures not re-run, {} hot swaps; \
+         library now {} entries (gen {})",
         s.tune_jobs,
         s.tuned,
+        s.tune_skipped,
         s.swaps,
         snap.library.len(),
         snap.generation
@@ -495,6 +497,7 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
         ));
         j.push_str(&format!("  \"tune_jobs\": {},\n", s.tune_jobs));
         j.push_str(&format!("  \"tuned\": {},\n", s.tuned));
+        j.push_str(&format!("  \"tune_skipped\": {},\n", s.tune_skipped));
         j.push_str(&format!("  \"swaps\": {},\n", s.swaps));
         j.push_str(&format!("  \"final_entries\": {},\n", snap.library.len()));
         j.push_str(&format!("  \"final_generation\": {}\n}}\n", snap.generation));
@@ -537,13 +540,16 @@ fn fleet_init(argv: &[String]) -> Result<(), String> {
     let kernels = kernels(&a, perfdojo_kernels::tune_suite())?;
     let fleet = open_fleet(&a)?;
     let jobs = FleetJob::grid(&kernels, &target_names, strategy, seed)?;
-    fleet.init(&jobs).map_err(|e| format!("fleet init: {e}"))?;
+    let held = fleet.init(&jobs).map_err(|e| format!("fleet init: {e}"))?;
     println!(
         "fleet init {}: {} jobs in manifest ({} already done)",
         fleet.root().display(),
         jobs.len(),
         fleet.status()?.done
     );
+    for id in held {
+        println!("  kept {id}: no longer listed, but a worker holds its lock; re-run init later");
+    }
     Ok(())
 }
 

@@ -4,9 +4,10 @@
 //! instead of reporting graphs it never checked, every subcommand refuses
 //! an unknown flag, a repeated flag, a bare word and a flag without its
 //! value before it touches a file, `serve` refuses a batch size of 0
-//! and a Zipf exponent that is negative or not finite, and the fleet
+//! and a Zipf exponent that is negative or not finite, the fleet
 //! commands other than `init` create nothing under a `--dir` that holds no
-//! fleet.
+//! fleet, and a re-run `fleet init` removes the files of a job it drops
+//! unless a worker holds that job's lock, which it names.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -235,4 +236,42 @@ fn serve_refuses_a_bad_zipf_exponent_before_loading_the_library() {
     // an exponent of 0 is uniform traffic
     let run = serve(lib_path, "0");
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+}
+
+#[test]
+fn fleet_reinit_removes_a_dropped_job_unless_its_lock_is_held() {
+    let dir = TempDir::new("reinit");
+    let farm = dir.0.join("farm");
+    let path = farm.to_str().unwrap();
+    let init = |seed: &str| {
+        let run = perfdojo_lib(&[
+            "fleet",
+            "init",
+            "--dir",
+            path,
+            "--kernels",
+            "relu",
+            "--strategy",
+            "heuristic",
+            "--seed",
+            seed,
+        ]);
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+        String::from_utf8_lossy(&run.stdout).into_owned()
+    };
+    init("1");
+    let run = perfdojo_lib(&["fleet", "run", "--dir", path, "--workers", "1"]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let fleet = perfdojo_library::FleetDir::open(&farm);
+    let old = fleet.manifest().unwrap()[0].id();
+    let lock = fleet.try_claim(&old).unwrap().expect("a drained job's lock is free");
+    // another seed is another job: the old one is dropped, but held
+    let stdout = init("2");
+    assert!(stdout.contains(&format!("kept {old}")), "{stdout}");
+    assert!(fleet.part(&old).is_some(), "a held job's part was removed");
+    drop(lock);
+    let stdout = init("2");
+    assert!(!stdout.contains("kept"), "{stdout}");
+    assert!(fleet.part(&old).is_none(), "a dropped job's part survived");
+    assert!(!farm.join("locks").join(format!("{old}.lock")).exists());
 }

@@ -150,8 +150,10 @@ impl<T> TuneQueue<T> {
         st.pending.drain(..).collect()
     }
 
-    /// Forget `key`, re-allowing a future enqueue (used when a tune job
-    /// failed for a transient reason and should be retryable).
+    /// Forget `key`, re-allowing a future enqueue. A drain forgets the key
+    /// of every job that produced no record, so the next miss queues it
+    /// again; a failed job is deterministic, and the drain decides whether
+    /// its input changed enough to run it again.
     pub fn forget(&self, key: &str) {
         let mut st = self.inner.lock().expect("tune queue poisoned");
         st.seen.remove(key);

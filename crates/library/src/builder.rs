@@ -16,12 +16,16 @@ use crate::library::{current_model_version, Library, MergeReport};
 use crate::sig::KernelSig;
 use perfdojo_core::{Dojo, Target};
 use perfdojo_ir::fingerprint::fnv1a;
+use perfdojo_ir::Program;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_rl::{PerfLlmConfig, TrainProgress};
 use perfdojo_search::checkpoint::{parse_anneal, parse_chains, serialize_anneal, serialize_chains};
 use perfdojo_search::{anneal_chains, anneal_resume, AnnealProgress, AnnealState, HeuristicSpace};
 use perfdojo_transform::Action;
+use perfdojo_util::lru::LruCache;
 use perfdojo_util::trace::TraceSink;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Which tuner a build runs per (kernel, target) job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,6 +147,80 @@ pub struct TuneOutcome {
     pub error: Option<String>,
 }
 
+/// Everything a tune job's outcome depends on besides its target's machine
+/// model: the kernel, the strategy, the global seed (the job seed derives
+/// from it, the label and the target) and the warm start.
+#[derive(Debug, PartialEq)]
+struct JobInput {
+    label: String,
+    shape: String,
+    program: Program,
+    target: String,
+    strategy: Strategy,
+    seed: u64,
+    warm: Vec<Action>,
+}
+
+impl JobInput {
+    /// The job identity the memo keeps one input under.
+    fn key(&self) -> String {
+        format!("{}|{}|{}", self.label, self.shape, self.target)
+    }
+}
+
+/// A bounded memo of tune jobs known to produce no record: per job
+/// identity, the complete input of the last job that ran start to finish
+/// without one, and the evaluations it spent.
+///
+/// Jobs are deterministic, so a job whose input equals its entry would fail
+/// again; a builder holding the memo ([`LibraryBuilder::with_failure_memo`])
+/// returns the recorded outcome instead of running it. The input names its
+/// target by name only, so one memo serves one machine model per target
+/// name, as one server's drains do. A job resumed from in-flight state is
+/// never skipped and never recorded: that state is an input the memo does
+/// not hold.
+#[derive(Debug)]
+pub struct FailureMemo {
+    entries: Mutex<LruCache<String, Arc<(JobInput, u64)>>>,
+    skipped: AtomicU64,
+}
+
+impl FailureMemo {
+    /// An empty memo keeping at most `capacity` jobs; the least recently
+    /// used is evicted.
+    pub fn new(capacity: usize) -> FailureMemo {
+        FailureMemo { entries: Mutex::new(LruCache::new(capacity)), skipped: AtomicU64::new(0) }
+    }
+
+    /// Jobs not run so far because the memo knew their outcome.
+    pub fn skipped(&self) -> u64 {
+        self.skipped.load(Ordering::Relaxed)
+    }
+
+    /// The evaluations of the recorded failure whose input equals `input`,
+    /// counted as a skip.
+    fn recall(&self, input: &JobInput) -> Option<u64> {
+        let key = input.key();
+        let entry = Arc::clone(self.entries.lock().expect("failure memo poisoned").get(&key)?);
+        (entry.0 == *input).then(|| {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            entry.1
+        })
+    }
+
+    /// Keep `input` as its job's known failure, replacing whatever input
+    /// the job had before.
+    fn record(&self, input: JobInput, evaluations: u64) {
+        let key = input.key();
+        let evicted = self
+            .entries
+            .lock()
+            .expect("failure memo poisoned")
+            .insert(key, Arc::new((input, evaluations)));
+        drop(evicted); // freed outside the lock
+    }
+}
+
 /// Concurrent suite × targets tuning driver.
 #[derive(Clone, Debug)]
 pub struct LibraryBuilder {
@@ -156,22 +234,34 @@ pub struct LibraryBuilder {
     /// instead of the empty program. `None` tunes cold, as does a job whose
     /// family does not fit. The donor is part of a job's identity —
     /// rebuilding or resuming with a different donor is a different build.
-    pub warm: Option<std::sync::Arc<Library>>,
+    pub warm: Option<Arc<Library>>,
+    /// Jobs known to produce no record, consulted and filled by every job.
+    failures: Option<Arc<FailureMemo>>,
 }
 
 impl LibraryBuilder {
     /// A builder with the given strategy and global seed (cold: no
     /// transfer warm-starting).
     pub fn new(strategy: Strategy, seed: u64) -> LibraryBuilder {
-        LibraryBuilder { strategy, seed, warm: None }
+        LibraryBuilder { strategy, seed, warm: None, failures: None }
     }
 
     /// Warm-start search-based jobs from parameterized schedules fit over
     /// `lib`'s records (a no-op for an empty library).
     pub fn with_warm_from(mut self, lib: &Library) -> LibraryBuilder {
         if !lib.is_empty() {
-            self.warm = Some(std::sync::Arc::new(lib.clone()));
+            self.warm = Some(Arc::new(lib.clone()));
         }
+        self
+    }
+
+    /// Skip every job whose complete input `memo` holds as a failure, and
+    /// record in it every job that runs start to finish without producing
+    /// a record. Outcomes, libraries and checkpoints are those of running
+    /// the skipped jobs, apart from the steps they would have taken; the
+    /// trace holds one `skipped` event in place of a skipped job's events.
+    pub fn with_failure_memo(mut self, memo: Arc<FailureMemo>) -> LibraryBuilder {
+        self.failures = Some(memo);
         self
     }
 
@@ -364,14 +454,46 @@ impl LibraryBuilder {
         if matches!(remaining, Some(0)) {
             return Ok(Sliced::Paused(inflight));
         }
+        let seed = self.job_seed(&kernel.label, &target.name);
+        let warm = self.warm_steps(kernel, target);
+        // the input is complete here, unless in-flight state is part of it
+        let known = match (&self.failures, &inflight) {
+            (Some(memo), None) => Some((
+                memo,
+                JobInput {
+                    label: kernel.label.clone(),
+                    shape: kernel.shape.clone(),
+                    program: kernel.program.clone(),
+                    target: target.name.clone(),
+                    strategy: self.strategy,
+                    seed: self.seed,
+                    warm: warm.clone(),
+                },
+            )),
+            _ => None,
+        };
+        if let Some(evaluations) = known.as_ref().and_then(|(memo, input)| memo.recall(input)) {
+            if let Some(sink) = sink {
+                sink.event("skipped")
+                    .str("kernel", &kernel.label)
+                    .str("target", &target.name)
+                    .u64("evals", evaluations)
+                    .emit();
+            }
+            return Ok(Sliced::Done(TuneOutcome {
+                record: None,
+                label: kernel.label.clone(),
+                target: target.name.clone(),
+                evaluations,
+                error: None,
+            }));
+        }
         let mut dojo = match Dojo::for_target(kernel.program.clone(), target) {
             Ok(d) => d,
             Err(e) => return Ok(Sliced::Done(failed(kernel, target, &e.to_string()))),
         };
         let naive_cost = dojo.initial_runtime();
         let base_evals = dojo.evaluations();
-        let seed = self.job_seed(&kernel.label, &target.name);
-        let warm = self.warm_steps(kernel, target);
         let ctx = |e: String| format!("{} on {}: {e}", kernel.label, target.name);
         if let (None, Some(sink)) = (&inflight, sink.as_deref_mut()) {
             sink.event("job")
@@ -480,8 +602,12 @@ impl LibraryBuilder {
                 .f64("cost", cost)
                 .emit();
         }
+        let record = self.make_record(kernel, target, seed, naive_cost, steps, cost);
+        if let (Some((memo, input)), None) = (known, &record) {
+            memo.record(input, evaluations);
+        }
         Ok(Sliced::Done(TuneOutcome {
-            record: self.make_record(kernel, target, seed, naive_cost, steps, cost),
+            record,
             label: kernel.label.clone(),
             target: target.name.clone(),
             evaluations,
@@ -781,6 +907,66 @@ mod tests {
         assert_eq!(plain.to_text(), full_lib);
         std::fs::remove_dir_all(&full_dir).unwrap();
         std::fs::remove_dir_all(&sliced_dir).unwrap();
+    }
+
+    /// Run the checkpointed build of `kernels` twice in `dir` (resetting the
+    /// job progress between), in `step_limit` slices, with one failure
+    /// memo. Returns the memo's skips, the evaluations each build reported
+    /// and the event kinds of the trace.
+    fn build_twice_with_memo(
+        builder: LibraryBuilder,
+        kernels: &[KernelInstance],
+        dir: &std::path::Path,
+        step_limit: Option<u64>,
+    ) -> (u64, Vec<u64>, Vec<String>) {
+        let memo = Arc::new(FailureMemo::new(4));
+        let builder = builder.with_failure_memo(Arc::clone(&memo));
+        let ckpt = BuildCheckpoint::open(dir).unwrap();
+        let targets = [Target::x86()];
+        let mut evaluations = Vec::new();
+        for _ in 0..2 {
+            let mut lib = Library::new();
+            let outcome = loop {
+                let (progress, _, mut outcomes) = builder
+                    .build_into_checkpointed(&mut lib, kernels, &targets, &ckpt, step_limit)
+                    .unwrap();
+                if progress == BuildProgress::Finished {
+                    break outcomes.pop().expect("one job");
+                }
+            };
+            assert!(outcome.record.is_none() && lib.is_empty(), "the job must fail");
+            evaluations.push(outcome.evaluations);
+            ckpt.reset().unwrap();
+        }
+        let trace = std::fs::read_to_string(ckpt.trace_path()).unwrap();
+        let kinds = trace
+            .lines()
+            .filter_map(|l| Some(l.split("\"ev\":\"").nth(1)?.split('"').next()?.to_string()))
+            .filter(|ev| ["job", "tuned", "skipped"].contains(&ev.as_str()))
+            .collect();
+        (memo.skipped(), evaluations, kinds)
+    }
+
+    #[test]
+    fn a_failure_memo_skips_an_unchanged_failed_job_unless_it_resumed() {
+        // PerfLLM finds no improving schedule for this kernel in 2 episodes
+        let dims = [32, 32];
+        let program = perfdojo_kernels::by_label_with_shape("rmsnorm", &dims).unwrap();
+        let kernels = [KernelInstance::at("rmsnorm", &dims, program)];
+        let builder = LibraryBuilder::new(Strategy::PerfLlm { episodes: 2 }, 0);
+        let dir = ckpt_tmpdir("memo-whole");
+        let (skipped, evals, kinds) = build_twice_with_memo(builder.clone(), &kernels, &dir, None);
+        assert_eq!(skipped, 1);
+        assert_eq!(evals[0], evals[1], "a skip reports the recorded evaluations");
+        assert_eq!(kinds, ["job", "tuned", "skipped"], "the second build ran the job");
+        std::fs::remove_dir_all(&dir).unwrap();
+        // one episode per slice: the job resumes in-flight state, so it is
+        // never recorded, and the second build runs it again
+        let dir = ckpt_tmpdir("memo-sliced");
+        let (skipped, evals, kinds) = build_twice_with_memo(builder, &kernels, &dir, Some(1));
+        assert_eq!((skipped, evals[0]), (0, evals[1]));
+        assert_eq!(kinds, ["job", "tuned", "job", "tuned"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

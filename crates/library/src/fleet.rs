@@ -16,7 +16,8 @@
 //! optional frozen donor library):
 //!
 //! - `jobs.list` — the full job universe and the only list of jobs,
-//!   written by [`FleetDir::init`].
+//!   written by [`FleetDir::init`], which also removes the lock, part and
+//!   checkpoint of every job the new list drops.
 //! - `locks/<id>.lock` — an empty file whose exclusive OS lock makes its
 //!   holder the job's owner ([`FleetDir::try_claim`] creates it on the
 //!   first claim); never read, written or moved.
@@ -84,7 +85,7 @@ use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_util::claim::try_lock;
 use perfdojo_util::trace::{atomic_write, TraceSink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -535,16 +536,49 @@ impl FleetDir {
         Ok(true)
     }
 
-    /// Create the directory tree and write `jobs` as the manifest. A job's
-    /// state lives in its lock and its part, so re-running `init` on a
-    /// live or finished fleet changes nothing but the manifest; a job whose
-    /// strategy or seed changed has a new id and starts from nothing.
-    pub fn init(&self, jobs: &[FleetJob]) -> io::Result<()> {
+    /// Create the directory tree, write `jobs` as the manifest, and remove
+    /// the files of every job that left it. A job's state lives in its lock
+    /// and its part, so re-running `init` on a live or finished fleet keeps
+    /// the state of every job it still lists; a job whose strategy or seed
+    /// changed has a new id and starts from nothing.
+    ///
+    /// The lock file, part and checkpoint of an id missing from `jobs` are
+    /// removed while holding that job's lock, so nothing a worker is using
+    /// goes. A job whose lock is held stays in place; its id is returned,
+    /// and a later `init` removes it once its worker has let go.
+    pub fn init(&self, jobs: &[FleetJob]) -> io::Result<Vec<String>> {
         for sub in ["locks", "parts", "ckpt", "logs"] {
             std::fs::create_dir_all(self.root.join(sub))?;
         }
         let manifest: String = jobs.iter().map(|job| format!("{}---\n", job.render())).collect();
-        atomic_write(&self.manifest_path(), &manifest)
+        atomic_write(&self.manifest_path(), &manifest)?;
+        let listed: BTreeSet<String> = jobs.iter().map(FleetJob::id).collect();
+        let mut held = Vec::new();
+        for id in self.ids_on_disk()?.difference(&listed) {
+            let Some(lock) = self.try_claim(id)? else {
+                held.push(id.clone());
+                continue;
+            };
+            remove_if_present(std::fs::remove_file(self.part_path(id)))?;
+            remove_if_present(std::fs::remove_dir_all(self.ckpt_path(id)))?;
+            remove_if_present(std::fs::remove_file(self.lock_path(id)))?;
+            drop(lock);
+        }
+        Ok(held)
+    }
+
+    /// Every job id that has a lock file, a part or a checkpoint directory.
+    fn ids_on_disk(&self) -> io::Result<BTreeSet<String>> {
+        let mut ids = BTreeSet::new();
+        // a part's temporary write ends in `.tmp` and names no job
+        for (sub, suffix) in [("locks", ".lock"), ("parts", ".part"), ("ckpt", "")] {
+            for entry in std::fs::read_dir(self.root.join(sub))? {
+                if let Some(id) = entry?.file_name().to_str().and_then(|n| n.strip_suffix(suffix)) {
+                    ids.insert(id.to_string());
+                }
+            }
+        }
+        Ok(ids)
     }
 
     /// The manifest job universe. Fails when the fleet was never
@@ -623,6 +657,14 @@ impl FleetDir {
             }
         }
         Ok(MergeOutcome { library: join_libraries(libs), merged_jobs, evaluations, unfinished })
+    }
+}
+
+/// `Ok` for a removal that succeeded or found nothing to remove.
+fn remove_if_present(removed: io::Result<()>) -> io::Result<()> {
+    match removed {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
     }
 }
 
@@ -1230,10 +1272,55 @@ mod tests {
         let cfg = WorkerConfig { slice_steps: 4, step_limit: Some(4), ..WorkerConfig::new("w0") };
         assert_eq!(run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap().exit, WorkerExit::Paused);
         assert!(fleet.ckpt_path(&anneal[0].id()).join("inflight.ckpt").exists());
-        fleet.init(&jobs(&["softmax"], Strategy::PerfLlm { episodes: 1 }, 5)).unwrap();
+        let perfllm = jobs(&["softmax"], Strategy::PerfLlm { episodes: 1 }, 5);
+        assert_eq!(fleet.init(&perfllm).unwrap(), Vec::<String>::new(), "no lock is held");
         let report = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Drained);
         assert!(fleet.merge().unwrap().unfinished.is_empty());
+        // the re-init removed the anneal job's lock and checkpoint
+        let id = perfllm[0].id();
+        let files = job_files(&dir);
+        assert!(files.contains(&format!("parts/{id}.part")), "{files:?}");
+        assert!(files.iter().all(|f| f.contains(&id)), "a dropped job's file remains: {files:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every path under the fleet's `locks/`, `parts/` and `ckpt/`,
+    /// relative to the root, sorted.
+    fn job_files(root: &Path) -> Vec<String> {
+        fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                out.push(path.strip_prefix(root).unwrap().to_string_lossy().into_owned());
+                if path.is_dir() {
+                    walk(root, &path, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for sub in ["locks", "parts", "ckpt"] {
+            walk(root, &root.join(sub), &mut out);
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn reinit_keeps_a_dropped_job_while_its_lock_is_held() {
+        let dir = tmpdir("reinit-held");
+        let fleet = FleetDir::open(&dir);
+        let old = jobs(&["softmax"], Strategy::Heuristic, 3);
+        fleet.init(&old).unwrap();
+        let id = old[0].id();
+        let lock = fleet.try_claim(&id).unwrap().expect("free job claimable");
+        fleet.write_part(&id, 0, &Library::new()).unwrap();
+        let new = jobs(&["relu"], Strategy::Heuristic, 3);
+        assert_eq!(fleet.init(&new).unwrap(), vec![id.clone()]);
+        assert!(fleet.lock_path(&id).exists() && fleet.part_path(&id).exists());
+        // once its worker lets go, the next init removes it
+        drop(lock);
+        assert_eq!(fleet.init(&new).unwrap(), Vec::<String>::new());
+        assert_eq!(job_files(&dir), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -52,7 +52,9 @@ pub mod sig;
 pub mod transfer;
 
 pub use admission::{AdmissionError, AdmissionQueue, TuneQueue};
-pub use builder::{target_by_name, BuildProgress, LibraryBuilder, Strategy, TuneOutcome};
+pub use builder::{
+    target_by_name, BuildProgress, FailureMemo, LibraryBuilder, Strategy, TuneOutcome,
+};
 pub use checkpoint::BuildCheckpoint;
 pub use dispatch::{dispatch_stats, DispatchResult, DispatchStats, Disposition};
 pub use fleet::{

@@ -22,7 +22,13 @@
 //!   then merges keep-best and **hot-swaps**: the merged library is
 //!   written with the atomic write-tmp-rename idiom and published to the
 //!   snapshot slot. Readers are never blocked on a build; they keep
-//!   serving the old snapshot until the swap instant.
+//!   serving the old snapshot until the swap instant. A drain forgets the
+//!   key of every job that produced no record, so the next miss queues
+//!   it again; the server's [`FailureMemo`] keeps the complete input of
+//!   each such job, and the job runner returns the known outcome of a
+//!   job whose input has not changed instead of running it again
+//!   ([`ServeStats::tune_skipped`]). Another strategy or a warm start
+//!   from a newly published family changes the input, and the job runs.
 //! - **Reply memo** — dispatch is a pure function of (library snapshot,
 //!   query program, target), so each [`ServeSnapshot`] keeps a bounded
 //!   LRU from the query's signature key, computed once at admission, to
@@ -45,7 +51,7 @@
 //!   the memo happened to hold.
 
 use crate::admission::{AdmissionError, AdmissionQueue, TuneQueue};
-use crate::builder::{BuildProgress, LibraryBuilder, Strategy};
+use crate::builder::{BuildProgress, FailureMemo, LibraryBuilder, Strategy};
 use crate::checkpoint::BuildCheckpoint;
 use crate::dispatch::{DispatchResult, Disposition};
 use crate::library::Library;
@@ -86,6 +92,10 @@ impl Default for ServeConfig {
 
 /// Replies one snapshot's memo keeps; the least recently used is evicted.
 const MEMO_CAPACITY: usize = 256;
+
+/// Tune jobs the server's failure memo keeps; the least recently used is
+/// evicted.
+const FAILURE_MEMO_CAPACITY: usize = 256;
 
 /// An immutable published view of the library, plus the memo of the
 /// replies served from it.
@@ -338,6 +348,11 @@ pub struct ServeStats {
     pub tune_jobs: u64,
     /// Completed tune jobs that produced a library record.
     pub tuned: u64,
+    /// Tune jobs a drain did not run because the server's failure memo
+    /// held their complete input: a run of the same input produced no
+    /// record before, so the outcome was known (each still counts as
+    /// unimproved).
+    pub tune_skipped: u64,
     /// Hot swaps published.
     pub swaps: u64,
 }
@@ -406,7 +421,7 @@ pub enum TuneProgress {
 /// as-is (or behind an `Arc`). A batch takes the snapshot's read lock once,
 /// and a publish takes its write lock once, for the pointer swap; the
 /// other serialization points are the queue mutexes, each snapshot's memo
-/// mutex and the writer mutex around merge+swap.
+/// mutex, the failure memo's mutex and the writer mutex around merge+swap.
 pub struct Server {
     /// The snapshot every read returns; its `generation` counts the swaps.
     snapshot: RwLock<Arc<ServeSnapshot>>,
@@ -419,6 +434,9 @@ pub struct Server {
     /// re-runs the same job list, and the keys let a completed drain forget
     /// jobs that produced nothing.
     writer: Mutex<Vec<(String, TuneJob)>>,
+    /// The complete inputs of tune jobs that produced no record, which
+    /// every drain's builder consults and fills.
+    failures: Arc<FailureMemo>,
     target: Target,
     config: ServeConfig,
     /// On-disk home of the library; hot swaps persist here atomically.
@@ -436,6 +454,7 @@ impl Server {
             admission: AdmissionQueue::new(config.queue_capacity),
             tunes: TuneQueue::new(),
             writer: Mutex::new(Vec::new()),
+            failures: Arc::new(FailureMemo::new(FAILURE_MEMO_CAPACITY)),
             target,
             config,
             disk: None,
@@ -458,7 +477,9 @@ impl Server {
     /// Replace the tuning strategy for subsequent drains — the operator
     /// move after a drain produced no improvement: retry the same misses
     /// (their keys were forgotten by the failed drain) with a bigger
-    /// budget.
+    /// budget. The strategy is part of the input the failure memo
+    /// compares, so the retried jobs run rather than being skipped as known
+    /// failures.
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.config.strategy = strategy;
     }
@@ -500,6 +521,7 @@ impl Server {
             naive: c.tier(HitTier::Naive),
             tune_jobs: c.tune_jobs.load(Ordering::Relaxed),
             tuned: c.tuned.load(Ordering::Relaxed),
+            tune_skipped: self.failures.skipped(),
             swaps: self.generation(),
         }
     }
@@ -642,9 +664,13 @@ impl Server {
         // a miss near a tuned family begins from the transferred schedule
         // instead of the empty program. Jobs already in flight from a paused
         // drain resume from their checkpointed search state, which embeds
-        // the warm start they began with.
+        // the warm start they began with. The failure memo is consulted
+        // per job by the job runner, never by filtering `jobs`: in-flight
+        // state belongs to the first job not done, so the job list of a
+        // paused drain must not change before it resumes.
         let builder = LibraryBuilder::new(self.config.strategy, self.config.seed)
-            .with_warm_from(&current.library);
+            .with_warm_from(&current.library)
+            .with_failure_memo(Arc::clone(&self.failures));
 
         // build into a scratch library so the served snapshot is untouched
         // until the merge below publishes a complete replacement; it ends up
@@ -673,8 +699,10 @@ impl Server {
         // could still hold records from a drain that crashed between
         // publish and checkpoint reset. Jobs that produced no record keep
         // the shape re-tunable: forget their queue keys after this drain
-        // completes, so a future miss can enqueue them again (a later drain
-        // may run with budget, a fixed strategy, or a model version bump)
+        // completes, so a future miss can enqueue them again. A later drain
+        // runs such a job only if its input changed (another strategy, a
+        // warm start from a newly published family); else the failure memo
+        // knows the outcome
         let failed_keys: Vec<String> = jobs
             .iter()
             .filter(|(_, j)| scratch.get(&KernelSig::of(&j.program, &self.target.name)).is_none())
@@ -832,6 +860,81 @@ mod tests {
         assert_eq!(r.generation, 1);
         // and a repeat drain has nothing to do (miss deduped, now a hit)
         assert_eq!(server.drain_tunes().unwrap(), TuneProgress::Idle);
+    }
+
+    /// A [`tuned_server`] whose drains tune with a zero-budget anneal,
+    /// under which every job fails.
+    fn failing_server() -> Server {
+        tuned_server(ServeConfig {
+            strategy: Strategy::Anneal { budget: 0 },
+            ..ServeConfig::default()
+        })
+    }
+
+    /// Serve `q` as a miss, which queues its tune job, then drain.
+    fn miss_and_drain(server: &Server, q: &ServeQuery) -> TuneProgress {
+        assert!(server.lookup_now(q).tier.is_miss(), "{} must miss", q.label);
+        server.drain_tunes().unwrap()
+    }
+
+    #[test]
+    fn a_known_failure_is_not_run_again() {
+        let q = ServeQuery::of("rmsnorm", &[32, 32]).unwrap();
+        let server = failing_server();
+        let first = miss_and_drain(&server, &q);
+        assert_eq!(first, TuneProgress::Swapped { generation: 1, tuned: 0, unimproved: 1 });
+        assert_eq!(server.stats().tune_skipped, 0);
+        // the drain forgot the failed key, so the next miss queues the same
+        // job, and the next drain knows its outcome
+        let second = miss_and_drain(&server, &q);
+        assert_eq!(second, TuneProgress::Swapped { generation: 2, tuned: 0, unimproved: 1 });
+        let s = server.stats();
+        assert_eq!((s.tune_jobs, s.tuned, s.tune_skipped), (2, 0, 1));
+        let fresh = failing_server();
+        miss_and_drain(&fresh, &q);
+        assert_eq!(server.snapshot(0).library.to_text(), fresh.snapshot(0).library.to_text());
+    }
+
+    #[test]
+    fn a_known_failure_runs_again_under_another_strategy() {
+        let q = ServeQuery::of("rmsnorm", &[32, 32]).unwrap();
+        let mut server = failing_server();
+        miss_and_drain(&server, &q);
+        server.set_strategy(Strategy::Heuristic);
+        let retried = miss_and_drain(&server, &q);
+        assert_eq!(retried, TuneProgress::Swapped { generation: 2, tuned: 1, unimproved: 0 });
+        assert_eq!(server.stats().tune_skipped, 0);
+        assert_eq!(server.lookup_now(&q).tier, HitTier::Exact);
+    }
+
+    #[test]
+    fn a_known_failure_runs_again_once_its_family_fits() {
+        let q = ServeQuery::of("rmsnorm", &[32, 32]).unwrap();
+        let server = failing_server();
+        miss_and_drain(&server, &q);
+        // queued again, then a publish gives the rmsnorm family a fit, so
+        // the job's warm start (and with it its input) changes
+        assert!(server.lookup_now(&q).tier.is_miss());
+        let family: Vec<KernelInstance> = [[64, 64], [16, 64]]
+            .iter()
+            .map(|dims| {
+                let program = perfdojo_kernels::by_label_with_shape("rmsnorm", dims).unwrap();
+                KernelInstance::at("rmsnorm", dims, program)
+            })
+            .collect();
+        let mut lib = server.snapshot(0).library.clone();
+        LibraryBuilder::new(Strategy::Heuristic, 3).build_into(
+            &mut lib,
+            &family,
+            std::slice::from_ref(server.target()),
+        );
+        let job = KernelInstance::at("rmsnorm", &[32, 32], q.program.clone());
+        let warm = LibraryBuilder::new(Strategy::Heuristic, 0).with_warm_from(&lib);
+        assert!(!warm.warm_steps(&job, server.target()).is_empty(), "the family must fit");
+        assert_eq!(server.publish(lib).unwrap(), 2);
+        let rerun = server.drain_tunes().unwrap();
+        assert_eq!(rerun, TuneProgress::Swapped { generation: 3, tuned: 0, unimproved: 1 });
+        assert_eq!(server.stats().tune_skipped, 0);
     }
 
     #[test]
