@@ -72,10 +72,12 @@
 #      process once its job's first checkpoint slice landed must leave the
 #      job pending (neither running nor done) with the checkpoint in place,
 #      and the next worker must resume it (fewer steps than an uninterrupted
-#      worker) and merge `cmp`-identical to an uninterrupted fleet; `fleet
-#      run` on a `jobs.list` with a garbled block must fail; and `fleet
-#      status` on a path that holds no fleet must fail and create nothing
-#      there.
+#      worker) and merge `cmp`-identical to an uninterrupted fleet; the
+#      `--kill-after` run must kill exactly one worker, w0; `fleet run` on
+#      a `jobs.list` with a garbled block must fail, and on one with a line
+#      `fleet init` never writes (`owner w3 beat 0`) must exit 1 quoting
+#      it; and `fleet status` on a path that holds no fleet must fail and
+#      create nothing there.
 #  11. Arena/cache-keying smoke: the incremental-vs-naive A/B suite must
 #      also hold under the release optimizer (arena traversals and fp128
 #      cache keys at full speed), and so must the find ≡ apply conformance
@@ -455,7 +457,14 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 4 ]; then
     echo "ci.sh: killed fleet run should exit 0 or 4, got $rc" >&2
     exit 1
 fi
-grep -q "Killed" "$PDLIB_DIR/farmk.txt"
+# the kill is a fault plan entry for w0 alone: exactly one worker dies,
+# and it is w0
+if [ "$(grep -c "Killed" "$PDLIB_DIR/farmk.txt")" -ne 1 ] \
+    || ! grep -q "^  w0: Killed" "$PDLIB_DIR/farmk.txt"; then
+    echo "ci.sh: --kill-after must kill exactly worker w0" >&2
+    cat "$PDLIB_DIR/farmk.txt" >&2
+    exit 1
+fi
 if [ "$rc" -eq 4 ]; then
     ./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farmk" --workers 2 > /dev/null
 fi
@@ -533,6 +542,23 @@ fi
 sed -i 's/^dims 64x64$/dims 1x?x64x64/' "$PDLIB_DIR/farmg/jobs.list"
 if ./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farmg" > /dev/null 2>&1; then
     echo "ci.sh: fleet run accepted a garbled jobs.list" >&2
+    exit 1
+fi
+# a job block holds exactly the lines `fleet init` writes: on a copy of
+# the drained 2-worker fleet whose jobs.list has an owner line after one
+# block's header, `fleet run` must exit 1, quoting the line
+cp -r "$PDLIB_DIR/farm2" "$PDLIB_DIR/farmo"
+sed -i '0,/^perfdojo-fleet-job v1$/s//perfdojo-fleet-job v1\nowner w3 beat 0/' \
+    "$PDLIB_DIR/farmo/jobs.list"
+grep -q "^owner w3 beat 0$" "$PDLIB_DIR/farmo/jobs.list"
+set +e
+./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farmo" > /dev/null \
+    2> "$PDLIB_DIR/farmo.err"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ] || ! grep -qF '"owner w3 beat 0"' "$PDLIB_DIR/farmo.err"; then
+    echo "ci.sh: fleet run on a jobs.list with an owner line exited $rc:" >&2
+    cat "$PDLIB_DIR/farmo.err" >&2
     exit 1
 fi
 # only init makes a fleet directory: a mistyped --dir is an error that

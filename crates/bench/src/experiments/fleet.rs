@@ -58,9 +58,12 @@ fn run_one(
     fleet.init(jobs).map_err(|e| format!("fleet init: {e}"))?;
 
     let t0 = Instant::now();
-    let mut cfg = WorkerConfig::new("");
-    cfg.kill_after = kill;
-    let report = run_fleet(&fleet, workers, &cfg, &FaultPlan::none())?;
+    let cfg = WorkerConfig::new("");
+    let plan = match kill {
+        None => FaultPlan::none(),
+        Some(steps) => FaultPlan::none().kill_after_steps("w0", steps, cfg.slice_steps),
+    };
+    let report = run_fleet(&fleet, workers, &cfg, &plan)?;
     if kill.is_some() {
         let killed = report.workers.iter().filter(|w| w.exit == WorkerExit::Killed).count();
         if killed != 1 {

@@ -120,7 +120,8 @@ usage (each flag at most once; every flag but --paper-shapes takes a value):
   perfdojo-lib fleet merge  --dir <fleet-dir> --out <file>
                      (deterministic keep-best join of every valid part;
                       byte-identical output regardless of worker count,
-                      arrival order, kills, or duplicated work)
+                      arrival order, kills, or duplicated work; records
+                      tuned under another machine model are rejected)
   perfdojo-lib graph-build --out <file> [--target <name>]
                      [--graphs attention,ffn,transformer,cnn_pipe,mlp_block]
                      [--strategy heuristic|anneal[:N[:K]]|perfllm[:N]] [--seed N]
@@ -524,11 +525,16 @@ fn open_fleet(a: &Args) -> Result<FleetDir, String> {
     Ok(FleetDir::open(Path::new(a.required("--dir")?)))
 }
 
-fn fleet_worker_config(a: &Args, worker: &str) -> Result<WorkerConfig, String> {
+/// The worker config `--step-limit` sets, and the plan `--kill-after N`
+/// adds: a simulated `kill -9` of `killed` once it has run N tuning steps.
+fn fleet_worker(a: &Args, worker: &str, killed: &str) -> Result<(WorkerConfig, FaultPlan), String> {
     let mut cfg = WorkerConfig::new(worker);
     cfg.step_limit = a.parse("--step-limit")?;
-    cfg.kill_after = a.parse("--kill-after")?;
-    Ok(cfg)
+    let plan = match a.parse("--kill-after")? {
+        None => FaultPlan::none(),
+        Some(n) => FaultPlan::none().kill_after_steps(killed, n, cfg.slice_steps),
+    };
+    Ok((cfg, plan))
 }
 
 fn fleet_init(argv: &[String]) -> Result<(), String> {
@@ -560,14 +566,11 @@ fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
         &[],
     )?;
     let workers: usize = a.parse("--workers")?.unwrap_or(2);
-    let cfg = fleet_worker_config(&a, "")?;
-    let plan = match a.parse("--fault-seed")? {
-        None => FaultPlan::none(),
-        Some(seed) => {
-            let ids: Vec<String> = (0..workers).map(|i| format!("w{i}")).collect();
-            FaultPlan::seeded(seed, &ids)
-        }
-    };
+    let (cfg, mut plan) = fleet_worker(&a, "", "w0")?;
+    if let Some(seed) = a.parse("--fault-seed")? {
+        let ids: Vec<String> = (0..workers).map(|i| format!("w{i}")).collect();
+        plan.faults.extend(FaultPlan::seeded(seed, &ids).faults);
+    }
     let fleet = open_fleet(&a)?;
     let report = run_fleet(&fleet, workers, &cfg, &plan)?;
     for (i, w) in report.workers.iter().enumerate() {
@@ -599,9 +602,9 @@ fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
 fn fleet_work(argv: &[String]) -> Result<ExitCode, String> {
     let a = Args::new(argv, &["--dir", "--worker", "--step-limit", "--kill-after"], &[])?;
     let worker = a.required("--worker")?;
-    let cfg = fleet_worker_config(&a, worker)?;
+    let (cfg, plan) = fleet_worker(&a, worker, worker)?;
     let fleet = open_fleet(&a)?;
-    let report = run_worker(&fleet, &cfg, &FaultPlan::none())?;
+    let report = run_worker(&fleet, &cfg, &plan)?;
     println!(
         "worker {}: {:?} — {} jobs done, {} steps",
         worker,
@@ -638,11 +641,13 @@ fn fleet_merge(argv: &[String]) -> Result<(), String> {
     }
     m.library.save(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
-        "fleet merge {}: {} parts joined ({} evaluations), {} unfinished; {} entries -> {}",
+        "fleet merge {}: {} parts joined ({} evaluations), {} unfinished, \
+         {} stale records rejected; {} entries -> {}",
         fleet.root().display(),
         m.merged_jobs,
         m.evaluations,
         m.unfinished.len(),
+        m.rejected_stale,
         m.library.len(),
         out.display()
     );
@@ -754,12 +759,11 @@ fn cmd_graph_check(argv: &[String]) -> Result<(), String> {
         let report = perfdojo_graph::check_graph(&g, s)
             .map_err(|e| format!("seed {s} ({}): differential mismatch: {e}", g.name))?;
         println!(
-            "seed {s}: {} ({} nodes, {} edges) ok — {} outputs, {} buffers checked",
+            "seed {s}: {} ({} nodes, {} edges) ok — {} outputs checked",
             g.name,
             g.nodes().len(),
             g.edges().len(),
-            report.checked_outputs,
-            report.checked_buffers
+            report.checked_outputs
         );
     }
     println!("graph-check: {count} random graphs passed the differential oracle");

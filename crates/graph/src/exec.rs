@@ -1,28 +1,15 @@
 //! Deterministic graph executor: per-node interpreter runs through
 //! explicit edge buffers.
 //!
-//! Nodes execute in canonical topological order; each node's inputs are
-//! gathered from the external input map (mangled composed-program names)
-//! and from the edge buffers its producers filled. [`Sched::Parallel`]
-//! runs each *level* (nodes at equal depth from the sources) concurrently
-//! over `util::par::par_map`; results are written back in input order, so
-//! sequential and parallel scheduling produce bit-identical buffers — a
-//! property the determinism tests pin.
+//! Nodes execute one at a time in canonical topological order
+//! (`Composed::order`); each node's inputs are gathered from the external
+//! input map (mangled composed-program names) and from the edge buffers
+//! its producers filled.
 
 use crate::compose::Composed;
 use crate::graph::KernelGraph;
 use perfdojo_interp::{execute, Tensor};
-use perfdojo_util::par::par_map;
 use std::collections::{BTreeMap, HashMap};
-
-/// Node scheduling discipline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sched {
-    /// One node at a time, canonical order.
-    Sequential,
-    /// Level-parallel over the workspace thread pool.
-    Parallel,
-}
 
 /// Result of one graph execution.
 #[derive(Clone, Debug)]
@@ -36,71 +23,42 @@ pub struct GraphRun {
 }
 
 /// Execute `g` on `inputs` (keyed by the *mangled* external input names of
-/// `composed`) under the given scheduling discipline.
+/// `composed`), one node at a time in `composed.order`.
 pub fn execute_graph(
     g: &KernelGraph,
     composed: &Composed,
     inputs: &HashMap<String, Tensor>,
-    sched: Sched,
 ) -> Result<GraphRun, String> {
     let mut pos = vec![0usize; g.nodes().len()];
     for (p, &i) in composed.order.iter().enumerate() {
         pos[i] = p;
     }
 
-    // Depth levels: a node's level is 1 + max over its producers.
-    let mut level = vec![0usize; g.nodes().len()];
-    for &i in &composed.order {
-        for e in g.edges().iter().filter(|e| e.to == i) {
-            level[i] = level[i].max(level[e.from] + 1);
-        }
-    }
-    let max_level = level.iter().copied().max().unwrap_or(0);
-
     let mut env: BTreeMap<String, Tensor> = BTreeMap::new();
-    for lv in 0..=max_level {
-        // canonical order within the level
-        let batch: Vec<usize> =
-            composed.order.iter().copied().filter(|&i| level[i] == lv).collect();
-        let jobs: Vec<(usize, HashMap<String, Tensor>)> = batch
-            .iter()
-            .map(|&i| {
-                let mut node_inputs = HashMap::new();
-                for input in &g.nodes()[i].program.inputs {
-                    let fed = g.edges().iter().find(|e| e.to == i && e.to_array == *input);
-                    let tensor = match fed {
-                        Some(e) => {
-                            let key = format!("n{}_{}", pos[e.from], e.from_array);
-                            env.get(&key)
-                                .cloned()
-                                .ok_or_else(|| format!("edge buffer {key} not yet produced"))
-                        }
-                        None => {
-                            let key = format!("n{}_{input}", pos[i]);
-                            inputs
-                                .get(&key)
-                                .cloned()
-                                .ok_or_else(|| format!("missing external input {key}"))
-                        }
-                    }?;
-                    node_inputs.insert(input.clone(), tensor);
+    for &i in &composed.order {
+        let node = &g.nodes()[i];
+        let mut node_inputs = HashMap::new();
+        for input in &node.program.inputs {
+            let fed = g.edges().iter().find(|e| e.to == i && e.to_array == *input);
+            let tensor = match fed {
+                Some(e) => {
+                    let key = format!("n{}_{}", pos[e.from], e.from_array);
+                    env.get(&key)
+                        .cloned()
+                        .ok_or_else(|| format!("edge buffer {key} not yet produced"))
                 }
-                Ok((i, node_inputs))
-            })
-            .collect::<Result<_, String>>()?;
-
-        let results: Vec<(usize, HashMap<String, Tensor>)> = match sched {
-            Sched::Sequential => jobs
-                .into_iter()
-                .map(|(i, ins)| run_node(g, i, ins))
-                .collect::<Result<_, String>>()?,
-            Sched::Parallel => par_map(jobs, |(i, ins)| run_node(g, i, ins))
-                .into_iter()
-                .collect::<Result<_, String>>()?,
-        };
-        // written back in input (canonical) order either way
-        for (i, outs) in results {
-            for (name, tensor) in outs {
+                None => {
+                    let key = format!("n{}_{input}", pos[i]);
+                    inputs.get(&key).cloned().ok_or_else(|| format!("missing external input {key}"))
+                }
+            }?;
+            node_inputs.insert(input.clone(), tensor);
+        }
+        let outs = execute(&node.program, &node_inputs)
+            .map_err(|e| format!("node {} ({}): {e:?}", node.name, node.label))?;
+        // keep outputs only: temps of the node are not graph-visible
+        for (name, tensor) in outs {
+            if node.program.outputs.contains(&name) {
                 env.insert(format!("n{}_{name}", pos[i]), tensor);
             }
         }
@@ -115,41 +73,4 @@ pub fn execute_graph(
         outputs.insert(mangled.clone(), t);
     }
     Ok(GraphRun { env, outputs })
-}
-
-fn run_node(
-    g: &KernelGraph,
-    i: usize,
-    inputs: HashMap<String, Tensor>,
-) -> Result<(usize, HashMap<String, Tensor>), String> {
-    let node = &g.nodes()[i];
-    let outs = execute(&node.program, &inputs)
-        .map_err(|e| format!("node {} ({}): {e:?}", node.name, node.label))?;
-    // keep outputs only: temps of the node are not graph-visible
-    let outs = outs
-        .into_iter()
-        .filter(|(k, _)| node.program.outputs.iter().any(|o| o == k))
-        .collect();
-    Ok((i, outs))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compose::compose;
-    use crate::graph::KernelGraph;
-
-    #[test]
-    fn sequential_and_parallel_agree_bit_exactly() {
-        let mut g = KernelGraph::new("mini");
-        let a = g.add_node("mm", "matmul", &[4, 6, 8]).unwrap();
-        let b = g.add_node("act", "relu", &[4, 8]).unwrap();
-        g.connect(a, "z", b, "x").unwrap();
-        let c = compose(&g).unwrap();
-        let inputs = perfdojo_interp::random_inputs(&c.program, 7);
-        let seq = execute_graph(&g, &c, &inputs, Sched::Sequential).unwrap();
-        let par = execute_graph(&g, &c, &inputs, Sched::Parallel).unwrap();
-        assert_eq!(seq.env, par.env);
-        assert!(!seq.outputs.is_empty());
-    }
 }

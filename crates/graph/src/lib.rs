@@ -13,8 +13,8 @@
 //!   with explicit edge buffers (the per-node interfaces become internal
 //!   temporaries, which is what unlocks the layout/fusion transformations).
 //! - [`exec`] — a deterministic graph executor running each node through
-//!   the reference interpreter, sequentially or level-parallel over
-//!   `util::par`, with bit-identical results either way.
+//!   the reference interpreter, one at a time in canonical topological
+//!   order.
 //! - [`oracle`] — the differential oracle: every graph execution is checked
 //!   against the composed single-kernel reference under the fuzz
 //!   subsystem's two-tier bit-exact/ULP policy.
@@ -57,7 +57,7 @@ pub use actions::{plan, plan_from, GraphAction, GraphPlan, PlanDecision};
 pub use build::{build_graphs_into, tune_graph, GraphTuneOutcome};
 pub use compose::{compose, Composed};
 pub use cost::{copy_cost, per_node_baseline, BaselineReport};
-pub use exec::{execute_graph, GraphRun, Sched};
+pub use exec::{execute_graph, GraphRun};
 pub use fingerprint::{fingerprint, subgraph_sig};
 pub use graph::{GraphEdge, GraphError, GraphNode, KernelGraph};
 pub use inherit::{inherit_schedules, Inherited};

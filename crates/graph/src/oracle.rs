@@ -1,22 +1,19 @@
 //! Differential oracle for graph executions.
 //!
-//! Three-way check, reusing the fuzz subsystem's two-tier comparison
-//! policy ([`perfdojo_fuzz::values_match`] / bit-exact
+//! Two checks, both under the fuzz subsystem's two-tier bit-exact/ULP
+//! comparison policy ([`perfdojo_fuzz::values_match`] /
 //! [`perfdojo_fuzz::first_mismatch`]):
 //!
-//! 1. **Scheduling determinism** — sequential vs level-parallel graph
-//!    execution must agree *bit-exactly* on every buffer (same per-node
-//!    interpreter runs, only the orchestration differs).
-//! 2. **Composition** — the per-node executor vs the composed program run
-//!    whole through the interpreter, on the external outputs, under the
-//!    two-tier bit-exact/ULP policy.
-//! 3. **Transformation** (via [`check_transformed`]) — any transformed or
-//!    replayed composed program vs the composed reference, same policy:
-//!    this is the check every planned/tuned block schedule passes before
-//!    it is recorded or served.
+//! 1. **Composition** ([`check_graph`]) — the per-node executor vs the
+//!    composed program run whole through the interpreter, on the external
+//!    outputs.
+//! 2. **Transformation** ([`check_transformed`]) — any transformed or
+//!    replayed composed program vs the composed reference: this is the
+//!    check every planned/tuned block schedule passes before it is
+//!    recorded or served.
 
 use crate::compose::compose;
-use crate::exec::{execute_graph, Sched};
+use crate::exec::execute_graph;
 use crate::graph::KernelGraph;
 use perfdojo_fuzz::first_mismatch;
 use perfdojo_interp::{execute, random_inputs, Tensor};
@@ -27,45 +24,31 @@ use perfdojo_ir::Program;
 pub struct OracleReport {
     /// External outputs compared against the composed reference.
     pub checked_outputs: usize,
-    /// Buffers compared bit-exactly between sequential and parallel runs.
-    pub checked_buffers: usize,
 }
 
-fn diff_tensor(name: &str, reference: &Tensor, other: &Tensor, exact: bool) -> Result<(), String> {
+fn diff_tensor(name: &str, reference: &Tensor, other: &Tensor) -> Result<(), String> {
     if reference.shape != other.shape {
         return Err(format!("{name}: shape {:?} vs {:?}", reference.shape, other.shape));
     }
-    if let Some((i, a, b)) = first_mismatch(reference, other, exact) {
-        let policy = if exact { "bit-exact" } else { "two-tier" };
-        return Err(format!("{name}[{i}]: {a} vs {b} ({policy} policy)"));
+    if let Some((i, a, b)) = first_mismatch(reference, other, false) {
+        return Err(format!("{name}[{i}]: {a} vs {b} (two-tier policy)"));
     }
     Ok(())
 }
 
-/// Run the full differential oracle on `g` with inputs seeded by `seed`.
+/// Run the composition check on `g` with inputs seeded by `seed`: the
+/// graph executor vs the composed interpreter, on every external output.
 pub fn check_graph(g: &KernelGraph, seed: u64) -> Result<OracleReport, String> {
     let composed = compose(g).map_err(|e| e.to_string())?;
     let inputs = random_inputs(&composed.program, seed);
-    let seq = execute_graph(g, &composed, &inputs, Sched::Sequential)?;
-    let par = execute_graph(g, &composed, &inputs, Sched::Parallel)?;
-
-    // 1. scheduling determinism: every buffer, bit-exact
-    if seq.env.len() != par.env.len() {
-        return Err(format!("env size {} vs {}", seq.env.len(), par.env.len()));
-    }
-    for (name, t) in &seq.env {
-        let other = par.env.get(name).ok_or_else(|| format!("{name} missing in parallel run"))?;
-        diff_tensor(name, t, other, true)?;
-    }
-
-    // 2. composition: graph executor vs composed interpreter, two-tier
+    let run = execute_graph(g, &composed, &inputs)?;
     let reference =
         execute(&composed.program, &inputs).map_err(|e| format!("composed run: {e:?}"))?;
-    for (name, t) in &seq.outputs {
+    for (name, t) in &run.outputs {
         let r = reference.get(name).ok_or_else(|| format!("{name} missing in composed run"))?;
-        diff_tensor(name, r, t, false)?;
+        diff_tensor(name, r, t)?;
     }
-    Ok(OracleReport { checked_outputs: seq.outputs.len(), checked_buffers: seq.env.len() })
+    Ok(OracleReport { checked_outputs: run.outputs.len() })
 }
 
 /// Differential check of a transformed composed program against the
@@ -78,7 +61,7 @@ pub fn check_transformed(reference: &Program, candidate: &Program, seed: u64) ->
     for out in &reference.outputs {
         let w = want.get(out).ok_or_else(|| format!("{out} missing in reference"))?;
         let g = got.get(out).ok_or_else(|| format!("{out} missing in candidate"))?;
-        diff_tensor(out, w, g, false)?;
+        diff_tensor(out, w, g)?;
     }
     Ok(())
 }
@@ -101,7 +84,6 @@ mod tests {
         g.connect(b, "y", sink, "y").unwrap();
         let report = check_graph(&g, 11).unwrap();
         assert_eq!(report.checked_outputs, 1);
-        assert!(report.checked_buffers >= 4);
     }
 
     #[test]

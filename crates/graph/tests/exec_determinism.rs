@@ -1,31 +1,9 @@
-//! Graph-executor determinism and the random-graph differential smoke.
-//!
-//! Determinism: sequential and level-parallel node scheduling must
-//! produce bit-identical edge buffers and outputs on every suite graph.
-//! Smoke: seeded random graphs run through the full differential oracle —
-//! per-node executor vs composed interpreter reference — at pinned seeds,
-//! the same seeds ci.sh gate 9 replays through the CLI.
+//! The random-graph differential smoke: seeded random graphs run through
+//! the full differential oracle — per-node executor vs composed
+//! interpreter reference — at pinned seeds, the same seeds ci.sh gate 9
+//! replays through the CLI.
 
-use perfdojo_graph::{compose, execute_graph, random_graph, suite, Sched};
-use perfdojo_interp::random_inputs;
-
-#[test]
-fn sequential_and_parallel_scheduling_are_bit_identical_on_the_suite() {
-    for g in suite::suite() {
-        let c = compose(&g).unwrap_or_else(|e| panic!("{}: {e}", g.name));
-        for seed in [1u64, 2, 3] {
-            let inputs = random_inputs(&c.program, seed);
-            let seq = execute_graph(&g, &c, &inputs, Sched::Sequential)
-                .unwrap_or_else(|e| panic!("{} seq: {e}", g.name));
-            let par = execute_graph(&g, &c, &inputs, Sched::Parallel)
-                .unwrap_or_else(|e| panic!("{} par: {e}", g.name));
-            // full env equality is bit-exact: Tensor is PartialEq over the
-            // raw f64 payload, so any scheduling nondeterminism shows up
-            assert_eq!(seq.env, par.env, "{} seed {seed}: edge buffers diverged", g.name);
-            assert_eq!(seq.outputs, par.outputs, "{} seed {seed}", g.name);
-        }
-    }
-}
+use perfdojo_graph::random_graph;
 
 #[test]
 fn random_graph_differential_smoke_at_pinned_seeds() {

@@ -44,13 +44,13 @@
 //! # Liveness from the OS
 //!
 //! The kernel drops a lock when its holder's process ends, however it
-//! ends. A pause, `kill_after`, every in-process fault and a real
-//! `kill -9` all just drop the lock, so the next scan finds the job
-//! pending and whoever claims it resumes the checkpoint: a job can never
-//! be lost and nothing has to be reclaimed, while a live owner keeps its
-//! job however slow it is. A worker that is alive but hung keeps its job
-//! until it is killed, and the fleet directory needs working `flock`
-//! locks (see [`perfdojo_util::claim`]).
+//! ends. A pause, every in-process fault and a real `kill -9` all just
+//! drop the lock, so the next scan finds the job pending and whoever
+//! claims it resumes the checkpoint: a job can never be lost and nothing
+//! has to be reclaimed, while a live owner keeps its job however slow it
+//! is. A worker that is alive but hung keeps its job until it is killed,
+//! and the fleet directory needs working `flock` locks (see
+//! [`perfdojo_util::claim`]).
 //!
 //! Even when a job *does* run twice (a deleted lock file, see
 //! [`FaultKind`]), the part file it writes is byte-identical, because
@@ -60,12 +60,15 @@
 //!
 //! # Deterministic merge
 //!
-//! [`join`] folds partial libraries keep-best under a *total* order —
-//! lower cost wins, exact cost ties break on the serialized record text —
-//! so the merge is associative, commutative, and idempotent: a true
-//! lattice join. The merged library is byte-identical no matter how many
-//! workers ran, which worker ran which job, in what order the parts
-//! arrived, or whether any worker was killed and resumed along the way.
+//! [`FleetDir::merge`] folds every valid part into one library with
+//! [`Library::merge`], the keep-best merge every library in the repo
+//! uses. Its order is total — lower cost wins, exact cost ties break on
+//! the serialized record text — so the merge is associative,
+//! commutative, and idempotent: a true lattice join. The merged library
+//! is byte-identical no matter how many workers ran, which worker ran
+//! which job, in what order the parts arrived, or whether any worker was
+//! killed and resumed along the way. A part record tuned under another
+//! machine model is rejected and counted, as in every other merge.
 //!
 //! # Fault injection
 //!
@@ -75,16 +78,19 @@
 //! mid-job slice boundary, kill after tuning but before the part write,
 //! kill between the part's tmp write and its rename, plus deleted lock
 //! files and torn partial-library writes. Every crash scenario is a
-//! replayable unit test (`tests/fleet_crash.rs`).
+//! replayable unit test (`tests/fleet_crash.rs`), and the CLI's
+//! `--kill-after N` is a plan too: a kill at the mid-job slice boundary
+//! where the worker's step count first reaches N
+//! ([`FaultPlan::kill_after_steps`]).
 
 use crate::builder::{target_by_name, BuildProgress, LibraryBuilder, Strategy};
 use crate::checkpoint::BuildCheckpoint;
-use crate::format::{self, ScheduleRecord};
+use crate::format;
 use crate::library::Library;
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_util::claim::try_lock;
-use perfdojo_util::trace::{atomic_write, TraceSink};
+use perfdojo_util::trace::{atomic_write, Lines, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Read};
@@ -163,49 +169,27 @@ impl FleetJob {
         )
     }
 
-    /// Parse a job file, ignoring unknown lines.
+    /// Parse a job file: exactly the six lines [`FleetJob::render`]
+    /// writes, in its order. An unknown, missing, reordered or trailing
+    /// line is an error that quotes it.
     pub fn parse(text: &str) -> Result<FleetJob, String> {
-        let mut label = None;
-        let mut dims = None;
-        let mut target = None;
-        let mut strategy = None;
-        let mut seed = None;
-        let mut seen_header = false;
-        for line in text.lines() {
-            if line == "perfdojo-fleet-job v1" {
-                seen_header = true;
-                continue;
-            }
-            match line.split_once(' ') {
-                Some(("label", v)) => label = Some(v.to_string()),
-                Some(("dims", v)) => {
-                    dims = Some(
-                        v.split('x')
-                            .map(|d| d.parse::<usize>().map_err(|_| format!("bad dims {v:?}")))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    )
-                }
-                Some(("target", v)) => target = Some(v.to_string()),
-                Some(("strategy", v)) => {
-                    strategy =
-                        Some(Strategy::parse(v).ok_or_else(|| format!("bad strategy {v:?}"))?)
-                }
-                Some(("seed", v)) => {
-                    seed = Some(v.parse::<u64>().map_err(|_| format!("bad seed {v:?}"))?)
-                }
-                _ => {}
-            }
-        }
-        if !seen_header {
-            return Err("missing perfdojo-fleet-job v1 header".to_string());
-        }
-        Ok(FleetJob {
-            label: label.ok_or("job missing label")?,
-            dims: dims.ok_or("job missing dims")?,
-            target: target.ok_or("job missing target")?,
-            strategy: strategy.ok_or("job missing strategy")?,
-            seed: seed.ok_or("job missing seed")?,
-        })
+        let mut l = Lines::new(text);
+        l.exact("perfdojo-fleet-job v1")?;
+        let label = l.keyed("label")?.to_string();
+        let shape = l.keyed("dims")?;
+        let dims = shape
+            .split('x')
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .map_err(|_| l.err(&format!("bad dims {shape:?}")))?;
+        let target = l.keyed("target")?.to_string();
+        let spec = l.keyed("strategy")?;
+        let strategy =
+            Strategy::parse(spec).ok_or_else(|| l.err(&format!("bad strategy {spec:?}")))?;
+        let seed = l.keyed("seed")?;
+        let seed = seed.parse().map_err(|_| l.err(&format!("bad seed {seed:?}")))?;
+        l.end()?;
+        Ok(FleetJob { label, dims, target, strategy, seed })
     }
 
     /// Reconstruct the kernel instance this job tunes.
@@ -286,44 +270,6 @@ pub fn parse_part(job_id: &str, text: &str) -> Option<(u64, Library)> {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic merge (lattice join)
-
-/// True when record `a` beats record `b` under the fleet's total order:
-/// lower predicted cost wins; exact cost ties break on the smaller
-/// serialized record text. Total (via `total_cmp`), so [`join`] is a
-/// genuine lattice join — associative, commutative, idempotent — and the
-/// merged library is byte-identical regardless of arrival order.
-pub fn beats(a: &ScheduleRecord, b: &ScheduleRecord) -> bool {
-    match a.cost.total_cmp(&b.cost) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.to_block() < b.to_block(),
-    }
-}
-
-/// Keep-best join of records into a library under [`beats`].
-pub fn join(records: impl IntoIterator<Item = ScheduleRecord>) -> Library {
-    let mut best: BTreeMap<String, ScheduleRecord> = BTreeMap::new();
-    for r in records {
-        let key = r.sig.key();
-        match best.get(&key) {
-            Some(cur) if !beats(&r, cur) => {}
-            _ => {
-                best.insert(key, r);
-            }
-        }
-    }
-    let (lib, _) = Library::from_text(&format::render(best.values()))
-        .expect("schedule records must re-parse after render");
-    lib
-}
-
-/// Join whole libraries (the coordinator's merge over worker partials).
-pub fn join_libraries(libs: impl IntoIterator<Item = Library>) -> Library {
-    join(libs.into_iter().flat_map(|l| l.records().cloned().collect::<Vec<_>>()))
-}
-
-// ---------------------------------------------------------------------------
 // Fault injection
 
 /// Where in the worker loop a fault triggers.
@@ -394,6 +340,14 @@ impl FaultPlan {
     pub fn kill(mut self, worker: &str, site: FaultSite, nth: u64) -> FaultPlan {
         self.faults.push(Fault { worker: worker.to_string(), site, nth, kind: FaultKind::Kill });
         self
+    }
+
+    /// Add a simulated `kill -9` of `worker` once it has spent `steps`
+    /// tuning steps in slices of `slice_steps`: a kill at the mid-job
+    /// slice boundary where its step count first reaches `steps` (visit
+    /// `max(1, ceil(steps / slice_steps))`).
+    pub fn kill_after_steps(self, worker: &str, steps: u64, slice_steps: u64) -> FaultPlan {
+        self.kill(worker, FaultSite::MidJob, steps.div_ceil(slice_steps.max(1)).max(1))
     }
 
     /// Add a non-kill fault for `worker` at its `nth` visit to `site`.
@@ -591,7 +545,10 @@ impl FleetDir {
             .map_err(|e| format!("{}: {e} (run fleet init first)", path.display()))?;
         text.split("---\n")
             .filter(|b| !b.trim().is_empty())
-            .map(|b| FleetJob::parse(b).map_err(|e| format!("{}: {e}", path.display())))
+            .enumerate()
+            .map(|(i, b)| {
+                FleetJob::parse(b).map_err(|e| format!("{} job {}: {e}", path.display(), i + 1))
+            })
             .collect()
     }
 
@@ -636,27 +593,26 @@ impl FleetDir {
         Ok(s)
     }
 
-    /// Coordinator merge: join every valid part keep-best into one
-    /// library, deterministically. Jobs without a valid part are listed
-    /// as unfinished (the fleet is not drained yet — or a torn part
-    /// awaits its re-run).
+    /// Coordinator merge: fold every valid part into one library with
+    /// [`Library::merge`], whose order is total, so the bytes do not
+    /// depend on the order the parts are read in. Part records tuned under
+    /// another machine model are rejected and counted. Jobs without a
+    /// valid part are listed as unfinished (the fleet is not drained yet —
+    /// or a torn part awaits its re-run).
     pub fn merge(&self) -> Result<MergeOutcome, String> {
-        let mut libs = Vec::new();
-        let mut merged_jobs = 0;
-        let mut evaluations = 0;
-        let mut unfinished = Vec::new();
+        let mut out = MergeOutcome::default();
         for job in self.manifest()? {
             let id = job.id();
             match self.part(&id) {
-                Some((evals, lib)) => {
-                    merged_jobs += 1;
-                    evaluations += evals;
-                    libs.push(lib);
+                Some((evals, part)) => {
+                    out.merged_jobs += 1;
+                    out.evaluations += evals;
+                    out.rejected_stale += out.library.merge(part.records().cloned()).rejected_stale;
                 }
-                None => unfinished.push(id),
+                None => out.unfinished.push(id),
             }
         }
-        Ok(MergeOutcome { library: join_libraries(libs), merged_jobs, evaluations, unfinished })
+        Ok(out)
     }
 }
 
@@ -669,7 +625,7 @@ fn remove_if_present(removed: io::Result<()>) -> io::Result<()> {
 }
 
 /// Result of a coordinator merge over the fleet's part files.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MergeOutcome {
     /// The joined library.
     pub library: Library,
@@ -677,6 +633,8 @@ pub struct MergeOutcome {
     pub merged_jobs: usize,
     /// Total evaluations those jobs spent.
     pub evaluations: u64,
+    /// Part records left out for carrying another machine model's version.
+    pub rejected_stale: usize,
     /// Manifest jobs with no valid part yet.
     pub unfinished: Vec<String>,
 }
@@ -695,22 +653,14 @@ pub struct WorkerConfig {
     pub slice_steps: u64,
     /// Total tuning steps before a *clean pause*: the worker drops its
     /// lock, keeping the job's checkpoint, and exits [`WorkerExit::Paused`].
+    /// (A simulated crash is a [`FaultPlan`] kill instead.)
     pub step_limit: Option<u64>,
-    /// Total tuning steps before a *simulated crash*: the worker exits
-    /// [`WorkerExit::Killed`] on the spot, its lock dropping with it,
-    /// exactly like a `kill -9`.
-    pub kill_after: Option<u64>,
 }
 
 impl WorkerConfig {
     /// A worker named `worker` with defaults: 8-step slices, no limits.
     pub fn new(worker: &str) -> WorkerConfig {
-        WorkerConfig {
-            worker: worker.to_string(),
-            slice_steps: 8,
-            step_limit: None,
-            kill_after: None,
-        }
+        WorkerConfig { worker: worker.to_string(), slice_steps: 8, step_limit: None }
     }
 }
 
@@ -721,7 +671,7 @@ pub enum WorkerExit {
     Drained,
     /// The step limit ran out; the in-flight job's lock was dropped.
     Paused,
-    /// A planned fault (or `kill_after`) killed the worker mid-protocol.
+    /// A planned fault killed the worker mid-protocol.
     Killed,
 }
 
@@ -923,13 +873,8 @@ fn run_job(
             Some(cfg.slice_steps),
         )?;
         report.steps += cfg.slice_steps;
-        // the simulated kill -9 lands at step N no matter what the slice
-        // accomplished — checked before the finished-job break on purpose
-        if let Some(limit) = cfg.kill_after {
-            if report.steps >= limit {
-                return Ok(JobRun::Killed);
-            }
-        }
+        // a fault here lands no matter what the slice accomplished —
+        // checked before the finished-job break on purpose
         match cursor.check(plan, &cfg.worker, FaultSite::MidJob) {
             Some(FaultKind::Kill) => return Ok(JobRun::Killed),
             Some(FaultKind::DropLock) => {
@@ -986,9 +931,8 @@ pub struct FleetRunReport {
 
 /// Run `n` in-process worker threads (ids `w0..w{n-1}`) against the
 /// fleet — the deterministic bench/test harness and the `fleet run` CLI
-/// core. `base`'s `worker` field is ignored; its `kill_after` applies to
-/// worker `w0` only (the "one injected kill" scenario — the rest of the
-/// fleet must absorb it).
+/// core. `base`'s `worker` field is ignored; faults, an injected kill
+/// included, come from `plan` by worker id.
 pub fn run_fleet(
     fleet: &FleetDir,
     n: usize,
@@ -996,13 +940,8 @@ pub fn run_fleet(
     plan: &FaultPlan,
 ) -> Result<FleetRunReport, String> {
     let n = n.max(1);
-    let configs: Vec<WorkerConfig> = (0..n)
-        .map(|i| WorkerConfig {
-            worker: format!("w{i}"),
-            kill_after: if i == 0 { base.kill_after } else { None },
-            ..base.clone()
-        })
-        .collect();
+    let configs: Vec<WorkerConfig> =
+        (0..n).map(|i| WorkerConfig { worker: format!("w{i}"), ..base.clone() }).collect();
     let reports: Vec<Result<WorkerReport, String>> = std::thread::scope(|s| {
         let handles: Vec<_> =
             configs.iter().map(|cfg| s.spawn(move || run_worker(fleet, cfg, plan))).collect();
@@ -1041,16 +980,32 @@ mod tests {
     }
 
     #[test]
-    fn job_file_round_trips_and_skips_unknown_lines() {
+    fn job_file_round_trips_and_refuses_every_other_line() {
         let job = jobs(&["layernorm 1"], Strategy::Anneal { budget: 17 }, 9).remove(0);
-        assert_eq!(FleetJob::parse(&job.render()).unwrap(), job);
-        // a line the parser does not know (such as the owner header older
-        // fleets stamped above a claimed body) is skipped
-        let stamped = format!("owner w3 beat 0\n{}", job.render());
-        assert_eq!(FleetJob::parse(&stamped).unwrap(), job);
+        let text = job.render();
+        assert_eq!(FleetJob::parse(&text).unwrap(), job);
         // the id is filesystem-safe despite the space in the label
         assert!(job.id().chars().all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)));
         assert!(FleetJob::parse("label x\n").is_err(), "headerless text must not parse");
+        // each case quotes the line it found where it wanted another
+        let owner = "owner w3 beat 0";
+        let lines: Vec<&str> = text.lines().collect();
+        let block = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
+        let mut headed = lines.clone();
+        headed.insert(1, owner);
+        let mut missing = lines.clone();
+        missing.remove(2);
+        let mut swapped = lines.clone();
+        swapped.swap(2, 3);
+        for (tag, bad, quoted) in [
+            ("owner header", block(&headed), owner),
+            ("missing dims", block(&missing), lines[3]),
+            ("dims and target swapped", block(&swapped), lines[3]),
+            ("trailing line", format!("{text}{owner}\n"), owner),
+        ] {
+            let err = FleetJob::parse(&bad).expect_err(tag);
+            assert!(err.contains(&format!("{quoted:?}")), "{tag}: {err}");
+        }
     }
 
     #[test]
@@ -1077,6 +1032,32 @@ mod tests {
         let empty = render_part("j1", 7, &Library::new().to_text());
         let (_, lib2) = parse_part("j1", &empty).unwrap();
         assert!(lib2.is_empty());
+    }
+
+    #[test]
+    fn merge_leaves_out_a_part_record_tuned_under_another_model() {
+        let dir = tmpdir("stale");
+        let fleet = FleetDir::open(&dir);
+        let js = jobs(&["softmax", "relu"], Strategy::Heuristic, 3);
+        fleet.init(&js).unwrap();
+        assert!(run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap().drained);
+        let fresh = fleet.merge().unwrap();
+        assert_eq!((fresh.library.len(), fresh.rejected_stale), (2, 0));
+        // restamp one part's record with another model, its hash intact
+        let id = js[0].id();
+        let (evals, part) = fleet.part(&id).unwrap();
+        let stale = format::ScheduleRecord {
+            model_version: "m0-t0".into(),
+            ..part.records().next().unwrap().clone()
+        };
+        let text = render_part(&id, evals, &format::render([&stale]));
+        std::fs::write(fleet.part_path(&id), text).unwrap();
+        assert!(fleet.part(&id).is_some(), "the restamped part is valid");
+        let merged = fleet.merge().unwrap();
+        assert_eq!((merged.merged_jobs, merged.rejected_stale), (2, 1));
+        assert_eq!(merged.library.len(), 1);
+        assert!(merged.library.get(&stale.sig).is_none(), "the stale record was merged");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

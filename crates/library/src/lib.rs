@@ -11,8 +11,10 @@
 //! - [`format`] — the on-disk format: replayable edit sequences, predicted
 //!   costs as exact bit patterns, machine-model version, provenance;
 //!   atomic saves, corrupt-block-tolerant loads.
-//! - [`library::Library`] — the keep-best map, with version-checked merge,
-//!   gc, stats, and nearest-shape search.
+//! - [`library::Library`] — the keep-best map, with a version-checked
+//!   merge whose total order makes it a lattice join (the one keep-best
+//!   rule every build, drain, block and fleet merge uses), gc, stats, and
+//!   nearest-shape search.
 //! - [`builder::LibraryBuilder`] — the concurrent, deterministic tuning
 //!   driver over `perfdojo_util::par`; `build_into_checkpointed` is the
 //!   crash-safe sequential variant that persists per-job progress.
@@ -27,9 +29,9 @@
 //!   tune-miss / fleet searches.
 //! - [`fleet`] — the distributed, preemptible tuning fleet: a
 //!   filesystem-coordinated job manifest whose jobs are owned through OS
-//!   file locks and finished by hash-checked parts, with deterministic
-//!   lattice-join merging and a seeded fault-injection plan for
-//!   replayable crash tests.
+//!   file locks and finished by hash-checked parts, merged through
+//!   `Library::merge`, with a seeded fault-injection plan for replayable
+//!   crash tests.
 //! - [`admission`] — the serving tier's bounded query queue and
 //!   deduplicating tune-miss queue.
 //! - [`serve::Server`] — the concurrent schedule-serving daemon core:
@@ -58,14 +60,14 @@ pub use builder::{
 pub use checkpoint::BuildCheckpoint;
 pub use dispatch::{dispatch_stats, DispatchResult, DispatchStats, Disposition};
 pub use fleet::{
-    join, join_libraries, run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir,
-    FleetJob, FleetRunReport, FleetStatus, MergeOutcome, WorkerConfig, WorkerExit, WorkerReport,
+    run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, FleetRunReport,
+    FleetStatus, MergeOutcome, WorkerConfig, WorkerExit, WorkerReport,
 };
 pub use format::{FormatError, LoadStats, Provenance, ScheduleRecord};
 pub use library::{current_model_version, Library, LibraryStats, MergeReport};
 pub use serve::{
     latency_units, percentile, HitTier, ServeConfig, ServeQuery, ServeReply, ServeSnapshot,
-    ServeStats, Server, TuneJob, TuneProgress,
+    ServeStats, Server, TuneProgress,
 };
 pub use sig::KernelSig;
 pub use transfer::{

@@ -38,7 +38,7 @@ pub struct MergeReport {
     pub inserted: usize,
     /// Records that beat (replaced) an existing same-version entry.
     pub improved: usize,
-    /// Records dropped because an existing entry was at least as good.
+    /// Records dropped because the existing entry beats or equals them.
     pub kept_existing: usize,
     /// Existing stale-version entries overwritten regardless of cost.
     pub invalidated: usize,
@@ -112,7 +112,15 @@ impl Library {
     /// - incoming records with a non-current model version are rejected;
     /// - an existing entry with a stale version is overwritten
     ///   unconditionally (invalidated);
-    /// - otherwise the lower predicted cost wins, existing on ties.
+    /// - otherwise the lower predicted cost under `f64::total_cmp` wins,
+    ///   and an exact cost tie goes to the smaller
+    ///   [`ScheduleRecord::to_block`] text.
+    ///
+    /// The order is total, so on current-version records every merge is
+    /// a lattice join — associative, commutative and idempotent: a
+    /// library holds the same bytes whatever order its records arrive in
+    /// and however they are grouped (plain and checkpointed builds, serve
+    /// drains, graph blocks and the fleet's parts all merge here).
     pub fn merge(&mut self, incoming: impl IntoIterator<Item = ScheduleRecord>) -> MergeReport {
         let version = current_model_version();
         let mut report = MergeReport::default();
@@ -131,7 +139,7 @@ impl Library {
                     report.invalidated += 1;
                     self.entries.insert(key, rec);
                 }
-                Some(old) if rec.cost < old.cost => {
+                Some(old) if beats(&rec, old) => {
                     report.improved += 1;
                     self.entries.insert(key, rec);
                 }
@@ -181,7 +189,10 @@ impl Library {
     }
 
     /// Load from `path`, tolerating corrupt entry blocks (reported in
-    /// [`LoadStats`]). Duplicate keys within one file keep the lower cost.
+    /// [`LoadStats`]). Duplicate keys within one file resolve by the
+    /// keep-best order of [`Library::merge`], without its version rules,
+    /// so stale entries still load for [`Library::stats`] and
+    /// [`Library::gc`].
     pub fn load(path: &Path) -> Result<(Library, LoadStats), FormatError> {
         let text = std::fs::read_to_string(path)?;
         Library::from_text(&text)
@@ -194,7 +205,7 @@ impl Library {
         for rec in records {
             let key = rec.sig.key();
             match lib.entries.get(&key) {
-                Some(old) if old.cost <= rec.cost => {}
+                Some(old) if !beats(&rec, old) => {}
                 _ => {
                     lib.entries.insert(key, rec);
                 }
@@ -202,6 +213,14 @@ impl Library {
         }
         Ok((lib, stats))
     }
+}
+
+/// The keep-best order at one key: `a` beats `b` when its cost is lower
+/// under `f64::total_cmp`, or, on an exact tie, when its
+/// [`ScheduleRecord::to_block`] text is smaller. Total, so which of two
+/// records a library keeps never depends on which one came first.
+fn beats(a: &ScheduleRecord, b: &ScheduleRecord) -> bool {
+    a.cost.total_cmp(&b.cost).then_with(|| a.to_block().cmp(&b.to_block())).is_lt()
 }
 
 #[cfg(test)]
@@ -236,6 +255,50 @@ mod tests {
         assert_eq!(r3.improved, 1);
         assert_eq!(lib.records().next().unwrap().cost, 1.0);
         assert_eq!(lib.len(), 1);
+    }
+
+    /// `record(8, cost, v)` whose step list is the one action `step`.
+    fn stepped(cost: f64, step: &str) -> ScheduleRecord {
+        let steps = vec![perfdojo_transform::parse_action(step).expect("test action parses")];
+        ScheduleRecord { steps, ..record(8, cost, &current_model_version()) }
+    }
+
+    #[test]
+    fn merge_and_load_resolve_a_cost_tie_in_any_order() {
+        let a = stepped(2.0, "join_scopes @ @0.1");
+        let b = stepped(2.0, "reuse_dims @ t#1");
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        assert_eq!(a.sig.key(), b.sig.key());
+        let winner = if a.to_block() < b.to_block() { &a } else { &b };
+        for pair in [[a.clone(), b.clone()], [b.clone(), a.clone()]] {
+            let mut lib = Library::new();
+            lib.merge(pair.clone());
+            assert_eq!(lib.records().collect::<Vec<_>>(), vec![winner], "merge kept arrival order");
+            let (loaded, _) = Library::from_text(&format::render(pair.iter())).unwrap();
+            assert_eq!(loaded.to_text(), lib.to_text(), "load kept file order");
+        }
+    }
+
+    #[test]
+    fn beats_totally_orders_same_key_records() {
+        let v = current_model_version();
+        let pool = [
+            record(8, 1.0, &v),
+            record(8, 2.0, &v),
+            record(8, 0.0, &v),
+            record(8, -0.0, &v),
+            stepped(1.0, "join_scopes @ @0.1"),
+            stepped(1.0, "reuse_dims @ t#1"),
+        ];
+        for a in &pool {
+            for b in &pool {
+                if a.to_block() == b.to_block() {
+                    assert!(!beats(a, b), "a record beats itself");
+                } else {
+                    assert_ne!(beats(a, b), beats(b, a), "no strict winner:\n{a:?}\n{b:?}");
+                }
+            }
+        }
     }
 
     #[test]

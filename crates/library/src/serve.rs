@@ -16,7 +16,8 @@
 //!   pool (`perfdojo_util::par`). At capacity the server sheds load
 //!   instead of buffering unboundedly.
 //! - **Tune-miss queue** — queries that resolved below the replay tiers
-//!   (fresh heuristic or naive) become deduplicated [`TuneJob`]s. A
+//!   (fresh heuristic or naive) are queued as tune jobs, deduplicated by
+//!   signature key. A
 //!   background drain runs the normal [`LibraryBuilder`] — optionally
 //!   through the crash-safe checkpoint layer, so tuning is preemptible —
 //!   then merges keep-best and **hot-swaps**: the merged library is
@@ -379,23 +380,6 @@ impl Counters {
     }
 }
 
-/// A deferred tune job for one missed query.
-#[derive(Clone, Debug)]
-pub struct TuneJob {
-    /// Kernel label.
-    pub label: String,
-    /// Constructor dimensions.
-    pub dims: Vec<usize>,
-    /// The naive program to tune.
-    pub program: Program,
-}
-
-impl TuneJob {
-    fn kernel(&self) -> KernelInstance {
-        KernelInstance::at(&self.label, &self.dims, self.program.clone())
-    }
-}
-
 /// Outcome of one background drain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TuneProgress {
@@ -427,13 +411,14 @@ pub struct Server {
     snapshot: RwLock<Arc<ServeSnapshot>>,
     /// Admitted queries with the signature computed at admission.
     admission: AdmissionQueue<(KernelSig, ServeQuery)>,
-    tunes: TuneQueue<TuneJob>,
+    /// Missed queries awaiting a tune job, one per signature key.
+    tunes: TuneQueue<ServeQuery>,
     /// Serializes merge+publish so concurrent drains cannot lose updates,
     /// and holds the jobs (with their queue keys) a drain took but has not
     /// merged: they survive a paused checkpointed drain so the resume
     /// re-runs the same job list, and the keys let a completed drain forget
     /// jobs that produced nothing.
-    writer: Mutex<Vec<(String, TuneJob)>>,
+    writer: Mutex<Vec<(String, ServeQuery)>>,
     /// The complete inputs of tune jobs that produced no record, which
     /// every drain's builder consults and fills.
     failures: Arc<FailureMemo>,
@@ -564,9 +549,9 @@ impl Server {
         replies.pop().expect("one reply per query")
     }
 
-    /// Queue the tune job `job` builds for `key`, unless the key was
-    /// queued before (then `job` never runs).
-    fn enqueue_tune(&self, key: &str, job: impl FnOnce() -> TuneJob) {
+    /// Queue the missed query `job` builds for tuning under `key`, unless
+    /// the key was queued before (then `job` never runs).
+    fn enqueue_tune(&self, key: &str, job: impl FnOnce() -> ServeQuery) {
         if self.tunes.enqueue_with(key, job) {
             self.counters.tune_jobs.fetch_add(1, Ordering::Relaxed);
         }
@@ -601,7 +586,7 @@ impl Server {
             self.counters.served.fetch_add(1, Ordering::Relaxed);
             self.counters.count(resolution.tier);
             if resolution.tier.is_miss() {
-                self.enqueue_tune(&key, || TuneJob {
+                self.enqueue_tune(&key, || ServeQuery {
                     label: label.clone(),
                     dims,
                     program: program.clone(),
@@ -655,7 +640,10 @@ impl Server {
         if jobs.is_empty() {
             return Ok(TuneProgress::Idle);
         }
-        let kernels: Vec<KernelInstance> = jobs.iter().map(|(_, j)| j.kernel()).collect();
+        let kernels: Vec<KernelInstance> = jobs
+            .iter()
+            .map(|(_, q)| KernelInstance::at(&q.label, &q.dims, q.program.clone()))
+            .collect();
         let targets = [self.target.clone()];
         // the snapshot this drain warms from and merges into; holding
         // `writer`, nothing can publish over it

@@ -157,8 +157,9 @@ fn dead_workers_job_is_retuned_exactly_once() {
     let js = jobs();
     fleet.init(&js).unwrap();
     // the dead worker took the first job and was kill -9'd one slice in
-    let cfg = WorkerConfig { slice_steps: 4, kill_after: Some(4), ..WorkerConfig::new("dead") };
-    let dead = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+    let cfg = WorkerConfig { slice_steps: 4, ..WorkerConfig::new("dead") };
+    let plan = FaultPlan::none().kill("dead", FaultSite::MidJob, 1);
+    let dead = run_worker(&fleet, &cfg, &plan).unwrap();
     assert_eq!((dead.exit, dead.jobs_done.len()), (WorkerExit::Killed, 0));
     assert_eq!(std::fs::read_dir(dir.join("ckpt")).unwrap().count(), 1, "one job started");
 
@@ -267,8 +268,8 @@ fn dropped_lock_files_lose_no_job() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Clean pause vs simulated crash: `step_limit` pauses (Paused) and
-/// `kill_after` dies (Killed) mid-job; both drop the lock, leaving the job
+/// Clean pause vs simulated crash: `step_limit` pauses (Paused) and a
+/// planned kill dies (Killed) mid-job; both drop the lock, leaving the job
 /// pending with its checkpoint, and both resume to the baseline bytes
 /// through a fresh worker.
 #[test]
@@ -280,12 +281,13 @@ fn pause_and_kill_resume_paths_are_byte_identical() {
         fleet.init(&jobs()).unwrap();
         let mut cfg = WorkerConfig::new("w0");
         cfg.slice_steps = 4;
+        let mut plan = FaultPlan::none();
         if pause {
             cfg.step_limit = Some(4);
         } else {
-            cfg.kill_after = Some(4);
+            plan = plan.kill("w0", FaultSite::MidJob, 1);
         }
-        let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+        let report = run_worker(&fleet, &cfg, &plan).unwrap();
         let want = if pause { WorkerExit::Paused } else { WorkerExit::Killed };
         assert_eq!(report.exit, want);
         let status = fleet.status().unwrap();

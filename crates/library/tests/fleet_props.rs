@@ -1,11 +1,12 @@
-//! Property tests for the fleet's deterministic merge and wire formats
-//! (`perfdojo_util::proptest_lite`): the keep-best merge is a lattice
-//! join — associative, commutative, idempotent, arrival-order-invariant
-//! to the byte — and job/part files round-trip through every header
-//! mutation the protocol can legally apply to them.
+//! Property tests for the keep-best merge the fleet folds its parts with
+//! and for the fleet's wire formats (`perfdojo_util::proptest_lite`):
+//! `Library::merge` is a lattice join — associative, commutative,
+//! idempotent, arrival-order-invariant to the byte — job files round-trip
+//! and refuse any line `render` does not write, and part files reject
+//! every truncation.
 
 use perfdojo_core::Target;
-use perfdojo_library::fleet::{beats, join, join_libraries, parse_part, render_part, FleetJob};
+use perfdojo_library::fleet::{parse_part, render_part, FleetJob};
 use perfdojo_library::{Library, LibraryBuilder, ScheduleRecord, Strategy};
 use perfdojo_util::proptest_lite::prelude::*;
 use perfdojo_util::rng::Rng;
@@ -57,6 +58,20 @@ fn record_pool() -> &'static Vec<ScheduleRecord> {
     })
 }
 
+/// `records` merged, in order, into an empty library.
+fn merged(records: impl IntoIterator<Item = ScheduleRecord>) -> Library {
+    let mut lib = Library::new();
+    lib.merge(records);
+    lib
+}
+
+/// `a` with `b`'s records merged into it.
+fn join(a: &Library, b: &Library) -> Library {
+    let mut out = a.clone();
+    out.merge(b.records().cloned());
+    out
+}
+
 /// A random sub-multiset of the pool (indices may repeat), shuffled by
 /// `shuffle_seed`.
 fn draw(indices: &[usize], shuffle_seed: u64) -> Vec<ScheduleRecord> {
@@ -72,20 +87,20 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Arrival order is unobservable: any shuffle of any sub-multiset
-    /// joins to byte-identical library text.
+    /// merges to byte-identical library text.
     #[test]
     fn join_is_arrival_order_invariant(
         indices in vec(0usize..64, 1..24),
         s1 in 0u64..1u64 << 48,
         s2 in 0u64..1u64 << 48,
     ) {
-        let a = join(draw(&indices, s1));
-        let b = join(draw(&indices, s2));
+        let a = merged(draw(&indices, s1));
+        let b = merged(draw(&indices, s2));
         prop_assert_eq!(a.to_text(), b.to_text(), "shuffles {s1} vs {s2} diverged");
     }
 
     /// Lattice laws on whole libraries: associativity, commutativity, and
-    /// idempotence of the library-level join, all to the byte.
+    /// idempotence of merging one library into another, all to the byte.
     #[test]
     fn join_is_a_lattice_join(
         xs in vec(0usize..64, 0..12),
@@ -93,50 +108,26 @@ proptest! {
         zs in vec(0usize..64, 0..12),
     ) {
         let (x, y, z) = (draw(&xs, 1), draw(&ys, 2), draw(&zs, 3));
-        let jx = join(x.clone());
-        let jy = join(y.clone());
-        let jz = join(z.clone());
+        let jx = merged(x.clone());
+        let jy = merged(y.clone());
+        let jz = merged(z.clone());
         // commutative
-        prop_assert_eq!(
-            join_libraries([jx.clone(), jy.clone()]).to_text(),
-            join_libraries([jy.clone(), jx.clone()]).to_text(),
-            "x+y != y+x"
-        );
+        prop_assert_eq!(join(&jx, &jy).to_text(), join(&jy, &jx).to_text(), "x+y != y+x");
         // associative
-        let left = join_libraries([join_libraries([jx.clone(), jy.clone()]), jz.clone()]);
-        let right = join_libraries([jx.clone(), join_libraries([jy, jz])]);
+        let left = join(&join(&jx, &jy), &jz);
+        let right = join(&jx, &join(&jy, &jz));
         prop_assert_eq!(left.to_text(), right.to_text(), "(x+y)+z != x+(y+z)");
         // idempotent
-        prop_assert_eq!(
-            join_libraries([jx.clone(), jx.clone()]).to_text(),
-            jx.to_text(),
-            "x+x != x"
-        );
-        // and flat join of everything equals the fold of partials
-        let flat = join(x.into_iter().chain(draw(&ys, 2)).chain(draw(&zs, 3)));
-        prop_assert_eq!(left.to_text(), flat.to_text(), "fold != flat join");
-    }
-
-    /// `beats` is a strict total order on same-key records: for any pair,
-    /// exactly one direction wins unless the records are byte-identical.
-    #[test]
-    fn beats_totally_orders_same_key_records(i in 0usize..64, j in 0usize..64) {
-        let pool = record_pool();
-        let a = &pool[i % pool.len()];
-        let b = &pool[j % pool.len()];
-        if a.sig.key() == b.sig.key() {
-            if a.to_block() == b.to_block() {
-                prop_assert!(!beats(a, b) && !beats(b, a), "identical records ordered");
-            } else {
-                prop_assert!(beats(a, b) != beats(b, a), "no strict winner");
-            }
-        }
+        prop_assert_eq!(join(&jx, &jx).to_text(), jx.to_text(), "x+x != x");
+        // and one flat merge of everything equals the fold of partials
+        let flat = merged(x.into_iter().chain(y).chain(z));
+        prop_assert_eq!(left.to_text(), flat.to_text(), "fold != flat merge");
     }
 
     /// Job blocks (what `jobs.list` holds) round-trip through
-    /// render/parse, and through one and two lines the parser does not
-    /// know above the body (the owner headers older fleets stamped on
-    /// claimed, reclaimed and re-claimed job files).
+    /// render/parse, and a block with the owner header older fleets
+    /// stamped on claimed job files, once or twice, is an error that
+    /// quotes the header.
     #[test]
     fn job_files_survive_the_claim_lifecycle(
         k in 0usize..16,
@@ -156,10 +147,13 @@ proptest! {
         };
         let job = FleetJob { label: inst.label.clone(), dims, target: "x86".into(), strategy, seed };
         prop_assert_eq!(&FleetJob::parse(&job.render()).unwrap(), &job);
-        let wrapped = format!("owner w{} beat 0\n{}", seed % 8, job.render());
-        prop_assert_eq!(&FleetJob::parse(&wrapped).unwrap(), &job);
+        let owner = format!("owner w{} beat 0", seed % 8);
+        let wrapped = format!("{owner}\n{}", job.render());
+        let err = FleetJob::parse(&wrapped).unwrap_err();
+        prop_assert!(err.contains(&format!("{owner:?}")), "{err}");
         let rewrapped = format!("owner w9 beat 0\n{wrapped}");
-        prop_assert_eq!(&FleetJob::parse(&rewrapped).unwrap(), &job);
+        let err = FleetJob::parse(&rewrapped).unwrap_err();
+        prop_assert!(err.contains("\"owner w9 beat 0\""), "{err}");
         // the job reconstructs its kernel
         prop_assert!(job.kernel().is_ok());
     }
@@ -172,7 +166,7 @@ proptest! {
         evals in 0u64..10_000,
         cut in 0usize..10_000,
     ) {
-        let lib = join(draw(&indices, 4));
+        let lib = merged(draw(&indices, 4));
         let text = render_part("job-x", evals, &lib.to_text());
         let (e, back) = parse_part("job-x", &text).expect("intact part must parse");
         prop_assert_eq!(e, evals);

@@ -94,8 +94,8 @@ pub fn push_f32s(out: &mut String, key: &str, v: &[f32]) {
     out.push('\n');
 }
 
-/// A cursor over checkpoint text, one `<key> <fields>` line at a time.
-/// Every error names the line it hit.
+/// A cursor over line-oriented text (checkpoints, fleet job files), one
+/// `<key> <fields>` line at a time. Every error names the line it hit.
 pub struct Lines<'a> {
     it: std::str::Lines<'a>,
     n: usize,
@@ -110,7 +110,7 @@ impl<'a> Lines<'a> {
     /// Consume the next line.
     fn line(&mut self) -> Result<&'a str, String> {
         self.n += 1;
-        self.it.next().ok_or_else(|| format!("line {}: unexpected end of checkpoint", self.n))
+        self.it.next().ok_or_else(|| format!("line {}: unexpected end of text", self.n))
     }
 
     /// An error message naming the last consumed line.
@@ -125,6 +125,17 @@ impl<'a> Lines<'a> {
             return Err(self.err(&format!("expected {want:?}, got {line:?}")));
         }
         Ok(())
+    }
+
+    /// Require that no line is left.
+    pub fn end(&mut self) -> Result<(), String> {
+        match self.it.next() {
+            None => Ok(()),
+            Some(line) => {
+                self.n += 1;
+                Err(self.err(&format!("expected the end, got {line:?}")))
+            }
+        }
     }
 
     /// Consume `key <rest>` (or a bare `key`) and return `rest`.
@@ -510,6 +521,7 @@ mod tests {
         assert_eq!(l.product(a, b).unwrap(), 12);
         assert_eq!(l.list("items", |l| l.hexf("x")).unwrap(), vec![0.0, 1.0]);
         l.exact("end").unwrap();
+        l.end().unwrap();
         assert!(l.line().is_err(), "past the last line");
     }
 
@@ -524,6 +536,10 @@ mod tests {
         assert!(l.product(usize::MAX, 2).is_err());
         // a key is a whole word, and field counts are exact
         assert!(Lines::new("best 2\n").keyed("b").is_err());
+        // a line past the expected end is quoted
+        let mut l = Lines::new("end\nstray 1\n");
+        l.exact("end").unwrap();
+        assert_eq!(l.end().unwrap_err(), "line 2: expected the end, got \"stray 1\"");
         assert!(Lines::new("dims 3\n").ints::<usize, 2>("dims").is_err());
         assert!(Lines::new("dims 3 4 5\n").ints::<usize, 2>("dims").is_err());
         assert!(Lines::new("w 3f800000\n").f32s("w", 2).is_err());
