@@ -18,7 +18,9 @@
 #      format version must fail and leave the copy byte-identical; and
 #      `build` with a misspelled flag (`--seeed`), a repeated flag
 #      (`--seed 1 --seed 2`) or a bare word must fail and write no
-#      library.
+#      library; and a `query` for a convolution whose 3x3 filter is
+#      larger than its 1x3 image must exit 1 naming the shape (not
+#      panic with exit 101).
 #   5. Differential fuzz smoke: a fixed-seed run over random programs ×
 #      random transformation walks must find zero counterexamples, finish
 #      quickly, and produce a byte-identical report when repeated — the
@@ -28,9 +30,12 @@
 #      tree-walking oracle (`tests/interp_oracle.rs`) under the release
 #      optimizer.
 #   6. Search-engine smoke: the A/B determinism suite must hold (incremental
-#      engine bit-identical to naive), and a fixed-seed `--exp searchperf`
-#      run must show an effective cost cache and emit a report whose
-#      non-timing content is byte-identical across two runs.
+#      engine bit-identical to naive), the naive, greedy and heuristic
+#      passes and the manual softmax process must play the moves and
+#      reach the costs pinned in `crates/search/tests/golden/passes.txt`
+#      under the release optimizer too, and a fixed-seed `--exp
+#      searchperf` run must show an effective cost cache and emit a
+#      report whose non-timing content is byte-identical across two runs.
 #   7. Checkpoint/resume smoke: a fixed-seed checkpointed `perfdojo-lib
 #      build` paused at a step limit (exit code 4) and resumed must produce
 #      a library and event trace byte-identical to an uninterrupted build's
@@ -179,6 +184,15 @@ build_refused "the unknown flag --seeed" \
 build_refused "a repeated --seed" \
     --kernels relu --targets x86 --strategy heuristic --seed 1 --seed 2
 build_refused "the bare word relu" relu --kernels relu
+# a shape the operator cannot take is a usage error, not a panic
+status=0
+./target/release/perfdojo-lib query --lib "$PDLIB" --target x86 \
+    --kernel conv --shape 1x1x1x1x3x3 2> "$PDLIB_DIR/conv.err" || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ci.sh: query for a conv image smaller than its filter exited $status" >&2
+    exit 1
+fi
+grep -q 'no kernel "conv" at shape' "$PDLIB_DIR/conv.err"
 
 echo "== 5/13 differential fuzz smoke: fixed seed, deterministic, clean =="
 ./target/release/fuzz --seed 0xC0FFEE --iters 200 > "$PDLIB_DIR/fuzz1.txt"
@@ -207,6 +221,8 @@ echo "== 6/13 search-engine smoke: A/B determinism + searchperf report =="
 # the incremental engine must be bit-identical to the naive one on every
 # tune-suite kernel and strategy
 cargo test -q -p perfdojo-search --offline --test incremental_ab
+# the passes' moves and costs, pinned on disk, hold in release as in debug
+cargo test -q --release -p perfdojo-search --offline --test golden_passes
 # fixed-seed searchperf: run twice from scratch; everything except wall-time
 # fields must be byte-identical, the cache must actually fire, and both
 # engines must have agreed on every result

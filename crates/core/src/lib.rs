@@ -20,7 +20,8 @@ use perfdojo_interp::{verify_equivalent, VerifyReport, VERIFY_WORK_LIMIT};
 use perfdojo_ir::{exact_fp128, validate, Arena, Fp128, Program};
 use perfdojo_machine::{Machine, MachineError};
 use perfdojo_transform::{
-    available_actions, available_actions_in, Action, History, TransformError, TransformLibrary,
+    available_actions, available_actions_in, Action, History, Loc, Transform, TransformError,
+    TransformLibrary,
 };
 use perfdojo_util::lru::LruCache;
 use std::fmt;
@@ -291,12 +292,36 @@ impl Dojo {
     /// Open a game: validate the kernel and score the starting state.
     pub fn new(program: Program, machine: Machine, library: TransformLibrary) -> Result<Self, DojoError> {
         validate(&program).map_err(DojoError::Invalid)?;
-        let est = machine.evaluate(&program).map_err(DojoError::Machine)?;
-        let runtime = est.seconds;
+        let runtime = machine.evaluate(&program).map_err(DojoError::Machine)?.seconds;
+        Ok(Dojo::opened(program, machine, library, runtime))
+    }
+
+    /// Open a game for a [`Target`].
+    pub fn for_target(program: Program, target: &Target) -> Result<Self, DojoError> {
+        Dojo::new(program, target.machine.clone(), target.library.clone())
+    }
+
+    /// [`Dojo::for_target`] for a program the caller has already priced:
+    /// `seconds` must be `target.machine.evaluate(&program)`'s runtime
+    /// (debug builds assert it bit for bit). The program is still
+    /// validated, and the game is the one `for_target` opens, its initial
+    /// evaluation counted the same way; only the lowering is not repeated.
+    pub fn for_target_priced(program: Program, target: &Target, seconds: f64) -> Result<Self, DojoError> {
+        validate(&program).map_err(DojoError::Invalid)?;
+        debug_assert!(
+            target.machine.evaluate(&program).is_ok_and(|e| e.seconds.to_bits() == seconds.to_bits()),
+            "for_target_priced: {seconds:e} is not the target's price of the program"
+        );
+        Ok(Dojo::opened(program, target.machine.clone(), target.library.clone(), seconds))
+    }
+
+    /// The game at a validated `program` whose runtime is `runtime`,
+    /// counted as one evaluation (a cost-cache miss).
+    fn opened(program: Program, machine: Machine, library: TransformLibrary, runtime: f64) -> Self {
         let mut cache = CostCache::new(DEFAULT_COST_CACHE_CAPACITY);
-        cache.misses = 1; // the initial evaluation above
+        cache.misses = 1; // the initial evaluation
         cache.seed(&program, runtime);
-        Ok(Dojo {
+        Dojo {
             history: History::new(program.clone()),
             machine,
             library,
@@ -312,12 +337,7 @@ impl Dojo {
             actions_memo: Some(LruCache::new(DEFAULT_ACTIONS_MEMO_CAPACITY)),
             actions_scratch: Vec::new(),
             prior_runtimes: Vec::new(),
-        })
-    }
-
-    /// Open a game for a [`Target`].
-    pub fn for_target(program: Program, target: &Target) -> Result<Self, DojoError> {
-        Dojo::new(program, target.machine.clone(), target.library.clone())
+        }
     }
 
     /// Enable per-step numerical verification (paper §2.2's empirical
@@ -526,7 +546,7 @@ impl Dojo {
     /// its unchanged state) skips the finder sweep, and a miss scans the
     /// arena a cost miss already built for the same state. The naive engine
     /// has no memo and recomputes on every call, keeping it an honest
-    /// baseline.
+    /// baseline. [`Dojo::locations`] lists one transform's part of it.
     pub fn actions(&mut self) -> &[Action] {
         if self.actions_memo.is_none() {
             self.actions_scratch = available_actions(self.history.current(), &self.library);
@@ -546,6 +566,20 @@ impl Dojo {
             .expect("checked above")
             .get(&key)
             .expect("present or just inserted")
+    }
+
+    /// Where `t` applies at the current state: exactly the locations of the
+    /// `t` entries of [`Dojo::actions`], in their order, when `t` is in the
+    /// library, found without running the other transforms' finders. The
+    /// incremental engine scans the state's memoized arena (the one a cost
+    /// miss or an actions miss of the same state builds); the naive engine
+    /// builds a fresh arena on every call, as its `actions` does.
+    pub fn locations(&mut self, t: &Transform) -> Vec<Loc> {
+        if self.actions_memo.is_none() {
+            return t.find_locations(self.history.current());
+        }
+        self.ensure_arena();
+        t.find_locations_in(self.current_arena.as_ref().expect("just built"))
     }
 
     /// Reward for a runtime: `r = c/T`, normalized so the initial state's
@@ -754,7 +788,6 @@ impl Dojo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdojo_transform::{Loc, Transform};
 
     fn softmax_dojo() -> Dojo {
         let k = perfdojo_kernels::small_suite()

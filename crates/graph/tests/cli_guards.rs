@@ -4,7 +4,8 @@
 //! instead of reporting graphs it never checked, every subcommand refuses
 //! an unknown flag, a repeated flag, a bare word and a flag without its
 //! value before it touches a file, `serve` refuses a batch size of 0
-//! and a Zipf exponent that is negative or not finite, the fleet
+//! and a Zipf exponent that is negative or not finite, `query` refuses a
+//! convolution shape whose filter is larger than its image, the fleet
 //! commands other than `init` create nothing under a `--dir` that holds no
 //! fleet, and a re-run `fleet init` removes the files of a job it drops
 //! unless a worker holds that job's lock, which it names.
@@ -114,6 +115,19 @@ fn serve_refuses_a_zero_batch() {
     assert!(!run.status.success(), "{}", String::from_utf8_lossy(&run.stdout));
     assert!(String::from_utf8_lossy(&run.stderr).contains("--batch"));
     assert_eq!(std::fs::read(&lib).unwrap(), built, "a refused serve changed the library");
+}
+
+#[test]
+fn query_refuses_a_conv_image_smaller_than_its_filter() {
+    let dir = TempDir::new("conv-shape");
+    let lib = dir.0.join("lib.pdl");
+    perfdojo_library::Library::new().save(&lib).unwrap();
+    let lib_path = lib.to_str().unwrap();
+    let shape = ["--target", "x86", "--kernel", "conv", "--shape", "1x1x1x1x3x3"];
+    let run = perfdojo_lib(&[&["query", "--lib", lib_path][..], &shape].concat());
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "a 1x3 image under a 3x3 filter: {stderr}");
+    assert!(stderr.contains("no kernel \"conv\" at shape [1, 1, 1, 1, 3, 3]"), "{stderr}");
 }
 
 /// Every file under `dir` with its bytes, in path order.

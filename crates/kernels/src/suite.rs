@@ -134,7 +134,8 @@ pub fn by_label(label: &str) -> Option<KernelInstance> {
 /// Instantiate a Table 3 operator at a caller-chosen shape (the serving
 /// pattern the schedule library dispatches on: same operator, new shape).
 /// `dims` must carry exactly the operator's shape-parameter count; returns
-/// `None` for unknown labels or wrong arity.
+/// `None` for unknown labels, wrong arity, a zero dimension or a
+/// convolution image smaller than its filter.
 pub fn by_label_with_shape(label: &str, dims: &[usize]) -> Option<Program> {
     if dims.iter().any(|&d| d == 0) {
         return None;
@@ -158,6 +159,10 @@ pub fn by_label_with_shape(label: &str, dims: &[usize]) -> Option<Program> {
         ("matmul", 3) => contraction::matmul(d(0), d(1), d(2)),
         ("bmm", 4) => contraction::bmm(d(0), d(1), d(2), d(3)),
         ("conv", 6) | ("conv 1", 6) | ("conv 2", 6) => {
+            // valid padding: the filter must fit inside the image
+            if d(3) < d(5) || d(4) < d(5) {
+                return None;
+            }
             contraction::conv2d(d(0), d(1), d(2), d(3), d(4), d(5))
         }
         _ => return None,
@@ -200,6 +205,14 @@ mod tests {
         assert!(by_label_with_shape("nonexistent", &[8, 16]).is_none());
         assert!(by_label_with_shape("matmul", &[4, 6, 5]).is_some());
         assert!(by_label_with_shape("conv 1", &[1, 2, 2, 8, 8, 3]).is_some());
+        assert!(by_label_with_shape("conv", &[1, 1, 1, 3, 3, 3]).is_some(), "filter = image");
+    }
+
+    #[test]
+    fn conv_with_an_image_smaller_than_its_filter_is_none() {
+        // conv2d asserts the filter fits; a shape query must not reach it
+        assert!(by_label_with_shape("conv", &[1, 1, 1, 1, 3, 3]).is_none(), "height");
+        assert!(by_label_with_shape("conv 2", &[1, 1, 1, 3, 2, 3]).is_none(), "width");
     }
 
     #[test]

@@ -296,7 +296,10 @@ impl LibraryBuilder {
 
     /// Build the [`ScheduleRecord`] for a tuning result. Only schedules
     /// that actually transform and actually help are kept — a no-op or
-    /// regressing schedule would just waste dispatch time.
+    /// regressing schedule would just waste dispatch time — and only at
+    /// costs a library can load back: both finite (`format::parse` refuses
+    /// any other) and the tuned one below naive (`Library::gc` drops any
+    /// other).
     fn make_record(
         &self,
         kernel: &KernelInstance,
@@ -306,7 +309,7 @@ impl LibraryBuilder {
         steps: Vec<Action>,
         cost: f64,
     ) -> Option<ScheduleRecord> {
-        if steps.is_empty() || cost >= naive_cost {
+        if steps.is_empty() || !(cost.is_finite() && naive_cost.is_finite() && cost < naive_cost) {
             return None;
         }
         Some(ScheduleRecord {
@@ -736,6 +739,26 @@ mod tests {
             assert!(r.cost < r.naive_cost, "{}: no speedup recorded", r.label);
             assert!(!r.steps.is_empty());
             assert_eq!(r.model_version, current_model_version());
+        }
+    }
+
+    #[test]
+    fn a_nan_priced_schedule_is_not_recorded() {
+        // every Estimate.seconds is NaN, so tuned and naive costs both are
+        let mut poisoned = Target::x86();
+        poisoned.machine.config.clock_ghz = f64::NAN;
+        let softmax = &tune(&["softmax"])[0];
+        for strategy in [Strategy::Heuristic, Strategy::Anneal { budget: 20 }] {
+            let out = LibraryBuilder::new(strategy, 3).tune_kernel(softmax, &poisoned);
+            assert_eq!(out.error, None, "{strategy:?}");
+            assert!(out.record.is_none(), "{strategy:?} kept {:?}", out.record);
+            let mut lib = Library::new();
+            let (report, _) = LibraryBuilder::new(strategy, 3).build_into(
+                &mut lib,
+                std::slice::from_ref(softmax),
+                std::slice::from_ref(&poisoned),
+            );
+            assert_eq!((report.inserted, lib.is_empty()), (0, true), "{strategy:?}");
         }
     }
 

@@ -13,7 +13,10 @@
 //!    location-addressed, so a schedule tuned at 24576x512 usually applies
 //!    verbatim at 128x64.
 //! 4. **Fallback heuristic** — nothing replayable: run the deterministic
-//!    heuristic pass fresh.
+//!    heuristic pass fresh, from the naive price tiers 1–3 already took
+//!    (the Dojo opens through [`Dojo::for_target_priced`]); the pass's
+//!    Dojo priced every state it played, so its result is not priced
+//!    again.
 //! 5. **Naive** — even the heuristic found nothing; serve the program
 //!    untransformed.
 //!
@@ -127,6 +130,10 @@ struct Candidate {
     disposition: Disposition,
     steps: Vec<Action>,
     program: Program,
+    /// The machine-model cost of `program` when the tier already has it
+    /// (the heuristic tier's Dojo priced every state it played); `None`
+    /// has [`accept`] price it.
+    cost: Option<f64>,
 }
 
 static EXACT_HITS: AtomicU64 = AtomicU64::new(0);
@@ -196,15 +203,18 @@ impl Library {
         query: &Program,
         target: &Target,
     ) -> DispatchResult {
-        let naive_cost = target.machine.evaluate(query).map(|e| e.seconds).unwrap_or(f64::INFINITY);
+        let naive = target.machine.evaluate(query).ok().map(|e| e.seconds);
+        let naive_cost = naive.unwrap_or(f64::INFINITY);
 
         // Tiers 1–3: cached records (exact, parameterized, nearest-shape).
         if let Some(result) = self.cached_tiers(sig, query, target, naive_cost) {
             return result;
         }
 
-        // Tier 4: heuristic pass, tuned fresh for this query.
-        if let Ok(mut dojo) = Dojo::for_target(query.clone(), target) {
+        // Tier 4: heuristic pass, tuned fresh for this query from its naive
+        // price (a query the machine cannot price opens no game).
+        let dojo = naive.map(|seconds| Dojo::for_target_priced(query.clone(), target, seconds));
+        if let Some(Ok(mut dojo)) = dojo {
             let cost = perfdojo_search::heuristic_pass(&mut dojo);
             let steps = dojo.history.steps.clone();
             if !steps.is_empty() && cost < naive_cost {
@@ -212,6 +222,7 @@ impl Library {
                     disposition: Disposition::FallbackHeuristic,
                     steps,
                     program: dojo.current().clone(),
+                    cost: Some(cost),
                 };
                 if let Some(result) = accept(cand, query, target, naive_cost) {
                     HEURISTIC_SERVES.fetch_add(1, Ordering::Relaxed);
@@ -270,6 +281,7 @@ impl Library {
                     disposition: Disposition::ExactHit,
                     steps: rec.steps.clone(),
                     program,
+                    cost: None,
                 };
                 if let Some(result) = accept(cand, query, target, naive_cost) {
                     EXACT_HITS.fetch_add(1, Ordering::Relaxed);
@@ -295,6 +307,7 @@ impl Library {
                     },
                     steps: applied,
                     program: rep.program,
+                    cost: None,
                 };
                 accept(cand, query, target, naive_cost)
             };
@@ -329,6 +342,7 @@ impl Library {
                         },
                         steps,
                         program: rep.program,
+                        cost: None,
                     };
                     if let Some(result) = accept(cand, query, target, naive_cost) {
                         REPLAY_HITS.fetch_add(1, Ordering::Relaxed);
@@ -353,7 +367,17 @@ fn accept(
     if validate(&cand.program).is_err() {
         return None;
     }
-    let cost = target.machine.evaluate(&cand.program).ok()?.seconds;
+    let cost = match cand.cost {
+        Some(cost) => {
+            debug_assert!(
+                target.machine.evaluate(&cand.program).is_ok_and(|e| e.seconds.to_bits() == cost.to_bits()),
+                "a {} candidate's cost {cost:e} is not the target's price of its program",
+                cand.disposition
+            );
+            cost
+        }
+        None => target.machine.evaluate(&cand.program).ok()?.seconds,
+    };
     // a poisoned or degenerate machine model can price a candidate at NaN;
     // `cost > naive_cost` is false for NaN, so finiteness must be explicit
     if !cost.is_finite() || cost > naive_cost {
@@ -471,6 +495,25 @@ mod tests {
         assert_eq!(r.disposition.tag(), "fallback-heuristic", "{}", r.disposition);
         assert!(r.cost < r.naive_cost);
         assert_eq!(r.verified, Some(true));
+    }
+
+    #[test]
+    fn heuristic_replies_carry_the_machine_prices_bit_for_bit() {
+        // tier 4 opens its game at the naive price tiers 1–3 took and reads
+        // the served cost off the game: both must be the machine's prices
+        let lib = Library::new();
+        for target in [Target::x86(), Target::gh200(), Target::snitch()] {
+            let price = |p: &Program| target.machine.evaluate(p).unwrap().seconds.to_bits();
+            let mut heuristic = 0;
+            for k in perfdojo_kernels::tune_suite() {
+                let r = lib.lookup(&k.program, &target);
+                let at = format!("{} on {}: {}", k.label, target.name, r.disposition);
+                assert_eq!(r.naive_cost.to_bits(), price(&k.program), "{at}");
+                assert_eq!(r.cost.to_bits(), price(&r.program), "{at}");
+                heuristic += usize::from(r.disposition == Disposition::FallbackHeuristic);
+            }
+            assert!(heuristic > 0, "no tier-4 reply on {}", target.name);
+        }
     }
 
     #[test]

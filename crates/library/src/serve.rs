@@ -168,8 +168,10 @@ pub struct ServeQuery {
 }
 
 impl ServeQuery {
-    /// Build a query for `label` at `dims`; `None` for unknown labels or
-    /// wrong arity.
+    /// Build a query for `label` at `dims`; `None` where
+    /// `perfdojo_kernels::by_label_with_shape` has no program (an unknown
+    /// label, wrong arity, a zero dimension, a convolution image smaller
+    /// than its filter).
     pub fn of(label: &str, dims: &[usize]) -> Option<ServeQuery> {
         let program = perfdojo_kernels::by_label_with_shape(label, dims)?;
         Some(ServeQuery { label: label.to_string(), dims: dims.to_vec(), program })

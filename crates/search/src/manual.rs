@@ -5,12 +5,14 @@
 //! reachable through the transformation space and (b) how performance
 //! evolves during the process — including long plateaus from enabling
 //! transformations that only pay off later. This module reproduces that
-//! process as a deterministic script of move *specs* (predicates over the
-//! applicable-action set), recording the runtime after every move.
+//! process as a deterministic script of move *specs* (a transform test
+//! and a location test over the applicable actions), recording the runtime
+//! after every move.
 
+use crate::passes::{anywhere, buffer_within, is_innermost, outermost, play_matching};
 use perfdojo_core::Dojo;
-use perfdojo_ir::{Location, Node};
-use perfdojo_transform::{Action, Loc, Transform};
+use perfdojo_ir::{Location, Node, ScopeKind};
+use perfdojo_transform::{Loc, Transform};
 
 /// One recorded move of the manual process.
 #[derive(Clone, Debug)]
@@ -23,12 +25,9 @@ pub struct TrajectoryPoint {
     pub runtime: f64,
 }
 
-/// A move spec: a name plus a selector over the applicable actions.
-type Spec<'a> = (&'a str, Box<dyn Fn(&Dojo, &Action) -> bool + 'a>);
-
-fn take_all<'a>(name: &'a str, f: impl Fn(&Dojo, &Action) -> bool + 'a) -> Spec<'a> {
-    (name, Box::new(f))
-}
+/// A move spec: a name, the transforms it plays and where it plays them.
+type Spec<'a> =
+    (&'a str, &'a dyn Fn(&Transform) -> bool, &'a dyn Fn(&Dojo, &Loc) -> bool);
 
 /// Run the scripted manual optimization of a row-wise softmax on a CPU
 /// target, returning the performance trajectory (Fig. 9). The script
@@ -45,48 +44,38 @@ pub fn manual_softmax_trajectory(dojo: &mut Dojo) -> Vec<TrajectoryPoint> {
         })
         .max()
         .unwrap_or(8);
+    let vectorize = |t: &Transform| matches!(t, Transform::Vectorize { .. });
 
-    let specs: Vec<Spec> = vec![
+    let specs: [Spec; 7] = [
         // 1) shrink the per-row temporaries: stack placement (plateau moves)
-        take_all("set_location(stack) on temporaries", |d, a| {
-            matches!((&a.transform, &a.loc), (Transform::SetLocation(Location::Stack), Loc::Buffer(b))
-                if d.current().buffer(b).is_some_and(|x| x.bytes() <= 256 * 1024))
-        }),
+        (
+            "set_location(stack) on temporaries",
+            &|t| matches!(t, Transform::SetLocation(Location::Stack)),
+            &|d, l| buffer_within(d, l, 256 * 1024),
+        ),
         // 2) privatize the two row reductions at the vector width
-        take_all("split_reduction(width) on row reductions", move |_, a| {
-            matches!(a.transform, Transform::SplitReduction { tile } if tile == width)
-        }),
+        (
+            "split_reduction(width) on row reductions",
+            &|t| matches!(t, Transform::SplitReduction { tile } if *tile == width),
+            &anywhere,
+        ),
         // 3) vectorize every width-trip single-op loop
-        take_all("vectorize(width)", |_, a| {
-            matches!(a.transform, Transform::Vectorize { .. })
-        }),
+        ("vectorize(width)", &vectorize, &anywhere),
         // 4) tile the remaining elementwise loops to the width …
-        take_all("split_scope(width) on innermost loops", move |d, a| {
-            if let (Transform::SplitScope { tile }, Loc::Node(p)) = (&a.transform, &a.loc) {
-                *tile == width
-                    && matches!(d.current().node(p), Some(Node::Scope(s))
-                        if s.children.iter().all(|c| matches!(c, Node::Op(_))))
-            } else {
-                false
-            }
-        }),
+        (
+            "split_scope(width) on innermost loops",
+            &|t| matches!(t, Transform::SplitScope { tile } if *tile == width),
+            &|d, l| matches!(l, Loc::Node(p) if is_innermost(d, p)),
+        ),
         // 5) … and vectorize them
-        take_all("vectorize(width) after tiling", |_, a| {
-            matches!(a.transform, Transform::Vectorize { .. })
-        }),
+        ("vectorize(width) after tiling", &vectorize, &anywhere),
         // 6) unroll the small partial-accumulator finalization loops
-        take_all("unroll small loops", |d, a| {
-            if let (Transform::Unroll, Loc::Node(p)) = (&a.transform, &a.loc) {
-                matches!(d.current().node(p), Some(Node::Scope(s)) if s.trip() <= 16 && s.kind == perfdojo_ir::ScopeKind::Seq)
-            } else {
-                false
-            }
+        ("unroll small loops", &|t| matches!(t, Transform::Unroll), &|d, l| {
+            matches!(l, Loc::Node(p) if matches!(d.current().node(p), Some(Node::Scope(s))
+                if s.trip() <= 16 && s.kind == ScopeKind::Seq))
         }),
         // 7) finally parallelize the row loop across cores
-        take_all("parallelize rows", |_, a| {
-            matches!(a.transform, Transform::Parallelize)
-                && matches!(&a.loc, Loc::Node(p) if p.len() == 1)
-        }),
+        ("parallelize rows", &|t| matches!(t, Transform::Parallelize), &outermost),
     ];
 
     let mut trajectory = vec![TrajectoryPoint {
@@ -94,23 +83,15 @@ pub fn manual_softmax_trajectory(dojo: &mut Dojo) -> Vec<TrajectoryPoint> {
         move_name: "initial".into(),
         runtime: dojo.runtime(),
     }];
-    let mut step = 0usize;
-    for (name, pred) in specs {
+    for (name, want, at) in specs {
         // apply every matching action (each application is one atomic move)
-        for _ in 0..128 {
-            let Some(action) = dojo.actions().to_vec().into_iter().find(|a| pred(dojo, a)) else {
-                break;
-            };
-            if dojo.step(action).is_err() {
-                break;
-            }
-            step += 1;
+        play_matching(dojo, want, at, 128, &mut |d| {
             trajectory.push(TrajectoryPoint {
-                step,
+                step: trajectory.len(),
                 move_name: name.to_string(),
-                runtime: dojo.runtime(),
+                runtime: d.runtime(),
             });
-        }
+        });
     }
     trajectory
 }

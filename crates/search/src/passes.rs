@@ -11,40 +11,74 @@
 //!   4-iteration scope innermost and unrolls it to hide the 4-cycle FPU
 //!   latency; on CPUs it additionally privatizes reductions to unlock
 //!   vectorization; on GPUs it shapes blocks before binding.
+//!
+//! Each recipe step names the transforms it plays and a test on their
+//! locations, and plays the first match in the Dojo's action order
+//! ([`Dojo::actions`]: library order, each transform's locations in finder
+//! order). It asks [`Dojo::locations`] for the named transforms only, so a
+//! step runs one or two finders, not the whole library's.
 
 use perfdojo_core::Dojo;
 use perfdojo_ir::{Location, Node, Path, ScopeKind};
 use perfdojo_transform::{Action, Loc, Transform};
 
-/// Apply every action matching `pred` until none is applicable (with an
-/// iteration cap for safety). Returns the number of applied actions.
-fn apply_matching(dojo: &mut Dojo, pred: &dyn Fn(&Dojo, &Action) -> bool) -> usize {
+/// Play the first applicable action whose transform `want` accepts and
+/// whose location `at` accepts, until none is left (with an iteration cap
+/// for safety). Returns the number of applied actions.
+fn apply_matching(
+    dojo: &mut Dojo,
+    want: &dyn Fn(&Transform) -> bool,
+    at: &dyn Fn(&Dojo, &Loc) -> bool,
+) -> usize {
+    play_matching(dojo, want, at, 256, &mut |_| {})
+}
+
+/// [`apply_matching`] with the cap given and `played` called after every
+/// move. Each move is the action `dojo.actions().iter().find(..)` finds
+/// for the same test, and the loop stops at the first state where none
+/// matches or the move fails.
+pub(crate) fn play_matching(
+    dojo: &mut Dojo,
+    want: &dyn Fn(&Transform) -> bool,
+    at: &dyn Fn(&Dojo, &Loc) -> bool,
+    cap: usize,
+    played: &mut dyn FnMut(&Dojo),
+) -> usize {
+    let wanted: Vec<Transform> =
+        dojo.library().transforms.iter().filter(|t| want(t)).cloned().collect();
     let mut applied = 0;
-    for _ in 0..256 {
-        let Some(action) = dojo.actions().to_vec().into_iter().find(|a| pred(dojo, a)) else {
-            break;
-        };
+    while applied < cap {
+        let next = wanted.iter().find_map(|t| {
+            let loc = dojo.locations(t).into_iter().find(|l| at(dojo, l))?;
+            Some(Action { transform: t.clone(), loc })
+        });
+        let Some(action) = next else { break };
         if dojo.step(action).is_err() {
             break;
         }
         applied += 1;
+        played(dojo);
     }
     applied
 }
 
+/// Every location of a transform.
+pub(crate) fn anywhere(_: &Dojo, _: &Loc) -> bool {
+    true
+}
+
+/// An outermost loop.
+pub(crate) fn outermost(_: &Dojo, loc: &Loc) -> bool {
+    matches!(loc, Loc::Node(p) if p.len() == 1)
+}
+
 /// The *naive* pass: fuse scopes and reuse buffer dimensions to exhaustion.
 pub fn naive_pass(dojo: &mut Dojo) -> f64 {
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::JoinScopes));
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::ReuseDims));
+    apply_matching(dojo, &|t| matches!(t, Transform::JoinScopes), &anywhere);
+    apply_matching(dojo, &|t| matches!(t, Transform::ReuseDims), &anywhere);
     // buffers that shrank to (near-)scalars live in fast storage
-    apply_matching(dojo, &|d, a| {
-        if let (Transform::SetLocation(Location::Stack), Loc::Buffer(name)) =
-            (&a.transform, &a.loc)
-        {
-            d.current().buffer(name).is_some_and(|b| b.bytes() <= 4096)
-        } else {
-            false
-        }
+    apply_matching(dojo, &|t| matches!(t, Transform::SetLocation(Location::Stack)), &|d, l| {
+        buffer_within(d, l, 4096)
     });
     dojo.runtime()
 }
@@ -55,27 +89,22 @@ pub fn greedy_pass(dojo: &mut Dojo) -> f64 {
     let lib_has = |d: &Dojo, t: &dyn Fn(&Transform) -> bool| d.library().transforms.iter().any(|x| t(x));
     // Snitch: stream + hardware-loop everything streamable.
     if lib_has(dojo, &|t| matches!(t, Transform::EnableSsr)) {
-        apply_matching(dojo, &|_, a| matches!(a.transform, Transform::EnableSsr));
-        apply_matching(dojo, &|_, a| matches!(a.transform, Transform::EnableFrep));
+        apply_matching(dojo, &|t| matches!(t, Transform::EnableSsr), &anywhere);
+        apply_matching(dojo, &|t| matches!(t, Transform::EnableFrep), &anywhere);
     }
     // CPU: parallelize outermost loops, then vectorize innermost loops.
     if lib_has(dojo, &|t| matches!(t, Transform::Parallelize)) {
-        apply_matching(dojo, &|_, a| {
-            matches!(a.transform, Transform::Parallelize)
-                && matches!(&a.loc, Loc::Node(p) if p.len() == 1)
-        });
+        apply_matching(dojo, &|t| matches!(t, Transform::Parallelize), &outermost);
         greedy_vectorize(dojo);
     }
     // GPU: bind the outermost loop to the grid and the next to the block.
     if lib_has(dojo, &|t| matches!(t, Transform::BindGpu(_))) {
-        apply_matching(dojo, &|_, a| {
-            matches!(a.transform, Transform::BindGpu(ScopeKind::GpuGrid))
-                && matches!(&a.loc, Loc::Node(p) if p.len() == 1)
-        });
-        apply_matching(dojo, &|d, a| {
-            matches!(a.transform, Transform::BindGpu(ScopeKind::GpuBlock))
-                && block_size_ok(d, &a.loc)
-        });
+        apply_matching(dojo, &|t| matches!(t, Transform::BindGpu(ScopeKind::GpuGrid)), &outermost);
+        apply_matching(
+            dojo,
+            &|t| matches!(t, Transform::BindGpu(ScopeKind::GpuBlock)),
+            &block_size_ok,
+        );
     }
     dojo.runtime()
 }
@@ -89,6 +118,11 @@ fn block_size_ok(d: &Dojo, loc: &Loc) -> bool {
     false
 }
 
+/// A buffer of at most `bytes` bytes.
+pub(crate) fn buffer_within(d: &Dojo, loc: &Loc, bytes: usize) -> bool {
+    matches!(loc, Loc::Buffer(name) if d.current().buffer(name).is_some_and(|b| b.bytes() <= bytes))
+}
+
 /// Vectorize innermost loops greedily: tile to the vector width when the
 /// trip count allows, then vectorize.
 fn greedy_vectorize(dojo: &mut Dojo) {
@@ -98,7 +132,7 @@ fn greedy_vectorize(dojo: &mut Dojo) {
     }
     for _ in 0..64 {
         // direct vectorize where trip already equals the width
-        if apply_matching(dojo, &|_, a| matches!(a.transform, Transform::Vectorize { .. })) > 0 {
+        if apply_matching(dojo, &|t| matches!(t, Transform::Vectorize { .. }), &anywhere) > 0 {
             continue;
         }
         // otherwise tile one innermost loop to the width and retry
@@ -124,8 +158,7 @@ fn vector_width(dojo: &Dojo) -> usize {
 /// Split one innermost (op-only) scope by `tile`, if any applies.
 fn apply_one_innermost_split(dojo: &mut Dojo, tile: usize) -> bool {
     let split = Transform::SplitScope { tile };
-    let locs = split.find_locations(dojo.current());
-    for loc in locs {
+    for loc in dojo.locations(&split) {
         if let Loc::Node(p) = &loc {
             if is_innermost(dojo, p) {
                 let a = Action { transform: split.clone(), loc };
@@ -138,7 +171,8 @@ fn apply_one_innermost_split(dojo: &mut Dojo, tile: usize) -> bool {
     false
 }
 
-fn is_innermost(dojo: &Dojo, p: &Path) -> bool {
+/// A scope whose children are all ops.
+pub(crate) fn is_innermost(dojo: &Dojo, p: &Path) -> bool {
     match dojo.current().node(p) {
         Some(Node::Scope(s)) => s.children.iter().all(|c| matches!(c, Node::Op(_))),
         _ => false,
@@ -178,23 +212,19 @@ fn heuristic_snitch(dojo: &mut Dojo) {
     // only when the work amortizes the barrier
     let before = dojo.runtime();
     let len_before = dojo.history.len();
-    apply_matching(dojo, &|_, a| {
-        matches!(a.transform, Transform::Parallelize)
-            && matches!(&a.loc, Loc::Node(p) if p.len() == 1)
-    });
+    apply_matching(dojo, &|t| matches!(t, Transform::Parallelize), &outermost);
     if dojo.runtime() > before {
         while dojo.history.len() > len_before {
             dojo.undo();
         }
     }
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::SplitReduction { tile: 4 }));
-    apply_matching(dojo, &|d, a| {
-        matches!(a.transform, Transform::Unroll)
-            && matches!(&a.loc, Loc::Node(p)
-                if matches!(d.current().node(p), Some(Node::Scope(s)) if s.trip() == 4))
+    apply_matching(dojo, &|t| matches!(t, Transform::SplitReduction { tile: 4 }), &anywhere);
+    apply_matching(dojo, &|t| matches!(t, Transform::Unroll), &|d, l| {
+        matches!(l, Loc::Node(p)
+            if matches!(d.current().node(p), Some(Node::Scope(s)) if s.trip() == 4))
     });
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::EnableSsr));
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::EnableFrep));
+    apply_matching(dojo, &|t| matches!(t, Transform::EnableSsr), &anywhere);
+    apply_matching(dojo, &|t| matches!(t, Transform::EnableFrep), &anywhere);
 }
 
 /// CPU heuristic: privatize reductions at the vector width, vectorize all
@@ -206,27 +236,20 @@ fn heuristic_cpu(dojo: &mut Dojo) {
     // synchronization overhead, so keep it only if it helps
     let before = dojo.runtime();
     let len_before = dojo.history.len();
-    apply_matching(dojo, &|_, a| {
-        matches!(a.transform, Transform::Parallelize)
-            && matches!(&a.loc, Loc::Node(p) if p.len() == 1)
-    });
+    apply_matching(dojo, &|t| matches!(t, Transform::Parallelize), &outermost);
     if dojo.runtime() > before {
         while dojo.history.len() > len_before {
             dojo.undo();
         }
     }
-    apply_matching(dojo, &|_, a| {
-        matches!(a.transform, Transform::SplitReduction { tile } if tile == width)
-    });
+    apply_matching(
+        dojo,
+        &|t| matches!(t, Transform::SplitReduction { tile } if *tile == width),
+        &anywhere,
+    );
     greedy_vectorize(dojo);
-    apply_matching(dojo, &|d, a| {
-        if let (Transform::SetLocation(Location::Stack), Loc::Buffer(name)) =
-            (&a.transform, &a.loc)
-        {
-            d.current().buffer(name).is_some_and(|b| b.bytes() <= 64 * 1024)
-        } else {
-            false
-        }
+    apply_matching(dojo, &|t| matches!(t, Transform::SetLocation(Location::Stack)), &|d, l| {
+        buffer_within(d, l, 64 * 1024)
     });
 }
 
@@ -240,7 +263,7 @@ fn heuristic_gpu(dojo: &mut Dojo) {
     for i in 0..roots {
         bind_nest(dojo, i);
     }
-    apply_matching(dojo, &|_, a| matches!(a.transform, Transform::Vectorize { width: 4 }));
+    apply_matching(dojo, &|t| matches!(t, Transform::Vectorize { width: 4 }), &anywhere);
 }
 
 /// Try binding strategies for the top-level nest at root index `i`,
