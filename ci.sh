@@ -78,7 +78,11 @@
 #      job pending (neither running nor done) with the checkpoint in place,
 #      and the next worker must resume it (fewer steps than an uninterrupted
 #      worker) and merge `cmp`-identical to an uninterrupted fleet; the
-#      `--kill-after` run must kill exactly one worker, w0; `fleet run` on
+#      `--kill-after` run must kill exactly one worker, w0; a worker must
+#      count the steps its checkpoint slices ran, not their size — `fleet
+#      run --workers 1` on four one-step heuristic jobs must print `4
+#      steps`, and `fleet work --step-limit 10` on a fresh copy must drain
+#      them (exit 0, not a pause); `fleet run` on
 #      a `jobs.list` with a garbled block must fail, and on one with a line
 #      `fleet init` never writes (`owner w3 beat 0`) must exit 1 quoting
 #      it; and `fleet status` on a path that holds no fleet must fail and
@@ -549,6 +553,24 @@ whole=$(drained_steps "$PDLIB_DIR/farm1.txt")
 if [ -z "$resumed" ] || [ -z "$whole" ] || [ "$resumed" -ge "$whole" ]; then
     echo "ci.sh: the resumed worker ran ${resumed:-?} steps, an uninterrupted one" \
         "${whole:-?}: the kill -9 resumed no checkpoint" >&2
+    exit 1
+fi
+# a worker counts the steps its checkpoint slices ran, not their size:
+# four one-step heuristic jobs are 4 steps, and a 10-step limit drains them
+STEP_ARGS=(--kernels softmax,relu,matmul,add --targets x86 --strategy heuristic --seed 3)
+./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farms" "${STEP_ARGS[@]}" > /dev/null
+./target/release/perfdojo-lib fleet run --dir "$PDLIB_DIR/farms" --workers 1 \
+    > "$PDLIB_DIR/farms.txt"
+if ! grep -q "^  w0: Drained — 4 jobs done, 4 steps," "$PDLIB_DIR/farms.txt"; then
+    echo "ci.sh: fleet run must charge 4 one-step heuristic jobs 4 steps:" >&2
+    cat "$PDLIB_DIR/farms.txt" >&2
+    exit 1
+fi
+./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farml" "${STEP_ARGS[@]}" > /dev/null
+if ! ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farml" --worker w0 \
+    --step-limit 10 > "$PDLIB_DIR/farml.txt"; then
+    echo "ci.sh: a 10-step limit must drain 4 one-step heuristic jobs:" >&2
+    cat "$PDLIB_DIR/farml.txt" >&2
     exit 1
 fi
 # jobs.list is the only list of jobs: one garbled block must fail the

@@ -4,15 +4,7 @@
 use crate::report::{fmt_time, geomean, Table};
 use perfdojo_baselines::{handwritten_asm_runtime, handwritten_c_runtime, tvm_tune};
 use perfdojo_core::{Dojo, Target};
-
-fn frac_of_peak(dojo: &Dojo, runtime: f64) -> f64 {
-    // single-core utilization against the paper's 1.0 instructions/cycle
-    // peak convention (§4.1)
-    let cfg = &dojo.machine().config;
-    let cycles = runtime * cfg.clock_ghz * 1e9;
-    let flops = perfdojo_codegen::lower(dojo.initial()).unwrap().useful_flops as f64;
-    flops / cycles / cfg.fp_units as f64
-}
+use perfdojo_machine::fraction_of_core_peak;
 
 /// Fig. 7: naive / greedy / heuristic passes on the Snitch micro-kernels,
 /// reported as fraction of theoretical peak.
@@ -24,24 +16,23 @@ pub fn exp_fig7() -> String {
     );
     let mut sp_greedy = Vec::new();
     let mut sp_heur = Vec::new();
+    let cfg = &target.machine.config;
     for k in perfdojo_kernels::micro_suite() {
+        // the useful work is the untransformed kernel's
+        let flops = perfdojo_codegen::lower(&k.program).unwrap().useful_flops();
+        let percent = |runtime: f64| {
+            let frac = fraction_of_core_peak(cfg, flops, runtime * cfg.clock_ghz * 1e9);
+            format!("{:.0}%", frac * 100.0)
+        };
         let mut d = Dojo::for_target(k.program.clone(), &target).unwrap();
         let naive = perfdojo_search::naive_pass(&mut d);
-        let f_naive = frac_of_peak(&d, naive);
         let mut d = Dojo::for_target(k.program.clone(), &target).unwrap();
         let greedy = perfdojo_search::greedy_pass(&mut d);
-        let f_greedy = frac_of_peak(&d, greedy);
         let mut d = Dojo::for_target(k.program.clone(), &target).unwrap();
         let heur = perfdojo_search::heuristic_pass(&mut d);
-        let f_heur = frac_of_peak(&d, heur);
         sp_greedy.push(naive / greedy);
         sp_heur.push(naive / heur);
-        t.row(vec![
-            k.label.clone(),
-            format!("{:.0}%", f_naive * 100.0),
-            format!("{:.0}%", f_greedy * 100.0),
-            format!("{:.0}%", f_heur * 100.0),
-        ]);
+        t.row(vec![k.label.clone(), percent(naive), percent(greedy), percent(heur)]);
     }
     t.note(format!(
         "geomean speedup over naive: greedy {:.0}%, heuristic {:.0}% (paper: 46% and 58%)",

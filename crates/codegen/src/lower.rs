@@ -198,14 +198,20 @@ pub struct BufferInfo {
 /// A fully lowered kernel.
 #[derive(Clone, PartialEq, Debug)]
 pub struct LoweredKernel {
-    /// Kernel name.
-    pub name: String,
     /// Buffers (physical sizes, locations).
     pub buffers: Vec<BufferInfo>,
     /// Top-level lowered nodes, executed in order.
     pub body: Vec<Lowered>,
-    /// Useful arithmetic work (dynamic op instances) for peak computations.
-    pub useful_flops: u64,
+}
+
+impl LoweredKernel {
+    /// Useful arithmetic work: the dynamic count of arithmetic
+    /// *instructions* (FMA fused), the paper's "number of required
+    /// arithmetic operations" for peak calculations (§4.1). Saturates at
+    /// `u64::MAX`.
+    pub fn useful_flops(&self) -> u64 {
+        self.body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add)
+    }
 }
 
 /// Lowering failure.
@@ -253,8 +259,7 @@ pub fn lower_arena(a: &Arena) -> Result<LoweredKernel, LowerError> {
     for r in a.roots() {
         body.push(lower_anode(a, r)?);
     }
-    let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
-    Ok(LoweredKernel { name: a.name.clone(), buffers, body, useful_flops })
+    Ok(LoweredKernel { buffers, body })
 }
 
 fn lower_anode(a: &Arena, id: NodeId) -> Result<Lowered, LowerError> {
@@ -375,9 +380,7 @@ fn classify_arena(a: &Arena, e: ExprId, flops: &mut Vec<OpClass>) -> usize {
     }
 }
 
-/// Dynamic count of arithmetic *instructions* (FMA fused) — the paper's
-/// "number of required arithmetic operations" for peak calculations, §4.1.
-/// Saturates at `u64::MAX`.
+/// [`LoweredKernel::useful_flops`] of `n`, run `mult` times.
 fn fused_flops(n: &Lowered, mult: u64) -> u64 {
     match n {
         Lowered::Stmt(s) => mult.saturating_mul(s.flops.len() as u64),
@@ -410,8 +413,7 @@ mod tests {
         for n in &p.roots {
             body.push(lower_node(p, n, 0)?);
         }
-        let useful_flops = body.iter().map(|n| fused_flops(n, 1)).fold(0, u64::saturating_add);
-        Ok(LoweredKernel { name: p.name.clone(), buffers, body, useful_flops })
+        Ok(LoweredKernel { buffers, body })
     }
 
     fn lower_node(p: &Program, n: &Node, depth: usize) -> Result<Lowered, LowerError> {
@@ -582,6 +584,8 @@ mod tests {
         assert_eq!(s.flops, vec![OpClass::Fma]);
         assert!(s.reads_own_output);
         assert_eq!(s.expr_depth, 1);
+        // one fused instruction per iteration
+        assert_eq!(k.useful_flops(), 8);
     }
 
     #[test]

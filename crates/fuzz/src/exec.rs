@@ -202,9 +202,8 @@ fn eval(e: &Expr, loads: &[f64], next: &mut usize, iters: &[i64]) -> Result<f64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::first_mismatch;
     use perfdojo_codegen::lower;
-    use perfdojo_interp::{execute, random_inputs};
+    use perfdojo_interp::{execute, first_mismatch, random_inputs};
     use perfdojo_ir::parse_program;
 
     fn roundtrip(src: &str, seed: u64) {

@@ -10,7 +10,8 @@
 //!    transformed program must be well-formed;
 //! 2. interpreter differential — outputs of the transformed program must
 //!    match the untransformed reference on random inputs (bit-exact for
-//!    integer-valued paths, ULP-bounded for float paths, see [`diff`]);
+//!    integer-valued paths, ULP-bounded for float paths, see
+//!    [`perfdojo_interp::diff`]);
 //! 3. codegen differential — executing the lowered virtual ISA
 //!    ([`perfdojo_codegen::lower`]) must reproduce the interpreter
 //!    bit-for-bit, since both walk the same tree in the same order.
@@ -20,14 +21,12 @@
 //! into a small textual reproducer for `tests/corpus/`.
 
 pub mod corpus;
-pub mod diff;
 pub mod exec;
 pub mod gen;
 pub mod shrink;
 pub mod walk;
 
 pub use corpus::{parse_reproducer, reproducer_text};
-pub use diff::{first_mismatch, values_match, values_match_exact};
 pub use exec::execute_lowered;
 pub use gen::{gen_program, GenConfig};
 pub use shrink::{shrink_case, Case};

@@ -6,10 +6,10 @@
 //!
 //! 1. the transformed program still validates,
 //! 2. its interpreter outputs match the untransformed reference
-//!    ([`crate::diff::values_match`] — bit-exact integers, ULP-bounded
+//!    ([`perfdojo_interp::values_match`] — bit-exact integers, ULP-bounded
 //!    floats),
 //! 3. executing its lowered virtual ISA reproduces its interpreter
-//!    bit-for-bit ([`crate::diff::values_match_exact`]).
+//!    bit-for-bit ([`perfdojo_interp::values_match_exact`]).
 //!
 //! [`check_case`] replays a fixed `(program, actions)` pair through the same
 //! oracle — it is the failure predicate the shrinker minimizes against and
@@ -18,10 +18,9 @@
 //! [`Sabotage`] deliberately mis-applies a transformation (test-only) to
 //! prove the oracle catches real applicability bugs end to end.
 
-use crate::diff::first_mismatch;
 use crate::exec::execute_lowered;
 use perfdojo_codegen::lower;
-use perfdojo_interp::{execute, random_inputs, Tensor};
+use perfdojo_interp::{execute, first_mismatch, random_inputs, Tensor};
 use perfdojo_ir::{validate, Node, Program, ScopeSize};
 use perfdojo_transform::{available_actions, Action, Loc, Transform, TransformLibrary};
 use perfdojo_util::rng::Rng;

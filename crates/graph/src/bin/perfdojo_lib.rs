@@ -101,13 +101,13 @@ usage (each flag at most once; every flag but --paper-shapes takes a value):
                      (write the kernels x targets job grid as the jobs.list
                       manifest; safe to rerun on a live fleet)
   perfdojo-lib fleet run    --dir <fleet-dir> [--workers N] [--step-limit N]
-                     [--kill-after N] [--fault-seed N]
+                     [--kill-after N]
                      (run N in-process workers until every job is done;
                       --step-limit pauses each worker cleanly after N tuning
                       steps, exit code 4 — rerun to continue; --kill-after
-                      simulates a kill -9 of worker w0 after N steps,
-                      leaving its job for the survivors to resume;
-                      --fault-seed injects a seeded random fault plan)
+                      simulates a kill -9 of worker w0 at its ceil(N/8)-th
+                      8-step checkpoint slice boundary, leaving its job for
+                      the survivors to resume)
   perfdojo-lib fleet work   --dir <fleet-dir> --worker <id> [--step-limit N]
                      [--kill-after N]
                      (one worker process: own each job through an OS file
@@ -248,13 +248,16 @@ fn cmd_build(argv: &[String]) -> Result<ExitCode, String> {
             let (report, outcomes) = builder.build_into(&mut lib, &kernels, &targets);
             (BuildProgress::Finished, report, outcomes)
         }
-        Some((dir, step_limit)) => builder.build_into_checkpointed(
-            &mut lib,
-            &kernels,
-            &targets,
-            &open_checkpoint(dir)?,
-            step_limit,
-        )?,
+        Some((dir, step_limit)) => {
+            let (progress, report, outcomes, _) = builder.build_into_checkpointed(
+                &mut lib,
+                &kernels,
+                &targets,
+                &open_checkpoint(dir)?,
+                step_limit,
+            )?;
+            (progress, report, outcomes)
+        }
     };
 
     let evals: u64 = outcomes.iter().map(|o| o.evaluations).sum();
@@ -526,7 +529,8 @@ fn open_fleet(a: &Args) -> Result<FleetDir, String> {
 }
 
 /// The worker config `--step-limit` sets, and the plan `--kill-after N`
-/// adds: a simulated `kill -9` of `killed` once it has run N tuning steps.
+/// adds: a simulated `kill -9` of `killed` at its `ceil(N / slice_steps)`-th
+/// checkpoint slice boundary.
 fn fleet_worker(a: &Args, worker: &str, killed: &str) -> Result<(WorkerConfig, FaultPlan), String> {
     let mut cfg = WorkerConfig::new(worker);
     cfg.step_limit = a.parse("--step-limit")?;
@@ -560,17 +564,9 @@ fn fleet_init(argv: &[String]) -> Result<(), String> {
 }
 
 fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
-    let a = Args::new(
-        argv,
-        &["--dir", "--workers", "--step-limit", "--kill-after", "--fault-seed"],
-        &[],
-    )?;
+    let a = Args::new(argv, &["--dir", "--workers", "--step-limit", "--kill-after"], &[])?;
     let workers: usize = a.parse("--workers")?.unwrap_or(2);
-    let (cfg, mut plan) = fleet_worker(&a, "", "w0")?;
-    if let Some(seed) = a.parse("--fault-seed")? {
-        let ids: Vec<String> = (0..workers).map(|i| format!("w{i}")).collect();
-        plan.faults.extend(FaultPlan::seeded(seed, &ids).faults);
-    }
+    let (cfg, plan) = fleet_worker(&a, "", "w0")?;
     let fleet = open_fleet(&a)?;
     let report = run_fleet(&fleet, workers, &cfg, &plan)?;
     for (i, w) in report.workers.iter().enumerate() {

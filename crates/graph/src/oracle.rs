@@ -1,8 +1,8 @@
 //! Differential oracle for graph executions.
 //!
-//! Two checks, both under the fuzz subsystem's two-tier bit-exact/ULP
-//! comparison policy ([`perfdojo_fuzz::values_match`] /
-//! [`perfdojo_fuzz::first_mismatch`]):
+//! Two checks, both under the fuzzer's two-tier bit-exact/ULP comparison
+//! policy ([`perfdojo_interp::values_match`] /
+//! [`perfdojo_interp::first_mismatch`]):
 //!
 //! 1. **Composition** ([`check_graph`]) — the per-node executor vs the
 //!    composed program run whole through the interpreter, on the external
@@ -15,8 +15,7 @@
 use crate::compose::compose;
 use crate::exec::execute_graph;
 use crate::graph::KernelGraph;
-use perfdojo_fuzz::first_mismatch;
-use perfdojo_interp::{execute, random_inputs, Tensor};
+use perfdojo_interp::{execute, first_mismatch, random_inputs, Tensor};
 use perfdojo_ir::Program;
 
 /// What a passing oracle run covered.

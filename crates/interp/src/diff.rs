@@ -1,4 +1,5 @@
-//! Differential comparison policy.
+//! Differential comparison policy, shared by the fuzzer and the graph
+//! oracle.
 //!
 //! Two oracles, two tolerances:
 //!
@@ -13,7 +14,7 @@
 //!   values used as data, constant arithmetic that lands on integers) get no
 //!   such slack: two distinct integral values never match.
 
-use perfdojo_interp::Tensor;
+use crate::Tensor;
 
 /// Maximum f32 ULP distance tolerated on non-integral float paths.
 const MAX_ULPS_F32: u64 = 8;

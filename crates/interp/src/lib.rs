@@ -17,9 +17,11 @@
 //! executed access still checks each index against its dimension's padded
 //! extent, and every error is raised when the offending node executes.
 
+pub mod diff;
 pub mod tensor;
 pub mod verify;
 
+pub use diff::{first_mismatch, values_match, values_match_exact};
 pub use tensor::Tensor;
 pub use verify::{random_inputs, verify_equivalent, VerifyReport, VERIFY_WORK_LIMIT};
 

@@ -90,11 +90,6 @@ impl Affine {
         self.is_const().then_some(self.offset)
     }
 
-    /// True when the expression is exactly `{depth}`.
-    pub fn is_var(&self, depth: usize) -> bool {
-        self.offset == 0 && self.terms == [(depth, 1)]
-    }
-
     /// If the expression is exactly `{d}` for some depth `d`, return `d`.
     pub fn as_var(&self) -> Option<usize> {
         if self.offset == 0 {
@@ -224,9 +219,7 @@ mod tests {
     fn const_and_var() {
         assert!(Affine::cst(3).is_const());
         assert_eq!(Affine::cst(3).as_const(), Some(3));
-        assert!(Affine::var(2).is_var(2));
         assert_eq!(Affine::var(2).as_var(), Some(2));
-        assert!(!Affine::var(2).is_var(1));
     }
 
     #[test]

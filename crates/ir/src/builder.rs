@@ -152,20 +152,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Current scope nesting depth (0 at root).
-    pub fn depth(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Sizes of the currently open scopes, outermost first — the iteration
-    /// domain an op emitted now would execute under. Generator hook: lets a
-    /// caller emitting synthesized bodies (e.g. the `perfdojo-fuzz` random
-    /// program generator) derive in-bounds affine indices without tracking
-    /// the open nest itself.
-    pub fn scope_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
     /// Emit `out = expr` in the current scope.
     pub fn op(&mut self, out: Access, expr: Expr) -> &mut Self {
         self.stack.last_mut().unwrap().push(Node::Op(OpNode::new(out, expr)));
@@ -224,19 +210,6 @@ mod tests {
         let ops = p.ops();
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[1].1.reduction_combiner(), Some(BinaryOp::Add));
-    }
-
-    #[test]
-    fn scope_sizes_track_open_nest() {
-        let mut b = ProgramBuilder::new("t");
-        b.output("z", &[3, 5]);
-        assert_eq!(b.scope_sizes(), &[] as &[usize]);
-        b.scopes(&[3, 5], |b| {
-            assert_eq!(b.scope_sizes(), &[3, 5]);
-            assert_eq!(b.depth(), 2);
-            b.op(out("z", &[0, 1]), cst(0.0));
-        });
-        assert_eq!(b.scope_sizes(), &[] as &[usize]);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Path {
         self.0.is_empty()
     }
 
-    /// True when `self` is a strict prefix of `other` (i.e. an ancestor).
-    pub fn is_ancestor_of(&self, other: &Path) -> bool {
-        self.0.len() < other.0.len() && other.0[..self.0.len()] == self.0[..]
-    }
-
     /// Parse the textual form produced by `Display` (`@0.1.2`; `@` alone is
     /// the root path). Returns `None` on anything else.
     pub fn parse(s: &str) -> Option<Path> {
@@ -227,15 +222,6 @@ mod tests {
         assert_eq!(Path::parse("0.1"), None, "missing @ sigil");
         assert_eq!(Path::parse("@0.x"), None, "non-numeric segment");
         assert_eq!(Path::parse("@0..1"), None, "empty segment");
-    }
-
-    #[test]
-    fn ancestor_relation() {
-        let a = Path::from([0]);
-        let b = Path::from([0, 1, 0]);
-        assert!(a.is_ancestor_of(&b));
-        assert!(!b.is_ancestor_of(&a));
-        assert!(!a.is_ancestor_of(&a));
     }
 
     #[test]

@@ -126,14 +126,9 @@ impl<T> TuneQueue<T> {
     }
 
     /// Enqueue a job for `key` unless that key was ever enqueued before.
-    /// Returns `true` when the job was actually admitted.
-    pub fn enqueue(&self, key: String, job: T) -> bool {
-        self.enqueue_with(&key, || job)
-    }
-
-    /// As [`TuneQueue::enqueue`], but the job is built by `job` under the
-    /// queue lock, and only when `key` is new: a repeated miss allocates
-    /// nothing.
+    /// Returns `true` when the job was actually admitted. The job is built
+    /// by `job` under the queue lock, and only when `key` is new: a
+    /// repeated miss allocates nothing.
     pub fn enqueue_with(&self, key: &str, job: impl FnOnce() -> T) -> bool {
         let mut st = self.inner.lock().expect("tune queue poisoned");
         if st.seen.contains(key) {
@@ -193,15 +188,15 @@ mod tests {
     #[test]
     fn tune_queue_dedupes_by_key_forever() {
         let t = TuneQueue::new();
-        assert!(t.enqueue("softmax|64x64".into(), 1));
-        assert!(!t.enqueue("softmax|64x64".into(), 2), "duplicate key admitted");
-        assert!(t.enqueue("matmul|48".into(), 3));
+        assert!(t.enqueue_with("softmax|64x64", || 1));
+        assert!(!t.enqueue_with("softmax|64x64", || 2), "duplicate key admitted");
+        assert!(t.enqueue_with("matmul|48", || 3));
         assert_eq!(t.pending(), 2);
         assert_eq!(t.seen(), 2);
         let jobs = t.drain();
         assert_eq!(jobs, vec![("softmax|64x64".into(), 1), ("matmul|48".into(), 3)]);
         // drained keys stay deduped
-        assert!(!t.enqueue("softmax|64x64".into(), 4));
+        assert!(!t.enqueue_with("softmax|64x64", || 4));
         assert_eq!(t.pending(), 0);
         assert_eq!(t.seen(), 2);
     }
@@ -209,11 +204,11 @@ mod tests {
     #[test]
     fn tune_queue_forget_reopens_a_key() {
         let t = TuneQueue::new();
-        assert!(t.enqueue("k".into(), 1));
+        assert!(t.enqueue_with("k", || 1));
         t.drain();
-        assert!(!t.enqueue("k".into(), 2));
+        assert!(!t.enqueue_with("k", || 2));
         t.forget("k");
-        assert!(t.enqueue("k".into(), 3));
+        assert!(t.enqueue_with("k", || 3));
         assert_eq!(t.drain(), vec![("k".into(), 3)]);
     }
 

@@ -285,7 +285,7 @@ impl LibraryBuilder {
     /// state, no step limit and no trace, so it runs the job to completion
     /// in one call.
     pub fn tune_kernel(&self, kernel: &KernelInstance, target: &Target) -> TuneOutcome {
-        match self.run_job(kernel, target, None, &mut None, None) {
+        match self.run_job(kernel, target, None, &mut Allotment::default(), None) {
             Ok(Sliced::Done(out)) => out,
             // neither arises without in-flight state to parse or a step
             // limit to pause at; reported rather than trusted
@@ -373,8 +373,8 @@ impl LibraryBuilder {
     /// per-job evaluations. Jobs run sequentially because per-job
     /// parallelism cannot persist incrementally; `Strategy::AnnealMulti`
     /// still fans out the chains a slice grants. Returns the progress, the
-    /// accumulated merge report, and the outcomes of jobs completed in this
-    /// call.
+    /// accumulated merge report, the outcomes of jobs completed in this
+    /// call, and the tuning steps this call took (at most `step_limit`).
     pub fn build_into_checkpointed(
         &self,
         lib: &mut Library,
@@ -382,7 +382,7 @@ impl LibraryBuilder {
         targets: &[Target],
         ckpt: &BuildCheckpoint,
         step_limit: Option<u64>,
-    ) -> Result<(BuildProgress, MergeReport, Vec<TuneOutcome>), String> {
+    ) -> Result<(BuildProgress, MergeReport, Vec<TuneOutcome>, u64), String> {
         let partial = ckpt.partial_path();
         if partial.exists() {
             let (loaded, _) = Library::load(&partial)
@@ -391,7 +391,7 @@ impl LibraryBuilder {
         }
         let done = ckpt.done_jobs();
         let mut sink = ckpt.load_trace();
-        let mut remaining = step_limit;
+        let mut remaining = Allotment { left: step_limit, taken: 0 };
         let mut inflight = ckpt.load_inflight();
         let mut outcomes = Vec::new();
         let mut report = MergeReport::default();
@@ -431,30 +431,31 @@ impl LibraryBuilder {
                             None => ckpt.clear_inflight().map_err(io_err)?,
                         }
                         ckpt.save_trace(&sink).map_err(io_err)?;
-                        return Ok((BuildProgress::Paused, report, outcomes));
+                        return Ok((BuildProgress::Paused, report, outcomes, remaining.taken));
                     }
                 }
             }
         }
         ckpt.save_trace(&sink).map_err(io_err)?;
-        Ok((BuildProgress::Finished, report, outcomes))
+        Ok((BuildProgress::Finished, report, outcomes, remaining.taken))
     }
 
     /// The one job runner: every build, drain and fleet job turns its
     /// [`Strategy`] into a schedule here. `inflight` resumes a paused job
     /// from its serialized search state; `remaining` bounds the tuning
-    /// steps this call may spend across jobs (`None`: run to completion);
-    /// `sink` receives the job's trajectory events.
+    /// steps this call may spend across jobs (no limit: run to completion)
+    /// and counts the steps it grants; `sink` receives the job's trajectory
+    /// events.
     fn run_job(
         &self,
         kernel: &KernelInstance,
         target: &Target,
         inflight: Option<String>,
-        remaining: &mut Option<u64>,
+        remaining: &mut Allotment,
         mut sink: Option<&mut TraceSink>,
     ) -> Result<Sliced, String> {
         // pausing *before* a job starts needs no in-flight state at all
-        if matches!(remaining, Some(0)) {
+        if remaining.left == Some(0) {
             return Ok(Sliced::Paused(inflight));
         }
         let seed = self.job_seed(&kernel.label, &target.name);
@@ -509,7 +510,7 @@ impl LibraryBuilder {
         // it: a resumed job does not count its re-attach evaluation
         let (steps, cost, evaluations) = match &self.strategy {
             Strategy::Heuristic => {
-                take_steps(remaining, 1);
+                remaining.take(1);
                 let runtime = perfdojo_search::heuristic_pass(&mut dojo);
                 (dojo.history.steps.clone(), runtime, dojo.evaluations())
             }
@@ -532,7 +533,7 @@ impl LibraryBuilder {
                     {
                         break;
                     }
-                    if take_steps(remaining, 1) == 0 {
+                    if remaining.take(1) == 0 {
                         return Ok(Sliced::Paused(Some(serialize_anneal(&st))));
                     }
                     anneal_resume(
@@ -555,7 +556,7 @@ impl LibraryBuilder {
                 };
                 // one step per chain; the granted chains fan out together
                 let todo = chains.saturating_sub(done.len());
-                let upto = done.len() + take_steps(remaining, todo as u64) as usize;
+                let upto = done.len() + remaining.take(todo as u64) as usize;
                 let best = anneal_chains(
                     &mut dojo,
                     &HeuristicSpace,
@@ -581,7 +582,7 @@ impl LibraryBuilder {
                 };
                 // one step per episode
                 let todo = cfg.episodes.saturating_sub(st.episodes_done);
-                let granted = take_steps(remaining, todo as u64) as usize;
+                let granted = remaining.take(todo as u64) as usize;
                 let progress = perfdojo_rl::train_episodes(
                     &mut dojo,
                     &cfg,
@@ -636,16 +637,24 @@ enum Sliced {
     Paused(Option<String>),
 }
 
-/// Take up to `want` steps from the allotment and return how many were
-/// granted: all of them when the allotment is unlimited.
-fn take_steps(remaining: &mut Option<u64>, want: u64) -> u64 {
-    match remaining {
-        None => want,
-        Some(n) => {
-            let granted = want.min(*n);
+/// The tuning steps one call may take: `left` of them (`None`: no
+/// limit), `taken` so far.
+#[derive(Default)]
+struct Allotment {
+    left: Option<u64>,
+    taken: u64,
+}
+
+impl Allotment {
+    /// Take up to `want` steps and return how many were granted: all of
+    /// them when the allotment is unlimited.
+    fn take(&mut self, want: u64) -> u64 {
+        let granted = self.left.map_or(want, |n| want.min(n));
+        if let Some(n) = &mut self.left {
             *n -= granted;
-            granted
         }
+        self.taken += granted;
+        granted
     }
 }
 
@@ -804,7 +813,7 @@ mod tests {
                 Ok((l, _)) => l,
                 Err(_) => Library::new(),
             };
-            let (progress, _, _) = builder
+            let (progress, ..) = builder
                 .build_into_checkpointed(&mut lib, kernels, targets, &ckpt, step_limit)
                 .unwrap();
             if progress == BuildProgress::Finished {
@@ -950,7 +959,7 @@ mod tests {
         for _ in 0..2 {
             let mut lib = Library::new();
             let outcome = loop {
-                let (progress, _, mut outcomes) = builder
+                let (progress, _, mut outcomes, _) = builder
                     .build_into_checkpointed(&mut lib, kernels, &targets, &ckpt, step_limit)
                     .unwrap();
                 if progress == BuildProgress::Finished {

@@ -79,8 +79,8 @@
 //! kill between the part's tmp write and its rename, plus deleted lock
 //! files and torn partial-library writes. Every crash scenario is a
 //! replayable unit test (`tests/fleet_crash.rs`), and the CLI's
-//! `--kill-after N` is a plan too: a kill at the mid-job slice boundary
-//! where the worker's step count first reaches N
+//! `--kill-after N` is a plan too: a kill at the worker's
+//! `ceil(N / slice_steps)`-th mid-job slice boundary
 //! ([`FaultPlan::kill_after_steps`]).
 
 use crate::builder::{target_by_name, BuildProgress, LibraryBuilder, Strategy};
@@ -342,10 +342,11 @@ impl FaultPlan {
         self
     }
 
-    /// Add a simulated `kill -9` of `worker` once it has spent `steps`
-    /// tuning steps in slices of `slice_steps`: a kill at the mid-job
-    /// slice boundary where its step count first reaches `steps` (visit
-    /// `max(1, ceil(steps / slice_steps))`).
+    /// Add a simulated `kill -9` of `worker` at its
+    /// `max(1, ceil(steps / slice_steps))`-th mid-job slice boundary. The
+    /// kill counts slice boundaries, not steps: every slice counts as
+    /// `slice_steps` steps here, whatever it ran, so a worker whose slices
+    /// end jobs early dies having run fewer than `steps` steps.
     pub fn kill_after_steps(self, worker: &str, steps: u64, slice_steps: u64) -> FaultPlan {
         self.kill(worker, FaultSite::MidJob, steps.div_ceil(slice_steps.max(1)).max(1))
     }
@@ -684,7 +685,7 @@ pub struct WorkerReport {
     pub jobs_done: Vec<String>,
     /// Torn part files this worker discarded.
     pub discarded_torn: usize,
-    /// Tuning steps this worker spent.
+    /// Tuning steps this worker's checkpoint slices ran.
     pub steps: u64,
 }
 
@@ -865,14 +866,14 @@ fn run_job(
 
     let lib = loop {
         let mut lib = Library::new();
-        let (progress, _, _) = builder.build_into_checkpointed(
+        let (progress, _, _, steps) = builder.build_into_checkpointed(
             &mut lib,
             std::slice::from_ref(&kernel),
             std::slice::from_ref(&target),
             &ckpt,
             Some(cfg.slice_steps),
         )?;
-        report.steps += cfg.slice_steps;
+        report.steps += steps;
         // a fault here lands no matter what the slice accomplished —
         // checked before the finished-job break on purpose
         match cursor.check(plan, &cfg.worker, FaultSite::MidJob) {
@@ -1327,6 +1328,22 @@ mod tests {
         LibraryBuilder::new(strategy, 9).build_into(&mut plain, &kernels, &[Target::x86()]);
         assert_eq!(fleet.merge().unwrap().library.to_text(), plain.to_text());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_worker_counts_the_steps_its_slices_ran() {
+        // a heuristic job is one step, however large the slice it runs in
+        let labels = ["softmax", "relu", "matmul", "add"];
+        for (tag, step_limit) in [("steps", None), ("steps-limit", Some(10))] {
+            let dir = tmpdir(tag);
+            let fleet = FleetDir::open(&dir);
+            fleet.init(&jobs(&labels, Strategy::Heuristic, 3)).unwrap();
+            let cfg = WorkerConfig { step_limit, ..WorkerConfig::new("w0") };
+            let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+            assert_eq!(report.exit, WorkerExit::Drained, "{tag}");
+            assert_eq!((report.jobs_done.len(), report.steps), (4, 4), "{tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -672,7 +672,7 @@ impl Server {
                 builder.build_into(&mut scratch, &kernels, &targets);
             }
             Some(ckpt) => {
-                let (progress, _, _) = builder.build_into_checkpointed(
+                let (progress, ..) = builder.build_into_checkpointed(
                     &mut scratch,
                     &kernels,
                     &targets,

@@ -150,7 +150,7 @@ proptest! {
         let t: TuneQueue<u64> = TuneQueue::new();
         let mut admitted = 0usize;
         for (i, k) in keys.iter().enumerate() {
-            if t.enqueue(format!("k{k}"), i as u64) {
+            if t.enqueue_with(&format!("k{k}"), || i as u64) {
                 admitted += 1;
             }
         }
@@ -168,7 +168,7 @@ proptest! {
         }
         // the second wave is fully absorbed
         for (i, k) in keys.iter().enumerate() {
-            prop_assert!(!t.enqueue(format!("k{k}"), i as u64));
+            prop_assert!(!t.enqueue_with(&format!("k{k}"), || i as u64));
         }
         prop_assert_eq!(t.pending(), 0);
         prop_assert_eq!(t.seen(), distinct.len());
@@ -187,7 +187,7 @@ proptest! {
             let key = format!("k{key}");
             match op {
                 0 | 1 => {
-                    let admitted = t.enqueue(key.clone(), next);
+                    let admitted = t.enqueue_with(&key, || next);
                     prop_assert_eq!(admitted, seen.insert(key.clone()));
                     if admitted {
                         pending.push(key);

@@ -10,8 +10,7 @@
 //! estimates from instruction mixes, issue widths, dependence-chain
 //! latencies, cache/bandwidth rooflines, GPU occupancy and coalescing, and
 //! the Snitch stream/repetition semantics. Costs are pure functions of the
-//! schedule, so search and RL are reproducible; an optional seeded noise
-//! wrapper models measurement jitter for robustness experiments.
+//! schedule, so search and RL are reproducible.
 //!
 //! Substitution note (see DESIGN.md): the paper measures wall-clock on real
 //! hardware / RTL simulation. These models preserve the *behaviour that the
@@ -27,7 +26,7 @@ pub mod estimate;
 pub mod gpu;
 
 pub use config::{CacheLevel, GpuConfig, MachineConfig, MachineKind};
-pub use estimate::Estimate;
+pub use estimate::{fraction_of_core_peak, Estimate};
 
 /// Version of the analytical performance models. Bump whenever a model
 /// change can move predicted costs: persisted schedule libraries record it
@@ -129,27 +128,7 @@ impl Machine {
             MachineKind::Cpu | MachineKind::Snitch => cpu::cost_kernel(&self.config, k)?,
             MachineKind::Gpu => gpu::cost_kernel(&self.config, k)?,
         };
-        Ok(Estimate::new(&self.config, k, cycles))
-    }
-
-    /// Evaluate with deterministic pseudo-measurement noise: the returned
-    /// runtime is scaled by `1 + amplitude * u` with `u ∈ [-1, 1]` derived
-    /// by hashing the (program text, seed) pair. Used by the
-    /// search-robustness experiments.
-    pub fn evaluate_noisy(
-        &self,
-        p: &Program,
-        seed: u64,
-        amplitude: f64,
-    ) -> Result<Estimate, MachineError> {
-        let mut e = self.evaluate(p)?;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        use std::hash::{Hash, Hasher};
-        p.to_string().hash(&mut h);
-        seed.hash(&mut h);
-        let u = (h.finish() % 20001) as f64 / 10000.0 - 1.0;
-        e.scale(1.0 + amplitude * u);
-        Ok(e)
+        Ok(Estimate::new(&self.config, cycles))
     }
 }
 
@@ -167,6 +146,12 @@ mod tests {
             b.op(out("z", &[0, 1]), mul(ld("x", &[0, 1]), ld("y", &[0, 1])));
         });
         b.build()
+    }
+
+    /// Fraction of one core's peak that `m` reaches on `p`.
+    fn core_peak_fraction(m: &Machine, p: &perfdojo_ir::Program) -> f64 {
+        let flops = lower(p).unwrap().useful_flops();
+        fraction_of_core_peak(&m.config, flops, m.evaluate(p).unwrap().cycles)
     }
 
     #[test]
@@ -227,8 +212,7 @@ mod tests {
             );
         });
         let p = b.build();
-        let base = m.evaluate(&p).unwrap();
-        let base_frac = base.fraction_of_single_core_peak(&m.config);
+        let base_frac = core_peak_fraction(&m, &p);
         // latency-bound: ~1 FMA per 4-cycle chain step, i.e. ~25% of peak
         assert!(base_frac < 0.35, "chained: {base_frac}");
         assert!(base_frac > 0.15, "chained: {base_frac}");
@@ -242,8 +226,7 @@ mod tests {
             let Some(loc) = locs.first() else { break };
             r = Transform::Unroll.apply(&r, loc).unwrap();
         }
-        let opt = m.evaluate(&r).unwrap();
-        let opt_frac = opt.fraction_of_single_core_peak(&m.config);
+        let opt_frac = core_peak_fraction(&m, &r);
         assert!(
             opt_frac > base_frac * 1.3,
             "split {opt_frac} vs chained {base_frac}"
@@ -267,7 +250,7 @@ mod tests {
         assert!(with_ssr.cycles < base.cycles, "ssr {} base {}", with_ssr.cycles, base.cycles);
         assert!(with_frep.cycles < with_ssr.cycles);
         // with streams + hardware loop, axpy approaches 1 fma/cycle
-        let frac = with_frep.fraction_of_single_core_peak(&m.config);
+        let frac = core_peak_fraction(&m, &f);
         assert!(frac > 0.6, "{frac}");
     }
 
@@ -296,19 +279,6 @@ mod tests {
         let gb = bk.apply(&g, &bk.find_locations(&g)[0]).unwrap();
         let e = m.evaluate(&gb).unwrap();
         assert!(e.seconds >= m.config.gpu.as_ref().unwrap().launch_overhead_s * 0.99);
-    }
-
-    #[test]
-    fn noise_is_deterministic_and_bounded() {
-        let m = Machine::x86_xeon();
-        let p = vec_mul(64, 64);
-        let a = m.evaluate_noisy(&p, 7, 0.05).unwrap();
-        let b = m.evaluate_noisy(&p, 7, 0.05).unwrap();
-        let c = m.evaluate_noisy(&p, 8, 0.05).unwrap();
-        let clean = m.evaluate(&p).unwrap();
-        assert_eq!(a.seconds, b.seconds);
-        assert_ne!(a.seconds, c.seconds);
-        assert!((a.seconds / clean.seconds - 1.0).abs() <= 0.05 + 1e-12);
     }
 
     #[test]

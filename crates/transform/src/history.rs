@@ -5,11 +5,14 @@
 //! both human engineers and RL agents may … want to undo [an earlier
 //! transformation], maintaining all other transformations applied since
 //! then in place." Because every application is pure, the history *is* the
-//! program: any prefix can be replayed, any step removed or replaced, and
-//! the remaining steps re-applied (skipping any that became inapplicable —
-//! the caller learns which).
+//! program: any prefix can be replayed, and an edited sequence (a step
+//! removed or replaced) re-applied from the initial program, skipping any
+//! step that became inapplicable ([`replay_sequence`] says which).
 //!
-//! The §4.2 heuristic search mutates candidate sequences exactly this way.
+//! [`History`] itself is the push/pop/truncate stack the Dojo drives. The
+//! §4.2 searches edit a `Vec<Action>` and hand it to
+//! `perfdojo_core::Dojo::load_sequence`, which keeps the shared prefix and
+//! replays the rest.
 
 use crate::{Action, TransformError};
 use perfdojo_ir::Program;
@@ -139,55 +142,6 @@ impl History {
         while self.steps.len() > len {
             self.pop();
         }
-    }
-
-    /// Rebuild this history by strictly re-pushing an edited sequence,
-    /// skipping inapplicable steps (single pass — each step applied once).
-    fn rebuild(&mut self, edited: Vec<Action>) -> Replay {
-        let mut h = History::new(self.initial.clone());
-        let mut skipped = Vec::new();
-        for (i, s) in edited.into_iter().enumerate() {
-            if h.push(s).is_err() {
-                skipped.push(i);
-            }
-        }
-        let program = h.current.clone();
-        *self = h;
-        Replay { program, skipped }
-    }
-
-    /// Undo the action at `index`, keeping all later steps in place where
-    /// still applicable. Returns which later steps had to be skipped.
-    pub fn remove(&mut self, index: usize) -> Result<Replay, TransformError> {
-        if index >= self.steps.len() {
-            return Err(TransformError::NotApplicable(format!("no step {index}")));
-        }
-        let mut edited = self.steps.clone();
-        edited.remove(index);
-        Ok(self.rebuild(edited))
-    }
-
-    /// Replace the action at `index` with `action`, keeping later steps
-    /// where still applicable.
-    pub fn replace(&mut self, index: usize, action: Action) -> Result<Replay, TransformError> {
-        if index >= self.steps.len() {
-            return Err(TransformError::NotApplicable(format!("no step {index}")));
-        }
-        let mut edited = self.steps.clone();
-        edited[index] = action;
-        // check applicability of the replacement in place before mutating
-        let probe = replay_sequence(&self.initial, &edited);
-        if probe.skipped.contains(&index) {
-            return Err(TransformError::NotApplicable(
-                "replacement action is not applicable at its position".into(),
-            ));
-        }
-        Ok(self.rebuild(edited))
-    }
-
-    /// Fork a new history continuing from the current state of this one.
-    pub fn fork(&self) -> History {
-        self.clone()
     }
 }
 
@@ -344,49 +298,6 @@ mod tests {
         let d = split(2, &[0, 0, 0]);
         h.push(d).unwrap();
         assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn remove_earlier_step_keeps_later_when_possible() {
-        let p = base();
-        let mut h = History::new(p.clone());
-        // step 0: split inner 16 by 8; step 1: unroll the new 8-loop;
-        // step 2: parallelize the outer 4-loop (independent of step 0).
-        h.push(split(8, &[0, 0])).unwrap();
-        h.push(Action { transform: Transform::Unroll, loc: Loc::Node(Path::from([0, 0, 0])) })
-            .unwrap();
-        h.push(Action { transform: Transform::Parallelize, loc: Loc::Node(Path::from([0])) })
-            .unwrap();
-        assert_eq!(h.len(), 3);
-        // removing the split invalidates the unroll location's meaning but
-        // parallelize at @0 still applies
-        let replay = h.remove(0).unwrap();
-        assert!(verify_equivalent(&p, h.current(), 2, 3).is_equivalent());
-        // unroll at @0.0.0 no longer resolves (path no longer a scope)
-        assert!(!replay.skipped.is_empty() || h.len() <= 2);
-    }
-
-    #[test]
-    fn replace_step_with_different_tile() {
-        let p = base();
-        let mut h = History::new(p.clone());
-        h.push(split(8, &[0, 0])).unwrap();
-        h.replace(0, split(4, &[0, 0])).unwrap();
-        // inner scope now has trip 4
-        let inner = h.current().node(&Path::from([0, 0, 0])).unwrap().as_scope().unwrap();
-        assert_eq!(inner.trip(), 4);
-        assert!(verify_equivalent(&p, h.current(), 2, 5).is_equivalent());
-    }
-
-    #[test]
-    fn replace_with_inapplicable_fails() {
-        let p = base();
-        let mut h = History::new(p.clone());
-        h.push(split(8, &[0, 0])).unwrap();
-        let err = h.replace(0, split(7, &[0, 0]));
-        assert!(err.is_err());
-        // history unchanged on failure
-        assert_eq!(h.len(), 1);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   locations where it can be applied *and* filters out locations where it
 //!   would violate semantics, via dependence analysis.
 //! * **Non-destructive** — applications are pure (`&Program -> Program`) and
-//!   recorded in a [`history::History`], so any earlier step can be undone
-//!   or replaced while keeping the rest of the sequence ([`history`]).
+//!   recorded in a [`history::History`]; a sequence with an earlier step
+//!   undone or replaced replays from the initial program, keeping every
+//!   later step that still applies ([`history`]).
 //!
 //! The entry points are [`Transform::find_locations`],
 //! [`Transform::apply`], and [`available_actions`] (which enumerates the

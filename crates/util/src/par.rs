@@ -62,17 +62,6 @@ where
         .collect()
 }
 
-/// Run `f` for every item in parallel, discarding results.
-pub fn par_for_each<T, F>(items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    par_map(items, |t| {
-        f(t);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +77,7 @@ mod tests {
     #[test]
     fn runs_every_item_exactly_once() {
         let count = AtomicUsize::new(0);
-        par_for_each((0..257).collect::<Vec<i32>>(), |_| {
+        par_map((0..257).collect::<Vec<i32>>(), |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.into_inner(), 257);
@@ -106,7 +95,7 @@ mod tests {
             return; // single-core CI: nothing to assert
         }
         let ids = Mutex::new(std::collections::HashSet::new());
-        par_for_each((0..64).collect::<Vec<i32>>(), |_| {
+        par_map((0..64).collect::<Vec<i32>>(), |_| {
             // small sleep so the pool has a chance to spread the work
             std::thread::sleep(std::time::Duration::from_millis(2));
             ids.lock().unwrap().insert(std::thread::current().id());

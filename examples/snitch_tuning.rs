@@ -6,6 +6,7 @@
 //! cargo run --release --example snitch_tuning
 //! ```
 
+use perfdojo::machine::fraction_of_core_peak;
 use perfdojo::prelude::*;
 
 fn main() {
@@ -15,11 +16,10 @@ fn main() {
         "{:<10} {:>8} {:>8} {:>10}  note",
         "kernel", "naive", "greedy", "heuristic"
     );
+    let cfg = &target.machine.config;
     for k in perfdojo::kernels::micro_suite() {
-        let frac = |rt: f64, p: &Program| {
-            let flops = perfdojo::codegen::lower(p).unwrap().useful_flops as f64;
-            flops / (rt * 1e9) // 1 GHz, 1 op/cycle peak
-        };
+        let flops = perfdojo::codegen::lower(&k.program).unwrap().useful_flops();
+        let frac = |rt: f64| fraction_of_core_peak(cfg, flops, rt * cfg.clock_ghz * 1e9);
         let mut d = Dojo::for_target(k.program.clone(), &target).unwrap();
         let naive = perfdojo::search::naive_pass(&mut d);
         let mut d = Dojo::for_target(k.program.clone(), &target).unwrap();
@@ -34,9 +34,9 @@ fn main() {
         println!(
             "{:<10} {:>7.0}% {:>7.0}% {:>9.0}%  {note}",
             k.label,
-            frac(naive, &k.program) * 100.0,
-            frac(greedy, &k.program) * 100.0,
-            frac(heuristic, &k.program) * 100.0,
+            frac(naive) * 100.0,
+            frac(greedy) * 100.0,
+            frac(heuristic) * 100.0,
         );
     }
     println!("\n(fractions of the single-core 1 op/cycle peak, as in paper Fig. 7)");

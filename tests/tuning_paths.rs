@@ -69,7 +69,7 @@ fn checkpointed(
     let ckpt = BuildCheckpoint::open(dir).unwrap();
     let mut lib = Library::new();
     for _ in 0..1000 {
-        let (progress, _, _) = builder
+        let (progress, ..) = builder
             .build_into_checkpointed(
                 &mut lib,
                 kernels,
