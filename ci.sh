@@ -82,7 +82,11 @@
 #      count the steps its checkpoint slices ran, not their size — `fleet
 #      run --workers 1` on four one-step heuristic jobs must print `4
 #      steps`, and `fleet work --step-limit 10` on a fresh copy must drain
-#      them (exit 0, not a pause); `fleet run` on
+#      them (exit 0, not a pause); `--step-limit N` means N steps and a
+#      worker pauses only while a job is left — on a fresh copy, `fleet
+#      work --step-limit 4` must print `Drained — 4 jobs done, 4 steps` and
+#      exit 0, and on a fresh one-job `anneal:40` fleet `--step-limit 10`
+#      must print `0 jobs done, 10 steps` and exit 4; `fleet run` on
 #      a `jobs.list` with a garbled block must fail, and on one with a line
 #      `fleet init` never writes (`owner w3 beat 0`) must exit 1 quoting
 #      it; and `fleet status` on a path that holds no fleet must fail and
@@ -571,6 +575,29 @@ if ! ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farml" --worker 
     --step-limit 10 > "$PDLIB_DIR/farml.txt"; then
     echo "ci.sh: a 10-step limit must drain 4 one-step heuristic jobs:" >&2
     cat "$PDLIB_DIR/farml.txt" >&2
+    exit 1
+fi
+# --step-limit N means N steps, and a worker pauses only while a job is
+# left: a limit the last job reaches drains (exit 0), and a 10-step limit
+# pauses a 22-step anneal job after exactly 10 steps (exit 4)
+./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farm4s" "${STEP_ARGS[@]}" > /dev/null
+if ! ./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farm4s" --worker w0 \
+    --step-limit 4 > "$PDLIB_DIR/farm4s.txt" \
+    || ! grep -q "Drained — 4 jobs done, 4 steps$" "$PDLIB_DIR/farm4s.txt"; then
+    echo "ci.sh: a 4-step limit must drain 4 one-step heuristic jobs:" >&2
+    cat "$PDLIB_DIR/farm4s.txt" >&2
+    exit 1
+fi
+./target/release/perfdojo-lib fleet init --dir "$PDLIB_DIR/farma" \
+    --kernels softmax --targets x86 --strategy anneal:40 --seed 5 > /dev/null
+set +e
+./target/release/perfdojo-lib fleet work --dir "$PDLIB_DIR/farma" --worker w0 \
+    --step-limit 10 > "$PDLIB_DIR/farma.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 4 ] || ! grep -q "Paused — 0 jobs done, 10 steps$" "$PDLIB_DIR/farma.txt"; then
+    echo "ci.sh: a 10-step limit must pause an anneal:40 job after 10 steps, exit 4 (got $rc):" >&2
+    cat "$PDLIB_DIR/farma.txt" >&2
     exit 1
 fi
 # jobs.list is the only list of jobs: one garbled block must fail the

@@ -15,7 +15,7 @@
 use crate::report::Table;
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_library::{
-    run_fleet, FaultPlan, FleetDir, FleetJob, Strategy, WorkerConfig, WorkerExit,
+    run_fleet, FaultPlan, FleetDir, FleetJob, Strategy, WorkerExit,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -58,12 +58,11 @@ fn run_one(
     fleet.init(jobs).map_err(|e| format!("fleet init: {e}"))?;
 
     let t0 = Instant::now();
-    let cfg = WorkerConfig::new("");
     let plan = match kill {
         None => FaultPlan::none(),
-        Some(steps) => FaultPlan::none().kill_after_steps("w0", steps, cfg.slice_steps),
+        Some(steps) => FaultPlan::none().kill_after_steps("w0", steps),
     };
-    let report = run_fleet(&fleet, workers, &cfg, &plan)?;
+    let report = run_fleet(&fleet, workers, None, &plan)?;
     if kill.is_some() {
         let killed = report.workers.iter().filter(|w| w.exit == WorkerExit::Killed).count();
         if killed != 1 {
@@ -73,7 +72,7 @@ fn run_one(
         // (or an unlucky schedule) needs the rerun — exactly what an
         // operator does
         if !report.drained {
-            run_fleet(&fleet, workers, &WorkerConfig::new(""), &FaultPlan::none())?;
+            run_fleet(&fleet, workers, None, &FaultPlan::none())?;
         }
     } else if !report.drained {
         return Err("fault-free fleet failed to drain".to_string());

@@ -29,7 +29,7 @@ use perfdojo_kernels::KernelInstance;
 use perfdojo_library::{
     percentile, run_fleet, run_worker, target_by_name, BuildCheckpoint, BuildProgress, FaultPlan,
     FleetDir, FleetJob, FormatError, Library, LibraryBuilder, ServeConfig, ServeQuery, Server,
-    Strategy, TuneProgress, WorkerConfig, WorkerExit,
+    Strategy, TuneProgress, WorkerExit,
 };
 use perfdojo_util::args::Args;
 use perfdojo_util::rng::Rng;
@@ -103,11 +103,11 @@ usage (each flag at most once; every flag but --paper-shapes takes a value):
   perfdojo-lib fleet run    --dir <fleet-dir> [--workers N] [--step-limit N]
                      [--kill-after N]
                      (run N in-process workers until every job is done;
-                      --step-limit pauses each worker cleanly after N tuning
-                      steps, exit code 4 — rerun to continue; --kill-after
-                      simulates a kill -9 of worker w0 at its ceil(N/8)-th
-                      8-step checkpoint slice boundary, leaving its job for
-                      the survivors to resume)
+                      --step-limit runs each worker at most N tuning steps
+                      and pauses one with a job left, exit code 4 — rerun
+                      to continue; --kill-after simulates a kill -9 of
+                      worker w0 at its ceil(N/8)-th checkpoint slice
+                      boundary, leaving its job for the survivors to resume)
   perfdojo-lib fleet work   --dir <fleet-dir> --worker <id> [--step-limit N]
                      [--kill-after N]
                      (one worker process: own each job through an OS file
@@ -248,16 +248,13 @@ fn cmd_build(argv: &[String]) -> Result<ExitCode, String> {
             let (report, outcomes) = builder.build_into(&mut lib, &kernels, &targets);
             (BuildProgress::Finished, report, outcomes)
         }
-        Some((dir, step_limit)) => {
-            let (progress, report, outcomes, _) = builder.build_into_checkpointed(
-                &mut lib,
-                &kernels,
-                &targets,
-                &open_checkpoint(dir)?,
-                step_limit,
-            )?;
-            (progress, report, outcomes)
-        }
+        Some((dir, step_limit)) => builder.build_into_checkpointed(
+            &mut lib,
+            &kernels,
+            &targets,
+            &open_checkpoint(dir)?,
+            step_limit,
+        )?,
     };
 
     let evals: u64 = outcomes.iter().map(|o| o.evaluations).sum();
@@ -528,17 +525,13 @@ fn open_fleet(a: &Args) -> Result<FleetDir, String> {
     Ok(FleetDir::open(Path::new(a.required("--dir")?)))
 }
 
-/// The worker config `--step-limit` sets, and the plan `--kill-after N`
-/// adds: a simulated `kill -9` of `killed` at its `ceil(N / slice_steps)`-th
-/// checkpoint slice boundary.
-fn fleet_worker(a: &Args, worker: &str, killed: &str) -> Result<(WorkerConfig, FaultPlan), String> {
-    let mut cfg = WorkerConfig::new(worker);
-    cfg.step_limit = a.parse("--step-limit")?;
-    let plan = match a.parse("--kill-after")? {
+/// The plan `--kill-after N` makes: a simulated `kill -9` of `killed` at its
+/// `ceil(N / 8)`-th slice boundary.
+fn kill_plan(a: &Args, killed: &str) -> Result<FaultPlan, String> {
+    Ok(match a.parse("--kill-after")? {
         None => FaultPlan::none(),
-        Some(n) => FaultPlan::none().kill_after_steps(killed, n, cfg.slice_steps),
-    };
-    Ok((cfg, plan))
+        Some(n) => FaultPlan::none().kill_after_steps(killed, n),
+    })
 }
 
 fn fleet_init(argv: &[String]) -> Result<(), String> {
@@ -566,9 +559,9 @@ fn fleet_init(argv: &[String]) -> Result<(), String> {
 fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
     let a = Args::new(argv, &["--dir", "--workers", "--step-limit", "--kill-after"], &[])?;
     let workers: usize = a.parse("--workers")?.unwrap_or(2);
-    let (cfg, plan) = fleet_worker(&a, "", "w0")?;
+    let plan = kill_plan(&a, "w0")?;
     let fleet = open_fleet(&a)?;
-    let report = run_fleet(&fleet, workers, &cfg, &plan)?;
+    let report = run_fleet(&fleet, workers, a.parse("--step-limit")?, &plan)?;
     for (i, w) in report.workers.iter().enumerate() {
         println!(
             "  w{i}: {:?} — {} jobs done, {} steps, {} torn parts discarded",
@@ -598,9 +591,9 @@ fn fleet_run(argv: &[String]) -> Result<ExitCode, String> {
 fn fleet_work(argv: &[String]) -> Result<ExitCode, String> {
     let a = Args::new(argv, &["--dir", "--worker", "--step-limit", "--kill-after"], &[])?;
     let worker = a.required("--worker")?;
-    let (cfg, plan) = fleet_worker(&a, worker, worker)?;
+    let plan = kill_plan(&a, worker)?;
     let fleet = open_fleet(&a)?;
-    let report = run_worker(&fleet, &cfg, &plan)?;
+    let report = run_worker(&fleet, worker, a.parse("--step-limit")?, &plan)?;
     println!(
         "worker {}: {:?} — {} jobs done, {} steps",
         worker,

@@ -18,9 +18,9 @@ use perfdojo_core::{Dojo, Target};
 use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_ir::Program;
 use perfdojo_kernels::KernelInstance;
-use perfdojo_rl::{PerfLlmConfig, TrainProgress};
+use perfdojo_rl::{train_episodes, PerfLlmConfig, TrainProgress, TrainState};
 use perfdojo_search::checkpoint::{parse_anneal, parse_chains, serialize_anneal, serialize_chains};
-use perfdojo_search::{anneal_chains, anneal_resume, AnnealProgress, AnnealState, HeuristicSpace};
+use perfdojo_search::{anneal_chains, anneal_resume, AnnealState, HeuristicSpace, SearchResult};
 use perfdojo_transform::Action;
 use perfdojo_util::lru::LruCache;
 use perfdojo_util::trace::TraceSink;
@@ -281,15 +281,15 @@ impl LibraryBuilder {
     }
 
     /// Tune one kernel on one target: the job runner (see
-    /// [`LibraryBuilder::build_into_checkpointed`]) with no in-flight
-    /// state, no step limit and no trace, so it runs the job to completion
-    /// in one call.
+    /// [`LibraryBuilder::build_into_checkpointed`]) with a fresh job slot,
+    /// no in-flight state, no step cap and no trace, so it runs the job to
+    /// completion in one call.
     pub fn tune_kernel(&self, kernel: &KernelInstance, target: &Target) -> TuneOutcome {
-        match self.run_job(kernel, target, None, &mut Allotment::default(), None) {
-            Ok(Sliced::Done(out)) => out,
+        match self.run_job(kernel, target, &mut None, None, None, None) {
+            Ok((Sliced::Done(out), _)) => out,
             // neither arises without in-flight state to parse or a step
-            // limit to pause at; reported rather than trusted
-            Ok(Sliced::Paused(_)) => failed(kernel, target, "job paused without a step limit"),
+            // cap to pause at; reported rather than trusted
+            Ok((Sliced::Paused(_), _)) => failed(kernel, target, "job paused without a step cap"),
             Err(e) => failed(kernel, target, &e),
         }
     }
@@ -368,13 +368,13 @@ impl LibraryBuilder {
     ///   evaluation cache; values and decisions are unaffected).
     ///
     /// Every job runs through the same runner as [`LibraryBuilder::tune_kernel`],
-    /// here with the in-flight state, step allotment and trace sink
+    /// here with the in-flight state, the steps left and the trace sink
     /// supplied, so a checkpointed build yields the plain build's bytes and
     /// per-job evaluations. Jobs run sequentially because per-job
     /// parallelism cannot persist incrementally; `Strategy::AnnealMulti`
     /// still fans out the chains a slice grants. Returns the progress, the
-    /// accumulated merge report, the outcomes of jobs completed in this
-    /// call, and the tuning steps this call took (at most `step_limit`).
+    /// accumulated merge report and the outcomes of jobs completed in this
+    /// call.
     pub fn build_into_checkpointed(
         &self,
         lib: &mut Library,
@@ -382,7 +382,7 @@ impl LibraryBuilder {
         targets: &[Target],
         ckpt: &BuildCheckpoint,
         step_limit: Option<u64>,
-    ) -> Result<(BuildProgress, MergeReport, Vec<TuneOutcome>, u64), String> {
+    ) -> Result<(BuildProgress, MergeReport, Vec<TuneOutcome>), String> {
         let partial = ckpt.partial_path();
         if partial.exists() {
             let (loaded, _) = Library::load(&partial)
@@ -391,7 +391,7 @@ impl LibraryBuilder {
         }
         let done = ckpt.done_jobs();
         let mut sink = ckpt.load_trace();
-        let mut remaining = Allotment { left: step_limit, taken: 0 };
+        let mut left = step_limit;
         let mut inflight = ckpt.load_inflight();
         let mut outcomes = Vec::new();
         let mut report = MergeReport::default();
@@ -403,13 +403,10 @@ impl LibraryBuilder {
                 }) {
                     continue;
                 }
-                let sliced = self.run_job(
-                    kernel,
-                    target,
-                    inflight.take(),
-                    &mut remaining,
-                    Some(&mut sink),
-                )?;
+                let inflight = inflight.take();
+                let (sliced, ran) =
+                    self.run_job(kernel, target, &mut None, inflight, left, Some(&mut sink))?;
+                left = left.map(|n| n - ran);
                 match sliced {
                     Sliced::Done(out) => {
                         let r = lib.merge(out.record.clone());
@@ -425,46 +422,47 @@ impl LibraryBuilder {
                         ckpt.clear_inflight().map_err(io_err)?;
                         outcomes.push(out);
                     }
-                    Sliced::Paused(state_text) => {
-                        match &state_text {
-                            Some(text) => ckpt.save_inflight(text).map_err(io_err)?,
-                            None => ckpt.clear_inflight().map_err(io_err)?,
+                    Sliced::Paused(state) => {
+                        if let Some(text) = state {
+                            ckpt.save_inflight(&text).map_err(io_err)?;
                         }
                         ckpt.save_trace(&sink).map_err(io_err)?;
-                        return Ok((BuildProgress::Paused, report, outcomes, remaining.taken));
+                        return Ok((BuildProgress::Paused, report, outcomes));
                     }
                 }
             }
         }
         ckpt.save_trace(&sink).map_err(io_err)?;
-        Ok((BuildProgress::Finished, report, outcomes, remaining.taken))
+        Ok((BuildProgress::Finished, report, outcomes))
     }
 
     /// The one job runner: every build, drain and fleet job turns its
-    /// [`Strategy`] into a schedule here. `inflight` resumes a paused job
-    /// from its serialized search state; `remaining` bounds the tuning
-    /// steps this call may spend across jobs (no limit: run to completion)
-    /// and counts the steps it grants; `sink` receives the job's trajectory
-    /// events.
-    fn run_job(
+    /// [`Strategy`] into a schedule here, one slice of at most `cap` tuning
+    /// steps at a time (no cap: to completion). An empty `slot` opens the
+    /// job, fresh or from its serialized `inflight` state; a held one
+    /// continues the job it holds, and keeps it while the job is paused.
+    /// Returns the slice's outcome and the steps it ran; `sink` receives the
+    /// job's trajectory events.
+    pub(crate) fn run_job(
         &self,
         kernel: &KernelInstance,
         target: &Target,
+        slot: &mut Option<OpenJob>,
         inflight: Option<String>,
-        remaining: &mut Allotment,
+        cap: Option<u64>,
         mut sink: Option<&mut TraceSink>,
-    ) -> Result<Sliced, String> {
-        // pausing *before* a job starts needs no in-flight state at all
-        if remaining.left == Some(0) {
-            return Ok(Sliced::Paused(inflight));
+    ) -> Result<(Sliced, u64), String> {
+        // pausing before a slice runs needs no state at all
+        if cap == Some(0) {
+            return Ok((Sliced::Paused(None), 0));
         }
-        let seed = self.job_seed(&kernel.label, &target.name);
-        let warm = self.warm_steps(kernel, target);
-        // the input is complete here, unless in-flight state is part of it
-        let known = match (&self.failures, &inflight) {
-            (Some(memo), None) => Some((
-                memo,
-                JobInput {
+        let job = match slot {
+            Some(job) => job,
+            None => {
+                let seed = self.job_seed(&kernel.label, &target.name);
+                let warm = self.warm_steps(kernel, target);
+                // the input is complete here, unless in-flight state is part of it
+                let known = (self.failures.is_some() && inflight.is_none()).then(|| JobInput {
                     label: kernel.label.clone(),
                     shape: kernel.shape.clone(),
                     program: kernel.program.clone(),
@@ -472,130 +470,117 @@ impl LibraryBuilder {
                     strategy: self.strategy,
                     seed: self.seed,
                     warm: warm.clone(),
-                },
-            )),
-            _ => None,
-        };
-        if let Some(evaluations) = known.as_ref().and_then(|(memo, input)| memo.recall(input)) {
-            if let Some(sink) = sink {
-                sink.event("skipped")
-                    .str("kernel", &kernel.label)
-                    .str("target", &target.name)
-                    .u64("evals", evaluations)
-                    .emit();
+                });
+                let recalled = self.failures.as_ref().zip(known.as_ref());
+                if let Some(evaluations) = recalled.and_then(|(memo, input)| memo.recall(input)) {
+                    if let Some(sink) = sink {
+                        sink.event("skipped")
+                            .str("kernel", &kernel.label)
+                            .str("target", &target.name)
+                            .u64("evals", evaluations)
+                            .emit();
+                    }
+                    return Ok((Sliced::Done(outcome(kernel, target, None, evaluations)), 0));
+                }
+                let mut dojo = match Dojo::for_target(kernel.program.clone(), target) {
+                    Ok(d) => d,
+                    Err(e) => return Ok((Sliced::Done(failed(kernel, target, &e.to_string())), 0)),
+                };
+                let ctx = |e: String| format!("{} on {}: {e}", kernel.label, target.name);
+                if let (None, Some(sink)) = (&inflight, sink.as_deref_mut()) {
+                    sink.event("job")
+                        .str("kernel", &kernel.label)
+                        .str("target", &target.name)
+                        .str("strategy", self.strategy.name())
+                        .emit();
+                }
+                let (naive_cost, base_evals) = (dojo.initial_runtime(), dojo.evaluations());
+                let search = match (self.strategy, inflight) {
+                    (Strategy::Heuristic, _) => Search::Heuristic,
+                    (Strategy::Anneal { budget: 0 }, _) => Search::Noop,
+                    (Strategy::Anneal { budget }, Some(text)) => {
+                        let state = parse_anneal(&text).map_err(ctx)?;
+                        state.reattach(&mut dojo);
+                        Search::Anneal { budget, state }
+                    }
+                    (Strategy::Anneal { budget }, None) => {
+                        let space = &HeuristicSpace;
+                        let state = AnnealState::start_with_warm(&mut dojo, space, seed, &warm);
+                        Search::Anneal { budget, state }
+                    }
+                    (Strategy::AnnealMulti { budget, chains }, inflight) => Search::Chains {
+                        budget,
+                        chains,
+                        done: match inflight {
+                            Some(text) => parse_chains(&text).map_err(ctx)?,
+                            None => Vec::new(),
+                        },
+                    },
+                    (Strategy::PerfLlm { episodes }, inflight) => {
+                        let cfg = PerfLlmConfig { episodes, ..PerfLlmConfig::default() };
+                        let state = match inflight {
+                            Some(text) => perfdojo_rl::parse_train(&text).map_err(ctx)?,
+                            None => TrainState::start_warm(&mut dojo, &cfg, seed, &warm),
+                        };
+                        Search::PerfLlm { cfg, state: Box::new(state) }
+                    }
+                };
+                slot.insert(OpenJob { dojo, naive_cost, base_evals, seed, warm, known, search })
             }
-            return Ok(Sliced::Done(TuneOutcome {
-                record: None,
-                label: kernel.label.clone(),
-                target: target.name.clone(),
-                evaluations,
-                error: None,
-            }));
-        }
-        let mut dojo = match Dojo::for_target(kernel.program.clone(), target) {
-            Ok(d) => d,
-            Err(e) => return Ok(Sliced::Done(failed(kernel, target, &e.to_string()))),
         };
-        let naive_cost = dojo.initial_runtime();
-        let base_evals = dojo.evaluations();
-        let ctx = |e: String| format!("{} on {}: {e}", kernel.label, target.name);
-        if let (None, Some(sink)) = (&inflight, sink.as_deref_mut()) {
-            sink.event("job")
-                .str("kernel", &kernel.label)
-                .str("target", &target.name)
-                .str("strategy", self.strategy.name())
-                .emit();
-        }
         // `evaluations` is the strategy's own spend, as checkpoints persist
         // it: a resumed job does not count its re-attach evaluation
-        let (steps, cost, evaluations) = match &self.strategy {
-            Strategy::Heuristic => {
-                remaining.take(1);
-                let runtime = perfdojo_search::heuristic_pass(&mut dojo);
-                (dojo.history.steps.clone(), runtime, dojo.evaluations())
+        let grant = |want: u64| cap.map_or(want, |c| want.min(c));
+        let mut ran = 0;
+        let (steps, cost, evaluations) = match &mut job.search {
+            Search::Heuristic => {
+                ran = 1;
+                let runtime = perfdojo_search::heuristic_pass(&mut job.dojo);
+                (job.dojo.history.steps.clone(), runtime, job.dojo.evaluations())
             }
-            // a zero budget is a no-op, as `simulated_annealing` defines it
-            Strategy::Anneal { budget: 0 } => (Vec::new(), naive_cost, base_evals),
-            Strategy::Anneal { budget } => {
-                let mut st = match &inflight {
-                    Some(text) => {
-                        let s = parse_anneal(text).map_err(&ctx)?;
-                        s.reattach(&mut dojo);
-                        s
+            Search::Noop => (Vec::new(), job.naive_cost, job.base_evals),
+            Search::Anneal { budget, state } => {
+                // one step per iteration; every segment leaves `spent` current
+                while state.spent < *budget {
+                    if cap == Some(ran) {
+                        return Ok((Sliced::Paused(Some(serialize_anneal(state))), ran));
                     }
-                    None => AnnealState::start_with_warm(&mut dojo, &HeuristicSpace, seed, &warm),
-                };
-                loop {
-                    // a zero-step probe distinguishes "budget spent" from
-                    // "out of step allotment" without running anything
-                    if anneal_resume(&mut dojo, &HeuristicSpace, *budget, &mut st, None, Some(0))
-                        == AnnealProgress::Finished
-                    {
-                        break;
-                    }
-                    if remaining.take(1) == 0 {
-                        return Ok(Sliced::Paused(Some(serialize_anneal(&st))));
-                    }
-                    anneal_resume(
-                        &mut dojo,
-                        &HeuristicSpace,
-                        *budget,
-                        &mut st,
-                        sink.as_deref_mut(),
-                        Some(1),
-                    );
+                    ran += 1;
+                    let sink = sink.as_deref_mut();
+                    anneal_resume(&mut job.dojo, &HeuristicSpace, *budget, state, sink, Some(1));
                 }
-                let evaluations = base_evals + st.spent;
-                let r = st.into_result();
-                (r.best_steps, r.best_runtime, evaluations)
+                (state.best_steps.clone(), state.best_runtime, job.base_evals + state.spent)
             }
-            Strategy::AnnealMulti { budget, chains } => {
-                let mut done = match &inflight {
-                    Some(text) => parse_chains(text).map_err(&ctx)?,
-                    None => Vec::new(),
-                };
+            Search::Chains { budget, chains, done } => {
                 // one step per chain; the granted chains fan out together
-                let todo = chains.saturating_sub(done.len());
-                let upto = done.len() + remaining.take(todo as u64) as usize;
+                ran = grant(chains.saturating_sub(done.len()) as u64);
+                let upto = done.len() + ran as usize;
                 let best = anneal_chains(
-                    &mut dojo,
+                    &mut job.dojo,
                     &HeuristicSpace,
                     upto,
                     *budget,
-                    seed,
-                    &warm,
-                    &mut done,
+                    job.seed,
+                    &job.warm,
+                    done,
                     sink.as_deref_mut(),
                 );
                 if done.len() < *chains {
-                    return Ok(Sliced::Paused(Some(serialize_chains(&done))));
+                    return Ok((Sliced::Paused(Some(serialize_chains(done))), ran));
                 }
                 let chain_evals: u64 =
                     done.iter().map(|r| r.trace.last().map_or(0, |t| t.0)).sum();
-                (best.best_steps, best.best_runtime, base_evals + chain_evals)
+                (best.best_steps, best.best_runtime, job.base_evals + chain_evals)
             }
-            Strategy::PerfLlm { episodes } => {
-                let cfg = PerfLlmConfig { episodes: *episodes, ..PerfLlmConfig::default() };
-                let mut st = match &inflight {
-                    Some(text) => perfdojo_rl::parse_train(text).map_err(&ctx)?,
-                    None => perfdojo_rl::TrainState::start_warm(&mut dojo, &cfg, seed, &warm),
-                };
+            Search::PerfLlm { cfg, state } => {
                 // one step per episode
-                let todo = cfg.episodes.saturating_sub(st.episodes_done);
-                let granted = remaining.take(todo as u64) as usize;
-                let progress = perfdojo_rl::train_episodes(
-                    &mut dojo,
-                    &cfg,
-                    &mut st,
-                    Some(granted),
-                    sink.as_deref_mut(),
-                );
+                ran = grant(cfg.episodes.saturating_sub(state.episodes_done) as u64);
+                let (episodes, sink) = (Some(ran as usize), sink.as_deref_mut());
+                let progress = train_episodes(&mut job.dojo, cfg, state, episodes, sink);
                 if progress == TrainProgress::Paused {
-                    return Ok(Sliced::Paused(Some(perfdojo_rl::serialize_train(&st))));
+                    return Ok((Sliced::Paused(Some(perfdojo_rl::serialize_train(state))), ran));
                 }
-                let evaluations = st.spent;
-                let r = st.into_result();
-                (r.best_steps, r.best_runtime, evaluations)
+                (state.best_steps.clone(), state.best_runtime, state.spent)
             }
         };
         if let Some(sink) = sink {
@@ -606,17 +591,12 @@ impl LibraryBuilder {
                 .f64("cost", cost)
                 .emit();
         }
-        let record = self.make_record(kernel, target, seed, naive_cost, steps, cost);
-        if let (Some((memo, input)), None) = (known, &record) {
+        let record = self.make_record(kernel, target, job.seed, job.naive_cost, steps, cost);
+        if let (Some(memo), Some(input), None) = (&self.failures, job.known.take(), &record) {
             memo.record(input, evaluations);
         }
-        Ok(Sliced::Done(TuneOutcome {
-            record,
-            label: kernel.label.clone(),
-            target: target.name.clone(),
-            evaluations,
-            error: None,
-        }))
+        *slot = None;
+        Ok((Sliced::Done(outcome(kernel, target, record, evaluations)), ran))
     }
 }
 
@@ -630,43 +610,51 @@ pub enum BuildProgress {
     Paused,
 }
 
-/// One sliced tuning attempt: job completed, or paused with the state to
-/// persist (`None` = paused between jobs, nothing in flight).
-enum Sliced {
+/// One slice of a tune job: the job completed, or paused with the state to
+/// persist (`None`: paused before the slice ran anything).
+pub(crate) enum Sliced {
     Done(TuneOutcome),
     Paused(Option<String>),
 }
 
-/// The tuning steps one call may take: `left` of them (`None`: no
-/// limit), `taken` so far.
-#[derive(Default)]
-struct Allotment {
-    left: Option<u64>,
-    taken: u64,
+/// A tune job [`LibraryBuilder::run_job`] has opened: its Dojo and search
+/// state, held between slices.
+pub(crate) struct OpenJob {
+    dojo: Dojo,
+    naive_cost: f64,
+    base_evals: u64,
+    seed: u64,
+    warm: Vec<Action>,
+    /// The job's complete input, for the failure memo to record.
+    known: Option<JobInput>,
+    search: Search,
 }
 
-impl Allotment {
-    /// Take up to `want` steps and return how many were granted: all of
-    /// them when the allotment is unlimited.
-    fn take(&mut self, want: u64) -> u64 {
-        let granted = self.left.map_or(want, |n| want.min(n));
-        if let Some(n) = &mut self.left {
-            *n -= granted;
-        }
-        self.taken += granted;
-        granted
-    }
+/// Where an open job's search stands.
+enum Search {
+    /// The heuristic pass: one step.
+    Heuristic,
+    /// A zero-budget anneal: a no-op, as `simulated_annealing` defines it.
+    Noop,
+    Anneal { budget: u64, state: AnnealState },
+    Chains { budget: u64, chains: usize, done: Vec<SearchResult> },
+    PerfLlm { cfg: PerfLlmConfig, state: Box<TrainState> },
+}
+
+/// The outcome of a job that ran without error (or is known to).
+fn outcome(
+    kernel: &KernelInstance,
+    target: &Target,
+    record: Option<ScheduleRecord>,
+    evaluations: u64,
+) -> TuneOutcome {
+    let (label, target) = (kernel.label.clone(), target.name.clone());
+    TuneOutcome { record, label, target, evaluations, error: None }
 }
 
 /// The outcome of a job that produced no schedule because of `error`.
 fn failed(kernel: &KernelInstance, target: &Target, error: &str) -> TuneOutcome {
-    TuneOutcome {
-        record: None,
-        label: kernel.label.clone(),
-        target: target.name.clone(),
-        evaluations: 0,
-        error: Some(error.to_string()),
-    }
+    TuneOutcome { error: Some(error.to_string()), ..outcome(kernel, target, None, 0) }
 }
 
 #[cfg(test)]
@@ -959,7 +947,7 @@ mod tests {
         for _ in 0..2 {
             let mut lib = Library::new();
             let outcome = loop {
-                let (progress, _, mut outcomes, _) = builder
+                let (progress, _, mut outcomes) = builder
                     .build_into_checkpointed(&mut lib, kernels, &targets, &ckpt, step_limit)
                     .unwrap();
                 if progress == BuildProgress::Finished {

@@ -3,12 +3,12 @@
 //! worker threads), with deterministic keep-best merging of the partial
 //! libraries the workers emit.
 //!
-//! This is ROADMAP item 4 — "tune the whole kernel universe overnight" —
-//! built from primitives the repo already trusts: the atomic
-//! write-tmp-rename idiom ([`perfdojo_util::trace::atomic_write`]), the
-//! non-blocking OS file lock ([`perfdojo_util::claim::try_lock`]), and
-//! the PR-5 crash-safe [`BuildCheckpoint`] layer, which bounds the cost
-//! of killing any worker to the job it had in flight.
+//! It tunes the whole kernel universe from primitives the repo already
+//! trusts: the atomic write-tmp-rename idiom
+//! ([`perfdojo_util::trace::atomic_write`]), the non-blocking OS file lock
+//! ([`perfdojo_util::claim::try_lock`]), and the [`BuildCheckpoint`]
+//! files, which bound the cost of killing any worker to the last slice of
+//! the job it had in flight.
 //!
 //! # Directory protocol
 //!
@@ -25,9 +25,11 @@
 //!   a hash-checked [`render_part`] envelope so a torn (non-atomic)
 //!   write is detected and the job re-runs instead of silently losing or
 //!   corrupting its record.
-//! - `ckpt/<id>/` — the job's [`BuildCheckpoint`] directory. A worker
-//!   killed mid-job leaves its search state here; whoever claims the job
-//!   next resumes bit-identically (same RNG words, same budget spend).
+//! - `ckpt/<id>/` — the job's `inflight.ckpt` and `trace.jsonl`
+//!   ([`BuildCheckpoint`]), written at every paused slice boundary. A
+//!   worker killed mid-job leaves its search state here; whoever claims
+//!   the job next resumes bit-identically (same RNG words, same budget
+//!   spend).
 //! - `logs/worker-<id>.jsonl` — per-worker operational trace events
 //!   (claims, completions, torn parts); never compared, never merged.
 //! - `warm.pdl` — optional: the donor library every job warm-starts from,
@@ -38,8 +40,10 @@
 //! otherwise it is pending. A worker takes the lock of the first manifest
 //! job without a valid part, checks the part again under the lock
 //! (another worker may have finished the job between the scan and the
-//! lock), runs the job in checkpoint slices, writes the part and drops
-//! the lock.
+//! lock), reads the job's checkpoint once and holds the job open while it
+//! runs slices of at most 8 steps, writes the part and drops the lock. A
+//! step limit of N runs at most N steps, and pauses the worker only while
+//! a job is left.
 //!
 //! # Liveness from the OS
 //!
@@ -79,11 +83,10 @@
 //! kill between the part's tmp write and its rename, plus deleted lock
 //! files and torn partial-library writes. Every crash scenario is a
 //! replayable unit test (`tests/fleet_crash.rs`), and the CLI's
-//! `--kill-after N` is a plan too: a kill at the worker's
-//! `ceil(N / slice_steps)`-th mid-job slice boundary
-//! ([`FaultPlan::kill_after_steps`]).
+//! `--kill-after N` is a plan too: a kill at the worker's `ceil(N / 8)`-th
+//! mid-job slice boundary ([`FaultPlan::kill_after_steps`]).
 
-use crate::builder::{target_by_name, BuildProgress, LibraryBuilder, Strategy};
+use crate::builder::{target_by_name, LibraryBuilder, Sliced, Strategy};
 use crate::checkpoint::BuildCheckpoint;
 use crate::format;
 use crate::library::Library;
@@ -101,6 +104,10 @@ use std::time::{Duration, SystemTime};
 /// poll rather than a blocking lock wait: a worker blocked on one job's
 /// lock would leave another job that a dead owner freed waiting behind it.
 const SCAN_WAIT: Duration = Duration::from_millis(25);
+
+/// Tuning steps per slice: the kill granularity, since a killed worker
+/// loses at most the slice it was running.
+const SLICE_STEPS: u64 = 8;
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -277,7 +284,8 @@ pub fn parse_part(job_id: &str, text: &str) -> Option<(u64, Library)> {
 pub enum FaultSite {
     /// Before attempting to claim a job.
     PreClaim,
-    /// At a mid-job checkpoint-slice boundary (search state persisted).
+    /// After each slice of a job: a paused slice has persisted its state,
+    /// a finishing one persists nothing before the part.
     MidJob,
     /// After the job finished tuning, before the part file is written.
     PreDone,
@@ -343,12 +351,12 @@ impl FaultPlan {
     }
 
     /// Add a simulated `kill -9` of `worker` at its
-    /// `max(1, ceil(steps / slice_steps))`-th mid-job slice boundary. The
-    /// kill counts slice boundaries, not steps: every slice counts as
-    /// `slice_steps` steps here, whatever it ran, so a worker whose slices
-    /// end jobs early dies having run fewer than `steps` steps.
-    pub fn kill_after_steps(self, worker: &str, steps: u64, slice_steps: u64) -> FaultPlan {
-        self.kill(worker, FaultSite::MidJob, steps.div_ceil(slice_steps.max(1)).max(1))
+    /// `max(1, ceil(steps / 8))`-th mid-job slice boundary. The kill counts
+    /// slice boundaries, not steps: a slice runs at most 8 steps, fewer when
+    /// its job ends, so a worker whose slices end jobs early dies having
+    /// run fewer than `steps` steps.
+    pub fn kill_after_steps(self, worker: &str, steps: u64) -> FaultPlan {
+        self.kill(worker, FaultSite::MidJob, steps.div_ceil(SLICE_STEPS).max(1))
     }
 
     /// Add a non-kill fault for `worker` at its `nth` visit to `site`.
@@ -393,21 +401,23 @@ impl FaultPlan {
     }
 }
 
-/// Worker-local fault cursor: counts visits per site and looks up the
-/// plan. (The plan itself is shared immutably across workers.)
-#[derive(Default)]
-struct FaultCursor {
+/// Worker-local fault cursor: counts `worker`'s visits per site and looks
+/// up the plan. (The plan itself is shared immutably across workers.)
+struct FaultCursor<'a> {
+    plan: &'a FaultPlan,
+    worker: &'a str,
     visits: BTreeMap<FaultSite, u64>,
 }
 
-impl FaultCursor {
-    fn check(&mut self, plan: &FaultPlan, worker: &str, site: FaultSite) -> Option<FaultKind> {
+impl FaultCursor<'_> {
+    fn check(&mut self, site: FaultSite) -> Option<FaultKind> {
         let n = self.visits.entry(site).or_insert(0);
         *n += 1;
         let n = *n;
-        plan.faults
+        self.plan
+            .faults
             .iter()
-            .find(|f| f.worker == worker && f.site == site && f.nth == n)
+            .find(|f| f.worker == self.worker && f.site == site && f.nth == n)
             .map(|f| f.kind)
     }
 }
@@ -643,34 +653,13 @@ pub struct MergeOutcome {
 // ---------------------------------------------------------------------------
 // The worker loop
 
-/// Per-worker configuration.
-#[derive(Clone, Debug)]
-pub struct WorkerConfig {
-    /// Worker id (names its log file and its fault-plan entries).
-    pub worker: String,
-    /// Tuning steps per checkpoint slice — the kill granularity (a killed
-    /// worker loses at most one slice of unpersisted search progress...
-    /// which the resume then re-runs bit-identically).
-    pub slice_steps: u64,
-    /// Total tuning steps before a *clean pause*: the worker drops its
-    /// lock, keeping the job's checkpoint, and exits [`WorkerExit::Paused`].
-    /// (A simulated crash is a [`FaultPlan`] kill instead.)
-    pub step_limit: Option<u64>,
-}
-
-impl WorkerConfig {
-    /// A worker named `worker` with defaults: 8-step slices, no limits.
-    pub fn new(worker: &str) -> WorkerConfig {
-        WorkerConfig { worker: worker.to_string(), slice_steps: 8, step_limit: None }
-    }
-}
-
 /// How a worker's run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerExit {
     /// Every manifest job has a valid part; nothing left to do.
     Drained,
-    /// The step limit ran out; the in-flight job's lock was dropped.
+    /// The step limit ran out while a job was left; the in-flight job's
+    /// lock was dropped, keeping its checkpoint.
     Paused,
     /// A planned fault killed the worker mid-protocol.
     Killed,
@@ -685,12 +674,14 @@ pub struct WorkerReport {
     pub jobs_done: Vec<String>,
     /// Torn part files this worker discarded.
     pub discarded_torn: usize,
-    /// Tuning steps this worker's checkpoint slices ran.
+    /// Tuning steps this worker's slices ran.
     pub steps: u64,
 }
 
 enum JobRun {
     Completed,
+    /// Another owner wrote the part first (its lock file was deleted).
+    Superseded,
     Paused,
     Killed,
 }
@@ -741,15 +732,17 @@ impl ValidParts {
     }
 }
 
-/// Run one worker against the fleet until the manifest is drained, the
-/// step limit pauses it, or a fault kills it. See the module docs for the
-/// protocol.
+/// Run worker `worker` (it names the log file and the fault-plan entries)
+/// against the fleet until the manifest is drained, `step_limit` steps
+/// have run while a job is left (a clean pause), or a fault kills it. See
+/// the module docs for the protocol.
 pub fn run_worker(
     fleet: &FleetDir,
-    cfg: &WorkerConfig,
+    worker: &str,
+    step_limit: Option<u64>,
     plan: &FaultPlan,
 ) -> Result<WorkerReport, String> {
-    let mut cursor = FaultCursor::default();
+    let mut cursor = FaultCursor { plan, worker, visits: BTreeMap::new() };
     let mut report = WorkerReport {
         exit: WorkerExit::Drained,
         jobs_done: Vec::new(),
@@ -772,8 +765,11 @@ pub fn run_worker(
             if matches!(parts.check(fleet, id), PartState::Valid) {
                 continue;
             }
+            if step_limit.is_some_and(|limit| report.steps >= limit) {
+                break 'outer WorkerExit::Paused;
+            }
             outstanding += 1;
-            if cursor.check(plan, &cfg.worker, FaultSite::PreClaim) == Some(FaultKind::Kill) {
+            if cursor.check(FaultSite::PreClaim) == Some(FaultKind::Kill) {
                 break 'outer WorkerExit::Killed;
             }
             let Some(lock) = fleet.try_claim(id).map_err(|e| format!("claim {id}: {e}"))? else {
@@ -803,18 +799,14 @@ pub fn run_worker(
         }
 
         if let Some((id, claim)) = claimed {
-            sink.event("claim").str("job", id).str("worker", &cfg.worker).emit();
-            match run_job(fleet, cfg, plan, &mut cursor, id, claim, &mut report)? {
+            sink.event("claim").str("job", id).str("worker", worker).emit();
+            match run_job(fleet, &mut cursor, step_limit, id, claim, &mut report)? {
                 JobRun::Completed => {
                     sink.event("done").str("job", id).emit();
                     report.jobs_done.push(id.clone());
-                    // the step limit also pauses between jobs, with no
-                    // lock held
-                    if cfg.step_limit.is_some_and(|limit| report.steps >= limit) {
-                        break WorkerExit::Paused;
-                    }
                     continue;
                 }
+                JobRun::Superseded => continue,
                 JobRun::Paused => break WorkerExit::Paused,
                 JobRun::Killed => break WorkerExit::Killed,
             }
@@ -827,22 +819,23 @@ pub fn run_worker(
     };
 
     report.exit = exit;
-    sink.event("exit").str("worker", &cfg.worker).u64("steps", report.steps).emit();
-    let log_path = fleet.root().join("logs").join(format!("worker-{}.jsonl", cfg.worker));
+    sink.event("exit").str("worker", worker).u64("steps", report.steps).emit();
+    let log_path = fleet.root().join("logs").join(format!("worker-{worker}.jsonl"));
     // operational log only; losing it changes nothing
     let _ = sink.save(&log_path);
     Ok(report)
 }
 
-/// Run one claimed job to completion in checkpoint slices, consulting the
-/// fault plan at every vulnerable point. `_lock` is the job's ownership:
-/// it is held until the part is written, and every early return drops it,
-/// leaving the job and its checkpoint to the next claimant.
+/// Run one claimed job to completion in slices, consulting the fault plan
+/// at every vulnerable point. The job's checkpoint is read once, here; the
+/// job then stays open in memory, and each paused slice writes its state
+/// and the trace. `_lock` is the job's ownership: it is held until the
+/// part is written, and every early return drops it, leaving the job and
+/// its checkpoint to the next claimant.
 fn run_job(
     fleet: &FleetDir,
-    cfg: &WorkerConfig,
-    plan: &FaultPlan,
     cursor: &mut FaultCursor,
+    step_limit: Option<u64>,
     id: &str,
     (job, _lock): (FleetJob, File),
     report: &mut WorkerReport,
@@ -863,42 +856,58 @@ fn run_job(
     let ckpt = BuildCheckpoint::open(&fleet.ckpt_path(id))
         .map_err(|e| format!("checkpoint {id}: {e}"))?;
     let io_err = |e: io::Error| format!("fleet job {id}: {e}");
+    let mut inflight = ckpt.load_inflight();
+    let mut sink = ckpt.load_trace();
+    // an owner that lost its lock file may be finishing this job: it writes
+    // the part before its final trace, so no part after these reads means
+    // they saw none of that
+    if fleet.part(id).is_some() {
+        return Ok(JobRun::Superseded);
+    }
+    let mut open = None;
 
-    let lib = loop {
-        let mut lib = Library::new();
-        let (progress, _, _, steps) = builder.build_into_checkpointed(
-            &mut lib,
-            std::slice::from_ref(&kernel),
-            std::slice::from_ref(&target),
-            &ckpt,
-            Some(cfg.slice_steps),
-        )?;
-        report.steps += steps;
+    let out = loop {
+        // `run_worker` claims only below the limit, and a slice that
+        // reaches it pauses the job below
+        let cap = step_limit.map_or(SLICE_STEPS, |limit| (limit - report.steps).min(SLICE_STEPS));
+        let inflight = inflight.take();
+        let (sliced, ran) =
+            builder.run_job(&kernel, &target, &mut open, inflight, Some(cap), Some(&mut sink))?;
+        report.steps += ran;
+        // a finishing slice writes nothing until the part lands, so a kill
+        // before then re-runs it from the last paused boundary
+        if let Sliced::Paused(state) = &sliced {
+            if let Some(text) = state {
+                ckpt.save_inflight(text).map_err(io_err)?;
+            }
+            ckpt.save_trace(&sink).map_err(io_err)?;
+        }
         // a fault here lands no matter what the slice accomplished —
         // checked before the finished-job break on purpose
-        match cursor.check(plan, &cfg.worker, FaultSite::MidJob) {
+        match cursor.check(FaultSite::MidJob) {
             Some(FaultKind::Kill) => return Ok(JobRun::Killed),
             Some(FaultKind::DropLock) => {
                 let _ = std::fs::remove_file(fleet.lock_path(id));
             }
             _ => {}
         }
-        if progress == BuildProgress::Finished {
-            break lib;
+        if let Sliced::Done(out) = sliced {
+            break out;
         }
         // clean pause: dropping the lock hands the job to a sibling (or
         // the resumed process), which continues from the checkpoint
-        if cfg.step_limit.is_some_and(|limit| report.steps >= limit) {
+        if step_limit.is_some_and(|limit| report.steps >= limit) {
             return Ok(JobRun::Paused);
         }
     };
 
-    if cursor.check(plan, &cfg.worker, FaultSite::PreDone) == Some(FaultKind::Kill) {
+    if cursor.check(FaultSite::PreDone) == Some(FaultKind::Kill) {
         return Ok(JobRun::Killed);
     }
-    let evaluations: u64 = ckpt.done_jobs().iter().map(|(_, _, _, e)| *e).sum();
-    let part_text = render_part(id, evaluations, &lib.to_text());
-    match cursor.check(plan, &cfg.worker, FaultSite::MidRename) {
+    let mut lib = Library::new();
+    lib.merge(out.record);
+    let part_text = render_part(id, out.evaluations, &lib.to_text());
+    match cursor.check(FaultSite::MidRename) {
         Some(FaultKind::Kill) => {
             // crashed between the tmp write and the rename: the tmp file
             // exists, the part does not
@@ -914,7 +923,9 @@ fn run_job(
         }
         _ => {}
     }
-    fleet.write_part(id, evaluations, &lib).map_err(io_err)?;
+    fleet.write_part(id, out.evaluations, &lib).map_err(io_err)?;
+    ckpt.save_trace(&sink).map_err(io_err)?;
+    ckpt.clear_inflight().map_err(io_err)?;
     Ok(JobRun::Completed)
 }
 
@@ -930,22 +941,22 @@ pub struct FleetRunReport {
     pub drained: bool,
 }
 
-/// Run `n` in-process worker threads (ids `w0..w{n-1}`) against the
-/// fleet — the deterministic bench/test harness and the `fleet run` CLI
-/// core. `base`'s `worker` field is ignored; faults, an injected kill
+/// Run `n` in-process worker threads (ids `w0..w{n-1}`), each limited to
+/// `step_limit` steps, against the fleet — the deterministic bench/test
+/// harness and the `fleet run` CLI core. Faults, an injected kill
 /// included, come from `plan` by worker id.
 pub fn run_fleet(
     fleet: &FleetDir,
     n: usize,
-    base: &WorkerConfig,
+    step_limit: Option<u64>,
     plan: &FaultPlan,
 ) -> Result<FleetRunReport, String> {
-    let n = n.max(1);
-    let configs: Vec<WorkerConfig> =
-        (0..n).map(|i| WorkerConfig { worker: format!("w{i}"), ..base.clone() }).collect();
+    let ids: Vec<String> = (0..n.max(1)).map(|i| format!("w{i}")).collect();
     let reports: Vec<Result<WorkerReport, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            configs.iter().map(|cfg| s.spawn(move || run_worker(fleet, cfg, plan))).collect();
+        let handles: Vec<_> = ids
+            .iter()
+            .map(|id| s.spawn(move || run_worker(fleet, id, step_limit, plan)))
+            .collect();
         handles.into_iter().map(|h| h.join().expect("fleet worker panicked")).collect()
     });
     let workers = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -1041,7 +1052,7 @@ mod tests {
         let fleet = FleetDir::open(&dir);
         let js = jobs(&["softmax", "relu"], Strategy::Heuristic, 3);
         fleet.init(&js).unwrap();
-        assert!(run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap().drained);
+        assert!(run_fleet(&fleet, 1, None, &FaultPlan::none()).unwrap().drained);
         let fresh = fleet.merge().unwrap();
         assert_eq!((fresh.library.len(), fresh.rejected_stale), (2, 0));
         // restamp one part's record with another model, its hash intact
@@ -1089,7 +1100,7 @@ mod tests {
         let labels = ["softmax", "matmul"];
         let strategy = Strategy::Anneal { budget: 12 };
         fleet.init(&jobs(&labels, strategy, 5)).unwrap();
-        let report = run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+        let report = run_fleet(&fleet, 1, None, &FaultPlan::none()).unwrap();
         assert!(report.drained);
         let merged = fleet.merge().unwrap();
         assert!(merged.unfinished.is_empty());
@@ -1125,7 +1136,7 @@ mod tests {
         fleet.init(&jobs(&labels, strategy, 5)).unwrap();
         assert!(fleet.set_warm_from(&donor).unwrap(), "layernorm family must fit");
         assert!(!fleet.set_warm_from(&donor).unwrap(), "warm index is write-once");
-        let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+        let report = run_fleet(&fleet, 2, None, &FaultPlan::none()).unwrap();
         assert!(report.drained);
         let merged = fleet.merge().unwrap();
         assert!(merged.unfinished.is_empty());
@@ -1178,7 +1189,7 @@ mod tests {
             assert!(fleet.set_warm_from(&donor).unwrap());
             let text = std::fs::read_to_string(fleet.warm_path()).unwrap();
             std::fs::write(fleet.warm_path(), format!("{text}{tail}")).unwrap();
-            run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+            run_fleet(&fleet, 1, None, &FaultPlan::none()).unwrap();
             assert_eq!(&fleet.merge().unwrap().library.to_text(), want, "{tag} donor");
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -1191,7 +1202,7 @@ mod tests {
             let dir = tmpdir(tag);
             let fleet = FleetDir::open(&dir);
             fleet.init(&jobs(&labels, Strategy::Anneal { budget: 10 }, 7)).unwrap();
-            let report = run_fleet(&fleet, n, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+            let report = run_fleet(&fleet, n, None, &FaultPlan::none()).unwrap();
             assert!(report.drained, "{n} workers failed to drain");
             let text = fleet.merge().unwrap().library.to_text();
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1237,7 +1248,7 @@ mod tests {
         assert_ne!(garbled, text);
         std::fs::write(&path, garbled).unwrap();
         assert!(fleet.status().is_err());
-        assert!(run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).is_err());
+        assert!(run_fleet(&fleet, 1, None, &FaultPlan::none()).is_err());
         assert!(fleet.merge().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1251,12 +1262,12 @@ mod tests {
         let fleet = FleetDir::open(&dir);
         let anneal = jobs(&["softmax"], Strategy::Anneal { budget: 40 }, 5);
         fleet.init(&anneal).unwrap();
-        let cfg = WorkerConfig { slice_steps: 4, step_limit: Some(4), ..WorkerConfig::new("w0") };
-        assert_eq!(run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap().exit, WorkerExit::Paused);
+        let report = run_worker(&fleet, "w0", Some(4), &FaultPlan::none()).unwrap();
+        assert_eq!(report.exit, WorkerExit::Paused);
         assert!(fleet.ckpt_path(&anneal[0].id()).join("inflight.ckpt").exists());
         let perfllm = jobs(&["softmax"], Strategy::PerfLlm { episodes: 1 }, 5);
         assert_eq!(fleet.init(&perfllm).unwrap(), Vec::<String>::new(), "no lock is held");
-        let report = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
+        let report = run_worker(&fleet, "w1", None, &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Drained);
         assert!(fleet.merge().unwrap().unfinished.is_empty());
         // the re-init removed the anneal job's lock and checkpoint
@@ -1315,7 +1326,7 @@ mod tests {
         let fleet = FleetDir::open(&dir);
         let labels = ["softmax", "relu"];
         let drain = |fleet: &FleetDir| {
-            run_fleet(fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap().drained
+            run_fleet(fleet, 1, None, &FaultPlan::none()).unwrap().drained
         };
         fleet.init(&jobs(&labels, Strategy::Heuristic, 5)).unwrap();
         assert!(drain(&fleet));
@@ -1332,14 +1343,14 @@ mod tests {
 
     #[test]
     fn a_worker_counts_the_steps_its_slices_ran() {
-        // a heuristic job is one step, however large the slice it runs in
+        // a heuristic job is one step, however large the slice it runs in,
+        // and a limit the last job reaches leaves nothing to pause for
         let labels = ["softmax", "relu", "matmul", "add"];
-        for (tag, step_limit) in [("steps", None), ("steps-limit", Some(10))] {
+        for (tag, step_limit) in [("steps", None), ("steps-10", Some(10)), ("steps-4", Some(4))] {
             let dir = tmpdir(tag);
             let fleet = FleetDir::open(&dir);
             fleet.init(&jobs(&labels, Strategy::Heuristic, 3)).unwrap();
-            let cfg = WorkerConfig { step_limit, ..WorkerConfig::new("w0") };
-            let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+            let report = run_worker(&fleet, "w0", step_limit, &FaultPlan::none()).unwrap();
             assert_eq!(report.exit, WorkerExit::Drained, "{tag}");
             assert_eq!((report.jobs_done.len(), report.steps), (4, 4), "{tag}");
             std::fs::remove_dir_all(&dir).unwrap();
@@ -1347,21 +1358,44 @@ mod tests {
     }
 
     #[test]
+    fn a_step_limit_runs_exactly_its_steps() {
+        // the job takes 22 steps: limits of 10 and 1 pause it mid-slice,
+        // and the next worker finishes it to the uninterrupted bytes
+        let js = jobs(&["softmax"], Strategy::Anneal { budget: 40 }, 5);
+        let drain = |tag: &str, limits: &[Option<u64>]| {
+            let dir = tmpdir(tag);
+            let fleet = FleetDir::open(&dir);
+            fleet.init(&js).unwrap();
+            let runs: Vec<(WorkerExit, u64)> = limits
+                .iter()
+                .map(|&limit| {
+                    let report = run_worker(&fleet, "w0", limit, &FaultPlan::none()).unwrap();
+                    (report.exit, report.steps)
+                })
+                .collect();
+            let merged = fleet.merge().unwrap().library.to_text();
+            std::fs::remove_dir_all(&dir).unwrap();
+            (runs, merged)
+        };
+        let (whole, want) = drain("limit-whole", &[None]);
+        assert_eq!(whole, [(WorkerExit::Drained, 22)]);
+        let (runs, merged) = drain("limit-sliced", &[Some(10), Some(1), None]);
+        let (paused, drained) = (WorkerExit::Paused, WorkerExit::Drained);
+        assert_eq!(runs, [(paused, 10), (paused, 1), (drained, 11)]);
+        assert_eq!(merged, want, "pausing changed the merged bytes");
+    }
+
+    #[test]
     fn paused_worker_releases_its_claim() {
         let dir = tmpdir("pause");
         let fleet = FleetDir::open(&dir);
         fleet.init(&jobs(&["softmax"], Strategy::Anneal { budget: 40 }, 5)).unwrap();
-        let cfg = WorkerConfig {
-            slice_steps: 4,
-            step_limit: Some(4),
-            ..WorkerConfig::new("w0")
-        };
-        let report = run_worker(&fleet, &cfg, &FaultPlan::none()).unwrap();
+        let report = run_worker(&fleet, "w0", Some(4), &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Paused);
         let s = fleet.status().unwrap();
         assert_eq!((s.pending, s.running), (1, 0), "pause must hand the job back");
         // a fresh unlimited worker finishes from the checkpoint
-        let report = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
+        let report = run_worker(&fleet, "w1", None, &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Drained);
         assert!(fleet.merge().unwrap().unfinished.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -61,7 +61,7 @@ pub use checkpoint::BuildCheckpoint;
 pub use dispatch::{dispatch_stats, DispatchResult, DispatchStats, Disposition};
 pub use fleet::{
     run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, FleetRunReport,
-    FleetStatus, MergeOutcome, WorkerConfig, WorkerExit, WorkerReport,
+    FleetStatus, MergeOutcome, WorkerExit, WorkerReport,
 };
 pub use format::{FormatError, LoadStats, Provenance, ScheduleRecord};
 pub use library::{current_model_version, Library, LibraryStats, MergeReport};

@@ -1,6 +1,5 @@
 //! Cross-shape schedule generalization: parameterized schedules fit over a
-//! kernel family's tuned records (ROADMAP item 5, the paper's transfer
-//! story).
+//! kernel family's tuned records (the paper's transfer story).
 //!
 //! A *family* is every record sharing `(structure, dtype, target,
 //! shape-arity)` — the same operator tuned at different shapes. From a

@@ -1,7 +1,8 @@
 //! Fleet crash matrix: every fault point in the worker loop, exercised
 //! through the seeded `FaultPlan` harness, must leave a fleet that
-//! resumes to a merged library byte-identical to the uninterrupted run —
-//! the PR-5 `cmp` methodology lifted to the multi-worker protocol. Plus
+//! resumes to a merged library and job traces byte-identical to the
+//! uninterrupted run's (traces apart from `cache_hit`) — the checkpoint
+//! `cmp` methodology lifted to the multi-worker protocol. Plus
 //! the liveness guarantees of the job lock: exactly one of any number of
 //! racing claimants owns a job, a dead worker's job is re-run exactly
 //! once, a live owner's job is never taken, however long it takes, and
@@ -9,8 +10,9 @@
 
 use perfdojo_library::{
     run_fleet, run_worker, FaultKind, FaultPlan, FaultSite, FleetDir, FleetJob, FleetRunReport,
-    Strategy, WorkerConfig, WorkerExit,
+    Strategy, WorkerExit,
 };
+use perfdojo_util::trace::strip_field;
 use std::path::PathBuf;
 use std::sync::Barrier;
 use std::time::Duration;
@@ -36,14 +38,15 @@ fn jobs() -> Vec<FleetJob> {
 
 /// Drain a fresh fleet under `plan` (rerunning fault-free if the faults
 /// left it undrained, exactly as an operator would) and return the merged
-/// library text.
-fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> String {
+/// library text and every job's `cache_hit`-stripped trace, in manifest
+/// order.
+fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> (String, Vec<String>) {
     let dir = scratch(tag);
     let fleet = FleetDir::open(&dir);
     fleet.init(&jobs()).unwrap();
-    let report = run_fleet(&fleet, workers, &WorkerConfig::new(""), plan).unwrap();
+    let report = run_fleet(&fleet, workers, None, plan).unwrap();
     if !report.drained {
-        let resumed = run_fleet(&fleet, workers, &WorkerConfig::new(""), &FaultPlan::none())
+        let resumed = run_fleet(&fleet, workers, None, &FaultPlan::none())
             .unwrap();
         assert!(resumed.drained, "{tag}: fleet failed to drain after fault-free rerun");
     }
@@ -51,21 +54,29 @@ fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> String {
     assert!(merged.unfinished.is_empty(), "{tag}: unfinished {:?}", merged.unfinished);
     let text = merged.library.to_text();
     assert!(!text.lines().next().unwrap_or("").is_empty());
+    let traces = jobs()
+        .iter()
+        .map(|job| {
+            let trace = std::fs::read_to_string(fleet.ckpt_path(&job.id()).join("trace.jsonl"));
+            strip_field(&trace.unwrap(), "cache_hit")
+        })
+        .collect();
     std::fs::remove_dir_all(&dir).unwrap();
-    text
+    (text, traces)
 }
 
 /// The crash matrix proper: kill worker w0 at each fault site on each of
-/// its first two visits; every scenario must merge byte-identical to the
-/// uninterrupted baseline.
+/// its first two visits; every scenario must merge and trace
+/// byte-identical to the uninterrupted baseline.
 #[test]
 fn kill_at_every_fault_site_resumes_byte_identical() {
     let baseline = drain_under("baseline", 2, &FaultPlan::none());
     for site in FaultSite::all() {
         for nth in [1, 2] {
             let plan = FaultPlan::none().kill("w0", site, nth);
-            let text = drain_under(&format!("kill-{site:?}-{nth}"), 2, &plan);
-            assert_eq!(text, baseline, "kill at {site:?} (visit {nth}) changed the bytes");
+            let run = drain_under(&format!("kill-{site:?}-{nth}"), 2, &plan);
+            assert_eq!(run.0, baseline.0, "kill at {site:?} (visit {nth}) changed the bytes");
+            assert_eq!(run.1, baseline.1, "kill at {site:?} (visit {nth}) changed a trace");
         }
     }
 }
@@ -82,8 +93,9 @@ fn claim_and_part_faults_converge_byte_identical() {
     ];
     for (tag, site, kind) in scenarios {
         let plan = FaultPlan::none().with("w0", site, 1, kind);
-        let text = drain_under(&format!("nk-{tag}"), 2, &plan);
-        assert_eq!(text, baseline, "{kind:?} at {site:?} changed the bytes");
+        let run = drain_under(&format!("nk-{tag}"), 2, &plan);
+        assert_eq!(run.0, baseline.0, "{kind:?} at {site:?} changed the bytes");
+        assert_eq!(run.1, baseline.1, "{kind:?} at {site:?} changed a trace");
     }
 }
 
@@ -97,8 +109,9 @@ fn seeded_fault_plans_converge_byte_identical() {
     for seed in 0..4 {
         let plan = FaultPlan::seeded(seed, &workers);
         assert!(!plan.faults.is_empty(), "seeded plan {seed} is empty");
-        let text = drain_under(&format!("seeded-{seed}"), 2, &plan);
-        assert_eq!(text, baseline, "seeded plan {seed} ({:?}) changed the bytes", plan.faults);
+        let run = drain_under(&format!("seeded-{seed}"), 2, &plan);
+        assert_eq!(run.0, baseline.0, "seeded plan {seed} ({:?}) changed the bytes", plan.faults);
+        assert_eq!(run.1, baseline.1, "seeded plan {seed} ({:?}) changed a trace", plan.faults);
     }
 }
 
@@ -151,19 +164,18 @@ fn assert_each_job_done_once(report: &FleetRunReport, js: &[FleetJob]) {
 /// every job exactly once, and drain to the baseline bytes.
 #[test]
 fn dead_workers_job_is_retuned_exactly_once() {
-    let baseline = drain_under("dead-baseline", 2, &FaultPlan::none());
+    let baseline = drain_under("dead-baseline", 2, &FaultPlan::none()).0;
     let dir = scratch("dead-worker");
     let fleet = FleetDir::open(&dir);
     let js = jobs();
     fleet.init(&js).unwrap();
     // the dead worker took the first job and was kill -9'd one slice in
-    let cfg = WorkerConfig { slice_steps: 4, ..WorkerConfig::new("dead") };
     let plan = FaultPlan::none().kill("dead", FaultSite::MidJob, 1);
-    let dead = run_worker(&fleet, &cfg, &plan).unwrap();
+    let dead = run_worker(&fleet, "dead", None, &plan).unwrap();
     assert_eq!((dead.exit, dead.jobs_done.len()), (WorkerExit::Killed, 0));
     assert_eq!(std::fs::read_dir(dir.join("ckpt")).unwrap().count(), 1, "one job started");
 
-    let report = run_fleet(&fleet, 3, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+    let report = run_fleet(&fleet, 3, None, &FaultPlan::none()).unwrap();
     assert!(report.drained);
     assert_each_job_done_once(&report, &js);
     let merged = fleet.merge().unwrap();
@@ -179,7 +191,7 @@ fn dead_workers_job_is_retuned_exactly_once() {
 /// and leave the stray files alone.
 #[test]
 fn unparseable_queue_files_do_not_wedge_the_fleet() {
-    let baseline = drain_under("garbage-baseline", 2, &FaultPlan::none());
+    let baseline = drain_under("garbage-baseline", 2, &FaultPlan::none()).0;
     let dir = scratch("garbage-queue");
     let fleet = FleetDir::open(&dir);
     let js = jobs();
@@ -196,7 +208,7 @@ fn unparseable_queue_files_do_not_wedge_the_fleet() {
     std::fs::write(dir.join("locks").join(format!("{}.lock", js[1].id())), "garbage\n").unwrap();
     std::fs::write(dir.join("parts").join(format!("{}.part", js[2].id())), "garbage\n").unwrap();
 
-    let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+    let report = run_fleet(&fleet, 2, None, &FaultPlan::none()).unwrap();
     assert!(report.drained);
     assert_eq!(report.workers.iter().map(|w| w.discarded_torn).sum::<usize>(), 1);
     let merged = fleet.merge().unwrap();
@@ -215,7 +227,7 @@ fn unparseable_queue_files_do_not_wedge_the_fleet() {
 /// fleet must run it exactly once and drain to the baseline bytes.
 #[test]
 fn slow_live_owner_is_never_reclaimed() {
-    let baseline = drain_under("slow-baseline", 2, &FaultPlan::none());
+    let baseline = drain_under("slow-baseline", 2, &FaultPlan::none()).0;
     let dir = scratch("slow-owner");
     let fleet = FleetDir::open(&dir);
     let js = jobs();
@@ -224,7 +236,7 @@ fn slow_live_owner_is_never_reclaimed() {
     let held = fleet.try_claim(&id).unwrap().unwrap();
 
     let report = std::thread::scope(|s| {
-        let run = s.spawn(|| run_fleet(&fleet, 2, &WorkerConfig::new(""), &FaultPlan::none()));
+        let run = s.spawn(|| run_fleet(&fleet, 2, None, &FaultPlan::none()));
         while fleet.status().unwrap().done < js.len() - 1 {
             assert!(!run.is_finished(), "fleet stopped before draining the other jobs");
             std::thread::sleep(Duration::from_millis(5));
@@ -251,7 +263,7 @@ fn slow_live_owner_is_never_reclaimed() {
 /// job concurrently). Neither loses a job or changes the merged bytes.
 #[test]
 fn dropped_lock_files_lose_no_job() {
-    let baseline = drain_under("droplock-baseline", 2, &FaultPlan::none());
+    let baseline = drain_under("droplock-baseline", 2, &FaultPlan::none()).0;
     let dir = scratch("droplock");
     let fleet = FleetDir::open(&dir);
     let js = jobs();
@@ -260,7 +272,7 @@ fn dropped_lock_files_lose_no_job() {
     std::fs::remove_file(dir.join("locks").join(format!("{}.lock", js[1].id()))).unwrap();
 
     let plan = FaultPlan::none().with("w0", FaultSite::MidJob, 1, FaultKind::DropLock);
-    let report = run_fleet(&fleet, 2, &WorkerConfig::new(""), &plan).unwrap();
+    let report = run_fleet(&fleet, 2, None, &plan).unwrap();
     assert!(report.drained);
     let merged = fleet.merge().unwrap();
     assert!(merged.unfinished.is_empty());
@@ -274,25 +286,22 @@ fn dropped_lock_files_lose_no_job() {
 /// through a fresh worker.
 #[test]
 fn pause_and_kill_resume_paths_are_byte_identical() {
-    let baseline = drain_under("pk-baseline", 2, &FaultPlan::none());
+    let baseline = drain_under("pk-baseline", 2, &FaultPlan::none()).0;
     for (tag, pause) in [("paused", true), ("killed", false)] {
         let dir = scratch(tag);
         let fleet = FleetDir::open(&dir);
         fleet.init(&jobs()).unwrap();
-        let mut cfg = WorkerConfig::new("w0");
-        cfg.slice_steps = 4;
-        let mut plan = FaultPlan::none();
-        if pause {
-            cfg.step_limit = Some(4);
+        let (step_limit, plan) = if pause {
+            (Some(4), FaultPlan::none())
         } else {
-            plan = plan.kill("w0", FaultSite::MidJob, 1);
-        }
-        let report = run_worker(&fleet, &cfg, &plan).unwrap();
+            (None, FaultPlan::none().kill("w0", FaultSite::MidJob, 1))
+        };
+        let report = run_worker(&fleet, "w0", step_limit, &plan).unwrap();
         let want = if pause { WorkerExit::Paused } else { WorkerExit::Killed };
         assert_eq!(report.exit, want);
         let status = fleet.status().unwrap();
         assert_eq!((status.pending, status.running), (4, 0), "{tag}: the job must be pending");
-        let resumed = run_worker(&fleet, &WorkerConfig::new("w1"), &FaultPlan::none()).unwrap();
+        let resumed = run_worker(&fleet, "w1", None, &FaultPlan::none()).unwrap();
         assert_eq!(resumed.exit, WorkerExit::Drained);
         let merged = fleet.merge().unwrap().library.to_text();
         assert_eq!(merged, baseline, "{tag} resume changed the bytes");

@@ -7,7 +7,7 @@
 use perfdojo::kernels::KernelInstance;
 use perfdojo::library::{
     run_fleet, BuildCheckpoint, BuildProgress, FaultPlan, FleetDir, FleetJob, ServeConfig,
-    ServeQuery, Server, TuneProgress, WorkerConfig,
+    ServeQuery, Server, TuneProgress,
 };
 use perfdojo::prelude::*;
 use std::path::{Path, PathBuf};
@@ -98,7 +98,7 @@ fn fleet(
     if let Some(lib) = warm {
         assert!(fleet.set_warm_from(lib).unwrap(), "the donor must freeze");
     }
-    let report = run_fleet(&fleet, 1, &WorkerConfig::new(""), &FaultPlan::none()).unwrap();
+    let report = run_fleet(&fleet, 1, None, &FaultPlan::none()).unwrap();
     assert!(report.drained);
     let evals = jobs
         .iter()
