@@ -40,11 +40,15 @@
 #      build` paused at a step limit (exit code 4) and resumed must produce
 #      a library and event trace byte-identical to an uninterrupted build's
 #      (modulo the cache_hit field — a resumed process starts cache-cold);
-#      plain and checkpointed builds run one job runner, so the plain
-#      `anneal:40` and `anneal:0` libraries must `cmp` equal to their
-#      checkpointed builds; and a zero-budget anneal is a no-op on every
-#      path — no record, no evaluation beyond the dojo's own — and must
-#      stay NaN-free.
+#      a build into that finished checkpoint directory under another
+#      strategy, or over another kernel, must save what the same build
+#      without `--checkpoint-dir` saves (a job's id names its kernel,
+#      shape, target, strategy and seed, so it shares no job with the
+#      first build); plain and checkpointed builds run one job runner,
+#      so the plain `anneal:40` and `anneal:0` libraries must `cmp` equal
+#      to their checkpointed builds; and a zero-budget anneal is a no-op
+#      on every path — no record, no evaluation beyond the dojo's own —
+#      and must stay NaN-free.
 #   8. Serving-tier smoke: a fixed-seed `--exp serve` load test must be
 #      byte-identical across two runs and to the committed BENCH_serve.json,
 #      a CLI `perfdojo-lib serve` run on two copies of the same library must
@@ -55,7 +59,9 @@
 #      `serve --batch 0` must fail (a batch of none would answer nothing),
 #      `serve --zipf-s nan` must exit 1 (an argument error, not a panic) and
 #      leave the library untouched, a step-limited serve must pause with
-#      exit 4 and converge on resume to the uninterrupted library, and the
+#      exit 4 and converge on resume to the uninterrupted library, a serve
+#      paused under `anneal:40` and rerun under `perfllm:2` must exit 0
+#      and publish what a fresh `perfllm:2` serve publishes, and the
 #      reader/hot-swap stress test must pass under --release.
 #   9. Graph-tier smoke: a fixed-seed `--exp graph` run (block-level vs
 #      per-node dispatch over the pipeline suite) must be byte-identical
@@ -284,6 +290,18 @@ strip_cache_hit() { sed 's/,"cache_hit":[a-z]*//g' "$1"; }
 diff <(strip_cache_hit "$PDLIB_DIR/ck-full/trace.jsonl") \
      <(strip_cache_hit "$PDLIB_DIR/ck-sliced/trace.jsonl")
 grep -q '"ev":"tuned"' "$PDLIB_DIR/ck-full/trace.jsonl"
+# the finished directory answers no other build: another strategy or
+# another kernel is another job id, so each build runs its own jobs and
+# saves what it saves without --checkpoint-dir
+reuse_ck() {
+    ./target/release/perfdojo-lib build --out "$PDLIB_DIR/reuse-ck.pdl" "$@" \
+        --checkpoint-dir "$PDLIB_DIR/ck-full" > /dev/null
+    ./target/release/perfdojo-lib build --out "$PDLIB_DIR/reuse-plain.pdl" "$@" > /dev/null
+    cmp "$PDLIB_DIR/reuse-ck.pdl" "$PDLIB_DIR/reuse-plain.pdl"
+    rm "$PDLIB_DIR/reuse-ck.pdl" "$PDLIB_DIR/reuse-plain.pdl"
+}
+reuse_ck --kernels softmax,matmul --targets x86 --strategy heuristic --seed 7
+reuse_ck --kernels relu --targets x86 --strategy anneal:40 --seed 7
 # the plain build runs the same job runner: same bytes as the checkpointed
 ./target/release/perfdojo-lib build --out "$PDLIB_DIR/plain.pdl" "${CKPT_ARGS[@]}"
 cmp "$PDLIB_DIR/full.pdl" "$PDLIB_DIR/plain.pdl"
@@ -406,6 +424,26 @@ if [ "$rc" -ne 0 ]; then
     exit 1
 fi
 cmp "$PDLIB_DIR/srv-full.pdl" "$PDLIB_DIR/srv-sliced.pdl"
+# a drain paused under anneal keeps its state under ids that name anneal,
+# so the rerun under PerfLLM tunes its jobs from nothing: it must exit 0
+# and publish what a fresh PerfLLM serve publishes
+cp "$PDLIB_DIR/srv-base.pdl" "$PDLIB_DIR/srv-switch.pdl"
+cp "$PDLIB_DIR/srv-base.pdl" "$PDLIB_DIR/srv-llm.pdl"
+SWITCH_ARGS=(--target x86 --rounds 2 --requests 48 --seed 11)
+set +e
+./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-switch.pdl" "${SWITCH_ARGS[@]}" \
+    --strategy anneal:40 --checkpoint-dir "$PDLIB_DIR/ck-srv-switch" --step-limit 25 > /dev/null
+rc=$?
+set -e
+if [ "$rc" -ne 4 ]; then
+    echo "ci.sh: step-limited anneal serve should pause with exit 4, got $rc" >&2
+    exit 1
+fi
+./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-switch.pdl" "${SWITCH_ARGS[@]}" \
+    --strategy perfllm:2 --checkpoint-dir "$PDLIB_DIR/ck-srv-switch" > /dev/null
+./target/release/perfdojo-lib serve --lib "$PDLIB_DIR/srv-llm.pdl" "${SWITCH_ARGS[@]}" \
+    --strategy perfllm:2 > /dev/null
+cmp "$PDLIB_DIR/srv-switch.pdl" "$PDLIB_DIR/srv-llm.pdl"
 # readers racing hot swaps must match the sequential oracle under the
 # release scheduler, not just the debug one
 cargo test -q --release -p perfdojo-library --offline --test serve_stress

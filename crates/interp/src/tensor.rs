@@ -27,11 +27,6 @@ impl Tensor {
         Tensor { shape: shape.to_vec(), data: vec![v; shape.iter().product::<usize>().max(1)] }
     }
 
-    /// A tensor of zeros.
-    pub fn zeros(shape: &[usize]) -> Self {
-        Self::fill(shape, 0.0)
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()

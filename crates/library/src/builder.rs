@@ -10,7 +10,7 @@
 //! two same-seed builds produce byte-identical libraries regardless of
 //! thread scheduling.
 
-use crate::checkpoint::BuildCheckpoint;
+use crate::checkpoint::{job_id, BuildCheckpoint};
 use crate::format::{Provenance, ScheduleRecord};
 use crate::library::{current_model_version, Library, MergeReport};
 use crate::sig::KernelSig;
@@ -346,21 +346,22 @@ impl LibraryBuilder {
     }
 
     /// Crash-safe build: tune the grid **sequentially** in grid order,
-    /// persisting progress to `ckpt` after every completed job (and after
-    /// every pause), so a killed build resumes where it stopped instead of
+    /// keeping every job in `ckpt`'s job store under its full id
+    /// ([`job_id`]), so a killed build resumes where it stopped instead of
     /// starting over.
     ///
-    /// - Jobs listed in the checkpoint's `done.list` are skipped; the
-    ///   partially-built library is reloaded from `partial.pdl` (replacing
-    ///   `lib`'s contents when present).
-    /// - A job interrupted mid-search resumes from `inflight.ckpt`
+    /// - A job whose part is valid is done: its records are merged and it
+    ///   does not run. A finished job writes its part, then the trace, then
+    ///   clears its in-flight state.
+    /// - A job interrupted mid-search resumes from its own in-flight state
     ///   bit-identically (same RNG words, same best-so-far, same budget
     ///   spend) — see `perfdojo-search`/`perfdojo-rl` checkpoints.
     /// - `step_limit` bounds the tuning steps executed in *this call*: one
     ///   annealing iteration, one RL episode, or one whole SA chain /
     ///   heuristic pass each count as one step. When the limit runs out
-    ///   the build pauses cleanly (this is also how tests exercise the
-    ///   kill/resume path without signals).
+    ///   the build saves the running job's state and the trace and pauses
+    ///   cleanly, leaving `lib` as it was (this is also how tests exercise
+    ///   the kill/resume path without signals).
     /// - Trajectory events append to the checkpoint's `trace.jsonl` with
     ///   continuing step numbers: the finished trace of a paused+resumed
     ///   build is byte-identical to an uninterrupted one, except the
@@ -373,8 +374,8 @@ impl LibraryBuilder {
     /// per-job evaluations. Jobs run sequentially because per-job
     /// parallelism cannot persist incrementally; `Strategy::AnnealMulti`
     /// still fans out the chains a slice grants. Returns the progress, the
-    /// accumulated merge report and the outcomes of jobs completed in this
-    /// call.
+    /// report of merging every grid job's records into `lib` (empty on a
+    /// pause) and the outcomes of jobs completed in this call.
     pub fn build_into_checkpointed(
         &self,
         lib: &mut Library,
@@ -383,57 +384,45 @@ impl LibraryBuilder {
         ckpt: &BuildCheckpoint,
         step_limit: Option<u64>,
     ) -> Result<(BuildProgress, MergeReport, Vec<TuneOutcome>), String> {
-        let partial = ckpt.partial_path();
-        if partial.exists() {
-            let (loaded, _) = Library::load(&partial)
-                .map_err(|e| format!("{}: {e}", partial.display()))?;
-            *lib = loaded;
-        }
-        let done = ckpt.done_jobs();
         let mut sink = ckpt.load_trace();
         let mut left = step_limit;
-        let mut inflight = ckpt.load_inflight();
+        let mut records = Vec::new();
         let mut outcomes = Vec::new();
-        let mut report = MergeReport::default();
         let io_err = |e: std::io::Error| format!("checkpoint dir {}: {e}", ckpt.dir().display());
         for kernel in kernels {
             for target in targets {
-                if done.iter().any(|(l, s, t, _)| {
-                    l == &kernel.label && s == &kernel.shape && t == &target.name
-                }) {
+                let id =
+                    job_id(&kernel.label, &kernel.shape, &target.name, self.strategy, self.seed);
+                if let Some((_, part)) = ckpt.part(&id) {
+                    records.extend(part.records().cloned());
                     continue;
                 }
-                let inflight = inflight.take();
+                let inflight = ckpt.load_inflight(&id);
                 let (sliced, ran) =
                     self.run_job(kernel, target, &mut None, inflight, left, Some(&mut sink))?;
                 left = left.map(|n| n - ran);
                 match sliced {
                     Sliced::Done(out) => {
-                        let r = lib.merge(out.record.clone());
-                        report.inserted += r.inserted;
-                        report.improved += r.improved;
-                        report.kept_existing += r.kept_existing;
-                        report.invalidated += r.invalidated;
-                        report.rejected_stale += r.rejected_stale;
-                        lib.save(&partial).map_err(|e| format!("{}: {e}", partial.display()))?;
+                        let mut part = Library::new();
+                        part.merge(out.record.clone());
+                        ckpt.write_part(&id, out.evaluations, &part).map_err(io_err)?;
                         ckpt.save_trace(&sink).map_err(io_err)?;
-                        ckpt.mark_done(&out.label, &kernel.shape, &out.target, out.evaluations)
-                            .map_err(io_err)?;
-                        ckpt.clear_inflight().map_err(io_err)?;
+                        ckpt.clear_inflight(&id).map_err(io_err)?;
+                        records.extend(out.record.clone());
                         outcomes.push(out);
                     }
                     Sliced::Paused(state) => {
                         if let Some(text) = state {
-                            ckpt.save_inflight(&text).map_err(io_err)?;
+                            ckpt.save_inflight(&id, &text).map_err(io_err)?;
                         }
                         ckpt.save_trace(&sink).map_err(io_err)?;
-                        return Ok((BuildProgress::Paused, report, outcomes));
+                        return Ok((BuildProgress::Paused, MergeReport::default(), outcomes));
                     }
                 }
             }
         }
         ckpt.save_trace(&sink).map_err(io_err)?;
-        Ok((BuildProgress::Finished, report, outcomes))
+        Ok((BuildProgress::Finished, lib.merge(records), outcomes))
     }
 
     /// The one job runner: every build, drain and fleet job turns its
@@ -797,10 +786,7 @@ mod tests {
     ) -> (String, String) {
         let ckpt = BuildCheckpoint::open(dir).unwrap();
         loop {
-            let mut lib = match Library::load(&ckpt.partial_path()) {
-                Ok((l, _)) => l,
-                Err(_) => Library::new(),
-            };
+            let mut lib = Library::new();
             let (progress, ..) = builder
                 .build_into_checkpointed(&mut lib, kernels, targets, &ckpt, step_limit)
                 .unwrap();

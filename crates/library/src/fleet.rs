@@ -6,9 +6,10 @@
 //! It tunes the whole kernel universe from primitives the repo already
 //! trusts: the atomic write-tmp-rename idiom
 //! ([`perfdojo_util::trace::atomic_write`]), the non-blocking OS file lock
-//! ([`perfdojo_util::claim::try_lock`]), and the [`BuildCheckpoint`]
-//! files, which bound the cost of killing any worker to the last slice of
-//! the job it had in flight.
+//! ([`perfdojo_util::claim::try_lock`]), and the job store of checkpointed
+//! builds ([`BuildCheckpoint`], here at the fleet's root), which bounds
+//! the cost of killing any worker to the last slice of the job it had in
+//! flight.
 //!
 //! # Directory protocol
 //!
@@ -22,14 +23,14 @@
 //!   holder the job's owner ([`FleetDir::try_claim`] creates it on the
 //!   first claim); never read, written or moved.
 //! - `parts/<id>.part` — one completed job's partial library, wrapped in
-//!   a hash-checked [`render_part`] envelope so a torn (non-atomic)
-//!   write is detected and the job re-runs instead of silently losing or
+//!   the store's hash-checked part envelope
+//!   ([`crate::checkpoint::render_part`]) so a torn (non-atomic) write is
+//!   detected and the job re-runs instead of silently losing or
 //!   corrupting its record.
-//! - `ckpt/<id>/` — the job's `inflight.ckpt` and `trace.jsonl`
-//!   ([`BuildCheckpoint`]), written at every paused slice boundary. A
-//!   worker killed mid-job leaves its search state here; whoever claims
-//!   the job next resumes bit-identically (same RNG words, same budget
-//!   spend).
+//! - `ckpt/<id>/` — the job's `inflight.ckpt` and its `trace.jsonl`,
+//!   written at every paused slice boundary. A worker killed mid-job
+//!   leaves its search state here; whoever claims the job next resumes
+//!   bit-identically (same RNG words, same budget spend).
 //! - `logs/worker-<id>.jsonl` — per-worker operational trace events
 //!   (claims, completions, torn parts); never compared, never merged.
 //! - `warm.pdl` — optional: the donor library every job warm-starts from,
@@ -87,10 +88,9 @@
 //! mid-job slice boundary ([`FaultPlan::kill_after_steps`]).
 
 use crate::builder::{target_by_name, LibraryBuilder, Sliced, Strategy};
-use crate::checkpoint::BuildCheckpoint;
+use crate::checkpoint::{job_id, parse_part, remove_if_present, render_part, BuildCheckpoint};
 use crate::format;
 use crate::library::Library;
-use perfdojo_ir::fingerprint::fnv1a;
 use perfdojo_kernels::KernelInstance;
 use perfdojo_util::claim::try_lock;
 use perfdojo_util::trace::{atomic_write, Lines, TraceSink};
@@ -143,25 +143,10 @@ impl FleetJob {
         self.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
     }
 
-    /// Stable filesystem id: the sanitized kernel, shape and target plus
-    /// an fnv1a suffix over the whole identity (those three, the strategy
-    /// and the seed), so sanitization can never collide two jobs and a job
-    /// tuned another way never inherits this one's lock, part or
-    /// checkpoint.
+    /// Stable filesystem id ([`job_id`]): the id a checkpointed build
+    /// gives the same job.
     pub fn id(&self) -> String {
-        let identity = format!(
-            "{}|{}|{}|{}|{}",
-            self.label,
-            self.shape(),
-            self.target,
-            self.strategy.spec(),
-            self.seed
-        );
-        let safe: String = format!("{}-{}-{}", self.label, self.shape(), self.target)
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
-            .collect();
-        format!("{safe}-{:08x}", fnv1a(identity.as_bytes()) as u32)
+        job_id(&self.label, &self.shape(), &self.target, self.strategy, self.seed)
     }
 
     /// Render the job-file text.
@@ -237,43 +222,6 @@ impl FleetJob {
         }
         Ok(jobs)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Part files
-
-/// Wrap one job's partial-library text in the hash-checked part envelope:
-///
-/// ```text
-/// perfdojo-fleet-part v1 job=<id> evals=<n> hash=<16-hex fnv1a of body>
-/// <library text>
-/// ```
-pub fn render_part(job_id: &str, evaluations: u64, library_text: &str) -> String {
-    format!(
-        "perfdojo-fleet-part v1 job={job_id} evals={evaluations} hash={:016x}\n{library_text}",
-        fnv1a(library_text.as_bytes())
-    )
-}
-
-/// Parse and integrity-check a part file; `None` for anything torn,
-/// truncated, or mislabeled — the caller treats the job as not done.
-pub fn parse_part(job_id: &str, text: &str) -> Option<(u64, Library)> {
-    let (header, body) = text.split_once('\n')?;
-    let rest = header.strip_prefix("perfdojo-fleet-part v1 job=")?;
-    let (id, rest) = rest.split_once(" evals=")?;
-    if id != job_id {
-        return None;
-    }
-    let (evals, hash) = rest.split_once(" hash=")?;
-    let evaluations: u64 = evals.parse().ok()?;
-    if format!("{:016x}", fnv1a(body.as_bytes())) != hash {
-        return None;
-    }
-    let (lib, stats) = Library::from_text(body).ok()?;
-    if stats.corrupt_entries > 0 {
-        return None;
-    }
-    Some((evaluations, lib))
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +377,8 @@ impl FaultCursor<'_> {
 /// on-disk protocol).
 #[derive(Clone, Debug)]
 pub struct FleetDir {
-    root: PathBuf,
+    /// The job store at the fleet's root: `parts/` and `ckpt/`.
+    store: BuildCheckpoint,
 }
 
 /// Live state summary of a fleet directory.
@@ -451,35 +400,26 @@ impl FleetDir {
     /// other operation starts by reading the manifest, so a mistyped path
     /// fails without leaving anything behind.
     pub fn open(root: &Path) -> FleetDir {
-        FleetDir { root: root.to_path_buf() }
+        FleetDir { store: BuildCheckpoint::at(root) }
     }
 
     /// The directory root.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.store.dir()
     }
 
     fn lock_path(&self, id: &str) -> PathBuf {
-        self.root.join("locks").join(format!("{id}.lock"))
-    }
-
-    fn part_path(&self, id: &str) -> PathBuf {
-        self.root.join("parts").join(format!("{id}.part"))
-    }
-
-    /// The job's private [`BuildCheckpoint`] directory.
-    pub fn ckpt_path(&self, id: &str) -> PathBuf {
-        self.root.join("ckpt").join(id)
+        self.root().join("locks").join(format!("{id}.lock"))
     }
 
     fn manifest_path(&self) -> PathBuf {
-        self.root.join("jobs.list")
+        self.root().join("jobs.list")
     }
 
     /// The frozen donor library warm-starting every job, in the library
     /// format (absent = every job tunes cold).
     pub fn warm_path(&self) -> PathBuf {
-        self.root.join("warm.pdl")
+        self.root().join("warm.pdl")
     }
 
     /// Freeze `lib` as the donor library every job the fleet runs
@@ -513,7 +453,7 @@ impl FleetDir {
     /// and a later `init` removes it once its worker has let go.
     pub fn init(&self, jobs: &[FleetJob]) -> io::Result<Vec<String>> {
         for sub in ["locks", "parts", "ckpt", "logs"] {
-            std::fs::create_dir_all(self.root.join(sub))?;
+            std::fs::create_dir_all(self.root().join(sub))?;
         }
         let manifest: String = jobs.iter().map(|job| format!("{}---\n", job.render())).collect();
         atomic_write(&self.manifest_path(), &manifest)?;
@@ -524,8 +464,8 @@ impl FleetDir {
                 held.push(id.clone());
                 continue;
             };
-            remove_if_present(std::fs::remove_file(self.part_path(id)))?;
-            remove_if_present(std::fs::remove_dir_all(self.ckpt_path(id)))?;
+            remove_if_present(std::fs::remove_file(self.store.part_path(id)))?;
+            remove_if_present(std::fs::remove_dir_all(self.store.job_dir(id)))?;
             remove_if_present(std::fs::remove_file(self.lock_path(id)))?;
             drop(lock);
         }
@@ -537,7 +477,7 @@ impl FleetDir {
         let mut ids = BTreeSet::new();
         // a part's temporary write ends in `.tmp` and names no job
         for (sub, suffix) in [("locks", ".lock"), ("parts", ".part"), ("ckpt", "")] {
-            for entry in std::fs::read_dir(self.root.join(sub))? {
+            for entry in std::fs::read_dir(self.root().join(sub))? {
                 if let Some(id) = entry?.file_name().to_str().and_then(|n| n.strip_suffix(suffix)) {
                     ids.insert(id.to_string());
                 }
@@ -573,13 +513,7 @@ impl FleetDir {
 
     /// Read and integrity-check the part file for `id`.
     pub fn part(&self, id: &str) -> Option<(u64, Library)> {
-        let text = std::fs::read_to_string(self.part_path(id)).ok()?;
-        parse_part(id, &text)
-    }
-
-    /// Write the completed job's part file atomically.
-    pub fn write_part(&self, id: &str, evaluations: u64, lib: &Library) -> io::Result<()> {
-        atomic_write(&self.part_path(id), &render_part(id, evaluations, &lib.to_text()))
+        self.store.part(id)
     }
 
     /// Live state summary against the manifest. A job without a lock file
@@ -624,14 +558,6 @@ impl FleetDir {
             }
         }
         Ok(out)
-    }
-}
-
-/// `Ok` for a removal that succeeded or found nothing to remove.
-fn remove_if_present(removed: io::Result<()>) -> io::Result<()> {
-    match removed {
-        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-        _ => Ok(()),
     }
 }
 
@@ -706,7 +632,7 @@ struct ValidParts(BTreeMap<String, (u64, SystemTime)>);
 
 impl ValidParts {
     fn check(&mut self, fleet: &FleetDir, id: &str) -> PartState {
-        let path = fleet.part_path(id);
+        let path = fleet.store.part_path(id);
         let stamp = |meta: std::fs::Metadata| Some((meta.len(), meta.modified().ok()?));
         if let Some(known) = self.0.get(id) {
             if std::fs::metadata(&path).ok().and_then(stamp).as_ref() == Some(known) {
@@ -783,7 +709,7 @@ pub fn run_worker(
                     outstanding -= 1;
                     continue;
                 }
-                PartState::Torn => match std::fs::remove_file(fleet.part_path(id)) {
+                PartState::Torn => match std::fs::remove_file(fleet.store.part_path(id)) {
                     Err(e) if e.kind() != io::ErrorKind::NotFound => {
                         return Err(format!("discard torn part {id}: {e}"));
                     }
@@ -827,11 +753,11 @@ pub fn run_worker(
 }
 
 /// Run one claimed job to completion in slices, consulting the fault plan
-/// at every vulnerable point. The job's checkpoint is read once, here; the
-/// job then stays open in memory, and each paused slice writes its state
-/// and the trace. `_lock` is the job's ownership: it is held until the
-/// part is written, and every early return drops it, leaving the job and
-/// its checkpoint to the next claimant.
+/// at every vulnerable point. The job's in-flight state and trace are read
+/// once, here; the job then stays open in memory, and each paused slice
+/// writes both. `_lock` is the job's ownership: it is held until the part
+/// is written, and every early return drops it, leaving the job and its
+/// checkpoint to the next claimant.
 fn run_job(
     fleet: &FleetDir,
     cursor: &mut FaultCursor,
@@ -853,11 +779,15 @@ fn run_job(
             builder = builder.with_warm_from(&donor);
         }
     }
-    let ckpt = BuildCheckpoint::open(&fleet.ckpt_path(id))
-        .map_err(|e| format!("checkpoint {id}: {e}"))?;
+    let store = &fleet.store;
+    // the job keeps its trace beside its in-flight state, and a job that
+    // finishes in its first slice saves the trace without ever pausing
+    let job_dir = store.job_dir(id);
+    std::fs::create_dir_all(&job_dir).map_err(|e| format!("checkpoint {id}: {e}"))?;
+    let trace = job_dir.join("trace.jsonl");
     let io_err = |e: io::Error| format!("fleet job {id}: {e}");
-    let mut inflight = ckpt.load_inflight();
-    let mut sink = ckpt.load_trace();
+    let mut inflight = store.load_inflight(id);
+    let mut sink = TraceSink::from_text(&std::fs::read_to_string(&trace).unwrap_or_default());
     // an owner that lost its lock file may be finishing this job: it writes
     // the part before its final trace, so no part after these reads means
     // they saw none of that
@@ -878,9 +808,9 @@ fn run_job(
         // before then re-runs it from the last paused boundary
         if let Sliced::Paused(state) = &sliced {
             if let Some(text) = state {
-                ckpt.save_inflight(text).map_err(io_err)?;
+                store.save_inflight(id, text).map_err(io_err)?;
             }
-            ckpt.save_trace(&sink).map_err(io_err)?;
+            sink.save(&trace).map_err(io_err)?;
         }
         // a fault here lands no matter what the slice accomplished —
         // checked before the finished-job break on purpose
@@ -911,21 +841,21 @@ fn run_job(
         Some(FaultKind::Kill) => {
             // crashed between the tmp write and the rename: the tmp file
             // exists, the part does not
-            std::fs::write(fleet.part_path(id).with_extension("tmp"), &part_text)
+            std::fs::write(store.part_path(id).with_extension("tmp"), &part_text)
                 .map_err(io_err)?;
             return Ok(JobRun::Killed);
         }
         Some(FaultKind::TornPart) => {
             // a non-atomic writer died mid-write: half the bytes landed
             let torn = &part_text[..part_text.len() / 2];
-            std::fs::write(fleet.part_path(id), torn).map_err(io_err)?;
+            std::fs::write(store.part_path(id), torn).map_err(io_err)?;
             return Ok(JobRun::Killed);
         }
         _ => {}
     }
-    fleet.write_part(id, out.evaluations, &lib).map_err(io_err)?;
-    ckpt.save_trace(&sink).map_err(io_err)?;
-    ckpt.clear_inflight().map_err(io_err)?;
+    store.write_part(id, out.evaluations, &lib).map_err(io_err)?;
+    sink.save(&trace).map_err(io_err)?;
+    store.clear_inflight(id).map_err(io_err)?;
     Ok(JobRun::Completed)
 }
 
@@ -1063,7 +993,7 @@ mod tests {
             ..part.records().next().unwrap().clone()
         };
         let text = render_part(&id, evals, &format::render([&stale]));
-        std::fs::write(fleet.part_path(&id), text).unwrap();
+        std::fs::write(fleet.store.part_path(&id), text).unwrap();
         assert!(fleet.part(&id).is_some(), "the restamped part is valid");
         let merged = fleet.merge().unwrap();
         assert_eq!((merged.merged_jobs, merged.rejected_stale), (2, 1));
@@ -1230,7 +1160,7 @@ mod tests {
         // a dropped lock is a pending job; a valid part is a done one
         drop(held);
         assert_eq!(fleet.status().unwrap(), status(2, 0, 0));
-        fleet.write_part(&id, 0, &Library::new()).unwrap();
+        fleet.store.write_part(&id, 0, &Library::new()).unwrap();
         assert_eq!(fleet.status().unwrap(), status(1, 0, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1264,7 +1194,7 @@ mod tests {
         fleet.init(&anneal).unwrap();
         let report = run_worker(&fleet, "w0", Some(4), &FaultPlan::none()).unwrap();
         assert_eq!(report.exit, WorkerExit::Paused);
-        assert!(fleet.ckpt_path(&anneal[0].id()).join("inflight.ckpt").exists());
+        assert!(fleet.store.load_inflight(&anneal[0].id()).is_some());
         let perfllm = jobs(&["softmax"], Strategy::PerfLlm { episodes: 1 }, 5);
         assert_eq!(fleet.init(&perfllm).unwrap(), Vec::<String>::new(), "no lock is held");
         let report = run_worker(&fleet, "w1", None, &FaultPlan::none()).unwrap();
@@ -1306,10 +1236,10 @@ mod tests {
         fleet.init(&old).unwrap();
         let id = old[0].id();
         let lock = fleet.try_claim(&id).unwrap().expect("free job claimable");
-        fleet.write_part(&id, 0, &Library::new()).unwrap();
+        fleet.store.write_part(&id, 0, &Library::new()).unwrap();
         let new = jobs(&["relu"], Strategy::Heuristic, 3);
         assert_eq!(fleet.init(&new).unwrap(), vec![id.clone()]);
-        assert!(fleet.lock_path(&id).exists() && fleet.part_path(&id).exists());
+        assert!(fleet.lock_path(&id).exists() && fleet.part(&id).is_some());
         // once its worker lets go, the next init removes it
         drop(lock);
         assert_eq!(fleet.init(&new).unwrap(), Vec::<String>::new());

@@ -18,8 +18,11 @@
 //! - [`builder::LibraryBuilder`] — the concurrent, deterministic tuning
 //!   driver over `perfdojo_util::par`; `build_into_checkpointed` is the
 //!   crash-safe sequential variant that persists per-job progress.
-//! - [`checkpoint::BuildCheckpoint`] — the on-disk checkpoint directory
-//!   (done-job list, partial library, in-flight search state, event log).
+//! - [`checkpoint::BuildCheckpoint`] — the job store of every crash-safe
+//!   path (checkpointed builds and drains, the fleet): per job id
+//!   ([`checkpoint::job_id`]), a hash-checked part once the job is done
+//!   and its in-flight search state while it is paused, plus a build's
+//!   event log.
 //! - [`dispatch`] — `Library::lookup`: exact hit → parameterized →
 //!   fallback replay → heuristic pass → naive, every served schedule
 //!   re-validated and (when small enough) numerically verified.

@@ -618,9 +618,9 @@ impl Server {
     /// limit runs out the drain returns [`TuneProgress::Paused`] with the
     /// snapshot and the on-disk library untouched — call again (or rerun
     /// the process against the same checkpoint dir) to continue. A drain
-    /// that completes resets the checkpoint's job progress (done list,
-    /// partial library, in-flight state), so one directory serves every
-    /// drain of a long-running server in sequence.
+    /// that completes resets the checkpoint's job progress (its parts and
+    /// in-flight states), so one directory serves every drain of a
+    /// long-running server in sequence.
     pub fn drain_tunes_checkpointed(
         &self,
         ckpt: &BuildCheckpoint,
@@ -655,17 +655,16 @@ impl Server {
         // instead of the empty program. Jobs already in flight from a paused
         // drain resume from their checkpointed search state, which embeds
         // the warm start they began with. The failure memo is consulted
-        // per job by the job runner, never by filtering `jobs`: in-flight
-        // state belongs to the first job not done, so the job list of a
-        // paused drain must not change before it resumes.
+        // per job by the job runner, not by filtering `jobs`, so plain,
+        // checkpointed and step-limited drains decide alike for one input.
         let builder = LibraryBuilder::new(self.config.strategy, self.config.seed)
             .with_warm_from(&current.library)
             .with_failure_memo(Arc::clone(&self.failures));
 
         // build into a scratch library so the served snapshot is untouched
         // until the merge below publishes a complete replacement; it ends up
-        // holding every job's record (a checkpointed drain's earlier slices
-        // reload from the checkpoint's partial library)
+        // holding every job's record (a checkpointed drain reads the jobs
+        // its earlier slices finished from their parts)
         let mut scratch = Library::new();
         match ckpt {
             None => {
@@ -685,14 +684,11 @@ impl Server {
             }
         }
 
-        // count this drain's jobs only: a checkpoint's partial library
-        // could still hold records from a drain that crashed between
-        // publish and checkpoint reset. Jobs that produced no record keep
-        // the shape re-tunable: forget their queue keys after this drain
-        // completes, so a future miss can enqueue them again. A later drain
-        // runs such a job only if its input changed (another strategy, a
-        // warm start from a newly published family); else the failure memo
-        // knows the outcome
+        // jobs that produced no record keep the shape re-tunable: forget
+        // their queue keys after this drain completes, so a future miss can
+        // enqueue them again. A later drain runs such a job only if its
+        // input changed (another strategy, a warm start from a newly
+        // published family); else the failure memo knows the outcome
         let failed_keys: Vec<String> = jobs
             .iter()
             .filter(|(_, j)| scratch.get(&KernelSig::of(&j.program, &self.target.name)).is_none())
@@ -705,9 +701,8 @@ impl Server {
         self.counters.tuned.fetch_add(tuned as u64, Ordering::Relaxed);
         let generation = self.publish_locked(merged)?;
         // this drain is merged and published: clear the checkpoint's job
-        // progress so the next drain (new jobs, possibly re-using an
-        // identity) starts fresh instead of reloading this drain's partial
-        // library and skipping over its done entries
+        // progress, since a later drain may queue a job of the same id
+        // under another warm start
         if let Some(ckpt) = ckpt {
             ckpt.reset()
                 .map_err(|e| format!("checkpoint dir {}: {e}", ckpt.dir().display()))?;

@@ -125,14 +125,6 @@ pub struct ParamSchedule {
 }
 
 impl ParamSchedule {
-    /// True when `sig` belongs to this schedule's family.
-    pub fn covers(&self, sig: &KernelSig) -> bool {
-        self.structure == sig.structure
-            && self.arity == sig.shape.len()
-            && self.dtype == sig.dtype
-            && self.target == sig.target
-    }
-
     /// Materialize a concrete action sequence for a query shape.
     pub fn materialize(&self, shape: &[usize]) -> Vec<Action> {
         self.steps

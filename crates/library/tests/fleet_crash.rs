@@ -57,8 +57,8 @@ fn drain_under(tag: &str, workers: usize, plan: &FaultPlan) -> (String, Vec<Stri
     let traces = jobs()
         .iter()
         .map(|job| {
-            let trace = std::fs::read_to_string(fleet.ckpt_path(&job.id()).join("trace.jsonl"));
-            strip_field(&trace.unwrap(), "cache_hit")
+            let trace = dir.join("ckpt").join(job.id()).join("trace.jsonl");
+            strip_field(&std::fs::read_to_string(trace).unwrap(), "cache_hit")
         })
         .collect();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -245,7 +245,7 @@ fn slow_live_owner_is_never_reclaimed() {
         std::thread::sleep(Duration::from_millis(500));
         let status = fleet.status().unwrap();
         assert_eq!((status.running, status.pending), (1, 0), "held job not running");
-        assert!(!fleet.ckpt_path(&id).exists(), "a worker started the held job");
+        assert!(!dir.join("ckpt").join(&id).exists(), "a worker started the held job");
         assert!(fleet.part(&id).is_none());
         drop(held);
         run.join().unwrap().unwrap()

@@ -6,8 +6,8 @@
 //! every truncation.
 
 use perfdojo_core::Target;
-use perfdojo_library::fleet::{parse_part, render_part, FleetJob};
-use perfdojo_library::{Library, LibraryBuilder, ScheduleRecord, Strategy};
+use perfdojo_library::checkpoint::{parse_part, render_part};
+use perfdojo_library::{FleetJob, Library, LibraryBuilder, ScheduleRecord, Strategy};
 use perfdojo_util::proptest_lite::prelude::*;
 use perfdojo_util::rng::Rng;
 use std::sync::OnceLock;

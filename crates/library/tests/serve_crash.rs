@@ -192,9 +192,9 @@ fn paused_drain_resumes_both_shapes_of_one_operator() {
 #[test]
 fn completed_drain_resets_checkpoint_for_the_next_drain() {
     // a long-running server reuses one checkpoint dir across drains: a
-    // completed drain must clear its job progress, or the next drain
-    // reloads the stale partial library (overcounting its tuned jobs)
-    // and skips any new job matching a previously-done identity
+    // completed drain must clear its job progress, or a later drain that
+    // queues a job of the same id under another warm start merges the old
+    // part instead of running it
     let target = Target::x86();
     let dir = scratch_dir("serve-crash-reset");
     let base = base_library(&target);
@@ -210,8 +210,9 @@ fn completed_drain_resets_checkpoint_for_the_next_drain() {
         TuneProgress::Swapped { generation: 1, tuned: 1, .. } => {}
         p => panic!("first drain: {p:?}"),
     }
-    assert!(ckpt.done_jobs().is_empty(), "done list must be reset after a swap");
-    assert!(!ckpt.partial_path().exists(), "partial library must be reset after a swap");
+    let ck = dir.join("ck");
+    assert!(!ck.join("parts").exists(), "parts must be reset after a swap");
+    assert!(!ck.join("ckpt").exists(), "in-flight states must be reset after a swap");
 
     // the second drain over a fresh job reports only its own work
     let second = ServeQuery::of("reducemean", &[32, 32]).expect("query");
@@ -223,6 +224,45 @@ fn completed_drain_resets_checkpoint_for_the_next_drain() {
     assert_eq!(server.lookup_now(&first).tier, HitTier::Exact);
     assert_eq!(server.lookup_now(&second).tier, HitTier::Exact);
     assert_eq!(server.stats().tuned, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_drain_resumed_under_another_strategy_publishes_that_strategys_library() {
+    // a paused job's in-flight state is kept under an id that names its
+    // strategy, so after `set_strategy` the resumed drain tunes its jobs
+    // fresh instead of reading the anneal state as PerfLLM state
+    let target = Target::x86();
+    let dir = scratch_dir("serve-crash-restrategy");
+    let base = base_library(&target);
+    let misses = [("rmsnorm", [32, 32]), ("reducemean", [32, 32])]
+        .map(|(label, dims)| ServeQuery::of(label, &dims).expect("query"));
+    let anneal = Strategy::parse(TUNE_STRATEGY).expect("strategy");
+    let perfllm = Strategy::PerfLlm { episodes: 2 };
+    let config = ServeConfig { strategy: anneal, seed: 11, ..ServeConfig::default() };
+    let queue_misses = |server: &Server| {
+        for q in &misses {
+            assert!(server.lookup_now(q).tier.is_miss());
+        }
+    };
+
+    let mut server = Server::new(base.clone(), target.clone(), config.clone());
+    queue_misses(&server);
+    let ckpt = BuildCheckpoint::open(&dir.join("ck")).expect("checkpoint");
+    let paused = server.drain_tunes_checkpointed(&ckpt, Some(STEP_LIMIT)).expect("drain");
+    assert_eq!(paused, TuneProgress::Paused, "step limit must pause the drain");
+    server.set_strategy(perfllm);
+    let resumed = server.drain_tunes_checkpointed(&ckpt, None).expect("resume");
+
+    let fresh = Server::new(base, target, ServeConfig { strategy: perfllm, ..config });
+    queue_misses(&fresh);
+    assert_eq!(resumed, fresh.drain_tunes().expect("fresh drain"));
+    assert!(matches!(resumed, TuneProgress::Swapped { tuned: 1.., .. }), "{resumed:?}");
+    assert_eq!(
+        server.snapshot(0).library.to_text(),
+        fresh.snapshot(0).library.to_text(),
+        "the resumed drain diverged from a fresh PerfLLM drain"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,9 +2,13 @@
 //! one-step slices), a one-worker fleet and both kinds of serve drain reach
 //! the tuners through the same job runner. For every strategy shape, cold
 //! and transfer-warmed, they must therefore produce byte-identical
-//! libraries and spend the same evaluations on every job.
+//! libraries and spend the same evaluations on every job — the whole
+//! checkpointed builds of every strategy sharing a directory (one for cold
+//! builds, one for warm), since a job is stored under an id that names its
+//! strategy and seed.
 
 use perfdojo::kernels::KernelInstance;
+use perfdojo::library::checkpoint::job_id;
 use perfdojo::library::{
     run_fleet, BuildCheckpoint, BuildProgress, FaultPlan, FleetDir, FleetJob, ServeConfig,
     ServeQuery, Server, TuneProgress,
@@ -58,7 +62,7 @@ fn plain(builder: &LibraryBuilder, kernels: &[KernelInstance], target: &Target) 
 }
 
 /// A checkpointed build rerun until it finishes, `step_limit` steps per
-/// call.
+/// call, with each job's evaluations read from its part.
 fn checkpointed(
     builder: &LibraryBuilder,
     kernels: &[KernelInstance],
@@ -79,7 +83,14 @@ fn checkpointed(
             )
             .unwrap();
         if progress == BuildProgress::Finished {
-            let evals = ckpt.done_jobs().into_iter().map(|(label, _, _, e)| (label, e)).collect();
+            let (strategy, seed) = (builder.strategy, builder.seed);
+            let evals = kernels
+                .iter()
+                .map(|k| {
+                    let id = job_id(&k.label, &k.shape, &target.name, strategy, seed);
+                    (k.label.clone(), ckpt.part(&id).expect("finished job has a part").0)
+                })
+                .collect();
             return (lib.to_text(), evals);
         }
     }
@@ -116,6 +127,9 @@ fn every_build_path_agrees_for_every_strategy() {
         .iter()
         .map(|k| Dojo::for_target(k.program.clone(), &target).unwrap().evaluations())
         .collect();
+    // the warm start is not part of a job's id, so cold and warm builds
+    // each get one directory, which every strategy's whole build reuses
+    let shared = tmpdir("shared");
     for (i, spec) in SPECS.iter().enumerate() {
         let strategy = LibraryStrategy::parse(spec).unwrap();
         for warm in [None, Some(&donor)] {
@@ -134,7 +148,8 @@ fn every_build_path_agrees_for_every_strategy() {
                 assert_eq!(evals, own_evals, "{tag}");
             }
             let dir = tmpdir(&format!("{i}-{}", warm.is_some()));
-            let whole = checkpointed(&builder, &kernels, &target, &dir.join("whole"), None);
+            let whole_dir = shared.join(if warm.is_some() { "warm" } else { "cold" });
+            let whole = checkpointed(&builder, &kernels, &target, &whole_dir, None);
             assert_eq!(whole, reference, "{tag}: checkpointed build differs from plain");
             let sliced = checkpointed(&builder, &kernels, &target, &dir.join("sliced"), Some(1));
             assert_eq!(sliced, reference, "{tag}: one-step slices differ from plain");
@@ -143,6 +158,7 @@ fn every_build_path_agrees_for_every_strategy() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
+    std::fs::remove_dir_all(&shared).unwrap();
 }
 
 /// The library and drain result of each of two rounds, plus the tune jobs
